@@ -14,30 +14,57 @@ use std::fmt;
 /// control characters as `\u00XX`; non-ASCII passes through as UTF-8,
 /// which RFC 8259 permits without escaping).
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    // Writing into a `String` cannot fail.
+    let _ = write_escaped(out, s);
+}
+
+/// Appends `s` escaped and wrapped in quotes to `out`: [`escaped`]
+/// without the allocation.
+pub fn quote_into(out: &mut String, s: &str) {
+    // Writing into a `String` cannot fail.
+    let _ = write_quoted(out, s);
 }
 
 /// `s` escaped and wrapped in quotes.
 pub fn escaped(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
+    quote_into(&mut out, s);
     out
+}
+
+/// The escaping behind [`escape_into`], for any writer. Escape-free runs
+/// are copied whole. Every byte that needs escaping is ASCII, so the run
+/// boundaries always fall on `char` boundaries.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])
+}
+
+/// `s` escaped and wrapped in quotes, for any writer.
+fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    write_escaped(out, s)?;
+    out.write_char('"')
 }
 
 /// A JSON value tree. Objects keep insertion order (metric names are
@@ -125,7 +152,7 @@ impl fmt::Display for JsonValue {
             JsonValue::U64(n) => write!(f, "{n}"),
             JsonValue::F64(x) if x.is_finite() => write!(f, "{x}"),
             JsonValue::F64(_) => f.write_str("null"),
-            JsonValue::Str(s) => f.write_str(&escaped(s)),
+            JsonValue::Str(s) => write_quoted(f, s),
             JsonValue::Array(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -142,7 +169,8 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", escaped(k))?;
+                    write_quoted(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -470,6 +498,28 @@ mod tests {
         // Non-ASCII (the analysis prints names like `x ∈ pts(y)`) passes
         // through unescaped, as RFC 8259 allows.
         assert_eq!(escaped("v ∈ pts"), "\"v ∈ pts\"");
+        assert_eq!(escaped("∈\u{1f}∈\u{0c}\u{08}\r"), "\"∈\\u001f∈\\f\\b\\r\"");
+    }
+
+    #[test]
+    fn display_escapes_keys_and_strings_like_escaped() {
+        for name in [
+            r#"a"b"#,
+            r"c\d",
+            "line\nbreak",
+            "v ∈ pts",
+            "\u{07}x\u{1f}",
+            "",
+        ] {
+            let v = JsonValue::Object(vec![(name.to_owned(), JsonValue::str(name))]);
+            assert_eq!(
+                v.to_string(),
+                format!("{{{}:{}}}", escaped(name), escaped(name))
+            );
+            let mut quoted = String::from("x");
+            quote_into(&mut quoted, name);
+            assert_eq!(quoted, format!("x{}", escaped(name)));
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod sink;
 pub use flight::{FlightConfig, FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot};
 pub use hist::Histogram;
 pub use json::{
-    escape_into, escaped, parse_json, validate_jsonl_line, validate_metrics_line, JsonValue,
-    KNOWN_KINDS,
+    escape_into, escaped, parse_json, quote_into, validate_jsonl_line, validate_metrics_line,
+    JsonValue, KNOWN_KINDS,
 };
 pub use profile::{ProfileNode, Profiler, SpanGuard};
 pub use registry::{Counter, Gauge, Registry};

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::hist::Histogram;
-use crate::json::{escaped, JsonValue};
+use crate::json::{quote_into, JsonValue};
 use crate::profile::{ProfileNode, Profiler};
 use crate::registry::Registry;
 
@@ -57,12 +57,11 @@ impl<W: Write> JsonlSink<W> {
     pub fn emit(&mut self, kind: &str, fields: &[(&str, JsonValue)]) -> io::Result<()> {
         self.line.clear();
         self.line.push_str("{\"kind\":");
-        self.line.push_str(&escaped(kind));
+        quote_into(&mut self.line, kind);
         for (key, value) in fields {
             self.line.push(',');
-            self.line.push('"');
-            crate::json::escape_into(&mut self.line, key);
-            self.line.push_str("\":");
+            quote_into(&mut self.line, key);
+            self.line.push(':');
             let _ = write!(self.line, "{value}");
         }
         self.line.push('}');

@@ -24,6 +24,7 @@
 //!   notice within one read-timeout tick, and all threads are joined.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -33,10 +34,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ddpa_demand::{EngineStats, SchedPolicy, ThreadPool, TraceReport};
-use ddpa_obs::{Counter, Histogram, JsonValue, JsonlSink, Obs};
+use ddpa_obs::{quote_into, Counter, Histogram, JsonValue, JsonlSink, Obs};
 
 use crate::proto::{error_response, ok_response, parse_request, ErrorCode, ProtoError, Request};
-use crate::session::{QueryAnswer, ResolvedSpec, Session};
+use crate::session::{IdAnswer, NameTable, ResolvedSpec, Session};
 
 /// How often blocked reads wake up to check the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
@@ -392,8 +393,7 @@ impl Server {
                 self.state.counters.busy.inc();
                 let mut stream = stream;
                 let line = error_response(ErrorCode::Busy, "connection limit reached").to_string();
-                let _ = stream.write_all(line.as_bytes());
-                let _ = stream.write_all(b"\n");
+                let _ = write_line(&mut stream, line);
                 continue;
             }
             let guard = OpenConnGuard::acquire(Arc::clone(&self.state));
@@ -657,7 +657,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<
                         After::Continue,
                     ),
                 };
-                write_line(&mut writer, &response)?;
+                write_line(&mut writer, response)?;
                 if matches!(after, After::Close) {
                     return Ok(());
                 }
@@ -668,7 +668,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<
                     "request line exceeds max_line_bytes ({})",
                     state.config.max_line_bytes
                 );
-                write_line(&mut writer, &fail(state, ErrorCode::Oversized, &msg))?;
+                write_line(&mut writer, fail(state, ErrorCode::Oversized, &msg))?;
                 if !resync_to_newline(&mut reader, state)? {
                     return Ok(());
                 }
@@ -682,14 +682,14 @@ fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<
                 );
                 // Best-effort: the peer half-closed its write side but
                 // may still be reading.
-                let _ = write_line(&mut writer, &resp);
+                let _ = write_line(&mut writer, resp);
                 return Ok(());
             }
             Frame::Eof => return Ok(()),
             Frame::Shutdown => {
                 let _ = write_line(
                     &mut writer,
-                    &error_response(ErrorCode::ShuttingDown, "server is shutting down").to_string(),
+                    error_response(ErrorCode::ShuttingDown, "server is shutting down").to_string(),
                 );
                 return Ok(());
             }
@@ -697,10 +697,12 @@ fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Sends one response line and its newline in a single write, so a
+/// `TCP_NODELAY` socket carries the response as one segment and wakes
+/// the client once.
+fn write_line(writer: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Records an error and renders its response line.
@@ -775,7 +777,7 @@ fn handle_line(state: &ServerState, line: &str) -> (String, After) {
     );
 
     match outcome {
-        Ok((response, after)) => (response.to_string(), after),
+        Ok(reply) => reply,
         Err(e) => {
             state.counters.errors.inc();
             (e.to_line(), After::Continue)
@@ -959,67 +961,107 @@ fn record_query_obs(state: &ServerState, session_name: &str, delta: &EngineStats
     }
 }
 
-fn render_answer(answer: &QueryAnswer, generation: u64) -> JsonValue {
-    let names_json = |names: &[String]| {
-        JsonValue::Array(names.iter().map(|n| JsonValue::str(n.as_str())).collect())
-    };
-    let fields = match answer {
-        QueryAnswer::Set {
-            names,
+// Query and batch responses are rendered as text straight from answer
+// ids and the session's pre-escaped name table, after the session lock
+// is released. The bytes match what `ok_response` builds for the same
+// fields; `tests/byte_identity.rs` holds them to it.
+
+/// Starts a query/batch response line: `{"ok":true,"op":..,"session":..`.
+fn response_head(op: &str, session: &str) -> String {
+    let mut line = String::with_capacity(256);
+    line.push_str("{\"ok\":true,\"op\":");
+    quote_into(&mut line, op);
+    line.push_str(",\"session\":");
+    quote_into(&mut line, session);
+    line
+}
+
+/// Closes a query/batch response line: the generation, then `sched` and
+/// `trace` when present.
+fn push_tail(line: &mut String, generation: u64, sched: Option<&str>, trace: Option<&TraceReport>) {
+    let _ = write!(line, ",\"generation\":{generation}");
+    if let Some(sched) = sched {
+        line.push_str(",\"sched\":");
+        quote_into(line, sched);
+    }
+    if let Some(report) = trace {
+        let _ = write!(line, ",\"trace\":{}", report.json());
+    }
+    line.push('}');
+}
+
+/// Appends one answer's result object.
+fn push_answer(line: &mut String, answer: &IdAnswer, names: &NameTable, generation: u64) {
+    let (work, timed_out) = match answer {
+        IdAnswer::Set {
+            nodes,
             complete,
             work,
             timed_out,
-        } => vec![
-            ("pts".to_string(), names_json(names)),
-            ("complete".to_string(), JsonValue::Bool(*complete)),
-            ("work".to_string(), JsonValue::U64(*work)),
-            ("timed_out".to_string(), JsonValue::Bool(*timed_out)),
-        ],
-        QueryAnswer::Alias {
+        } => {
+            line.push_str("{\"pts\":");
+            push_names(line, nodes.iter().map(|&n| names.node(n)));
+            let _ = write!(line, ",\"complete\":{complete}");
+            (work, timed_out)
+        }
+        IdAnswer::Alias {
             may_alias,
             resolved,
             work,
             timed_out,
-        } => vec![
-            ("may_alias".to_string(), JsonValue::Bool(*may_alias)),
-            ("resolved".to_string(), JsonValue::Bool(*resolved)),
-            ("work".to_string(), JsonValue::U64(*work)),
-            ("timed_out".to_string(), JsonValue::Bool(*timed_out)),
-        ],
-        QueryAnswer::Targets {
-            names,
+        } => {
+            let _ = write!(line, "{{\"may_alias\":{may_alias},\"resolved\":{resolved}");
+            (work, timed_out)
+        }
+        IdAnswer::Targets {
+            funcs,
             resolved,
             work,
             timed_out,
-        } => vec![
-            ("targets".to_string(), names_json(names)),
-            ("resolved".to_string(), JsonValue::Bool(*resolved)),
-            ("work".to_string(), JsonValue::U64(*work)),
-            ("timed_out".to_string(), JsonValue::Bool(*timed_out)),
-        ],
+        } => {
+            line.push_str("{\"targets\":");
+            push_names(line, funcs.iter().map(|&f| names.func(f)));
+            let _ = write!(line, ",\"resolved\":{resolved}");
+            (work, timed_out)
+        }
     };
-    let mut fields = fields;
-    fields.push(("generation".to_string(), JsonValue::U64(generation)));
-    JsonValue::Object(fields)
+    let _ = write!(
+        line,
+        ",\"work\":{work},\"timed_out\":{timed_out},\"generation\":{generation}}}"
+    );
 }
 
-/// Dispatches one parsed request. `trace_id` is the minted request ID;
-/// query/batch arms bracket their engine work with it and hand the
-/// resulting [`TraceReport`] back through `report_out` for the caller's
-/// access-log/slow-ring bookkeeping.
+/// Appends a JSON array of already-quoted names.
+fn push_names<'a>(line: &mut String, names: impl Iterator<Item = &'a str> + Clone) {
+    line.reserve(names.clone().map(|n| n.len() + 1).sum::<usize>() + 1);
+    line.push('[');
+    for (i, name) in names.enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(name);
+    }
+    line.push(']');
+}
+
+/// Dispatches one parsed request and renders its response line.
+/// `trace_id` is the minted request ID; query/batch arms bracket their
+/// engine work with it and hand the resulting [`TraceReport`] back
+/// through `report_out` for the caller's access-log/slow-ring
+/// bookkeeping.
 fn dispatch(
     state: &ServerState,
     request: Request,
     trace_id: &str,
     report_out: &mut Option<TraceReport>,
-) -> Result<(JsonValue, After), ProtoError> {
+) -> Result<(String, After), ProtoError> {
     match request {
-        Request::Ping => Ok((ok_response("ping", vec![]), After::Continue)),
+        Request::Ping => Ok((ok_response("ping", vec![]).to_string(), After::Continue)),
         Request::Shutdown => {
             state.trigger_shutdown();
-            Ok((ok_response("shutdown", vec![]), After::Close))
+            Ok((ok_response("shutdown", vec![]).to_string(), After::Close))
         }
-        Request::Stats => Ok((stats_response(state), After::Continue)),
+        Request::Stats => Ok((stats_response(state).to_string(), After::Continue)),
         Request::Slow { limit } => {
             let ring = state.slow.lock().unwrap_or_else(|p| p.into_inner());
             let n = limit.map_or(ring.len(), |l| l as usize).min(ring.len());
@@ -1034,7 +1076,8 @@ fn dispatch(
                         ("kept", JsonValue::U64(kept as u64)),
                         ("threshold_ms", JsonValue::U64(state.config.slow_ms)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1094,7 +1137,8 @@ fn dispatch(
                         ("generation", JsonValue::U64(0)),
                         ("restored", JsonValue::U64(restored)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1108,7 +1152,8 @@ fn dispatch(
             }
             state.counters.sessions_closed.inc();
             Ok((
-                ok_response("close", vec![("session", JsonValue::str(session.as_str()))]),
+                ok_response("close", vec![("session", JsonValue::str(session.as_str()))])
+                    .to_string(),
                 After::Continue,
             ))
         }
@@ -1136,7 +1181,7 @@ fn dispatch(
                     ("full_invalidation", JsonValue::Bool(edit.full)),
                 ],
             );
-            Ok((response, After::Continue))
+            Ok((response.to_string(), After::Continue))
         }
         Request::Query {
             session,
@@ -1152,30 +1197,24 @@ fn dispatch(
             let mut s = lock_session(&handle);
             let resolved = s.resolve(&spec)?;
             let bracket = s.begin_trace(trace_id);
-            let answer = s.query_opt(resolved, budget, deadline, parallel_query);
+            let answer = s.query_ids(resolved, budget, deadline, parallel_query);
             let report = s.finish_trace(bracket);
             let generation = s.generation();
             let sched = s.last_sched();
+            let names = s.name_table();
             drop(s);
             record_query_obs(state, &session, &report.delta, answer.timed_out() as u64);
-            let mut fields = vec![
-                ("session", JsonValue::str(session.as_str())),
-                ("result", render_answer(&answer, generation)),
-                ("generation", JsonValue::U64(generation)),
-            ];
             // A query that asked for parallelism reports how it actually
             // ran, so budget/trace-forced fallbacks are never silent.
-            if let Some(sched) = sched {
-                if sched == "sequential-fallback" {
-                    state.counters.sched_fallbacks.inc();
-                }
-                fields.push(("sched", JsonValue::str(sched)));
+            if sched == Some("sequential-fallback") {
+                state.counters.sched_fallbacks.inc();
             }
-            if want_trace {
-                fields.push(("trace", report.json()));
-            }
+            let mut line = response_head("query", &session);
+            line.push_str(",\"result\":");
+            push_answer(&mut line, &answer, &names, generation);
+            push_tail(&mut line, generation, sched, want_trace.then_some(&report));
             *report_out = Some(report);
-            Ok((ok_response("query", fields), After::Continue))
+            Ok((line, After::Continue))
         }
         Request::Batch {
             session,
@@ -1206,59 +1245,46 @@ fn dispatch(
             let resolved: Vec<Result<ResolvedSpec, ProtoError>> =
                 specs.iter().map(|spec| s.resolve(spec)).collect();
             let generation = s.generation();
+            let names = s.name_table();
 
-            let mut timeouts = 0u64;
             let bracket = s.begin_trace(trace_id);
-            let (results, report): (Vec<JsonValue>, TraceReport) = if parallel {
-                let ok_specs: Vec<ResolvedSpec> = resolved
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok().copied())
-                    .collect();
-                let answers = s.query_batch_parallel(&ok_specs, budget, deadline, &state.pool);
-                // Batch workers publish into the session engine's
-                // registry, so the bracket includes their traffic.
-                let report = s.finish_trace(bracket);
-                drop(s);
-                let mut answers = answers.into_iter();
-                let rendered = resolved
-                    .iter()
-                    .map(|r| match r {
-                        Ok(_) => {
-                            let a = answers.next().expect("one answer per resolved spec");
-                            timeouts += a.timed_out() as u64;
-                            render_answer(&a, generation)
-                        }
-                        Err(e) => error_response(e.code, &e.message),
-                    })
-                    .collect();
-                (rendered, report)
+            let ok_specs = resolved.iter().filter_map(|r| r.as_ref().ok().copied());
+            let answers: Vec<IdAnswer> = if parallel {
+                let ok_specs: Vec<ResolvedSpec> = ok_specs.collect();
+                s.query_batch_parallel(&ok_specs, budget, deadline, &state.pool)
             } else {
-                let rendered = resolved
-                    .iter()
-                    .map(|r| match r {
-                        Ok(spec) => {
-                            let a = s.query(*spec, budget, deadline);
-                            timeouts += a.timed_out() as u64;
-                            render_answer(&a, generation)
-                        }
-                        Err(e) => error_response(e.code, &e.message),
-                    })
-                    .collect();
-                let report = s.finish_trace(bracket);
-                drop(s);
-                (rendered, report)
+                ok_specs
+                    .map(|spec| s.query_ids(spec, budget, deadline, None))
+                    .collect()
             };
+            // Batch workers publish into the session engine's registry,
+            // so the bracket includes their traffic.
+            let report = s.finish_trace(bracket);
+            drop(s);
+            let timeouts = answers.iter().filter(|a| a.timed_out()).count() as u64;
             record_query_obs(state, &session, &report.delta, timeouts);
-            let mut fields = vec![
-                ("session", JsonValue::str(session.as_str())),
-                ("results", JsonValue::Array(results)),
-                ("generation", JsonValue::U64(generation)),
-            ];
-            if want_trace {
-                fields.push(("trace", report.json()));
+
+            let mut line = response_head("batch", &session);
+            line.push_str(",\"results\":[");
+            let mut answers = answers.iter();
+            for (i, r) in resolved.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                match r {
+                    Ok(_) => {
+                        let a = answers.next().expect("one answer per resolved spec");
+                        push_answer(&mut line, a, &names, generation);
+                    }
+                    Err(e) => {
+                        let _ = write!(line, "{}", error_response(e.code, &e.message));
+                    }
+                }
             }
+            line.push(']');
+            push_tail(&mut line, generation, None, want_trace.then_some(&report));
             *report_out = Some(report);
-            Ok((ok_response("batch", fields), After::Continue))
+            Ok((line, After::Continue))
         }
         Request::Snapshot { session, path } => {
             let _span = state.obs.span("server.request.snapshot");
@@ -1300,7 +1326,8 @@ fn dispatch(
                         ("bytes", JsonValue::U64(bytes as u64)),
                         ("generation", JsonValue::U64(generation)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1321,7 +1348,8 @@ fn dispatch(
                         ("tabled_goals", JsonValue::U64(tabled as u64)),
                         ("generation", JsonValue::U64(generation)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1343,7 +1371,8 @@ fn dispatch(
                         ("dropped", JsonValue::U64(dropped)),
                         ("generation", JsonValue::U64(generation)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1363,7 +1392,7 @@ fn dispatch(
                 fields.push(("graph", graph));
             }
             fields.push(("generation", JsonValue::U64(generation)));
-            Ok((ok_response("graph", fields), After::Continue))
+            Ok((ok_response("graph", fields).to_string(), After::Continue))
         }
         Request::Scrape => {
             let _span = state.obs.span("server.request.scrape");
@@ -1416,7 +1445,8 @@ fn dispatch(
                         ("text", JsonValue::str(text)),
                         ("lines", JsonValue::U64(lines)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1446,7 +1476,8 @@ fn dispatch(
                         ("dropped", JsonValue::U64(restore.dropped as u64)),
                         ("generation", JsonValue::U64(generation)),
                     ],
-                ),
+                )
+                .to_string(),
                 After::Continue,
             ))
         }
@@ -1570,6 +1601,7 @@ fn stats_response(state: &ServerState) -> JsonValue {
 mod tests {
     use super::*;
     use crate::proto::QuerySpec;
+    use crate::session::QueryAnswer;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn pts_names(session: &Arc<Mutex<Session>>, name: &str) -> Vec<String> {

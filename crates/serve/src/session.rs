@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ddpa_constraints::{CallSiteId, ConstraintProgram, NodeId};
+use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
 use ddpa_demand::{
     DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, SharedMemo,
     ThreadPool, TraceReport,
@@ -46,6 +46,134 @@ pub enum ResolvedSpec {
     PointedToBy(NodeId),
     MayAlias(NodeId, NodeId),
     CallTargets(CallSiteId),
+}
+
+/// The answer to one query, with node and function ids where
+/// [`QueryAnswer`] has names. The server renders it straight from the
+/// session's [`NameTable`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum IdAnswer {
+    /// `points-to` / `pointed-to-by`: a set of nodes, sorted by id.
+    Set {
+        nodes: Vec<NodeId>,
+        complete: bool,
+        work: u64,
+        timed_out: bool,
+    },
+    /// `may-alias`.
+    Alias {
+        may_alias: bool,
+        resolved: bool,
+        work: u64,
+        timed_out: bool,
+    },
+    /// `call-targets`: a set of functions.
+    Targets {
+        funcs: Vec<FuncId>,
+        resolved: bool,
+        work: u64,
+        timed_out: bool,
+    },
+}
+
+impl IdAnswer {
+    /// Whether the deadline expired before the answer was exact.
+    pub fn timed_out(&self) -> bool {
+        match self {
+            IdAnswer::Set { timed_out, .. }
+            | IdAnswer::Alias { timed_out, .. }
+            | IdAnswer::Targets { timed_out, .. } => *timed_out,
+        }
+    }
+
+    /// The answer with display names from `cp`, the program its ids
+    /// index.
+    pub fn named(self, cp: &ConstraintProgram) -> QueryAnswer {
+        match self {
+            IdAnswer::Set {
+                nodes,
+                complete,
+                work,
+                timed_out,
+            } => QueryAnswer::Set {
+                names: nodes.iter().map(|&n| cp.display_node(n)).collect(),
+                complete,
+                work,
+                timed_out,
+            },
+            IdAnswer::Alias {
+                may_alias,
+                resolved,
+                work,
+                timed_out,
+            } => QueryAnswer::Alias {
+                may_alias,
+                resolved,
+                work,
+                timed_out,
+            },
+            IdAnswer::Targets {
+                funcs,
+                resolved,
+                work,
+                timed_out,
+            } => QueryAnswer::Targets {
+                names: funcs
+                    .iter()
+                    .map(|&f| cp.interner().resolve(cp.func(f).name).to_owned())
+                    .collect(),
+                resolved,
+                work,
+                timed_out,
+            },
+        }
+    }
+}
+
+/// Every node's display name and every function's name, JSON-escaped and
+/// quoted, in one buffer indexed by id.
+///
+/// Built with the name index at `open` and after each edit, so a served
+/// answer is rendered by copying slices: no allocation per name, and no
+/// need for the program (or the session lock) while rendering.
+#[derive(Debug)]
+pub struct NameTable {
+    text: String,
+    /// Entry `i` is `text[bounds[i]..bounds[i + 1]]`. Node `n` is entry
+    /// `n`; function `f` is entry `nodes + f`.
+    bounds: Vec<usize>,
+    nodes: usize,
+}
+
+impl NameTable {
+    fn with_capacity(nodes: usize, funcs: usize) -> Self {
+        let mut bounds = Vec::with_capacity(nodes + funcs + 1);
+        bounds.push(0);
+        NameTable {
+            text: String::new(),
+            bounds,
+            nodes,
+        }
+    }
+
+    fn push(&mut self, name: &str) {
+        ddpa_obs::quote_into(&mut self.text, name);
+        self.bounds.push(self.text.len());
+    }
+
+    fn entry(&self, i: usize) -> &str {
+        &self.text[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// `node`'s display name as a quoted JSON string.
+    pub fn node(&self, node: NodeId) -> &str {
+        self.entry(node.as_u32() as usize)
+    }
+
+    /// `func`'s name as a quoted JSON string.
+    pub fn func(&self, func: FuncId) -> &str {
+        self.entry(self.nodes + func.as_u32() as usize)
+    }
 }
 
 /// The answer to one query, ready for rendering.
@@ -172,13 +300,10 @@ fn drive<R>(
 /// Runs one resolved query on `engine`, honouring budget and deadline.
 fn run_resolved(
     engine: &mut DemandEngine<'_>,
-    cp: &ConstraintProgram,
     spec: ResolvedSpec,
     budget: Option<u64>,
     deadline: Option<Instant>,
-) -> QueryAnswer {
-    let node_names =
-        |nodes: &[NodeId]| -> Vec<String> { nodes.iter().map(|&n| cp.display_node(n)).collect() };
+) -> IdAnswer {
     match spec {
         ResolvedSpec::PointsTo(n) => {
             let d = drive(engine, budget, deadline, |e| {
@@ -186,8 +311,8 @@ fn run_resolved(
                 let (c, w) = (r.complete, r.work);
                 (r, c, w)
             });
-            QueryAnswer::Set {
-                names: node_names(&d.answer.pts),
+            IdAnswer::Set {
+                nodes: d.answer.pts,
                 complete: d.complete,
                 work: d.work,
                 timed_out: d.timed_out,
@@ -199,8 +324,8 @@ fn run_resolved(
                 let (c, w) = (r.complete, r.work);
                 (r, c, w)
             });
-            QueryAnswer::Set {
-                names: node_names(&d.answer.pts),
+            IdAnswer::Set {
+                nodes: d.answer.pts,
                 complete: d.complete,
                 work: d.work,
                 timed_out: d.timed_out,
@@ -212,7 +337,7 @@ fn run_resolved(
                 let (c, w) = (r.resolved, r.work);
                 (r, c, w)
             });
-            QueryAnswer::Alias {
+            IdAnswer::Alias {
                 may_alias: d.answer.may_alias,
                 resolved: d.complete,
                 work: d.work,
@@ -225,14 +350,8 @@ fn run_resolved(
                 let (c, w) = (r.resolved, r.work);
                 (r, c, w)
             });
-            let names = d
-                .answer
-                .targets
-                .iter()
-                .map(|&f| cp.interner().resolve(cp.func(f).name).to_string())
-                .collect();
-            QueryAnswer::Targets {
-                names,
+            IdAnswer::Targets {
+                funcs: d.answer.targets,
                 resolved: d.complete,
                 work: d.work,
                 timed_out: d.timed_out,
@@ -259,6 +378,10 @@ pub struct Session {
     source: String,
     /// Display-name → node index for query resolution.
     names: HashMap<String, NodeId>,
+    /// The escaped names answers are rendered from; replaced, never
+    /// mutated, by each edit, so a renderer holding a copy of the `Arc`
+    /// keeps the names its answer's ids index.
+    name_table: Arc<NameTable>,
     /// Default deduction budget for queries on this session.
     default_budget: Option<u64>,
     /// Shared memo table tying the warm engine and parallel batch
@@ -272,7 +395,7 @@ pub struct Session {
     /// Session default for intra-query parallelism: applied when a query
     /// request carries no `parallel_query` override.
     parallel_default: bool,
-    /// How the most recent [`Session::query_opt`] was scheduled, when the
+    /// How the most recent [`Session::query_ids`] was scheduled, when the
     /// request asked for parallelism: `"parallel"` (frame scheduler ran)
     /// or `"sequential-fallback"` (the sequential engine served it —
     /// budgeted, deadline-expired, single-worker, or a cache hit).
@@ -323,12 +446,13 @@ impl Session {
         let shared = Arc::new(SharedMemo::new());
         let engine = DemandEngine::new(cp_ref, DemandConfig::default())
             .with_shared_memo(Arc::clone(&shared));
-        let names = index_names(&program);
+        let (names, name_table) = index_names(&program);
         Ok(Session {
             engine,
             program,
             source,
             names,
+            name_table,
             default_budget,
             shared,
             workers: 1,
@@ -542,7 +666,7 @@ impl Session {
         let cp_ref: &'static ConstraintProgram =
             unsafe { &*(program.as_ref() as *const ConstraintProgram) };
         let stats = self.engine.reload_incremental(cp_ref, &diff);
-        self.names = index_names(&program);
+        (self.names, self.name_table) = index_names(&program);
         self.source = combined;
         let _old = std::mem::replace(&mut self.program, program);
         Ok(stats)
@@ -589,13 +713,6 @@ impl Session {
 
     /// [`Session::query`] with a per-request `parallel_query` override
     /// (`None` inherits the session default).
-    ///
-    /// A parallel query runs on the frame scheduler only when no budget
-    /// applies (neither per-request nor session default): budget slicing
-    /// needs the sequential engine's resumption guarantee. The scheduler
-    /// runs each query to its fixpoint, so a deadline is checked between
-    /// queries but cannot preempt one mid-flight (documented in
-    /// `docs/SERVER.md`).
     pub fn query_opt(
         &mut self,
         spec: ResolvedSpec,
@@ -603,14 +720,29 @@ impl Session {
         deadline: Option<Instant>,
         parallel: Option<bool>,
     ) -> QueryAnswer {
+        self.query_ids(spec, budget, deadline, parallel)
+            .named(&self.program)
+    }
+
+    /// [`Session::query_opt`] without the names: answers carry node and
+    /// function ids, to be rendered through [`Session::name_table`].
+    ///
+    /// A parallel query runs on the frame scheduler only when no budget
+    /// applies (neither per-request nor session default): budget slicing
+    /// needs the sequential engine's resumption guarantee. The scheduler
+    /// runs each query to its fixpoint, so a deadline is checked between
+    /// queries but cannot preempt one mid-flight (documented in
+    /// `docs/SERVER.md`).
+    pub fn query_ids(
+        &mut self,
+        spec: ResolvedSpec,
+        budget: Option<u64>,
+        deadline: Option<Instant>,
+        parallel: Option<bool>,
+    ) -> IdAnswer {
         let budget = budget.or(self.default_budget);
         let requested = parallel.unwrap_or(self.parallel_default);
         let parallel = requested && self.workers > 1;
-        // SAFETY-free re-borrow dance: `run_resolved` needs the engine
-        // (`&mut`) and the program (`&`) at once; the engine's own copy
-        // of the program reference is handed out to avoid aliasing
-        // `self.program` while `self.engine` is mutably borrowed.
-        let cp = self.engine.program();
         let answer = 'answer: {
             if parallel && budget.is_none() {
                 // Serve memoized/expired-deadline answers through the
@@ -619,12 +751,12 @@ impl Session {
                 let expired = deadline.is_some_and(|d| Instant::now() >= d);
                 if !expired {
                     self.engine.set_workers(self.workers);
-                    let answer = run_resolved(&mut self.engine, cp, spec, None, None);
+                    let answer = run_resolved(&mut self.engine, spec, None, None);
                     self.engine.set_workers(1);
                     break 'answer answer;
                 }
             }
-            run_resolved(&mut self.engine, cp, spec, budget, deadline)
+            run_resolved(&mut self.engine, spec, budget, deadline)
         };
         // Report how a parallelism-requesting query was actually
         // scheduled, so budget/deadline/cache fallbacks are never silent.
@@ -638,7 +770,14 @@ impl Session {
         answer
     }
 
-    /// How the most recent [`Session::query_opt`] was scheduled:
+    /// The escaped names of the current program, for rendering answers
+    /// after the session lock is released. An edit installs a new table;
+    /// the returned one stays valid for answers computed before it.
+    pub fn name_table(&self) -> Arc<NameTable> {
+        Arc::clone(&self.name_table)
+    }
+
+    /// How the most recent [`Session::query_ids`] was scheduled:
     /// `Some("parallel")` when the frame scheduler ran,
     /// `Some("sequential-fallback")` when parallelism was requested but
     /// the sequential engine served the answer (budgeted, traced,
@@ -658,14 +797,15 @@ impl Session {
     /// batch's completed results are published back for later warm
     /// queries. Workers also publish metrics into the session engine's
     /// [`Obs`](ddpa_obs::Obs), so `engine_stats()` aggregates batch work
-    /// and shared-table traffic. Answers are identical to the warm path.
+    /// and shared-table traffic. Answers are identical to the warm path
+    /// ([`Session::query_ids`]).
     pub fn query_batch_parallel(
         &self,
         specs: &[ResolvedSpec],
         budget: Option<u64>,
         deadline: Option<Instant>,
         pool: &ThreadPool,
-    ) -> Vec<QueryAnswer> {
+    ) -> Vec<IdAnswer> {
         let budget = budget.or(self.default_budget);
         let cp: &ConstraintProgram = &self.program;
         // Workers inherit the session engine's configuration (budgets,
@@ -677,15 +817,15 @@ impl Session {
                 .with_shared_memo(Arc::clone(&self.shared));
             return specs
                 .iter()
-                .map(|&s| run_resolved(&mut engine, cp, s, budget, deadline))
+                .map(|&s| run_resolved(&mut engine, s, budget, deadline))
                 .collect();
         }
 
-        let mut results: Vec<Option<QueryAnswer>> = vec![None; specs.len()];
+        let mut results: Vec<Option<IdAnswer>> = vec![None; specs.len()];
         let next = AtomicUsize::new(0);
 
         #[derive(Clone, Copy)]
-        struct SlotPtr(*mut Option<QueryAnswer>);
+        struct SlotPtr(*mut Option<IdAnswer>);
         unsafe impl Send for SlotPtr {}
         unsafe impl Sync for SlotPtr {}
         let slots: Vec<SlotPtr> = results.iter_mut().map(|r| SlotPtr(r as *mut _)).collect();
@@ -705,7 +845,7 @@ impl Session {
                     if i >= specs.len() {
                         break;
                     }
-                    let answer = run_resolved(&mut engine, cp, specs[i], budget, deadline);
+                    let answer = run_resolved(&mut engine, specs[i], budget, deadline);
                     // SAFETY: index i was claimed exclusively via the
                     // atomic counter; each slot outlives the scoped batch
                     // and is written at most once.
@@ -734,8 +874,21 @@ fn parse_program(text: &str, minic: bool) -> Result<ConstraintProgram, ProtoErro
     }
 }
 
-fn index_names(cp: &ConstraintProgram) -> HashMap<String, NodeId> {
-    cp.node_ids().map(|n| (cp.display_node(n), n)).collect()
+/// The name → node index and the escaped [`NameTable`], built in one
+/// pass over the program's nodes. On duplicate display names the later
+/// node wins the index.
+fn index_names(cp: &ConstraintProgram) -> (HashMap<String, NodeId>, Arc<NameTable>) {
+    let mut names = HashMap::with_capacity(cp.num_nodes());
+    let mut table = NameTable::with_capacity(cp.num_nodes(), cp.funcs().len());
+    for n in cp.node_ids() {
+        let name = cp.display_node(n);
+        table.push(&name);
+        names.insert(name, n);
+    }
+    for f in cp.funcs().iter() {
+        table.push(cp.interner().resolve(f.name));
+    }
+    (names, Arc::new(table))
 }
 
 #[cfg(test)]
@@ -1117,8 +1270,28 @@ mod tests {
         let pool = ThreadPool::new(4);
         let fanned = s.query_batch_parallel(&specs, None, None, &pool);
         assert_eq!(warm.len(), fanned.len());
-        for (w, f) in warm.iter().zip(&fanned) {
-            assert_eq!(set_names(w), set_names(f), "parallel answers identical");
+        for (w, f) in warm.iter().zip(fanned) {
+            let f = f.named(s.program());
+            assert_eq!(set_names(w), set_names(&f), "parallel answers identical");
         }
+    }
+
+    #[test]
+    fn name_table_holds_escaped_names() {
+        let weird = "q\"\\\u{01}";
+        let mut b = ddpa_constraints::ConstraintBuilder::new();
+        let p = b.var("p");
+        let q = b.var(weird);
+        let f = b.func("f\"n", 0);
+        b.addr_of(p, q);
+        let cp = b.build();
+        let (names, table) = index_names(&cp);
+        assert_eq!(table.node(q), ddpa_obs::escaped(weird));
+        assert_eq!(table.node(p), "\"p\"");
+        assert_eq!(table.func(f), ddpa_obs::escaped("f\"n"));
+        for n in cp.node_ids() {
+            assert_eq!(table.node(n), ddpa_obs::escaped(&cp.display_node(n)));
+        }
+        assert_eq!(names.get(weird), Some(&q));
     }
 }

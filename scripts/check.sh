@@ -14,6 +14,14 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> servebench smoke test"
+# servebench (the repository's benchmark) is a workspace of its own that
+# builds ddpa-serve by path, so the workspace test run above skips it.
+# Its smoke test runs every workload at a tiny scale, checks every
+# answer, and fails if a replayed response's shape drifts from the
+# served one.
+cargo test -q --offline --manifest-path servebench/Cargo.toml
+
 echo "==> ddpa profile JSONL smoke test"
 # Every sample must profile cleanly and emit strict one-object-per-line
 # JSONL (validated by the jsonl-check hidden subcommand of the CLI, which
