@@ -1,18 +1,27 @@
 //! Structural diff of two constraint programs — the edit-detection half
 //! of incremental invalidation.
 //!
-//! An `add-constraints` edit re-parses the whole canonical text, so the
-//! engine never sees "the edit" — it sees two programs. This module
-//! recovers the edit as a *changed-node set*: for every node id of the
-//! old program, a deterministic signature is computed over everything the
-//! deduction rules ([`ddpa-demand`]'s `rules.rs`) can read about that
-//! node — its display identity, address-takenness, all eight primitive
-//! adjacency rows, field-address rows, field declarations, and the full
-//! contents of every call site reachable from its argument/return/fp
-//! rows (plus, for function-object nodes, the function's signature and
-//! direct call sites). A node whose signature differs between the two
-//! programs is *changed*; a goal whose support set touches a changed
-//! node must be re-derived, everything else may be kept warm.
+//! The diff is a *changed-node set*: the old node ids whose
+//! rule-visible rows differ between the two programs. A goal whose
+//! support set touches a changed node must be re-derived; everything
+//! else may be kept warm. There are two ways to get one:
+//!
+//! * [`append_constraints`](crate::append_constraints) reads it off an
+//!   append. A plain `add-constraints` edit is appended to the live
+//!   program, so the rows that changed are exactly those of the appended
+//!   constraints' old-node endpoints, and the diff costs time
+//!   proportional to the edit.
+//! * [`diff_programs`] compares two whole programs, for when there is no
+//!   append to read: snapshot restore diffs the snapshot's program
+//!   against the live one, and an edit that declares a `fun` or `field`
+//!   is re-parsed whole. For every node id of the old program, a
+//!   deterministic signature is computed over everything the deduction
+//!   rules ([`ddpa-demand`]'s `rules.rs`) can read about that node — its
+//!   display identity, address-takenness, all eight primitive adjacency
+//!   rows, field-address rows, field declarations, and the full contents
+//!   of every call site reachable from its argument/return/fp rows
+//!   (plus, for function-object nodes, the function's signature and
+//!   direct call sites). A node whose signature differs is *changed*.
 //!
 //! Two scans fall outside per-node rows and are tracked separately:
 //!
@@ -22,9 +31,8 @@
 //!   location in the new program (or an old function's shape moved), the
 //!   node-id space is not stable and no memoized answer can be rebound;
 //!   [`ProgramDiff::compatible`] turns false and callers must fall back
-//!   to full invalidation. Append-only edits (the `add-constraints`
-//!   path: new text is appended to the canonical source) always keep the
-//!   old id space intact, so this is the common case, not a limitation.
+//!   to full invalidation. Appends always keep the old id space intact;
+//!   declarations renumber it.
 //!
 //! Hashing is FNV-1a over explicitly serialized fields — *not*
 //! `DefaultHasher`, which is randomized per process and useless for
@@ -33,7 +41,7 @@
 use std::collections::HashMap;
 
 use crate::model::{CallSiteId, CalleeRef, NodeId, NodeKind};
-use crate::program::ConstraintProgram;
+use crate::program::{ConstraintProgram, ProgramMark};
 
 /// The changed-node summary of an edit `old → new`.
 #[derive(Clone, Debug)]
@@ -273,6 +281,63 @@ pub fn diff_programs(old: &ConstraintProgram, new: &ConstraintProgram) -> Progra
     ProgramDiff {
         changed,
         indirect_changed: old_ctx.indirect_sig() != new_ctx.indirect_sig(),
+        compatible: true,
+    }
+}
+
+/// The diff of appending everything past `mark` to the program `cp` had
+/// at `mark`: the old-node endpoints of the appended constraints and
+/// call sites. Equal to [`diff_programs`] over the two programs, because
+/// an append adds to exactly those nodes' rows and to no other old
+/// node's.
+pub(crate) fn diff_appended(cp: &ConstraintProgram, mark: &ProgramMark) -> ProgramDiff {
+    let mut changed = Vec::new();
+    let mut touch = |n: NodeId| {
+        if (n.as_u32() as usize) < mark.nodes {
+            changed.push(n.as_u32());
+        }
+    };
+    for a in &cp.addr_ofs()[mark.addr_ofs..] {
+        touch(a.dst);
+        touch(a.obj);
+    }
+    for c in &cp.copies()[mark.copies..] {
+        touch(c.dst);
+        touch(c.src);
+    }
+    for l in &cp.loads()[mark.loads..] {
+        touch(l.dst);
+        touch(l.ptr);
+    }
+    for s in &cp.stores()[mark.stores..] {
+        touch(s.ptr);
+        touch(s.src);
+    }
+    for fa in &cp.field_addrs()[mark.field_addrs..] {
+        touch(fa.dst);
+        touch(fa.base);
+    }
+    let mut indirect_changed = false;
+    for site in &cp.callsites().as_slice()[mark.callsites..] {
+        for &arg in site.args.iter().flatten() {
+            touch(arg);
+        }
+        if let Some(ret) = site.ret_dst {
+            touch(ret);
+        }
+        match site.callee {
+            CalleeRef::Direct(f) => touch(cp.func(f).object),
+            CalleeRef::Indirect(fp) => {
+                touch(fp);
+                indirect_changed = true;
+            }
+        }
+    }
+    changed.sort_unstable();
+    changed.dedup();
+    ProgramDiff {
+        changed,
+        indirect_changed,
         compatible: true,
     }
 }

@@ -19,12 +19,12 @@
 //! The crate provides:
 //!
 //! * [`model`] — ids and metadata for locations, functions, call sites;
-//! * [`program`] — [`ConstraintProgram`] (immutable, fully indexed) and its
+//! * [`program`] — [`ConstraintProgram`] (fully indexed) and its
 //!   [`ConstraintBuilder`];
 //! * [`mod@lower`] — lowering from the MiniC AST ([`ddpa_ir`]), normalizing
 //!   arbitrary dereference chains with temporaries;
-//! * [`text`] — a small textual constraint format (parse & print), useful
-//!   for tests, the CLI, and constraint dumps;
+//! * [`text`] — a small textual constraint format (parse, append & print),
+//!   useful for tests, the CLI, constraint dumps and incremental edits;
 //! * [`dot`] — Graphviz export of the constraint graph;
 //! * [`stats`] — program characteristic counts (the paper's "benchmark
 //!   characteristics" table).
@@ -53,4 +53,6 @@ pub use lower::{lower, lower_with_obs, LowerError};
 pub use model::{CallSite, CallSiteId, CalleeRef, FuncId, FuncInfo, NodeId, NodeInfo, NodeKind};
 pub use program::{AddrOf, Assign, ConstraintBuilder, ConstraintProgram, FieldAddr, Load, Store};
 pub use stats::ProgramStats;
-pub use text::{parse_constraints, print_constraints, TextError};
+pub use text::{
+    append_constraints, has_declarations, parse_constraints, print_constraints, TextError,
+};

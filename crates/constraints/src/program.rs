@@ -82,11 +82,30 @@ pub struct ConstraintBuilder {
     stores: Vec<Store>,
     field_addrs: Vec<FieldAddr>,
     field_nodes: HashMap<(NodeId, u32), NodeId>,
-    vars_by_name: HashMap<Symbol, NodeId>,
+    /// The variable node named by each symbol, if any.
+    var_of: IndexVec<Symbol, Option<NodeId>>,
     funcs_by_name: HashMap<Symbol, FuncId>,
     owners: HashMap<NodeId, FuncId>,
     temp_seq: u32,
     heap_seq: u32,
+    /// Rows for everything up to `indexed`; [`Self::build`] indexes the
+    /// rest. Both are empty for a fresh builder.
+    index: ProgramIndex,
+    indexed: ProgramMark,
+}
+
+/// The sizes of a program's tables at one point of its construction:
+/// everything past a mark was added after it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ProgramMark {
+    pub(crate) nodes: usize,
+    symbols: usize,
+    pub(crate) addr_ofs: usize,
+    pub(crate) copies: usize,
+    pub(crate) loads: usize,
+    pub(crate) stores: usize,
+    pub(crate) field_addrs: usize,
+    pub(crate) callsites: usize,
 }
 
 impl ConstraintBuilder {
@@ -103,20 +122,23 @@ impl ConstraintBuilder {
     /// Returns the node for named variable `name`, creating it on first use.
     pub fn var(&mut self, name: &str) -> NodeId {
         let sym = self.interner.intern(name);
-        if let Some(&node) = self.vars_by_name.get(&sym) {
+        if let Some(node) = self.lookup_sym(sym) {
             return node;
         }
         let node = self.nodes.push(NodeInfo {
             kind: NodeKind::Var { name: sym },
         });
-        self.vars_by_name.insert(sym, node);
+        *self.var_of.ensure(sym, || None) = Some(node);
         node
+    }
+
+    fn lookup_sym(&self, sym: Symbol) -> Option<NodeId> {
+        self.var_of.get(sym).copied().flatten()
     }
 
     /// Looks up a named variable without creating it.
     pub fn lookup_var(&self, name: &str) -> Option<NodeId> {
-        let sym = self.interner.lookup(name)?;
-        self.vars_by_name.get(&sym).copied()
+        self.lookup_sym(self.interner.lookup(name)?)
     }
 
     /// Creates a fresh temporary node.
@@ -282,34 +304,98 @@ impl ConstraintBuilder {
         self.owners.insert(node, func);
     }
 
-    /// Finalizes the program, computing all indexes.
-    pub fn build(self) -> ConstraintProgram {
-        let n = self.nodes.len();
-        let mut index = ProgramIndex::with_nodes(n, self.funcs.len());
+    /// The builder's current sizes.
+    pub(crate) fn mark(&self) -> ProgramMark {
+        ProgramMark {
+            nodes: self.nodes.len(),
+            symbols: self.interner.len(),
+            addr_ofs: self.addr_ofs.len(),
+            copies: self.copies.len(),
+            loads: self.loads.len(),
+            stores: self.stores.len(),
+            field_addrs: self.field_addrs.len(),
+            callsites: self.callsites.len(),
+        }
+    }
 
-        for (i, a) in self.addr_ofs.iter().enumerate() {
+    /// Drops what parsing constraint lines added since `mark`: variable
+    /// nodes (with their names and symbols), constraints and call sites.
+    /// Must not cross the last build.
+    pub(crate) fn rollback(&mut self, mark: &ProgramMark) {
+        debug_assert!(mark.nodes >= self.indexed.nodes && mark.callsites >= self.indexed.callsites);
+        for info in &self.nodes.as_slice()[mark.nodes..] {
+            match info.kind {
+                NodeKind::Var { name } => self.var_of[name] = None,
+                _ => unreachable!("constraint lines only create variables"),
+            }
+        }
+        self.nodes.truncate(mark.nodes);
+        self.interner.truncate(mark.symbols);
+        self.var_of.truncate(mark.symbols);
+        self.addr_ofs.truncate(mark.addr_ofs);
+        self.copies.truncate(mark.copies);
+        self.loads.truncate(mark.loads);
+        self.stores.truncate(mark.stores);
+        self.field_addrs.truncate(mark.field_addrs);
+        self.callsites.truncate(mark.callsites);
+    }
+
+    /// Finalizes the program, computing all indexes.
+    ///
+    /// A builder resumed from a program indexes only what was added
+    /// since; a fresh one indexes everything, over rows sized once.
+    pub fn build(mut self) -> ConstraintProgram {
+        self.index_tail();
+        ConstraintProgram {
+            interner: self.interner,
+            nodes: self.nodes,
+            funcs: self.funcs,
+            callsites: self.callsites,
+            addr_ofs: self.addr_ofs,
+            copies: self.copies,
+            loads: self.loads,
+            stores: self.stores,
+            field_addrs: self.field_addrs,
+            field_nodes: self.field_nodes,
+            var_of: self.var_of,
+            funcs_by_name: self.funcs_by_name,
+            owners: self.owners,
+            temp_seq: self.temp_seq,
+            heap_seq: self.heap_seq,
+            index: self.index,
+        }
+    }
+
+    /// Grows the rows to the current node and function counts, then
+    /// indexes every constraint and call site past `indexed`.
+    fn index_tail(&mut self) {
+        let from = self.indexed;
+        let index = &mut self.index;
+        index.grow(self.nodes.len(), self.funcs.len());
+        for a in &self.addr_ofs[from.addr_ofs..] {
             index.addr_objs_of[a.dst].push(a.obj);
             index.addr_dsts_of[a.obj].push(a.dst);
             index.address_taken[a.obj] = true;
-            let _ = i;
         }
-        for c in &self.copies {
+        for c in &self.copies[from.copies..] {
             index.copy_srcs_of[c.dst].push(c.src);
             index.copy_dsts_of[c.src].push(c.dst);
         }
-        for l in &self.loads {
+        for l in &self.loads[from.loads..] {
             index.load_ptrs_of[l.dst].push(l.ptr);
             index.load_dsts_of[l.ptr].push(l.dst);
         }
-        for s in &self.stores {
+        for s in &self.stores[from.stores..] {
             index.store_srcs_of[s.ptr].push(s.src);
             index.store_ptrs_of[s.src].push(s.ptr);
         }
-        for fa in &self.field_addrs {
+        for fa in &self.field_addrs[from.field_addrs..] {
             index.field_addrs_of[fa.dst].push((fa.base, fa.field));
             index.field_addrs_from[fa.base].push((fa.field, fa.dst));
         }
-        for (cs_id, cs) in self.callsites.iter_enumerated() {
+        let sites = &self.callsites.as_slice()[from.callsites..];
+        for (i, cs) in sites.iter().enumerate() {
+            let cs_id = CallSiteId::from_u32((from.callsites + i) as u32);
             for (pos, arg) in cs.args.iter().enumerate() {
                 if let Some(node) = arg {
                     index.arg_uses_of[*node].push((cs_id, pos as u32));
@@ -326,25 +412,11 @@ impl ConstraintBuilder {
                 }
             }
         }
-
-        ConstraintProgram {
-            interner: self.interner,
-            nodes: self.nodes,
-            funcs: self.funcs,
-            callsites: self.callsites,
-            addr_ofs: self.addr_ofs,
-            copies: self.copies,
-            loads: self.loads,
-            stores: self.stores,
-            field_addrs: self.field_addrs,
-            field_nodes: self.field_nodes,
-            owners: self.owners,
-            index,
-        }
+        self.indexed = self.mark();
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ProgramIndex {
     addr_objs_of: IndexVec<NodeId, Vec<NodeId>>,
     addr_dsts_of: IndexVec<NodeId, Vec<NodeId>>,
@@ -365,33 +437,37 @@ struct ProgramIndex {
 }
 
 impl ProgramIndex {
-    fn with_nodes(n: usize, f: usize) -> Self {
-        ProgramIndex {
-            addr_objs_of: IndexVec::from_elem(Vec::new(), n),
-            addr_dsts_of: IndexVec::from_elem(Vec::new(), n),
-            copy_srcs_of: IndexVec::from_elem(Vec::new(), n),
-            copy_dsts_of: IndexVec::from_elem(Vec::new(), n),
-            load_ptrs_of: IndexVec::from_elem(Vec::new(), n),
-            load_dsts_of: IndexVec::from_elem(Vec::new(), n),
-            store_srcs_of: IndexVec::from_elem(Vec::new(), n),
-            store_ptrs_of: IndexVec::from_elem(Vec::new(), n),
-            field_addrs_of: IndexVec::from_elem(Vec::new(), n),
-            field_addrs_from: IndexVec::from_elem(Vec::new(), n),
-            arg_uses_of: IndexVec::from_elem(Vec::new(), n),
-            ret_dst_uses_of: IndexVec::from_elem(Vec::new(), n),
-            fp_uses_of: IndexVec::from_elem(Vec::new(), n),
-            address_taken: IndexVec::from_elem(false, n),
-            direct_callsites_of: IndexVec::from_elem(Vec::new(), f),
-            indirect_callsites: Vec::new(),
+    /// Extends every per-node row to `n` nodes and the per-function row
+    /// to `f` functions.
+    fn grow(&mut self, n: usize, f: usize) {
+        for rows in [
+            &mut self.addr_objs_of,
+            &mut self.addr_dsts_of,
+            &mut self.copy_srcs_of,
+            &mut self.copy_dsts_of,
+            &mut self.load_ptrs_of,
+            &mut self.load_dsts_of,
+            &mut self.store_srcs_of,
+            &mut self.store_ptrs_of,
+        ] {
+            rows.resize(n, Vec::new());
         }
+        self.field_addrs_of.resize(n, Vec::new());
+        self.field_addrs_from.resize(n, Vec::new());
+        self.arg_uses_of.resize(n, Vec::new());
+        self.ret_dst_uses_of.resize(n, Vec::new());
+        self.fp_uses_of.resize(n, Vec::new());
+        self.address_taken.resize(n, false);
+        self.direct_callsites_of.resize(f, Vec::new());
     }
 }
 
-/// An immutable constraint program with bidirectional indexes.
+/// A constraint program with bidirectional indexes.
 ///
 /// Built with [`ConstraintBuilder`], [`crate::lower()`], or
-/// [`crate::parse_constraints`].
-#[derive(Debug)]
+/// [`crate::parse_constraints`]; [`crate::append_constraints`] extends
+/// one in place. The default program is empty.
+#[derive(Debug, Default)]
 pub struct ConstraintProgram {
     interner: Interner,
     nodes: IndexVec<NodeId, NodeInfo>,
@@ -403,11 +479,44 @@ pub struct ConstraintProgram {
     stores: Vec<Store>,
     field_addrs: Vec<FieldAddr>,
     field_nodes: HashMap<(NodeId, u32), NodeId>,
+    /// The builder's name tables and counters, kept so the program can
+    /// resume building ([`Self::into_builder`]).
+    var_of: IndexVec<Symbol, Option<NodeId>>,
+    funcs_by_name: HashMap<Symbol, FuncId>,
     owners: HashMap<NodeId, FuncId>,
+    temp_seq: u32,
+    heap_seq: u32,
     index: ProgramIndex,
 }
 
 impl ConstraintProgram {
+    /// Resumes building: the builder continues minting ids after this
+    /// program's, and its [`ConstraintBuilder::build`] indexes only what
+    /// is added from here on.
+    pub(crate) fn into_builder(self) -> ConstraintBuilder {
+        let mut b = ConstraintBuilder {
+            interner: self.interner,
+            nodes: self.nodes,
+            funcs: self.funcs,
+            callsites: self.callsites,
+            addr_ofs: self.addr_ofs,
+            copies: self.copies,
+            loads: self.loads,
+            stores: self.stores,
+            field_addrs: self.field_addrs,
+            field_nodes: self.field_nodes,
+            var_of: self.var_of,
+            funcs_by_name: self.funcs_by_name,
+            owners: self.owners,
+            temp_seq: self.temp_seq,
+            heap_seq: self.heap_seq,
+            index: self.index,
+            indexed: ProgramMark::default(),
+        };
+        b.indexed = b.mark();
+        b
+    }
+
     /// Number of abstract locations.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()

@@ -25,6 +25,7 @@
 //! analysis-equivalent program (temporaries and heap objects come back as
 //! plain variables, which the analyses treat identically).
 
+use crate::diff::{diff_appended, ProgramDiff};
 use crate::model::NodeId;
 use crate::program::{ConstraintBuilder, ConstraintProgram};
 
@@ -96,15 +97,96 @@ pub fn parse_constraints(text: &str) -> Result<ConstraintProgram, TextError> {
     }
 
     // Pass 3: constraints and calls.
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw);
-        if line.is_empty() || line.starts_with("fun ") || line.starts_with("field ") {
-            continue;
-        }
-        parse_line(&mut builder, line, lineno + 1)?;
-    }
+    parse_body(&mut builder, text, 0)?;
 
     Ok(builder.build())
+}
+
+/// Appends the constraint lines of `text` to `cp` in place.
+///
+/// If `cp` is `parse_constraints(source)` and `source` has
+/// `lines_before` lines, then afterwards `cp` is exactly the program
+/// parsed from `source` followed by `text` on lines of its own — the
+/// same ids, rows and printed text — provided `text` declares nothing. That holds because parsing
+/// mints declaration ids first, then constraint ids in line order: lines
+/// that declare nothing only mint ids after every existing one. The cost
+/// is proportional to `text`, not to `cp`.
+///
+/// Returns the edit's diff, equal to
+/// [`diff_programs`](crate::diff_programs)`(old, new)` but read off the
+/// appended constraints alone.
+///
+/// # Errors
+///
+/// A malformed line yields the [`TextError`] `parse_constraints` would
+/// report for the combined text (line numbers count from the start of
+/// `source`), and leaves `cp` unchanged. So does a `fun` or `field`
+/// declaration ([`has_declarations`]): it renumbers every later id, so
+/// such an edit must be re-parsed whole.
+///
+/// # Examples
+///
+/// ```
+/// use ddpa_constraints::{append_constraints, parse_constraints, print_constraints};
+///
+/// let mut cp = parse_constraints("p = &o\nq = p\n")?;
+/// let diff = append_constraints(&mut cp, "r = q\n", 2)?;
+/// assert_eq!(print_constraints(&cp), print_constraints(&parse_constraints("p = &o\nq = p\nr = q\n")?));
+/// assert_eq!(diff.changed.len(), 1); // q gained a copy destination
+/// let err = append_constraints(&mut cp, "oops\n", 3).expect_err("malformed");
+/// assert_eq!(err.line, 4);
+/// # Ok::<(), ddpa_constraints::TextError>(())
+/// ```
+pub fn append_constraints(
+    cp: &mut ConstraintProgram,
+    text: &str,
+    lines_before: usize,
+) -> Result<ProgramDiff, TextError> {
+    if let Some(lineno) = text
+        .lines()
+        .position(|raw| is_declaration(strip_comment(raw)))
+    {
+        return Err(TextError {
+            message: "`fun` and `field` declarations cannot be appended".into(),
+            line: lines_before + lineno + 1,
+        });
+    }
+    let mut builder = std::mem::take(cp).into_builder();
+    let mark = builder.mark();
+    let parsed = parse_body(&mut builder, text, lines_before);
+    if parsed.is_err() {
+        builder.rollback(&mark);
+    }
+    *cp = builder.build();
+    parsed.map(|()| diff_appended(cp, &mark))
+}
+
+/// Whether `text` has a `fun` or `field` declaration line, which
+/// [`append_constraints`] refuses.
+pub fn has_declarations(text: &str) -> bool {
+    text.lines().any(|raw| is_declaration(strip_comment(raw)))
+}
+
+fn is_declaration(line: &str) -> bool {
+    line.starts_with("fun ") || line.starts_with("field ")
+}
+
+/// Pass 3: every constraint and call line of `text`, whose first line is
+/// line `lines_before + 1` of the whole source. Declarations (passes 1
+/// and 2) are skipped.
+fn parse_body(
+    builder: &mut ConstraintBuilder,
+    text: &str,
+    lines_before: usize,
+) -> Result<(), TextError> {
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = strip_comment(raw);
+        if line.is_empty() || is_declaration(line) {
+            continue;
+        }
+        parse_line(builder, line, lines_before + lineno + 1)?;
+    }
+    Ok(())
 }
 
 fn strip_comment(line: &str) -> &str {

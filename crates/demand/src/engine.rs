@@ -62,7 +62,7 @@ use crate::goal::{Goal, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
 use crate::sched::{EngineView, Scheduler};
-use crate::share::{CompletedGoal, SharedMemo};
+use crate::share::{close_dirty, CompletedGoal, DirtyView, SharedMemo, SupportRef, ViewIndex};
 use crate::stats::EngineStats;
 use crate::trace::{Explanation, Origin, TraceStep};
 
@@ -424,12 +424,16 @@ impl<'p> DemandEngine<'p> {
     /// dirtied fixpoints and keeping everything else warm — the
     /// incremental counterpart of [`reload`](Self::reload).
     ///
-    /// `diff` must be `diff_programs(old, cp)` for this engine's current
-    /// program `old`. Entries whose support set misses the edit (and
-    /// whose producers all survive) are bit-identical fixpoints under
-    /// `cp`, so they are re-installed as completed goals; the rest — plus
-    /// any entry with no recorded support, conservatively — are dropped
-    /// and re-derived on demand. An attached [`SharedMemo`] gets the same
+    /// `diff` must be `diff_programs(old, cp)` — or the diff
+    /// `append_constraints` returned — for the program `old` this
+    /// engine's memo table was computed over. Entries whose support set
+    /// misses the edit (and whose producers all survive) are
+    /// bit-identical fixpoints under `cp`, so they stay tabled as
+    /// completed goals, moved (not copied) into the slots
+    /// [`install_completed`](Self::install_completed) would give them;
+    /// the rest — plus any entry with no recorded support,
+    /// conservatively — are dropped and re-derived on demand. An
+    /// attached [`SharedMemo`] gets the same
     /// treatment via [`SharedMemo::invalidate_entries`]: per-entry
     /// removal *without* a generation bump, so surviving entries keep
     /// serving other engines that move to the new program.
@@ -458,29 +462,58 @@ impl<'p> DemandEngine<'p> {
                 full: true,
             };
         }
-        // Candidates: the local completed table plus anything other
-        // workers published to the shared table that this engine never
-        // tabled itself.
-        let mut entries = self.export_local_completed();
-        if let Some(shared) = &self.shared {
-            let seen: HashSet<Goal> = entries.iter().map(|&(g, _)| g).collect();
-            for (g, e) in shared.export_completed() {
-                if !seen.contains(&g) {
-                    entries.push((g, e));
-                }
+        // Candidates: one borrowed view per key of every completed local
+        // fixpoint (the canonical key, then its merged-in aliases — the
+        // keys the shared table publishes), plus clones of whatever
+        // other engines published that this one never tabled.
+        let mut views: Vec<DirtyView<'_>> = Vec::new();
+        let mut at = ViewIndex::with_nodes(cp.num_nodes());
+        for (gi, state) in self.goals.iter().enumerate() {
+            if state.merged || !state.complete {
+                continue;
+            }
+            for goal in std::iter::once(self.keys[gi]).chain(state.aliases.iter().copied()) {
+                at.insert(goal, views.len());
+                views.push(DirtyView {
+                    goal,
+                    support: SupportRef::Set(&state.support),
+                    deps: &state.deps,
+                    reads_indirect: state.reads_indirect,
+                });
             }
         }
-        let (dirty, dirty_edges) = crate::share::dirty_closure(&entries, diff);
-        let retained: Vec<(Goal, CompletedGoal)> = entries
-            .into_iter()
-            .filter(|(g, _)| !dirty.contains(g))
+        let foreign = match &self.shared {
+            Some(shared) => shared.export_where(|g| at.get(g).is_none()),
+            None => Vec::new(),
+        };
+        for (goal, entry) in &foreign {
+            at.insert(*goal, views.len());
+            views.push(DirtyView::of_entry(*goal, entry));
+        }
+        let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
+        let dirty_goals: HashSet<Goal> = views
+            .iter()
+            .zip(&dirty)
+            .filter(|&(_, &d)| d)
+            .map(|(v, _)| v.goal)
             .collect();
+        let retained = views.len() - dirty_goals.len();
+        drop(views);
+
+        // Re-table the survivors by moving their state into the slots
+        // `install_completed` would give them, in the same order.
+        let mut goals = std::mem::take(&mut self.goals);
+        let keys = std::mem::take(&mut self.keys);
+        let provenance = std::mem::take(&mut self.provenance);
         self.clear();
+        self.goals.reserve_exact(retained);
+        self.keys.reserve_exact(retained);
+        self.costs.reserve_exact(retained);
         self.generation += 1;
         self.cp = cp;
         if let Some(shared) = &self.shared {
             let shared = Arc::clone(shared);
-            let (_removed, compacted) = shared.invalidate_entries(&dirty);
+            let (_removed, compacted) = shared.invalidate_entries(&dirty_goals);
             if compacted > 0 {
                 self.counters.share_evictions.add(compacted);
             }
@@ -489,15 +522,54 @@ impl<'p> DemandEngine<'p> {
             // shared generation.
             self.shared_gen = shared.generation();
         }
-        for (g, e) in &retained {
-            self.install_completed(*g, e);
+        let mut flags = dirty.iter();
+        for (gi, slot) in goals.iter_mut().enumerate() {
+            if slot.merged || !slot.complete {
+                continue;
+            }
+            let key = keys[gi];
+            let mut state = std::mem::take(slot);
+            let aliases = std::mem::take(&mut state.aliases);
+            let mut state = Some(state.into_completed());
+            for goal in std::iter::once(key).chain(aliases) {
+                if *flags.next().expect("one flag per view") {
+                    continue;
+                }
+                // The family's first survivor takes the state; later ones
+                // copy the survivor tabled just before them.
+                let fresh = match state.take() {
+                    Some(s) => s,
+                    None => self.goals.last().expect("tabled above").completed_copy(),
+                };
+                let at = self.push_completed(goal, fresh) as usize;
+                if self.config.trace {
+                    for &v in &self.goals[at].elems {
+                        if let Some(&origin) = provenance.get(&(key, v)) {
+                            self.provenance.insert((goal, v), origin);
+                        }
+                    }
+                }
+            }
+        }
+        for ((goal, entry), &d) in foreign.iter().zip(flags) {
+            if !d {
+                self.install_completed(*goal, entry);
+            }
         }
         EditStats {
-            invalidated: dirty.len(),
-            retained: retained.len(),
+            invalidated: dirty_goals.len(),
+            retained,
             dirty_edges,
             full: false,
         }
+    }
+
+    /// Points the engine at `cp` without touching the memo table. `cp`
+    /// must be rule-equivalent to the current program: the same program
+    /// at a new address, or a placeholder no query runs against while
+    /// the real program is being edited in place.
+    pub fn repoint(&mut self, cp: &'p ConstraintProgram) {
+        self.cp = cp;
     }
 
     /// Computes `pts(node)` on demand.
@@ -759,10 +831,7 @@ impl<'p> DemandEngine<'p> {
         };
         let support: Vec<u32> = state.support.iter().collect();
         let mut deps = state.deps.clone();
-        deps.sort_by_key(|g| match *g {
-            Goal::Pts(n) => (0u8, n.as_u32()),
-            Goal::Ptb(n) => (1u8, n.as_u32()),
-        });
+        deps.sort_by_key(|g| g.canonical_key());
         CompletedGoal {
             elems,
             provenance,
@@ -770,25 +839,6 @@ impl<'p> DemandEngine<'p> {
             deps,
             reads_indirect: state.reads_indirect,
         }
-    }
-
-    /// Every completed, non-merged local fixpoint as `(goal, entry)`
-    /// pairs — one entry per canonical key *and* per merged-in alias, so
-    /// the list is keyed exactly like the shared table.
-    fn export_local_completed(&self) -> Vec<(Goal, CompletedGoal)> {
-        let mut out = Vec::new();
-        for gi in 0..self.goals.len() {
-            let state = &self.goals[gi];
-            if state.merged || !state.complete {
-                continue;
-            }
-            let key = self.keys[gi];
-            let entry = self.completed_entry(gi, key);
-            for target in std::iter::once(key).chain(state.aliases.iter().copied()) {
-                out.push((target, entry.clone()));
-            }
-        }
-        out
     }
 
     /// Installs a completed fixpoint as a tabled, complete goal without
@@ -809,8 +859,27 @@ impl<'p> DemandEngine<'p> {
         if !self.config.caching || self.index.contains_key(&goal) {
             return false;
         }
+        let state = GoalState::completed(
+            result.elems.iter().copied().collect(),
+            result.elems.clone(),
+            result.support.iter().copied().collect(),
+            result.deps.clone(),
+            result.reads_indirect,
+        );
+        self.push_completed(goal, state);
+        if self.config.trace {
+            for &(v, origin) in &result.provenance {
+                self.provenance.insert((goal, v), origin);
+            }
+        }
+        true
+    }
+
+    /// Tables `state`, a completed fixpoint, as `goal` in a new slot and
+    /// returns the slot. The goal counts as activated and as published.
+    fn push_completed(&mut self, goal: Goal, state: GoalState) -> u32 {
         let gi = self.goals.len() as u32;
-        self.goals.push(GoalState::new());
+        self.goals.push(state);
         self.keys.push(goal);
         self.index.insert(goal, gi);
         self.costs.push(GoalCost::default());
@@ -818,25 +887,8 @@ impl<'p> DemandEngine<'p> {
         debug_assert_eq!(slot, gi, "union-find aligned with goal table");
         self.counters.goals_activated.inc();
         self.flight_record(FlightEventKind::Activated, gi, 0, 0);
-        let state = &mut self.goals[gi as usize];
-        for &v in &result.elems {
-            state.members.insert(v);
-            state.elems.push(v);
-        }
-        for &n in &result.support {
-            state.support.insert(n);
-        }
-        state.deps = result.deps.clone();
-        state.reads_indirect = result.reads_indirect;
-        state.needs_init = false;
-        state.complete = true;
-        if self.config.trace {
-            for &(v, origin) in &result.provenance {
-                self.provenance.insert((goal, v), origin);
-            }
-        }
         self.published.insert(goal);
-        true
+        gi
     }
 
     /// Bulk [`install_completed`](Self::install_completed); returns how
@@ -1914,6 +1966,33 @@ mod cycle_tests {
                     .unwrap_or_else(|| panic!("no explanation for {}", cp.display_node(v)));
                 assert_eq!(e.steps.last().expect("nonempty").origin, Origin::Base);
             }
+        }
+    }
+
+    #[test]
+    fn merged_families_survive_incremental_reload() {
+        let text = ddpa_constraints::print_constraints(&ring_program(8, 2));
+        let before = ddpa_constraints::parse_constraints(&text).expect("parses");
+        let mut after = ddpa_constraints::parse_constraints(&text).expect("parses");
+        let diff =
+            ddpa_constraints::append_constraints(&mut after, "far = &away\n", text.lines().count())
+                .expect("appends");
+        let config = DemandConfig::default().with_collapse_threshold(1);
+        let mut engine = DemandEngine::new(&before, config);
+        assert!(engine.points_to(node(&before, "tail")).complete);
+        assert!(engine.stats().cycles_collapsed >= 1, "merge happened");
+
+        let stats = engine.reload_incremental(&after, &diff);
+        assert!(!stats.full);
+        assert_eq!(stats.invalidated, 0, "the edit touches nothing tabled");
+        assert!(stats.retained >= 9, "every ring key and the tail survive");
+        // Every alias was re-tabled under its own key with the family's
+        // fixpoint.
+        let objs = [node(&after, "obj_0"), node(&after, "obj_1")];
+        for i in 0..8 {
+            let answer = engine.points_to(node(&after, &format!("r{i}")));
+            assert_eq!(answer.work, 0, "r{i} answers from the warm table");
+            assert_eq!(answer.pts, objs);
         }
     }
 

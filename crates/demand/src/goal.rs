@@ -29,6 +29,15 @@ impl Goal {
             Goal::Pts(n) | Goal::Ptb(n) => n,
         }
     }
+
+    /// The canonical goal order of published entries and their deps:
+    /// every `Pts` goal by node id, then every `Ptb`.
+    pub fn canonical_key(self) -> (u8, u32) {
+        match self {
+            Goal::Pts(n) => (0, n.as_u32()),
+            Goal::Ptb(n) => (1, n.as_u32()),
+        }
+    }
 }
 
 /// A rule instance subscribed to a goal; fired once per (watcher, element).
@@ -253,6 +262,52 @@ impl GoalState {
             deps: Vec::new(),
             reads_indirect: false,
         }
+    }
+
+    /// A completed fixpoint with no watchers: `elems` is `members` in
+    /// ascending order, `deps` in [`Goal::canonical_key`] order.
+    pub fn completed(
+        members: HybridSet,
+        elems: Vec<u32>,
+        support: HybridSet,
+        deps: Vec<Goal>,
+        reads_indirect: bool,
+    ) -> Self {
+        GoalState {
+            members,
+            elems,
+            support,
+            deps,
+            reads_indirect,
+            needs_init: false,
+            complete: true,
+            ..GoalState::new()
+        }
+    }
+
+    /// This completed state as [`GoalState::completed`] would build it:
+    /// the fixpoint kept, watchers dropped, `elems` and `deps` sorted.
+    pub fn into_completed(mut self) -> Self {
+        self.elems.sort_unstable();
+        self.deps.sort_by_key(|g| g.canonical_key());
+        GoalState::completed(
+            self.members,
+            self.elems,
+            self.support,
+            self.deps,
+            self.reads_indirect,
+        )
+    }
+
+    /// A copy of a completed, watcher-free fixpoint.
+    pub fn completed_copy(&self) -> Self {
+        GoalState::completed(
+            self.members.clone(),
+            self.elems.clone(),
+            self.support.clone(),
+            self.deps.clone(),
+            self.reads_indirect,
+        )
     }
 
     /// Records a producer goal this state consumed facts from.

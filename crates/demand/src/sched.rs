@@ -593,10 +593,7 @@ impl<'p> Scheduler<'p> {
             }
             if !f.seeded_from_engine {
                 let mut deps = std::mem::take(&mut f.state.deps);
-                deps.sort_unstable_by_key(|g| match *g {
-                    Goal::Pts(n) => (0u8, n.as_u32()),
-                    Goal::Ptb(n) => (1u8, n.as_u32()),
-                });
+                deps.sort_unstable_by_key(|g| g.canonical_key());
                 completed.push((
                     goal_of(slot as u32),
                     CompletedGoal {

@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ddpa_constraints::ProgramDiff;
+use ddpa_support::HybridSet;
 
 use crate::goal::Goal;
 use crate::trace::Origin;
@@ -214,17 +215,12 @@ impl SharedMemo {
     /// Returns `(removed, compacted)`: current-generation entries dropped
     /// because they were dirty, and stale-generation entries swept.
     pub fn invalidate_entries(&self, dirty: &HashSet<Goal>) -> (u64, u64) {
-        let current = self.generation();
-        let mut removed = 0u64;
-        let mut compacted = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            compacted += shard.sweep(current);
-            let before = shard.entries.len();
-            shard.entries.retain(|g, _| !dirty.contains(g));
-            removed += (before - shard.entries.len()) as u64;
-        }
-        (removed, compacted)
+        let compacted = self.compact();
+        let removed = dirty
+            .iter()
+            .filter(|&&goal| self.shard(goal).entries.remove(&goal).is_some())
+            .count();
+        (removed as u64, compacted)
     }
 
     /// Eagerly sweeps every shard, dropping all entries from generations
@@ -251,6 +247,12 @@ impl SharedMemo {
     /// `Ptb`), making exports byte-stable for snapshotting regardless of
     /// which worker published which entry.
     pub fn export_completed(&self) -> Vec<(Goal, CompletedGoal)> {
+        self.export_where(|_| true)
+    }
+
+    /// [`export_completed`](Self::export_completed) restricted to the
+    /// goals `keep` accepts; only those entries are cloned.
+    pub fn export_where(&self, keep: impl Fn(Goal) -> bool) -> Vec<(Goal, CompletedGoal)> {
         self.compact();
         let mut out: Vec<(Goal, CompletedGoal)> = Vec::new();
         for shard in &self.shards {
@@ -259,13 +261,11 @@ impl SharedMemo {
                 shard
                     .entries
                     .iter()
+                    .filter(|(goal, _)| keep(**goal))
                     .map(|(goal, entry)| (*goal, entry.result.clone())),
             );
         }
-        out.sort_by_key(|&(goal, _)| match goal {
-            Goal::Pts(n) => (0u8, n.as_u32()),
-            Goal::Ptb(n) => (1u8, n.as_u32()),
-        });
+        out.sort_by_key(|&(goal, _)| goal.canonical_key());
         out
     }
 
@@ -335,22 +335,130 @@ pub fn dirty_closure(
     entries: &[(Goal, CompletedGoal)],
     diff: &ProgramDiff,
 ) -> (HashSet<Goal>, u64) {
-    let index: HashMap<Goal, usize> = entries
+    let mut at = ViewIndex::with_nodes(0);
+    let views: Vec<DirtyView<'_>> = entries
         .iter()
         .enumerate()
-        .map(|(i, &(g, _))| (g, i))
+        .map(|(i, (goal, cg))| {
+            at.insert(*goal, i);
+            DirtyView::of_entry(*goal, cg)
+        })
         .collect();
-    // consumers[i] = entries that consumed facts produced by entry i.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
-    let mut dirty = vec![false; entries.len()];
+    let (dirty, edges) = close_dirty(&views, &at, diff);
+    let set = views
+        .iter()
+        .zip(dirty)
+        .filter(|&(_, d)| d)
+        .map(|(v, _)| v.goal)
+        .collect();
+    (set, edges)
+}
+
+/// Goal → index of its view. Goals of the first `nodes` nodes are
+/// addressed densely by slot (`pts(n) → 2n`, `ptb(n) → 2n+1`), so the
+/// closure's many lookups hash nothing; any other goal — one a snapshot
+/// may carry — goes to a map, so no node id can size an allocation.
+pub(crate) struct ViewIndex {
+    dense: Vec<u32>,
+    sparse: HashMap<Goal, u32>,
+}
+
+impl ViewIndex {
+    /// An empty index, dense over the goals of `nodes` nodes.
+    pub(crate) fn with_nodes(nodes: usize) -> Self {
+        ViewIndex {
+            dense: vec![u32::MAX; 2 * nodes],
+            sparse: HashMap::new(),
+        }
+    }
+
+    fn slot(&self, goal: Goal) -> Option<usize> {
+        let slot = match goal {
+            Goal::Pts(n) => 2 * n.as_u32() as usize,
+            Goal::Ptb(n) => 2 * n.as_u32() as usize + 1,
+        };
+        (slot < self.dense.len()).then_some(slot)
+    }
+
+    /// Records `view` as the view of `goal` (a later call wins).
+    pub(crate) fn insert(&mut self, goal: Goal, view: usize) {
+        match self.slot(goal) {
+            Some(slot) => self.dense[slot] = view as u32,
+            None => {
+                self.sparse.insert(goal, view as u32);
+            }
+        }
+    }
+
+    /// The view of `goal`, if one was recorded.
+    pub(crate) fn get(&self, goal: Goal) -> Option<usize> {
+        let view = match self.slot(goal) {
+            Some(slot) => self.dense[slot],
+            None => *self.sparse.get(&goal)?,
+        };
+        (view != u32::MAX).then_some(view as usize)
+    }
+}
+
+/// A support set as [`close_dirty`] reads it.
+pub(crate) enum SupportRef<'a> {
+    /// A published entry's ascending node list.
+    Sorted(&'a [u32]),
+    /// A tabled goal's set.
+    Set(&'a HybridSet),
+}
+
+/// One memoized fixpoint as [`close_dirty`] reads it, borrowed from a
+/// published [`CompletedGoal`] or from an engine's tabled goal state.
+pub(crate) struct DirtyView<'a> {
+    pub(crate) goal: Goal,
+    pub(crate) support: SupportRef<'a>,
+    pub(crate) deps: &'a [Goal],
+    pub(crate) reads_indirect: bool,
+}
+
+impl<'a> DirtyView<'a> {
+    pub(crate) fn of_entry(goal: Goal, entry: &'a CompletedGoal) -> Self {
+        DirtyView {
+            goal,
+            support: SupportRef::Sorted(&entry.support),
+            deps: &entry.deps,
+            reads_indirect: entry.reads_indirect,
+        }
+    }
+
+    /// Dirty on its own account: see [`dirty_closure`].
+    fn seed(&self, diff: &ProgramDiff) -> bool {
+        if self.reads_indirect && diff.indirect_changed {
+            return true;
+        }
+        match self.support {
+            SupportRef::Sorted(s) => s.is_empty() || s.iter().any(|&n| diff.is_changed(n)),
+            SupportRef::Set(s) => s.is_empty() || diff.changed.iter().any(|&n| s.contains(n)),
+        }
+    }
+}
+
+/// The closure behind [`dirty_closure`] and incremental reload: `at`
+/// finds each goal's view, and a dep no view holds seeds its consumer.
+/// Returns a dirty flag per view and the number of dependency edges the
+/// propagation traversed.
+pub(crate) fn close_dirty(
+    views: &[DirtyView<'_>],
+    at: &ViewIndex,
+    diff: &ProgramDiff,
+) -> (Vec<bool>, u64) {
+    let n = views.len();
+    let mut dirty = vec![false; n];
     let mut queue: Vec<usize> = Vec::new();
-    for (i, (_, cg)) in entries.iter().enumerate() {
-        let mut seed = (cg.reads_indirect && diff.indirect_changed)
-            || cg.support.is_empty()
-            || cg.support.iter().any(|&n| diff.is_changed(n));
-        for p in &cg.deps {
-            match index.get(p) {
-                Some(&pi) if pi != i => consumers[pi].push(i),
+    // Consumers of view `p` are `consumers[start[p]..start[p + 1]]`:
+    // count each producer's consumers, then place them.
+    let mut start = vec![0u32; n + 1];
+    for (i, view) in views.iter().enumerate() {
+        let mut seed = view.seed(diff);
+        for &p in view.deps {
+            match at.get(p) {
+                Some(pi) if pi != i => start[pi + 1] += 1,
                 Some(_) => {}
                 None => seed = true,
             }
@@ -360,23 +468,30 @@ pub fn dirty_closure(
             queue.push(i);
         }
     }
-    let mut edges = 0u64;
-    while let Some(i) = queue.pop() {
-        for &c in &consumers[i] {
-            edges += 1;
-            if !dirty[c] {
-                dirty[c] = true;
-                queue.push(c);
+    for p in 0..n {
+        start[p + 1] += start[p];
+    }
+    let mut consumers = vec![0u32; start[n] as usize];
+    let mut next = start.clone();
+    for (i, view) in views.iter().enumerate() {
+        for &p in view.deps {
+            if let Some(pi) = at.get(p).filter(|&pi| pi != i) {
+                consumers[next[pi] as usize] = i as u32;
+                next[pi] += 1;
             }
         }
     }
-    let set = entries
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| dirty[i])
-        .map(|(_, &(g, _))| g)
-        .collect();
-    (set, edges)
+    let mut traversed = 0u64;
+    while let Some(i) = queue.pop() {
+        for &c in &consumers[start[i] as usize..start[i + 1] as usize] {
+            traversed += 1;
+            if !dirty[c as usize] {
+                dirty[c as usize] = true;
+                queue.push(c as usize);
+            }
+        }
+    }
+    (dirty, traversed)
 }
 
 #[cfg(test)]
@@ -509,6 +624,45 @@ mod tests {
         // Visible at the target's own generation, not the source's.
         assert_eq!(target.lookup(2, goal(1)).0.expect("hit").elems, vec![8]);
         assert!(target.lookup(0, goal(1)).0.is_none());
+    }
+
+    #[test]
+    fn dirty_closure_follows_deps_on_any_node_id() {
+        // A snapshot can name any node id; the closure must neither size
+        // an allocation by it nor lose the edge.
+        let far = Goal::Ptb(NodeId::from_u32(u32::MAX - 1));
+        let entries = vec![
+            (
+                goal(1),
+                CompletedGoal {
+                    support: vec![1],
+                    deps: vec![far],
+                    ..CompletedGoal::default()
+                },
+            ),
+            (
+                far,
+                CompletedGoal {
+                    support: vec![7],
+                    ..CompletedGoal::default()
+                },
+            ),
+            (
+                goal(2),
+                CompletedGoal {
+                    support: vec![2],
+                    ..CompletedGoal::default()
+                },
+            ),
+        ];
+        let diff = ProgramDiff {
+            changed: vec![7],
+            indirect_changed: false,
+            compatible: true,
+        };
+        let (dirty, edges) = dirty_closure(&entries, &diff);
+        assert_eq!(dirty, HashSet::from([goal(1), far]));
+        assert_eq!(edges, 1);
     }
 
     #[test]

@@ -205,12 +205,20 @@ struct SlowEntry {
     entry: JsonValue,
 }
 
+/// One open session and its `server.cache_hits.<name>` counter, resolved
+/// once at `open` so a warm hit adds to it without a registry lookup.
+#[derive(Clone)]
+struct SessionSlot {
+    session: Arc<Mutex<Session>>,
+    cache_hits: Counter,
+}
+
 struct ServerState {
     config: ServeConfig,
     obs: Obs,
     counters: ServerCounters,
     hists: ServerHists,
-    sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
+    sessions: Mutex<HashMap<String, SessionSlot>>,
     pool: ThreadPool,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
@@ -499,7 +507,7 @@ fn commit_session_snapshot(
 fn snapshot_all_sessions(state: &ServerState) {
     let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
         .iter()
-        .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
+        .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
         .collect();
     for (name, handle) in sessions {
         if let Some(path) = default_snapshot_path(state, &name) {
@@ -894,9 +902,7 @@ fn observe_request(
 // session interrupted mid-query holds partial memo state the engine is
 // designed to resume from (or rebuild after the next reload).
 
-fn lock_sessions(
-    state: &ServerState,
-) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Mutex<Session>>>> {
+fn lock_sessions(state: &ServerState) -> std::sync::MutexGuard<'_, HashMap<String, SessionSlot>> {
     state
         .sessions
         .lock()
@@ -904,6 +910,10 @@ fn lock_sessions(
 }
 
 fn get_session(state: &ServerState, name: &str) -> Result<Arc<Mutex<Session>>, ProtoError> {
+    get_session_slot(state, name).map(|slot| slot.session)
+}
+
+fn get_session_slot(state: &ServerState, name: &str) -> Result<SessionSlot, ProtoError> {
     lock_sessions(state)
         .get(name)
         .cloned()
@@ -928,18 +938,15 @@ fn deadline_for(state: &ServerState, timeout_ms: Option<u64>) -> Option<Instant>
 
 /// Mirrors a request's per-session engine deltas into the server
 /// registry, so the `--metrics-out` export carries them: the cache-hit
-/// delta goes to `server.cache_hits.<name>`, shared-memo traffic
+/// delta goes to the slot's `server.cache_hits.<name>`, shared-memo traffic
 /// aggregates across sessions under `demand.share.*`, and timeouts bump
 /// `server.timeouts`. `delta` is the request's [`TraceReport`] delta
 /// ([`EngineStats::delta_since`] around the query call(s)); batch
 /// workers publish into the session engine's registry, so their traffic
 /// is included.
-fn record_query_obs(state: &ServerState, session_name: &str, delta: &EngineStats, timeouts: u64) {
+fn record_query_obs(state: &ServerState, slot: &SessionSlot, delta: &EngineStats, timeouts: u64) {
     if delta.cache_hits > 0 {
-        state
-            .obs
-            .counter(&format!("server.cache_hits.{session_name}"))
-            .add(delta.cache_hits);
+        slot.cache_hits.add(delta.cache_hits);
     }
     let share = [
         ("demand.share.hits", delta.share_hits),
@@ -1124,7 +1131,11 @@ fn dispatch(
                     format!("session {session:?} already exists"),
                 ));
             }
-            sessions.insert(session.clone(), Arc::new(Mutex::new(new)));
+            let slot = SessionSlot {
+                session: Arc::new(Mutex::new(new)),
+                cache_hits: state.obs.counter(&format!("server.cache_hits.{session}")),
+            };
+            sessions.insert(session.clone(), slot);
             drop(sessions);
             state.counters.sessions_opened.inc();
             Ok((
@@ -1192,9 +1203,9 @@ fn dispatch(
             parallel_query,
         } => {
             let _span = state.obs.span("server.request.query");
-            let handle = get_session(state, &session)?;
+            let slot = get_session_slot(state, &session)?;
             let deadline = deadline_for(state, timeout_ms);
-            let mut s = lock_session(&handle);
+            let mut s = lock_session(&slot.session);
             let resolved = s.resolve(&spec)?;
             let bracket = s.begin_trace(trace_id);
             let answer = s.query_ids(resolved, budget, deadline, parallel_query);
@@ -1203,7 +1214,7 @@ fn dispatch(
             let sched = s.last_sched();
             let names = s.name_table();
             drop(s);
-            record_query_obs(state, &session, &report.delta, answer.timed_out() as u64);
+            record_query_obs(state, &slot, &report.delta, answer.timed_out() as u64);
             // A query that asked for parallelism reports how it actually
             // ran, so budget/trace-forced fallbacks are never silent.
             if sched == Some("sequential-fallback") {
@@ -1235,13 +1246,13 @@ fn dispatch(
                     ),
                 ));
             }
-            let handle = get_session(state, &session)?;
+            let slot = get_session_slot(state, &session)?;
             let deadline = deadline_for(state, timeout_ms);
             state.counters.batch_queries.add(specs.len() as u64);
 
             // Resolve all names up front so per-spec failures become
             // inline error entries instead of poisoning the batch.
-            let mut s = lock_session(&handle);
+            let mut s = lock_session(&slot.session);
             let resolved: Vec<Result<ResolvedSpec, ProtoError>> =
                 specs.iter().map(|spec| s.resolve(spec)).collect();
             let generation = s.generation();
@@ -1262,7 +1273,7 @@ fn dispatch(
             let report = s.finish_trace(bracket);
             drop(s);
             let timeouts = answers.iter().filter(|a| a.timed_out()).count() as u64;
-            record_query_obs(state, &session, &report.delta, timeouts);
+            record_query_obs(state, &slot, &report.delta, timeouts);
 
             let mut line = response_head("batch", &session);
             line.push_str(",\"results\":[");
@@ -1403,7 +1414,7 @@ fn dispatch(
             // one scrape covers the whole process.
             let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
                 .iter()
-                .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
+                .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
                 .collect();
             for (name, handle) in sessions {
                 let s = lock_session(&handle);
@@ -1488,8 +1499,8 @@ fn stats_response(state: &ServerState) -> JsonValue {
     let sessions = lock_sessions(state);
     let mut per_session: Vec<(String, JsonValue)> = sessions
         .iter()
-        .map(|(name, handle)| {
-            let s = lock_session(handle);
+        .map(|(name, slot)| {
+            let s = lock_session(&slot.session);
             let stats = s.engine_stats();
             (
                 name.clone(),

@@ -3,12 +3,15 @@
 //!
 //! # Incremental edits
 //!
-//! The engine borrows the program (`DemandEngine<'p>`), so an
-//! `add-constraints` edit cannot mutate the program in place. Instead the
-//! session keeps the program's canonical constraint text, re-parses the
-//! combined text into a *new* heap allocation, repoints the engine with
-//! [`DemandEngine::reload`] (which drops every tabled goal and bumps the
-//! generation counter), and only then frees the old program. Responses
+//! The engine borrows the program (`DemandEngine<'p>`) through a
+//! `'static` reference into the session's boxed program. A plain
+//! `add-constraints` edit is appended to that program in place: the
+//! engine is parked on an empty program while the box is written, then
+//! repointed and reloaded with [`DemandEngine::reload_incremental`],
+//! which keeps every goal the edit did not dirty and bumps the
+//! generation counter. An edit that declares a function or field is
+//! re-parsed with the whole source into a *new* box instead, and the old
+//! box is freed only after the engine moved to the new one. Responses
 //! are stamped with the generation so clients can detect which answers
 //! predate an edit.
 //!
@@ -23,7 +26,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
@@ -131,28 +134,32 @@ impl IdAnswer {
 }
 
 /// Every node's display name and every function's name, JSON-escaped and
-/// quoted, in one buffer indexed by id.
+/// quoted, indexed by id.
 ///
-/// Built with the name index at `open` and after each edit, so a served
-/// answer is rendered by copying slices: no allocation per name, and no
-/// need for the program (or the session lock) while rendering.
-#[derive(Debug)]
+/// Built with the name index at `open`, and extended by each edit with
+/// the names of the nodes it added, so a served answer is rendered by
+/// copying slices: no allocation per name, and no need for the program
+/// (or the session lock) while rendering.
+#[derive(Clone, Debug)]
 pub struct NameTable {
-    text: String,
-    /// Entry `i` is `text[bounds[i]..bounds[i + 1]]`. Node `n` is entry
-    /// `n`; function `f` is entry `nodes + f`.
-    bounds: Vec<usize>,
-    nodes: usize,
+    nodes: QuotedNames,
+    funcs: QuotedNames,
 }
 
-impl NameTable {
-    fn with_capacity(nodes: usize, funcs: usize) -> Self {
-        let mut bounds = Vec::with_capacity(nodes + funcs + 1);
+/// Quoted names in one buffer: entry `i` is `text[bounds[i]..bounds[i + 1]]`.
+#[derive(Clone, Debug)]
+struct QuotedNames {
+    text: String,
+    bounds: Vec<usize>,
+}
+
+impl QuotedNames {
+    fn with_capacity(entries: usize) -> Self {
+        let mut bounds = Vec::with_capacity(entries + 1);
         bounds.push(0);
-        NameTable {
+        QuotedNames {
             text: String::new(),
             bounds,
-            nodes,
         }
     }
 
@@ -161,18 +168,20 @@ impl NameTable {
         self.bounds.push(self.text.len());
     }
 
-    fn entry(&self, i: usize) -> &str {
+    fn get(&self, i: usize) -> &str {
         &self.text[self.bounds[i]..self.bounds[i + 1]]
     }
+}
 
+impl NameTable {
     /// `node`'s display name as a quoted JSON string.
     pub fn node(&self, node: NodeId) -> &str {
-        self.entry(node.as_u32() as usize)
+        self.nodes.get(node.as_u32() as usize)
     }
 
     /// `func`'s name as a quoted JSON string.
     pub fn func(&self, func: FuncId) -> &str {
-        self.entry(self.nodes + func.as_u32() as usize)
+        self.funcs.get(func.as_u32() as usize)
     }
 }
 
@@ -369,18 +378,21 @@ pub struct Session {
     /// `&'static ConstraintProgram` must never outlive the box it points
     /// into.
     engine: DemandEngine<'static>,
-    /// The owning allocation behind the engine's borrow. Only replaced
-    /// via [`Session::add_constraints`], which repoints the engine before
-    /// freeing the old box.
+    /// The owning allocation behind the engine's borrow. Only written or
+    /// replaced by [`Session::add_constraints`], which parks the engine
+    /// on [`EMPTY`] while it does.
     program: Box<ConstraintProgram>,
-    /// Canonical constraint text of `program`; `add-constraints` appends
-    /// to this and re-parses.
+    /// Canonical constraint text of `program`: `add-constraints` appends
+    /// to it, and `program` is always `parse_constraints(source)`.
     source: String,
+    /// Number of lines in `source`, so an appended edit's parse errors
+    /// name lines of the whole text.
+    lines: usize,
     /// Display-name → node index for query resolution.
     names: HashMap<String, NodeId>,
-    /// The escaped names answers are rendered from; replaced, never
-    /// mutated, by each edit, so a renderer holding a copy of the `Arc`
-    /// keeps the names its answer's ids index.
+    /// The escaped names answers are rendered from. Edits extend it
+    /// copy-on-write ([`Arc::make_mut`]), so a renderer holding a copy of
+    /// the `Arc` keeps the names its answer's ids index.
     name_table: Arc<NameTable>,
     /// Default deduction budget for queries on this session.
     default_budget: Option<u64>,
@@ -402,6 +414,10 @@ pub struct Session {
     /// `None` when the request didn't ask for parallelism.
     last_sched: Option<&'static str>,
 }
+
+/// Where the engine points while `add_constraints` writes the session's
+/// program in place: no reference into the program may be live then.
+static EMPTY: LazyLock<ConstraintProgram> = LazyLock::new(ConstraintProgram::default);
 
 // Compile-time proof that sessions may move between connection threads:
 // the engine holds `&'static ConstraintProgram`, which is `Send` because
@@ -431,11 +447,12 @@ impl Session {
         // append plain constraint lines even to MiniC-born sessions —
         // then re-parse the canonical text and serve *that* program, so
         // `source` is the exact text whose first-appearance order minted
-        // the live node-id space. Edits append to `source` and diff the
-        // re-parse against the live program; if the two were born from
-        // different texts (the printer groups constraints by kind), every
-        // diff would see shuffled ids and fall back to full invalidation.
+        // the live node-id space. Edits append to both `source` and the
+        // live program, which stay in step only if the program is
+        // `parse(source)`: one born from a different text (the printer
+        // groups constraints by kind) would number ids differently.
         let source = ddpa_constraints::print_constraints(&cp);
+        drop(cp);
         let cp = parse_program(&source, false)?;
         let program = Box::new(cp);
         // SAFETY: the box's heap allocation is stable; the reference is
@@ -450,6 +467,7 @@ impl Session {
         Ok(Session {
             engine,
             program,
+            lines: source.lines().count(),
             source,
             names,
             name_table,
@@ -642,23 +660,61 @@ impl Session {
 
     /// Appends constraint text to the session's program.
     ///
-    /// Re-parses the combined source, diffs the old and new programs,
-    /// atomically swaps the engine onto the new program, and invalidates
-    /// only the transitively dirtied goals
+    /// A plain edit is appended to the live program in place
+    /// ([`ddpa_constraints::append_constraints`]), in time proportional
+    /// to the edit; its diff is read off the appended lines, and only the
+    /// transitively dirtied goals are invalidated
     /// ([`DemandEngine::reload_incremental`]) — everything whose support
-    /// set misses the edit stays warm. The generation is bumped either
-    /// way. On parse error the session is unchanged. Returns what the
-    /// edit did to the memoized state.
+    /// set misses the edit stays warm. An edit that declares a `fun` or
+    /// `field` renumbers ids, so the combined source is re-parsed and
+    /// diffed whole, which falls back to full invalidation. The
+    /// generation is bumped either way. On a parse error the session is
+    /// unchanged. Returns what the edit did to the memoized state.
     pub fn add_constraints(&mut self, extra: &str) -> Result<EditStats, ProtoError> {
-        let mut combined = self.source.clone();
-        if !combined.is_empty() && !combined.ends_with('\n') {
-            combined.push('\n');
+        if ddpa_constraints::has_declarations(extra) {
+            return self.reparse_with(extra);
         }
-        combined.push_str(extra);
-        let cp = parse_program(&combined, false)?;
-        // Keep `source` as the appended text (NOT a fresh canonical
-        // print): re-printing would regroup constraints by kind and shift
-        // node ids out from under the next edit's diff.
+        let old_nodes = self.program.num_nodes();
+        // Park the engine's `&'static` on `EMPTY` before the program is
+        // written, so no reference into it is live during the write.
+        self.engine.repoint(&EMPTY);
+        let appended = ddpa_constraints::append_constraints(&mut self.program, extra, self.lines);
+        // SAFETY: the box was written in place, not moved or freed, so
+        // the same argument as in `open` holds; the write above happened
+        // while the engine pointed at `EMPTY`, and `&mut self` excludes
+        // every other borrower of the program.
+        let cp_ref: &'static ConstraintProgram =
+            unsafe { &*(self.program.as_ref() as *const ConstraintProgram) };
+        let diff = match appended {
+            Ok(diff) => diff,
+            Err(e) => {
+                // The failed append left the program unchanged, so the
+                // memo table is still valid for it.
+                self.engine.repoint(cp_ref);
+                return Err(ProtoError::new(ErrorCode::BadProgram, e.to_string()));
+            }
+        };
+        let stats = self.engine.reload_incremental(cp_ref, &diff);
+        let table = Arc::make_mut(&mut self.name_table);
+        extend_names(&mut self.names, table, &self.program, old_nodes);
+        self.push_source(extra);
+        Ok(stats)
+    }
+
+    /// The declaration path of [`Session::add_constraints`]: re-parses the
+    /// combined source into a new program and diffs it against the live
+    /// one.
+    fn reparse_with(&mut self, extra: &str) -> Result<EditStats, ProtoError> {
+        let (len, lines) = (self.source.len(), self.lines);
+        self.push_source(extra);
+        let cp = match parse_program(&self.source, false) {
+            Ok(cp) => cp,
+            Err(e) => {
+                self.source.truncate(len);
+                self.lines = lines;
+                return Err(e);
+            }
+        };
         let diff = ddpa_constraints::diff_programs(&self.program, &cp);
         let program = Box::new(cp);
         // SAFETY: same argument as in `open`; ordering matters — the
@@ -667,9 +723,17 @@ impl Session {
             unsafe { &*(program.as_ref() as *const ConstraintProgram) };
         let stats = self.engine.reload_incremental(cp_ref, &diff);
         (self.names, self.name_table) = index_names(&program);
-        self.source = combined;
         let _old = std::mem::replace(&mut self.program, program);
         Ok(stats)
+    }
+
+    /// Appends an applied edit's text to `source`, on a line of its own.
+    fn push_source(&mut self, extra: &str) {
+        if !self.source.is_empty() && !self.source.ends_with('\n') {
+            self.source.push('\n');
+        }
+        self.source.push_str(extra);
+        self.lines += extra.lines().count();
     }
 
     /// Resolves a spec's names/indices against the loaded program.
@@ -879,16 +943,30 @@ fn parse_program(text: &str, minic: bool) -> Result<ConstraintProgram, ProtoErro
 /// node wins the index.
 fn index_names(cp: &ConstraintProgram) -> (HashMap<String, NodeId>, Arc<NameTable>) {
     let mut names = HashMap::with_capacity(cp.num_nodes());
-    let mut table = NameTable::with_capacity(cp.num_nodes(), cp.funcs().len());
-    for n in cp.node_ids() {
-        let name = cp.display_node(n);
-        table.push(&name);
-        names.insert(name, n);
-    }
+    let mut table = NameTable {
+        nodes: QuotedNames::with_capacity(cp.num_nodes()),
+        funcs: QuotedNames::with_capacity(cp.funcs().len()),
+    };
+    extend_names(&mut names, &mut table, cp, 0);
     for f in cp.funcs().iter() {
-        table.push(cp.interner().resolve(f.name));
+        table.funcs.push(cp.interner().resolve(f.name));
     }
     (names, Arc::new(table))
+}
+
+/// Adds the nodes from id `from` on to the name index and the table, in
+/// id order, as [`index_names`] does.
+fn extend_names(
+    names: &mut HashMap<String, NodeId>,
+    table: &mut NameTable,
+    cp: &ConstraintProgram,
+    from: usize,
+) {
+    for n in (from..cp.num_nodes()).map(|i| NodeId::from_u32(i as u32)) {
+        let name = cp.display_node(n);
+        table.nodes.push(&name);
+        names.insert(name, n);
+    }
 }
 
 #[cfg(test)]

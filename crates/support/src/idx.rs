@@ -196,6 +196,12 @@ impl<I: Idx, T> IndexVec<I, T> {
         (0..self.raw.len()).map(I::new)
     }
 
+    /// Shortens the vector to its first `n` elements (no-op when it is
+    /// not longer).
+    pub fn truncate(&mut self, n: usize) {
+        self.raw.truncate(n);
+    }
+
     /// Grows the vector to `n` elements by cloning `value`.
     pub fn resize(&mut self, n: usize, value: T)
     where

@@ -67,6 +67,15 @@ impl Interner {
         self.map.get(text).copied()
     }
 
+    /// Forgets every string interned after the first `len`, so their
+    /// symbols are unassigned again.
+    pub fn truncate(&mut self, len: usize) {
+        for text in &self.strings.as_slice()[len.min(self.strings.len())..] {
+            self.map.remove(text);
+        }
+        self.strings.truncate(len);
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -101,6 +110,18 @@ mod tests {
         for (name, sym) in names.iter().zip(&syms) {
             assert_eq!(i.resolve(*sym), *name);
         }
+    }
+
+    #[test]
+    fn truncate_forgets_later_strings() {
+        let mut i = Interner::new();
+        let a = i.intern("a");
+        i.intern("b");
+        i.truncate(1);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.lookup("a"), Some(a));
+        assert!(i.lookup("b").is_none());
+        assert_eq!(i.intern("c").as_u32(), 1, "the freed symbol is reused");
     }
 
     #[test]

@@ -233,6 +233,21 @@ cargo run -q -p ddpa-cli -- client --addr "$addr" query smoke q \
     > "$tmp/edit-requery.out"
 grep -q '"work":0' "$tmp/edit-requery.out" \
     || { echo "re-query after edit re-derived an untouched goal: $(cat "$tmp/edit-requery.out")" >&2; exit 1; }
+# Both edit paths end to end: a declaration renumbers ids and takes full
+# invalidation; a plain edit after it is appended and keeps warm goals.
+printf 'fun h/1\nh::arg0 = &o\n' > "$tmp/edit-decl.cons"
+printf 't = r\n' > "$tmp/edit-plain.cons"
+cargo run -q -p ddpa-cli -- client --addr "$addr" add smoke "$tmp/edit-decl.cons" \
+    > "$tmp/edit-decl.out"
+grep -q '"full_invalidation":true' "$tmp/edit-decl.out" \
+    || { echo "declaration edit was not fully invalidated: $(cat "$tmp/edit-decl.out")" >&2; exit 1; }
+client query smoke q r                   # re-warm both chains
+cargo run -q -p ddpa-cli -- client --addr "$addr" add smoke "$tmp/edit-plain.cons" \
+    > "$tmp/edit-plain.out"
+grep -q '"full_invalidation":false' "$tmp/edit-plain.out" \
+    || { echo "plain edit was not incremental: $(cat "$tmp/edit-plain.out")" >&2; exit 1; }
+grep -Eq '"retained":[1-9]' "$tmp/edit-plain.out" \
+    || { echo "plain edit retained nothing: $(cat "$tmp/edit-plain.out")" >&2; exit 1; }
 client shutdown
 wait "$srv_pid"
 cargo run -q -p ddpa-cli -- jsonl-check "$edit_metrics"
