@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the evaluation as Markdown.
 //!
 //! ```text
-//! report [--quick|--full] [--json-out <path>] [t1 t2 ... t9 f1 f2 f3 a2 ...]
+//! report [--quick|--full] [--json-out <path>] [t1 t2 ... t11 f1 f2 f3 a3]
 //! report --history BENCH_A.json BENCH_B.json ...
 //! ```
 //!
@@ -110,7 +110,6 @@ fn main() {
     run("f1", &mut || f1(&quick));
     run("f2", &mut || f2(&quick));
     run("f3", &mut || f3(&quick));
-    run("a2", &mut || a2(&quick));
     run("a3", &mut || a3(&quick));
 
     if let Some(path) = json_out {
@@ -375,7 +374,6 @@ fn t5(benches: &[Benchmark]) -> JsonValue {
                 count(r.queries),
                 qps(&r, r.time_batch_cold),
                 qps(&r, r.time_batch_warm),
-                qps(&r, r.time_batch_parallel),
                 qps(&r, r.time_sequential),
                 count(r.lat_p50_us as usize),
                 count(r.lat_p95_us as usize),
@@ -393,7 +391,6 @@ fn t5(benches: &[Benchmark]) -> JsonValue {
                 "queries",
                 "batch cold q/s",
                 "batch warm q/s",
-                "batch parallel q/s",
                 "sequential q/s",
                 "seq p50 µs",
                 "seq p95 µs",
@@ -1044,30 +1041,6 @@ fn a3(benches: &[Benchmark]) -> JsonValue {
                 &rows
             )
         );
-    }
-    med
-}
-
-fn a2(benches: &[Benchmark]) -> JsonValue {
-    println!("## A2 — Parallel query driver scaling (≤2000 queries per program)\n");
-    let threads = [1usize, 2, 4, 8];
-    let data = run_a2(benches, &threads, 2000);
-    let med = obj(vec![(
-        "max_threads_speedup",
-        JsonValue::F64(median(
-            data.iter()
-                .filter_map(|r| r.points.last().map(|&(_, _, s)| s))
-                .collect(),
-        )),
-    )]);
-    for row in data {
-        println!("### {}\n", row.name);
-        let rows: Vec<Vec<String>> = row
-            .points
-            .iter()
-            .map(|(t, time, speedup)| vec![t.to_string(), dur(*time), ratio(*speedup)])
-            .collect();
-        println!("{}", table(&["threads", "time", "speedup"], &rows));
     }
     med
 }

@@ -1,4 +1,4 @@
-//! Runners for every experiment (tables T1–T8, figures F1–F3, ablation A2).
+//! Runners for every experiment (tables T1–T11, figures F1–F3, ablation A3).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use ddpa_anders::{worklist, SolverConfig};
 use ddpa_callgraph::CallGraph;
 use ddpa_constraints::{ConstraintProgram, NodeId, ProgramStats};
-use ddpa_demand::{points_to_parallel, DemandConfig, DemandEngine, EngineStats, SharedMemo};
+use ddpa_demand::{DemandConfig, DemandEngine, EngineStats, SharedMemo};
 use ddpa_gen::Benchmark;
 use ddpa_obs::Obs;
 use ddpa_support::Summary;
@@ -500,9 +500,6 @@ pub struct T5Row {
     pub time_batch_cold: Duration,
     /// The identical batch repeated against the now-warm session.
     pub time_batch_warm: Duration,
-    /// The batch fanned out over the server's worker pool (private
-    /// per-worker engines, no shared warm cache).
-    pub time_batch_parallel: Duration,
     /// One request round-trip per query on the warm session.
     pub time_sequential: Duration,
     /// Median sequential round-trip latency (µs).
@@ -572,11 +569,6 @@ pub fn run_t5(benches: &[Benchmark], max_queries: usize) -> Vec<T5Row> {
                 .registry
                 .counter_value(&format!("server.cache_hits.{}", b.name));
 
-            let parallel = build::batch(b.name, &specs, true, None, Some(0));
-            let start = Instant::now();
-            client.expect_ok(&parallel).expect("parallel batch");
-            let time_batch_parallel = start.elapsed();
-
             let latency = ddpa_obs::Histogram::default();
             let start = Instant::now();
             for spec in &specs {
@@ -599,7 +591,6 @@ pub fn run_t5(benches: &[Benchmark], max_queries: usize) -> Vec<T5Row> {
                 queries: specs.len(),
                 time_batch_cold,
                 time_batch_warm,
-                time_batch_parallel,
                 time_sequential,
                 lat_p50_us: latency.quantile(0.50),
                 lat_p95_us: latency.quantile(0.95),
@@ -737,8 +728,8 @@ impl T7Row {
 /// without the shared cross-worker memo table ([`SharedMemo`]).
 ///
 /// Workers are simulated as `workers` sequential engines with queries
-/// dispatched round-robin, which interleaves publish/consume the way a
-/// real parallel batch does while keeping the work counts deterministic
+/// dispatched round-robin, which interleaves publish/consume the way
+/// concurrent engines on one table would while keeping the work counts deterministic
 /// on any host. The cyclic suite's queries overlap heavily in subgoals,
 /// so private tables redo the shared closure once per worker (≈ `workers`
 /// × the single-engine floor) while the shared table collapses the batch
@@ -873,55 +864,6 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
                 time_cold,
                 time_restored,
                 identical: cold_answers == warm_answers,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// A2: parallel query driver scaling
-// ---------------------------------------------------------------------
-
-/// One point of the parallel-scaling figure.
-#[derive(Clone, Debug)]
-pub struct A2Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// (threads, wall time, speedup vs 1 thread), by increasing threads.
-    pub points: Vec<(usize, Duration, f64)>,
-}
-
-/// Regenerates figure A2 over (up to) `max_queries` dereference queries.
-///
-/// Queries run **uncached** so per-thread work is fixed and the figure
-/// isolates raw scheduling behaviour. With caching on, workers share one
-/// memo table (concurrent tabling — see [`run_t7`]): the batch then does
-/// roughly the work of a single cached engine, so wall-clock "speedup"
-/// would measure how fast one engine's work drains rather than scaling.
-/// T7 measures that work-sharing directly in deterministic rule firings;
-/// `EXPERIMENTS.md` §A2 discusses the trade-off.
-pub fn run_a2(benches: &[Benchmark], threads: &[usize], max_queries: usize) -> Vec<A2Row> {
-    let config = DemandConfig::default().without_caching();
-    benches
-        .iter()
-        .map(|b| {
-            let cp = b.build();
-            let queries: Vec<NodeId> = deref_queries(&cp).into_iter().take(max_queries).collect();
-            let mut base = Duration::ZERO;
-            let mut points = Vec::new();
-            for &t in threads {
-                let start = Instant::now();
-                let _ = points_to_parallel(&cp, &queries, t, &config);
-                let time = start.elapsed();
-                if t == threads[0] {
-                    base = time;
-                }
-                let speedup = base.as_secs_f64() / time.as_secs_f64().max(1e-9);
-                points.push((t, time, speedup));
-            }
-            A2Row {
-                name: b.name,
-                points,
             }
         })
         .collect()

@@ -1,10 +1,10 @@
 //! Experiment harness: one runner per table/figure of the evaluation.
 //!
 //! Each `run_*` function regenerates the data behind one table or figure
-//! (the experiment ids T1–T7, F1–F3, A2 are indexed in `DESIGN.md` and the
-//! measured outputs recorded in `EXPERIMENTS.md`). The `report` binary
-//! renders them as Markdown; the Criterion benches under `benches/` time
-//! the same workloads with statistical rigor.
+//! (experiment ids T1–T11, F1–F3 and A3; `DESIGN.md` describes them and
+//! `EXPERIMENTS.md` records the measured outputs). The `report` binary
+//! renders them as Markdown; the plain std timing benches under `benches/`
+//! time the same workloads.
 
 pub mod harness;
 pub mod history;

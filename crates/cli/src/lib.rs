@@ -15,7 +15,7 @@
 //! ddpa gen       [--size N] [--seed S] [--minic]   emit a generated workload
 //! ddpa snapshot  <file> [names…] --out <path>      warm the memo table, write a snapshot
 //! ddpa restore   <file> <snap> [names…]            warm-start from a snapshot
-//! ddpa serve     --addr HOST:PORT [--threads N]    persistent demand-query server
+//! ddpa serve     --addr HOST:PORT                  persistent demand-query server
 //! ddpa client    --addr HOST:PORT <op> [args…]     talk to a running server
 //! ddpa top       <session> --addr HOST:PORT        live engine view (hottest goals,
 //!                                                  critical path, hit rates)
@@ -88,7 +88,7 @@ commands:
   restore   <file> <snap> [names...]    warm-start from a snapshot and
             answer queries with zero deduction work
   serve     --addr HOST:PORT            persistent demand-query server
-            [--threads N] [--budget N] [--timeout-ms T]
+            [--budget N] [--timeout-ms T]
             [--workers N] [--sched-policy dfs|bfs]  intra-query parallelism
             [--port-file <path>] [--stdin-shutdown] [--metrics-out <path>]
             [--access-log <path>] [--slow-ms N]
@@ -138,7 +138,6 @@ struct Options {
     metrics_out: Option<String>,
     json: Option<String>,
     addr: Option<String>,
-    threads: Option<usize>,
     workers: Option<usize>,
     sched_policy: Option<SchedPolicy>,
     parallel_query: bool,
@@ -205,10 +204,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--addr" => {
                 let v = iter.next().ok_or_else(|| err("--addr needs host:port"))?;
                 opts.addr = Some(v.clone());
-            }
-            "--threads" => {
-                let v = iter.next().ok_or_else(|| err("--threads needs a value"))?;
-                opts.threads = Some(v.parse().map_err(|_| err(format!("bad threads `{v}`")))?);
             }
             "--workers" => {
                 let v = iter.next().ok_or_else(|| err("--workers needs a value"))?;
@@ -699,9 +694,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         "serve" => {
             let addr = opts.addr.as_deref().unwrap_or("127.0.0.1:7077");
             let mut config = ddpa::serve::ServeConfig::default();
-            if let Some(t) = opts.threads {
-                config.threads = t.max(1);
-            }
             if let Some(w) = opts.workers {
                 config.workers = w.max(1);
             }
@@ -1374,6 +1366,12 @@ mod tests {
         let p = path.to_str().expect("utf8 path");
         assert!(run_to_string(&["query", p, "missing_name"]).is_err());
         assert!(run_to_string(&["query", p, "o", "--budget", "NaN"]).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_the_threads_flag() {
+        let e = run_to_string(&["serve", "--threads", "2"]).expect_err("no --threads flag");
+        assert!(e.to_string().contains("unknown option `--threads`"), "{e}");
     }
 
     #[test]

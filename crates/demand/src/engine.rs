@@ -307,11 +307,6 @@ impl<'p> DemandEngine<'p> {
         &self.config
     }
 
-    /// Replaces the configuration (used by [`crate::BudgetLadder`]).
-    pub fn set_config(&mut self, config: DemandConfig) {
-        self.config = config;
-    }
-
     /// Adjusts only the per-query budget.
     pub fn set_budget(&mut self, budget: Option<u64>) {
         self.config.budget = budget;

@@ -46,8 +46,6 @@ pub mod cycles;
 pub mod engine;
 pub mod goal;
 pub mod inspect;
-pub mod ladder;
-pub mod parallel;
 pub mod pool;
 pub mod qtrace;
 pub mod query;
@@ -62,9 +60,7 @@ pub use config::{DemandConfig, SchedPolicy};
 pub use cycles::CopyGraph;
 pub use engine::{DemandEngine, EditStats};
 pub use inspect::{display_goal, CriticalPath, GoalGraph, GoalProfile};
-pub use ladder::BudgetLadder;
-pub use parallel::{points_to_on_pool, points_to_parallel};
-pub use pool::{StealQueue, ThreadPool};
+pub use pool::StealQueue;
 pub use qtrace::{QueryTrace, TraceReport};
 pub use query::{AliasResult, CallTargets, QueryResult};
 pub use sched::{SchedStats, Scheduler, SolveOutcome};

@@ -6,7 +6,7 @@
 //! 252-slot array of relaxed atomics. Recording is one `fetch_add` per
 //! sample (plus a `fetch_max` for the exact maximum) — no lock, no
 //! allocation — so it is safe on the server's request path and inside
-//! parallel batch workers.
+//! frame-scheduler workers.
 //!
 //! Histograms are *mergeable* ([`Histogram::merge_from`]): per-bucket
 //! counts add, so merging is exact and associative, which lets per-worker

@@ -11,8 +11,9 @@
 //!   warm [`DemandEngine`](ddpa_demand::DemandEngine) whose memo table
 //!   persists across requests ([`Session`]);
 //! * **queries** — `points-to`, `pointed-to-by`, `may-alias`,
-//!   `call-targets`, singly or in batches; parallel batches fan out over
-//!   a shared [`ThreadPool`](ddpa_demand::ThreadPool);
+//!   `call-targets`, singly or in batches, all answered on the session's
+//!   warm engine; a `parallel_query` request or a `parallel` batch runs
+//!   each query on the frame scheduler (`ServeConfig::workers`);
 //! * **incremental edits** — `add-constraints` appends to a live
 //!   session, invalidates its memo table, and stamps every answer with a
 //!   generation counter so clients can detect pre-edit answers;

@@ -75,8 +75,8 @@ pub enum Request {
     Batch {
         session: String,
         specs: Vec<QuerySpec>,
-        /// Fan the batch over the server's worker pool (private engines,
-        /// no shared warm cache) instead of the session's warm engine.
+        /// Answer every query as a `"parallel_query": true` query would be:
+        /// on the session's warm engine, through the frame scheduler.
         parallel: bool,
         budget: Option<u64>,
         timeout_ms: Option<u64>,

@@ -1,11 +1,11 @@
 //! The TCP server: accept loop, bounded line reader, request dispatch.
 //!
 //! Threading model: one OS thread per connection (bounded by
-//! [`ServeConfig::max_connections`]), plus a shared [`ThreadPool`] that
-//! parallel batches fan out over. Sessions live in a server-wide map;
-//! each session is wrapped in its own mutex so queries on different
-//! sessions proceed concurrently while queries on one session serialize
-//! against its single warm engine.
+//! [`ServeConfig::max_connections`]); a parallel query additionally runs
+//! on its engine's frame scheduler ([`ServeConfig::workers`]). Sessions
+//! live in a server-wide map; each session is wrapped in its own mutex so
+//! queries on different sessions proceed concurrently while queries on
+//! one session serialize against its single warm engine.
 //!
 //! Robustness:
 //!
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ddpa_demand::{EngineStats, SchedPolicy, ThreadPool, TraceReport};
+use ddpa_demand::{EngineStats, SchedPolicy, TraceReport};
 use ddpa_obs::{quote_into, Counter, Histogram, JsonValue, JsonlSink, Obs};
 
 use crate::proto::{error_response, ok_response, parse_request, ErrorCode, ProtoError, Request};
@@ -45,10 +45,8 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads in the shared pool for parallel batches.
-    pub threads: usize,
     /// Frame-scheduler width for intra-query parallelism (`parallel_query`
-    /// requests); 1 disables the scheduler.
+    /// requests and `parallel` batches); 1 disables the scheduler.
     pub workers: usize,
     /// Scheduling policy (DFS/BFS) for parallel queries.
     pub sched_policy: SchedPolicy,
@@ -95,12 +93,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8);
         ServeConfig {
-            threads,
             workers: 1,
             sched_policy: SchedPolicy::default(),
             default_budget: None,
@@ -219,7 +212,6 @@ struct ServerState {
     counters: ServerCounters,
     hists: ServerHists,
     sessions: Mutex<HashMap<String, SessionSlot>>,
-    pool: ThreadPool,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
     open_connections: AtomicUsize,
@@ -310,7 +302,6 @@ impl Server {
         let local = listener.local_addr()?;
         let counters = ServerCounters::new(&obs);
         let hists = ServerHists::new(&obs);
-        let pool = ThreadPool::new(config.threads.max(1));
         let access = match &config.access_log {
             Some(path) => {
                 let file = std::fs::OpenOptions::new()
@@ -327,7 +318,6 @@ impl Server {
             hists,
             obs,
             sessions: Mutex::new(HashMap::new()),
-            pool,
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             open_connections: AtomicUsize::new(0),
@@ -1259,17 +1249,14 @@ fn dispatch(
             let names = s.name_table();
 
             let bracket = s.begin_trace(trace_id);
-            let ok_specs = resolved.iter().filter_map(|r| r.as_ref().ok().copied());
-            let answers: Vec<IdAnswer> = if parallel {
-                let ok_specs: Vec<ResolvedSpec> = ok_specs.collect();
-                s.query_batch_parallel(&ok_specs, budget, deadline, &state.pool)
-            } else {
-                ok_specs
-                    .map(|spec| s.query_ids(spec, budget, deadline, None))
-                    .collect()
-            };
-            // Batch workers publish into the session engine's registry,
-            // so the bracket includes their traffic.
+            // A parallel batch answers each query as `parallel_query`
+            // would; a plain one inherits the session default.
+            let parallel = parallel.then_some(true);
+            let answers: Vec<IdAnswer> = resolved
+                .iter()
+                .filter_map(|r| r.as_ref().ok().copied())
+                .map(|spec| s.query_ids(spec, budget, deadline, parallel))
+                .collect();
             let report = s.finish_trace(bracket);
             drop(s);
             let timeouts = answers.iter().filter(|a| a.timed_out()).count() as u64;
@@ -1598,7 +1585,6 @@ fn stats_response(state: &ServerState) -> JsonValue {
             ("counters", counters),
             ("latency", latency),
             ("slow", slow),
-            ("threads", JsonValue::U64(state.config.threads as u64)),
             ("workers", JsonValue::U64(state.config.workers as u64)),
             (
                 "sched_policy",
@@ -1657,7 +1643,6 @@ mod tests {
         use crate::proto::build;
 
         let config = ServeConfig {
-            threads: 2,
             // Zero threshold: every request counts as slow, so the ring
             // and the slow flag are exercised deterministically.
             slow_ms: 0,
@@ -1788,10 +1773,7 @@ mod tests {
         use crate::client::Client;
         use crate::proto::build;
 
-        let config = ServeConfig {
-            threads: 1,
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
@@ -1880,7 +1862,6 @@ mod tests {
         use crate::proto::build;
 
         let config = ServeConfig {
-            threads: 1,
             workers: 4,
             ..ServeConfig::default()
         };
@@ -1931,7 +1912,7 @@ mod tests {
                 .and_then(JsonValue::as_bool),
             Some(true)
         );
-        // Stats surface the scheduler knobs next to the pool width.
+        // Stats surface the scheduler knobs.
         let stats = c.expect_ok(&build::stats()).expect("stats");
         assert_eq!(stats.get("workers").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(
@@ -1955,7 +1936,6 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let config = ServeConfig {
-            threads: 1,
             access_log: Some(path.clone()),
             slow_ms: 0, // everything is "slow": the slow lines get exercised
             ..ServeConfig::default()
@@ -2080,7 +2060,6 @@ mod tests {
         use std::io::Write as _;
 
         let config = ServeConfig {
-            threads: 2,
             max_connections: 4, // low cap: some of the hammer gets shed
             ..ServeConfig::default()
         };

@@ -25,14 +25,13 @@
 //! new slice would restart from scratch.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
 use ddpa_demand::{
     DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, SharedMemo,
-    ThreadPool, TraceReport,
+    TraceReport,
 };
 
 use crate::proto::{ErrorCode, ProtoError, QuerySpec};
@@ -396,11 +395,11 @@ pub struct Session {
     name_table: Arc<NameTable>,
     /// Default deduction budget for queries on this session.
     default_budget: Option<u64>,
-    /// Shared memo table tying the warm engine and parallel batch
-    /// workers together: the warm engine publishes completed subgoals,
-    /// workers install them at zero cost (and vice versa — results a
-    /// batch computes warm later requests for free). `add-constraints`
-    /// bumps its generation through [`DemandEngine::reload`].
+    /// Shared memo table behind the warm engine: the engine publishes
+    /// its completed subgoals here and installs entries it finds here at
+    /// zero cost. Snapshots are exported from it and restored into it.
+    /// `add-constraints` bumps its generation through
+    /// [`DemandEngine::reload`].
     shared: Arc<SharedMemo>,
     /// Frame-scheduler width for parallel queries (1 = scheduler off).
     workers: usize,
@@ -421,8 +420,8 @@ static EMPTY: LazyLock<ConstraintProgram> = LazyLock::new(ConstraintProgram::def
 
 // Compile-time proof that sessions may move between connection threads:
 // the engine holds `&'static ConstraintProgram`, which is `Send` because
-// `ConstraintProgram` is `Sync` (it is plain immutable data; the parallel
-// driver already shares it across workers).
+// `ConstraintProgram` is `Sync` (it is plain immutable data; the frame
+// scheduler already shares it across workers).
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Session>();
@@ -524,9 +523,9 @@ impl Session {
         self.engine.stats()
     }
 
-    /// Opens a per-request trace bracket on the session's engine. Batch
-    /// workers share the engine's [`Obs`](ddpa_obs::Obs), so the bracket
-    /// captures their work too.
+    /// Opens a per-request trace bracket on the session's engine.
+    /// Frame-scheduler workers share the engine's [`Obs`](ddpa_obs::Obs),
+    /// so the bracket captures their work too.
     pub fn begin_trace(&self, id: impl Into<String>) -> QueryTrace {
         self.engine.begin_trace(id)
     }
@@ -591,8 +590,8 @@ impl Session {
         self.engine.goal_graph().to_json(self.engine.program())
     }
 
-    /// The shared memo table the warm engine and batch workers publish
-    /// into.
+    /// The shared memo table the warm engine publishes into and
+    /// snapshots restore into.
     pub fn shared_memo(&self) -> &Arc<SharedMemo> {
         &self.shared
     }
@@ -849,82 +848,6 @@ impl Session {
     /// request didn't ask for parallelism.
     pub fn last_sched(&self) -> Option<&'static str> {
         self.last_sched
-    }
-
-    /// Answers a batch by fanning out over `pool` with one engine per
-    /// worker (the parallel-driver claim protocol generalized to mixed
-    /// query kinds).
-    ///
-    /// Workers share the session's [`SharedMemo`]: subgoals the warm
-    /// engine already completed are installed at zero rule firings, each
-    /// remaining subgoal is deduced once across the whole batch, and the
-    /// batch's completed results are published back for later warm
-    /// queries. Workers also publish metrics into the session engine's
-    /// [`Obs`](ddpa_obs::Obs), so `engine_stats()` aggregates batch work
-    /// and shared-table traffic. Answers are identical to the warm path
-    /// ([`Session::query_ids`]).
-    pub fn query_batch_parallel(
-        &self,
-        specs: &[ResolvedSpec],
-        budget: Option<u64>,
-        deadline: Option<Instant>,
-        pool: &ThreadPool,
-    ) -> Vec<IdAnswer> {
-        let budget = budget.or(self.default_budget);
-        let cp: &ConstraintProgram = &self.program;
-        // Workers inherit the session engine's configuration (budgets,
-        // tracing, cycle collapsing, …) so a batch answer never differs
-        // from the warm path because of a config mismatch.
-        let config = self.engine.config().clone();
-        if specs.len() <= 1 || pool.threads() == 1 {
-            let mut engine = DemandEngine::with_obs(cp, config, self.engine.obs().clone())
-                .with_shared_memo(Arc::clone(&self.shared));
-            return specs
-                .iter()
-                .map(|&s| run_resolved(&mut engine, s, budget, deadline))
-                .collect();
-        }
-
-        let mut results: Vec<Option<IdAnswer>> = vec![None; specs.len()];
-        let next = AtomicUsize::new(0);
-
-        #[derive(Clone, Copy)]
-        struct SlotPtr(*mut Option<IdAnswer>);
-        unsafe impl Send for SlotPtr {}
-        unsafe impl Sync for SlotPtr {}
-        let slots: Vec<SlotPtr> = results.iter_mut().map(|r| SlotPtr(r as *mut _)).collect();
-        let slots = &slots;
-        let next = &next;
-
-        let workers = pool.threads().min(specs.len());
-        let config = &config;
-        let shared = &self.shared;
-        let obs = self.engine.obs();
-        pool.scoped((0..workers).map(|_| {
-            Box::new(move || {
-                let mut engine = DemandEngine::with_obs(cp, config.clone(), obs.clone())
-                    .with_shared_memo(Arc::clone(shared));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let answer = run_resolved(&mut engine, specs[i], budget, deadline);
-                    // SAFETY: index i was claimed exclusively via the
-                    // atomic counter; each slot outlives the scoped batch
-                    // and is written at most once.
-                    let slot: SlotPtr = slots[i];
-                    unsafe {
-                        *slot.0 = Some(answer);
-                    }
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
-
-        results
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect()
     }
 }
 
@@ -1326,32 +1249,6 @@ mod tests {
         // And the repeat is a cache hit, reported as a fallback.
         fresh.query_opt(fspec, None, None, Some(true));
         assert_eq!(fresh.last_sched(), Some("sequential-fallback"));
-    }
-
-    #[test]
-    fn parallel_batch_matches_warm_engine() {
-        let mut text = String::new();
-        for i in 0..20 {
-            text.push_str(&format!("p{i} = &o{i}\n"));
-            text.push_str(&format!("q{i} = p{i}\n"));
-        }
-        let mut s = Session::open(&text, false, None).expect("valid");
-        let specs: Vec<ResolvedSpec> = (0..20)
-            .map(|i| {
-                s.resolve(&QuerySpec::PointsTo {
-                    name: format!("q{i}"),
-                })
-                .expect("resolvable")
-            })
-            .collect();
-        let warm: Vec<QueryAnswer> = specs.iter().map(|&x| s.query(x, None, None)).collect();
-        let pool = ThreadPool::new(4);
-        let fanned = s.query_batch_parallel(&specs, None, None, &pool);
-        assert_eq!(warm.len(), fanned.len());
-        for (w, f) in warm.iter().zip(fanned) {
-            let f = f.named(s.program());
-            assert_eq!(set_names(w), set_names(&f), "parallel answers identical");
-        }
     }
 
     #[test]

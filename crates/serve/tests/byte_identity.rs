@@ -12,12 +12,12 @@
 
 use std::time::{Duration, Instant};
 
-use ddpa_demand::{SchedPolicy, ThreadPool};
+use ddpa_demand::SchedPolicy;
 use ddpa_obs::{parse_json, JsonValue, Obs};
 use ddpa_serve::proto::{build, error_response, ok_response, QuerySpec};
 use ddpa_serve::{Client, QueryAnswer, ServeConfig, Server, Session};
 
-/// Frame-scheduler width and batch-pool size, on both sides.
+/// Frame-scheduler width, on both sides.
 const WORKERS: usize = 2;
 
 /// The `result` object of one answer, field by field.
@@ -68,7 +68,6 @@ fn reference_answer(answer: &QueryAnswer, generation: u64) -> JsonValue {
 struct Pair {
     client: Client,
     mirror: Session,
-    pool: ThreadPool,
     handle: ddpa_serve::ServerHandle,
     thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
@@ -76,7 +75,6 @@ struct Pair {
 impl Pair {
     fn open(program: &str) -> (Pair, String) {
         let config = ServeConfig {
-            threads: WORKERS,
             workers: WORKERS,
             ..ServeConfig::default()
         };
@@ -94,7 +92,6 @@ impl Pair {
         let pair = Pair {
             client,
             mirror,
-            pool: ThreadPool::new(WORKERS),
             handle,
             thread,
         };
@@ -164,16 +161,13 @@ impl Pair {
         let generation = m.generation();
         let resolved: Vec<_> = specs.iter().map(|spec| m.resolve(spec)).collect();
         let ok: Vec<_> = resolved.iter().filter_map(|r| r.clone().ok()).collect();
-        let mut answers: Vec<QueryAnswer> = if parallel {
-            m.query_batch_parallel(&ok, None, Pair::deadline(), &self.pool)
-                .into_iter()
-                .map(|a| a.named(m.program()))
-                .collect()
-        } else {
-            ok.iter()
-                .map(|&spec| m.query(spec, None, Pair::deadline()))
-                .collect()
-        };
+        let mut answers: Vec<QueryAnswer> = ok
+            .iter()
+            .map(|&spec| {
+                m.query_ids(spec, None, Pair::deadline(), parallel.then_some(true))
+                    .named(m.program())
+            })
+            .collect();
         answers.reverse();
         let results = resolved
             .iter()

@@ -241,6 +241,36 @@ fn multi_client_smoke() {
     assert!(server.obs.counter("server.requests").get() >= 101);
 }
 
+/// A batch response's answers without their `work`: each set answer as
+/// `complete:names`, each alias answer as `alias:resolved:may_alias`.
+fn digest_server(resp: &JsonValue) -> Vec<String> {
+    resp.get("results")
+        .and_then(JsonValue::as_array)
+        .expect("batch has results")
+        .iter()
+        .map(|r| {
+            if r.get("pts").is_some() {
+                let complete = r
+                    .get("complete")
+                    .and_then(JsonValue::as_bool)
+                    .expect("complete");
+                let set: Vec<String> = result_pts(r).into_iter().collect();
+                format!("{complete}:{}", set.join(","))
+            } else {
+                let resolved = r
+                    .get("resolved")
+                    .and_then(JsonValue::as_bool)
+                    .expect("resolved");
+                let may = r
+                    .get("may_alias")
+                    .and_then(JsonValue::as_bool)
+                    .expect("may_alias");
+                format!("alias:{resolved}:{may}")
+            }
+        })
+        .collect()
+}
+
 /// The headline acceptance test: a ≥100-query mixed batch against a
 /// syn-4k session answers identically to a direct in-process engine,
 /// repeats hit the warm cache, and `add-constraints` leaves no stale
@@ -315,42 +345,6 @@ fn syn4k_batch_matches_direct_engine_and_caches() {
         .expect("open syn-4k");
     assert!(ok(&resp), "{resp}");
 
-    let digest_server = |resp: &JsonValue| -> Vec<String> {
-        resp.get("results")
-            .and_then(JsonValue::as_array)
-            .expect("batch has results")
-            .iter()
-            .map(|r| {
-                if let Some(pts) = r.get("pts") {
-                    let set: BTreeSet<String> = pts
-                        .as_array()
-                        .expect("pts array")
-                        .iter()
-                        .map(|s| s.as_str().expect("name").to_string())
-                        .collect();
-                    let complete = r
-                        .get("complete")
-                        .and_then(JsonValue::as_bool)
-                        .expect("complete");
-                    format!(
-                        "{}:{}",
-                        complete,
-                        set.into_iter().collect::<Vec<_>>().join(",")
-                    )
-                } else {
-                    let resolved = r
-                        .get("resolved")
-                        .and_then(JsonValue::as_bool)
-                        .expect("resolved");
-                    let may = r
-                        .get("may_alias")
-                        .and_then(JsonValue::as_bool)
-                        .expect("may_alias");
-                    format!("alias:{resolved}:{may}")
-                }
-            })
-            .collect()
-    };
     let digest_direct: Vec<String> = direct
         .iter()
         .map(|d| {
@@ -388,7 +382,7 @@ fn syn4k_batch_matches_direct_engine_and_caches() {
     let hits = server.obs.counter("server.cache_hits.syn").get();
     assert!(hits > 0, "second identical batch must hit the warm cache");
 
-    // Parallel fan-out returns the same answers (different work, same sets).
+    // A parallel batch returns the same answers.
     let par = build::batch("syn", &specs, true, None, Some(60_000));
     let resp = c.request(&par).expect("parallel batch");
     assert!(ok(&resp), "{resp}");
@@ -434,6 +428,55 @@ fn syn4k_batch_matches_direct_engine_and_caches() {
         "no stale answer after add-constraints: {result}"
     );
     assert!(server.obs.counter("server.invalidations").get() >= 1);
+}
+
+/// A `"parallel":true` batch answers what the sequential batch answers,
+/// on a server without the frame scheduler and on one with two workers.
+/// Each batch runs on its own cold session, so the parallel one really
+/// reaches the scheduler.
+#[test]
+fn parallel_batch_equals_sequential_batch_at_one_and_two_workers() {
+    let cp = ddpa_gen::generate_random(&ddpa_gen::RandomConfig::sized(5, 1_500));
+    let text = ddpa_constraints::print_constraints(&cp);
+    let cp = ddpa_constraints::parse_constraints(&text).expect("canonical text parses");
+    // Dereferenced pointers and address-taken objects: mostly non-empty
+    // answers.
+    let ptr = |i: usize| cp.display_node(cp.loads()[(i * 7) % cp.loads().len()].ptr);
+    let obj = |i: usize| cp.display_node(cp.addr_ofs()[(i * 7) % cp.addr_ofs().len()].obj);
+    let specs: Vec<QuerySpec> = (0..40)
+        .map(|i| match i % 3 {
+            0 => QuerySpec::PointsTo { name: ptr(i) },
+            1 => QuerySpec::PointedToBy { name: obj(i) },
+            _ => QuerySpec::MayAlias {
+                a: ptr(i),
+                b: ptr(i + 1),
+            },
+        })
+        .collect();
+
+    for workers in [1, 2] {
+        let server = TestServer::start(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        let mut c = server.client();
+        let mut results = Vec::new();
+        for (session, parallel) in [("seq", false), ("par", true)] {
+            c.expect_ok(&build::open(session, &text, false, None))
+                .expect("open");
+            let resp = c
+                .expect_ok(&build::batch(session, &specs, parallel, None, Some(60_000)))
+                .expect("batch");
+            results.push(resp);
+        }
+        let (seq, par) = (&results[0], &results[1]);
+        assert_eq!(digest_server(seq), digest_server(par), "workers {workers}");
+        if workers == 1 {
+            // Without the scheduler both batches take the same path, work
+            // counts included.
+            assert_eq!(seq.get("results"), par.get("results"));
+        }
+    }
 }
 
 #[test]

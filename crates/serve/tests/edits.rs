@@ -1,12 +1,12 @@
 //! Session edits: a failed edit changes nothing, declaration edits keep
 //! the full-invalidation path, the appended-edit reload agrees with the
-//! whole-program oracle after a parallel batch, and a long seeded edit
+//! whole-program oracle after a snapshot restore, and a long seeded edit
 //! script ends where a cold session over the final text starts.
 
 use std::collections::BTreeMap;
 
 use ddpa_constraints::{diff_programs, parse_constraints, print_constraints, NodeId};
-use ddpa_demand::{dirty_closure, ThreadPool};
+use ddpa_demand::dirty_closure;
 use ddpa_gen::{generate_minic, MiniCConfig};
 use ddpa_serve::session::{IdAnswer, ResolvedSpec};
 use ddpa_serve::{QuerySpec, Session};
@@ -127,8 +127,9 @@ fn declaration_edits_fully_invalidate_then_appends_resume() {
 }
 
 #[test]
-fn edit_after_parallel_batch_matches_the_whole_program_oracle() {
-    let mut s = Session::open(&minic_text(3), false, None).expect("opens");
+fn edit_after_restore_matches_the_whole_program_oracle() {
+    let text = minic_text(3);
+    let mut s = Session::open(&text, false, None).expect("opens");
     let all: Vec<(String, NodeId)> = names(&s).into_iter().collect();
     // The warm engine tables a few goals itself ...
     for (name, _) in all.iter().step_by(7) {
@@ -137,12 +138,12 @@ fn edit_after_parallel_batch_matches_the_whole_program_oracle() {
             .expect("resolves");
         s.query_ids(spec, None, None, None);
     }
-    // ... and a parallel batch publishes many it never tabled.
-    let specs: Vec<ResolvedSpec> = all
-        .iter()
-        .map(|&(_, n)| ResolvedSpec::PointsTo(n))
-        .collect();
-    s.query_batch_parallel(&specs, None, None, &ThreadPool::new(2));
+    // ... and a snapshot of a session that answered every query installs
+    // many it never tabled.
+    let mut donor = Session::open(&text, false, None).expect("opens");
+    answers(&mut donor);
+    s.restore_snapshot(&donor.export_snapshot())
+        .expect("same program restores");
 
     let (target, _) = all[all.len() / 2].clone();
     let (source, _) = all[all.len() / 3].clone();
@@ -152,8 +153,8 @@ fn edit_after_parallel_batch_matches_the_whole_program_oracle() {
     let new = parse_constraints(&format!("{}{edit}", s.source())).expect("edit parses");
     let (dirty, edges) = dirty_closure(&entries, &diff_programs(&old, &new));
     assert!(
-        entries.len() > specs.len() / 2,
-        "the batch published its goals"
+        entries.len() > all.len() / 2,
+        "the restore installed its goals"
     );
 
     let stats = s.add_constraints(&edit).expect("valid edit");

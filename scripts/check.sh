@@ -50,7 +50,8 @@ echo "==> shared-memo smoke test"
 # The differential suite (fixed seeds) proves the shared cross-worker
 # memo table is transparent: answers bit-identical to private-memo
 # engines and the naive oracle, including across add-constraints
-# generations. The serve run below proves cross-worker reuse end-to-end.
+# generations. The serve run below proves end to end that a session
+# installs fixpoints another session published (via the restore op).
 cargo test -q -p ddpa-demand --test differential shared_memo
 
 echo "==> ddpa-serve smoke test"
@@ -74,9 +75,21 @@ client() { cargo run -q -p ddpa-cli -- client --addr "$addr" "$@" > /dev/null; }
 client ping
 client open smoke samples/list.mc
 client query smoke main::got data        # a batch over the wire
-client query smoke main::got data        # warm repeat: served from the memo table
-client query smoke main::got data --parallel  # workers reuse the session's shared memo
+# Warm repeat, served from the memo table; a parallel batch runs on the
+# same warm engine and must answer byte for byte the same.
+cargo run -q -p ddpa-cli -- client --addr "$addr" query smoke main::got data \
+    > "$tmp/batch-seq.out"
+cargo run -q -p ddpa-cli -- client --addr "$addr" query smoke main::got data --parallel \
+    > "$tmp/batch-par.out"
+cmp -s "$tmp/batch-seq.out" "$tmp/batch-par.out" \
+    || { echo "parallel batch differs from sequential: $(cat "$tmp/batch-seq.out") vs $(cat "$tmp/batch-par.out")" >&2; exit 1; }
 client query smoke main::got --trace     # traced request: response carries the delta report
+# A peer session warm-started from smoke's snapshot answers from the
+# installed shared fixpoints (demand.share.hits below).
+client snapshot smoke --out "$tmp/peer.snap"
+client open peer samples/list.mc
+client restore peer "$tmp/peer.snap"
+client query peer main::got data
 client slow                              # slow-query ring over the wire
 client stats
 client shutdown

@@ -117,10 +117,14 @@ fn parallel_driver_matches_sequential_on_suite() {
     let bench = ddpa::gen::suite().into_iter().nth(1).expect("syn-1k");
     let cp = bench.build();
     let queries: Vec<_> = cp.loads().iter().map(|l| l.ptr).take(100).collect();
-    let sequential = ddpa::demand::points_to_parallel(&cp, &queries, 1, &DemandConfig::default());
-    let parallel = ddpa::demand::points_to_parallel(&cp, &queries, 4, &DemandConfig::default());
-    for (s, p) in sequential.iter().zip(&parallel) {
+    let mut sequential = DemandEngine::new(&cp, DemandConfig::default());
+    let mut parallel = DemandEngine::new(&cp, DemandConfig::default().with_workers(4));
+    let mut scheduled = 0;
+    for &q in &queries {
+        let (s, p) = (sequential.points_to(q), parallel.points_to(q));
         assert_eq!(s.pts, p.pts);
         assert_eq!(s.complete, p.complete);
+        scheduled += parallel.last_query_parallel() as usize;
     }
+    assert!(scheduled > 0, "the frame scheduler answered some queries");
 }
