@@ -24,6 +24,13 @@
 //! Printing a [`ConstraintProgram`] and re-parsing it yields an
 //! analysis-equivalent program (temporaries and heap objects come back as
 //! plain variables, which the analyses treat identically).
+//!
+//! [`parse_constraints`] scans the text once, sorting `fun` lines, `field`
+//! lines and constraint lines into three lists, then runs one pass per
+//! list in that order: functions, fields, constraints. So declarations
+//! may sit anywhere, and the error reported is the first in pass order
+//! (a bad `fun` line beats a bad `field` line above it, and either beats
+//! every bad constraint line), not the first in the text.
 
 use crate::diff::{diff_appended, ProgramDiff};
 use crate::model::NodeId;
@@ -68,36 +75,44 @@ impl std::error::Error for TextError {}
 /// # Ok::<(), ddpa_constraints::TextError>(())
 /// ```
 pub fn parse_constraints(text: &str) -> Result<ConstraintProgram, TextError> {
-    let mut builder = ConstraintBuilder::new();
-
-    // Pass 1: function declarations (so formal references resolve anywhere).
+    // One scan sorts the lines by kind; the passes then run in order.
+    let (mut funs, mut fields, mut body) = (Vec::new(), Vec::new(), Vec::new());
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw);
         if let Some(rest) = line.strip_prefix("fun ") {
-            let (name, arity) = parse_fun_decl(rest, lineno + 1)?;
-            if builder.lookup_func(name).is_some() {
-                return Err(TextError {
-                    message: format!("function `{name}` declared twice"),
-                    line: lineno + 1,
-                });
-            }
-            builder.func(name, arity);
+            funs.push((lineno + 1, rest));
+        } else if let Some(rest) = line.strip_prefix("field ") {
+            fields.push((lineno + 1, rest));
+        } else if !line.is_empty() {
+            body.push((lineno + 1, line));
         }
+    }
+    let mut builder = ConstraintBuilder::new();
+
+    // Pass 1: function declarations (so formal references resolve anywhere).
+    for (lineno, rest) in funs {
+        let (name, arity) = parse_fun_decl(rest, lineno)?;
+        if builder.lookup_func(name).is_some() {
+            return Err(TextError {
+                message: format!("function `{name}` declared twice"),
+                line: lineno,
+            });
+        }
+        builder.func(name, arity);
     }
 
     // Pass 2: field-node declarations, in order (parents precede nested
     // fields in printed output).
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw);
-        if let Some(rest) = line.strip_prefix("field ") {
-            let (parent, field) = parse_field_ref(rest, lineno + 1)?;
-            let parent = require(&mut builder, parent, lineno + 1)?;
-            builder.field_node(parent, field);
-        }
+    for (lineno, rest) in fields {
+        let (parent, field) = parse_field_ref(rest, lineno)?;
+        let parent = require(&mut builder, parent, lineno)?;
+        builder.field_node(parent, field);
     }
 
     // Pass 3: constraints and calls.
-    parse_body(&mut builder, text, 0)?;
+    for (lineno, line) in body {
+        parse_line(&mut builder, line, lineno)?;
+    }
 
     Ok(builder.build())
 }
@@ -153,7 +168,14 @@ pub fn append_constraints(
     }
     let mut builder = std::mem::take(cp).into_builder();
     let mark = builder.mark();
-    let parsed = parse_body(&mut builder, text, lines_before);
+    // Pass 3 alone: there is nothing to declare.
+    let parsed = text.lines().enumerate().try_for_each(|(lineno, raw)| {
+        let line = strip_comment(raw);
+        if line.is_empty() {
+            return Ok(());
+        }
+        parse_line(&mut builder, line, lines_before + lineno + 1)
+    });
     if parsed.is_err() {
         builder.rollback(&mark);
     }
@@ -169,24 +191,6 @@ pub fn has_declarations(text: &str) -> bool {
 
 fn is_declaration(line: &str) -> bool {
     line.starts_with("fun ") || line.starts_with("field ")
-}
-
-/// Pass 3: every constraint and call line of `text`, whose first line is
-/// line `lines_before + 1` of the whole source. Declarations (passes 1
-/// and 2) are skipped.
-fn parse_body(
-    builder: &mut ConstraintBuilder,
-    text: &str,
-    lines_before: usize,
-) -> Result<(), TextError> {
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw);
-        if line.is_empty() || is_declaration(line) {
-            continue;
-        }
-        parse_line(builder, line, lines_before + lineno + 1)?;
-    }
-    Ok(())
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -238,7 +242,8 @@ fn parse_field_ref(text: &str, line: usize) -> Result<(&str, u32), TextError> {
 }
 
 /// Resolves a name to a node: `f::argN` / `f::ret` for declared functions,
-/// `_` for none, anything else is a variable.
+/// `parent.fN` for declared field nodes, `_` for none, anything else is a
+/// variable (created on first use).
 fn resolve_name(
     builder: &mut ConstraintBuilder,
     name: &str,
@@ -254,44 +259,76 @@ fn resolve_name(
     if name == "_" {
         return Ok(None);
     }
-    if let Some((func_name, member)) = name.rsplit_once("::") {
-        if let Some(func) = builder.lookup_func(func_name) {
+    Ok(Some(match declared_node(builder, name, line)? {
+        Some(node) => node,
+        None => builder.var(name),
+    }))
+}
+
+/// The formal, return slot or field node that `name` (trimmed,
+/// non-empty, not `_`) denotes, if it denotes one. Creates no node, so a
+/// field reference on an unknown parent mints only the variable it names.
+fn declared_node(
+    builder: &ConstraintBuilder,
+    name: &str,
+    line: usize,
+) -> Result<Option<NodeId>, TextError> {
+    if let Some((func_name, member)) = rsplit_path(name) {
+        // Other qualified names (`main::p` style locals) are plain
+        // variables, whatever their prefix names.
+        let slot = member == "ret" || member.starts_with("arg");
+        if let Some(func) = slot.then(|| builder.lookup_func(func_name)).flatten() {
             let info = builder.func_info(func);
             if member == "ret" {
                 return Ok(Some(info.ret));
             }
-            if let Some(idx) = member.strip_prefix("arg") {
-                let idx: usize = idx.parse().map_err(|_| TextError {
-                    message: format!("invalid formal reference `{name}`"),
+            let idx = &member["arg".len()..];
+            let idx: usize = idx.parse().map_err(|_| TextError {
+                message: format!("invalid formal reference `{name}`"),
+                line,
+            })?;
+            return match info.formals.get(idx) {
+                Some(&node) => Ok(Some(node)),
+                None => Err(TextError {
+                    message: format!(
+                        "function `{func_name}` has {} formal(s), no `arg{idx}`",
+                        info.formals.len()
+                    ),
                     line,
-                })?;
-                return match info.formals.get(idx) {
-                    Some(&node) => Ok(Some(node)),
-                    None => Err(TextError {
-                        message: format!(
-                            "function `{func_name}` has {} formal(s), no `arg{idx}`",
-                            info.formals.len()
-                        ),
-                        line,
-                    }),
-                };
-            }
-            // `main::p` style qualified locals fall through to plain vars.
+                }),
+            };
         }
     }
-    // `parent.fN` refers to a declared field node.
-    if let Some((parent, rest)) = name.rsplit_once(".f") {
-        if let Ok(field) = rest.parse::<u32>() {
-            if let Some(parent_node) =
-                resolve_name(builder, parent, line)?.filter(|_| !parent.is_empty())
-            {
-                if let Some(node) = builder.lookup_field(parent_node, field) {
-                    return Ok(Some(node));
-                }
-            }
+    // `parent.fN` refers to a declared field node. The rightmost `.`
+    // starts the only `.f` suffix that can hold a bare index.
+    let field_ref = name.rsplit_once('.').and_then(|(parent, rest)| {
+        let parent = parent.trim();
+        let field = rest.strip_prefix('f')?.parse::<u32>().ok()?;
+        (!parent.is_empty() && parent != "_").then_some((parent, field))
+    });
+    if let Some((parent, field)) = field_ref {
+        let parent = match declared_node(builder, parent, line)? {
+            Some(node) => Some(node),
+            None => builder.lookup_var(parent),
+        };
+        if let Some(node) = parent.and_then(|p| builder.lookup_field(p, field)) {
+            return Ok(Some(node));
         }
     }
-    Ok(Some(builder.var(name)))
+    Ok(None)
+}
+
+/// `name.rsplit_once("::")`, searching for the `:` character: a string
+/// pattern would set up a substring searcher for every name.
+fn rsplit_path(name: &str) -> Option<(&str, &str)> {
+    let mut end = name.len();
+    while let Some(colon) = name[..end].rfind(':') {
+        if colon > 0 && name.as_bytes()[colon - 1] == b':' {
+            return Some((&name[..colon - 1], &name[colon + 1..]));
+        }
+        end = colon;
+    }
+    None
 }
 
 fn require(builder: &mut ConstraintBuilder, name: &str, line: usize) -> Result<NodeId, TextError> {
@@ -324,8 +361,14 @@ fn parse_line(builder: &mut ConstraintBuilder, line: &str, lineno: usize) -> Res
     } else if let Some(obj) = rhs.strip_prefix('&') {
         let dst = require(builder, lhs, lineno)?;
         let obj = obj.trim();
-        // `&base->N` takes a field address.
-        if let Some((base, field)) = obj.split_once("->") {
+        // `&base->N` takes a field address. Checking for `>` first spares
+        // every other line a substring search.
+        let arrow = if obj.contains('>') {
+            obj.split_once("->")
+        } else {
+            None
+        };
+        if let Some((base, field)) = arrow {
             let field: u32 = field.trim().parse().map_err(|_| TextError {
                 message: format!("invalid field index in `&{obj}`"),
                 line: lineno,
@@ -649,6 +692,24 @@ mod field_tests {
         assert_eq!(print_constraints(&cp2), printed, "fixpoint");
         assert_eq!(cp2.field_addrs().len(), 2);
         assert_eq!(cp2.field_nodes().len(), 2);
+    }
+
+    #[test]
+    fn field_names_on_unknown_parents_create_only_themselves() {
+        let cp = parse_constraints("p = &x.f1\n").expect("parses");
+        let names: Vec<String> = cp.node_ids().map(|n| cp.display_node(n)).collect();
+        assert_eq!(names, ["p", "x.f1"], "no phantom `x`");
+        // A declared parent without that field is looked up, not minted.
+        let cp = parse_constraints("field x.0\np = &x.f1\n").expect("parses");
+        assert_eq!(cp.num_nodes(), 4, "x, x.f0, p and the variable x.f1");
+    }
+
+    #[test]
+    fn field_names_with_empty_parents_are_variables() {
+        let cp = parse_constraints("x = &.f3\n").expect("parses");
+        assert_eq!(cp.display_node(cp.addr_ofs()[0].obj), ".f3");
+        let cp = parse_constraints("x = &_.f0\n").expect("parses");
+        assert_eq!(cp.display_node(cp.addr_ofs()[0].obj), "_.f0");
     }
 
     #[test]

@@ -439,20 +439,27 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Parses `text` (constraint text, or MiniC when `minic`) and opens a
-    /// session over it.
+    /// session over it. Parses once when `text` is already printed
+    /// constraint text, twice otherwise.
     pub fn open(text: &str, minic: bool, default_budget: Option<u64>) -> Result<Self, ProtoError> {
         let cp = parse_program(text, minic)?;
         // Canonicalize through the printer so `add_constraints` can
-        // append plain constraint lines even to MiniC-born sessions —
-        // then re-parse the canonical text and serve *that* program, so
-        // `source` is the exact text whose first-appearance order minted
-        // the live node-id space. Edits append to both `source` and the
-        // live program, which stay in step only if the program is
-        // `parse(source)`: one born from a different text (the printer
-        // groups constraints by kind) would number ids differently.
+        // append plain constraint lines even to MiniC-born sessions, and
+        // serve `parse(source)`, so `source` is the exact text whose
+        // first-appearance order minted the live node-id space. Edits
+        // append to both `source` and the live program, which stay in
+        // step only if the program is `parse(source)`: one born from a
+        // different text (the printer groups constraints by kind) would
+        // number ids differently. Constraint text that already is its
+        // own printout was parsed from `source` itself, so only other
+        // inputs are parsed again.
         let source = ddpa_constraints::print_constraints(&cp);
-        drop(cp);
-        let cp = parse_program(&source, false)?;
+        let cp = if !minic && source == text {
+            cp
+        } else {
+            drop(cp);
+            parse_program(&source, false)?
+        };
         let program = Box::new(cp);
         // SAFETY: the box's heap allocation is stable; the reference is
         // only held by `self.engine`, which drops before `self.program`

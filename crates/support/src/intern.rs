@@ -5,6 +5,7 @@
 //! interned once into a [`Symbol`] and compared by id afterwards.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::define_index;
 use crate::idx::IndexVec;
@@ -32,8 +33,9 @@ define_index! {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    strings: IndexVec<Symbol, Box<str>>,
-    map: HashMap<Box<str>, Symbol>,
+    /// Each string is allocated once, shared by its slot and its map key.
+    strings: IndexVec<Symbol, Arc<str>>,
+    map: HashMap<Arc<str>, Symbol>,
 }
 
 impl Interner {
@@ -47,9 +49,9 @@ impl Interner {
         if let Some(&sym) = self.map.get(text) {
             return sym;
         }
-        let boxed: Box<str> = text.into();
-        let sym = self.strings.push(boxed.clone());
-        self.map.insert(boxed, sym);
+        let shared: Arc<str> = text.into();
+        let sym = self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, sym);
         sym
     }
 

@@ -90,6 +90,20 @@ client snapshot smoke --out "$tmp/peer.snap"
 client open peer samples/list.mc
 client restore peer "$tmp/peer.snap"
 client query peer main::got data
+# swap.cons has comments, so `open` re-parses its printout; its dump is
+# already printed text and is parsed once. Both keep the same canonical
+# source, so raw's snapshot restores into canon by hash, not by rebinding.
+cargo run -q -p ddpa-cli -- dump samples/swap.cons > "$tmp/swap-dump.cons"
+client open raw samples/swap.cons
+client open canon "$tmp/swap-dump.cons"
+client query raw p q
+client snapshot raw --out "$tmp/raw.snap"
+cargo run -q -p ddpa-cli -- client --addr "$addr" restore canon "$tmp/raw.snap" \
+    > "$tmp/restore-canon.out"
+grep -q '"rebound":false' "$tmp/restore-canon.out" \
+    || { echo "raw snapshot was rebound into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
+grep -Eq '"installed":[1-9]' "$tmp/restore-canon.out" \
+    || { echo "raw snapshot installed nothing into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
 client slow                              # slow-query ring over the wire
 client stats
 client shutdown
