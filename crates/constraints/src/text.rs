@@ -33,7 +33,7 @@
 //! every bad constraint line), not the first in the text.
 
 use crate::diff::{diff_appended, ProgramDiff};
-use crate::model::NodeId;
+use crate::model::{FuncId, NodeId};
 use crate::program::{ConstraintBuilder, ConstraintProgram};
 
 /// An error while parsing the textual format.
@@ -268,63 +268,126 @@ fn resolve_name(
 /// The formal, return slot or field node that `name` (trimmed,
 /// non-empty, not `_`) denotes, if it denotes one. Creates no node, so a
 /// field reference on an unknown parent mints only the variable it names.
+///
+/// `parent.fN` refers to a declared field node of `parent`, which may
+/// itself be a field reference. The chain of suffixes is walked without
+/// recursion, down to the first name that is a formal or return slot or
+/// no field reference at all, and then resolved back outward. Each name
+/// on the way is a prefix of `name`, so the `::` search resumes where the
+/// last one stopped instead of rescanning the prefix, and a prefix's
+/// variable lookup hashes it only if some interned name has its length
+/// (see [`ddpa_support::Interner::lookup`]).
 fn declared_node(
     builder: &ConstraintBuilder,
     name: &str,
     line: usize,
 ) -> Result<Option<NodeId>, TextError> {
-    if let Some((func_name, member)) = rsplit_path(name) {
-        // Other qualified names (`main::p` style locals) are plain
-        // variables, whatever their prefix names.
-        let slot = member == "ret" || member.starts_with("arg");
-        if let Some(func) = slot.then(|| builder.lookup_func(func_name)).flatten() {
-            let info = builder.func_info(func);
-            if member == "ret" {
-                return Ok(Some(info.ret));
+    let mut fields: Vec<(&str, u32)> = Vec::new();
+    let mut path = PathSplit::new(name);
+    let mut current = name;
+    let mut node = loop {
+        if let Some(node) = path.declared_slot(builder, current, line)? {
+            break Some(node);
+        }
+        // The rightmost `.` starts the only `.f` suffix that can hold a
+        // bare index.
+        let field_ref = current.rsplit_once('.').and_then(|(parent, rest)| {
+            let parent = parent.trim();
+            let field = rest.strip_prefix('f')?.parse::<u32>().ok()?;
+            (!parent.is_empty() && parent != "_").then_some((parent, field))
+        });
+        match field_ref {
+            Some((parent, field)) => {
+                fields.push((parent, field));
+                current = parent;
             }
-            let idx = &member["arg".len()..];
-            let idx: usize = idx.parse().map_err(|_| TextError {
-                message: format!("invalid formal reference `{name}`"),
-                line,
-            })?;
-            return match info.formals.get(idx) {
-                Some(&node) => Ok(Some(node)),
-                None => Err(TextError {
-                    message: format!(
-                        "function `{func_name}` has {} formal(s), no `arg{idx}`",
-                        info.formals.len()
-                    ),
-                    line,
-                }),
-            };
+            None => break None,
         }
+    };
+    for &(parent, field) in fields.iter().rev() {
+        let parent = node.or_else(|| builder.lookup_var(parent));
+        node = parent.and_then(|p| builder.lookup_field(p, field));
     }
-    // `parent.fN` refers to a declared field node. The rightmost `.`
-    // starts the only `.f` suffix that can hold a bare index.
-    let field_ref = name.rsplit_once('.').and_then(|(parent, rest)| {
-        let parent = parent.trim();
-        let field = rest.strip_prefix('f')?.parse::<u32>().ok()?;
-        (!parent.is_empty() && parent != "_").then_some((parent, field))
-    });
-    if let Some((parent, field)) = field_ref {
-        let parent = match declared_node(builder, parent, line)? {
-            Some(node) => Some(node),
-            None => builder.lookup_var(parent),
-        };
-        if let Some(node) = parent.and_then(|p| builder.lookup_field(p, field)) {
-            return Ok(Some(node));
-        }
-    }
-    Ok(None)
+    Ok(node)
 }
 
-/// `name.rsplit_once("::")`, searching for the `:` character: a string
-/// pattern would set up a substring searcher for every name.
-fn rsplit_path(name: &str) -> Option<(&str, &str)> {
+/// The rightmost `::` of successively shorter prefixes of one name, and
+/// the function it names, found by one backward scan in all.
+struct PathSplit<'a> {
+    name: &'a str,
+    /// Index of the second `:` of the rightmost `::` seen, if any.
+    colon: Option<usize>,
+    /// `lookup_func` of the text before `colon`, once asked.
+    func: Option<Option<FuncId>>,
+}
+
+impl<'a> PathSplit<'a> {
+    fn new(name: &'a str) -> Self {
+        PathSplit {
+            name,
+            colon: rsplit_colon(name),
+            func: None,
+        }
+    }
+
+    /// The formal or return slot `prefix` (a prefix of the name) denotes,
+    /// if it is `func::ret` or `func::argN` of a declared function. Other
+    /// qualified names (`main::p` style locals) are plain variables,
+    /// whatever their prefix names.
+    fn declared_slot(
+        &mut self,
+        builder: &ConstraintBuilder,
+        prefix: &str,
+        line: usize,
+    ) -> Result<Option<NodeId>, TextError> {
+        debug_assert_eq!(prefix.as_ptr(), self.name.as_ptr());
+        if self.colon.is_some_and(|c| c >= prefix.len()) {
+            self.colon = rsplit_colon(&self.name[..prefix.len()]);
+            self.func = None;
+        }
+        let Some(colon) = self.colon else {
+            return Ok(None);
+        };
+        let (func_name, member) = (&self.name[..colon - 1], &prefix[colon + 1..]);
+        if member != "ret" && !member.starts_with("arg") {
+            return Ok(None);
+        }
+        let Some(func) = *self
+            .func
+            .get_or_insert_with(|| builder.lookup_func(func_name))
+        else {
+            return Ok(None);
+        };
+        let info = builder.func_info(func);
+        if member == "ret" {
+            return Ok(Some(info.ret));
+        }
+        let idx = &member["arg".len()..];
+        let idx: usize = idx.parse().map_err(|_| TextError {
+            message: format!("invalid formal reference `{prefix}`"),
+            line,
+        })?;
+        match info.formals.get(idx) {
+            Some(&node) => Ok(Some(node)),
+            None => Err(TextError {
+                message: format!(
+                    "function `{func_name}` has {} formal(s), no `arg{idx}`",
+                    info.formals.len()
+                ),
+                line,
+            }),
+        }
+    }
+}
+
+/// The index of the second `:` of the rightmost `::` in `name`,
+/// searching for the `:` character: a string pattern would set up a
+/// substring searcher for every name.
+fn rsplit_colon(name: &str) -> Option<usize> {
     let mut end = name.len();
     while let Some(colon) = name[..end].rfind(':') {
         if colon > 0 && name.as_bytes()[colon - 1] == b':' {
-            return Some((&name[..colon - 1], &name[colon + 1..]));
+            return Some(colon);
         }
         end = colon;
     }
@@ -717,5 +780,158 @@ mod field_tests {
         assert!(parse_constraints("field o\n").is_err());
         assert!(parse_constraints("field .3\n").is_err());
         assert!(parse_constraints("x = &p->notanumber\n").is_err());
+    }
+
+    /// `declared_node` as it was written before the suffix walk, one
+    /// recursion per `.fN` suffix: the oracle for the iterative walk.
+    fn recursive_declared_node(
+        builder: &ConstraintBuilder,
+        name: &str,
+        line: usize,
+    ) -> Result<Option<NodeId>, TextError> {
+        if let Some(colon) = rsplit_colon(name) {
+            let (func_name, member) = (&name[..colon - 1], &name[colon + 1..]);
+            let slot = member == "ret" || member.starts_with("arg");
+            if let Some(func) = slot.then(|| builder.lookup_func(func_name)).flatten() {
+                let info = builder.func_info(func);
+                if member == "ret" {
+                    return Ok(Some(info.ret));
+                }
+                let idx = &member["arg".len()..];
+                let idx: usize = idx.parse().map_err(|_| TextError {
+                    message: format!("invalid formal reference `{name}`"),
+                    line,
+                })?;
+                return match info.formals.get(idx) {
+                    Some(&node) => Ok(Some(node)),
+                    None => Err(TextError {
+                        message: format!(
+                            "function `{func_name}` has {} formal(s), no `arg{idx}`",
+                            info.formals.len()
+                        ),
+                        line,
+                    }),
+                };
+            }
+        }
+        let field_ref = name.rsplit_once('.').and_then(|(parent, rest)| {
+            let parent = parent.trim();
+            let field = rest.strip_prefix('f')?.parse::<u32>().ok()?;
+            (!parent.is_empty() && parent != "_").then_some((parent, field))
+        });
+        if let Some((parent, field)) = field_ref {
+            let parent = match recursive_declared_node(builder, parent, line)? {
+                Some(node) => Some(node),
+                None => builder.lookup_var(parent),
+            };
+            if let Some(node) = parent.and_then(|p| builder.lookup_field(p, field)) {
+                return Ok(Some(node));
+            }
+        }
+        Ok(None)
+    }
+
+    #[test]
+    fn suffix_walk_matches_the_recursive_oracle() {
+        let mut b = ConstraintBuilder::new();
+        let f = b.func("f", 2);
+        let ret = b.func_info(f).ret;
+        b.func("a::f", 1);
+        let x = b.var("x");
+        let x1 = b.field_node(x, 1);
+        b.field_node(x1, 2);
+        b.field_node(ret, 0);
+        let dotted = b.var("y.f1");
+        b.field_node(dotted, 3);
+        let bases = [
+            "x",
+            "y",
+            "y.f1",
+            "f",
+            "f::ret",
+            "f::arg0",
+            "f::arg1",
+            "f::arg5",
+            "f::argv",
+            "a::f::ret",
+            "a::f::arg0",
+            "b::ret",
+            "::ret",
+            "_",
+            " ",
+            ":",
+            "f:",
+        ];
+        let suffixes = [
+            ".f0", ".f1", ".f2", ".f3", ".f9", " .f1", ".f", ".", ".g1", "::ret", "::arg0", ":",
+            "_",
+        ];
+        let mut rng = ddpa_support::Rng::seed_from_u64(0x7e47);
+        let mut seen = [0usize; 3];
+        for _ in 0..20_000 {
+            let mut name = String::from(bases[rng.gen_range(0..bases.len())]);
+            for _ in 0..rng.gen_range(0..5usize) {
+                name.push_str(suffixes[rng.gen_range(0..suffixes.len())]);
+            }
+            let name = name.trim();
+            if name.is_empty() || name == "_" {
+                continue;
+            }
+            let got = declared_node(&b, name, 3);
+            assert_eq!(got, recursive_declared_node(&b, name, 3), "{name:?}");
+            seen[match got {
+                Ok(None) => 0,
+                Ok(Some(_)) => 1,
+                Err(_) => 2,
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 100), "{seen:?}");
+    }
+
+    #[test]
+    fn declared_nested_field_chain_resolves_to_its_field_node() {
+        let cp = parse_constraints(
+            "fun f/1\n\
+             field x.1\n\
+             field x.f1.2\n\
+             field f::ret.0\n\
+             p = &x.f1.f2\n\
+             q = &f::ret.f0\n\
+             r = &x.f1.f9\n",
+        )
+        .expect("parses");
+        let x = cp
+            .node_ids()
+            .find(|&n| cp.display_node(n) == "x")
+            .expect("x");
+        let ret = cp.funcs().iter().next().expect("f").ret;
+        let field = |parent, idx| {
+            cp.field_nodes()
+                .into_iter()
+                .find(|&(p, f, _)| p == parent && f == idx)
+                .map(|(_, _, node)| node)
+                .expect("declared field")
+        };
+        let objs: Vec<NodeId> = cp.addr_ofs().iter().map(|a| a.obj).collect();
+        assert_eq!(objs[0], field(field(x, 1), 2));
+        assert_eq!(objs[1], field(ret, 0));
+        // An undeclared suffix names a plain variable.
+        assert_eq!(cp.display_node(objs[2]), "x.f1.f9");
+    }
+
+    #[test]
+    fn long_field_suffix_chain_parses_on_a_small_stack() {
+        let mut text = String::from("p = &x");
+        for _ in 0..200_000 {
+            text.push_str(".f1");
+        }
+        text.push('\n');
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse_constraints(&text).map(|cp| cp.addr_ofs().len()))
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(parsed, Ok(1));
     }
 }

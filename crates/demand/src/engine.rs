@@ -58,11 +58,11 @@ use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
 use crate::budget::Budget;
 use crate::config::DemandConfig;
 use crate::cycles::CopyGraph;
-use crate::goal::{Goal, GoalState, Watcher};
+use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
 use crate::sched::{EngineView, Scheduler};
-use crate::share::{close_dirty, CompletedGoal, DirtyView, SharedMemo, SupportRef, ViewIndex};
+use crate::share::{close_dirty, CompletedGoal, DirtyView, SharedMemo, SupportRef};
 use crate::stats::EngineStats;
 use crate::trace::{Explanation, Origin, TraceStep};
 
@@ -90,7 +90,9 @@ pub struct DemandEngine<'p> {
     config: DemandConfig,
     pub(crate) goals: Vec<GoalState>,
     pub(crate) keys: Vec<Goal>,
-    pub(crate) index: HashMap<Goal, u32>,
+    /// Goal → table index, addressed by slot (`pts(n) ↔ 2n`,
+    /// `ptb(n) ↔ 2n+1`) and sized from the program's node count.
+    pub(crate) index: GoalIndex,
     queue: VecDeque<u32>,
     obs: Obs,
     counters: EngineCounters,
@@ -226,7 +228,7 @@ impl<'p> DemandEngine<'p> {
             config,
             goals: Vec::new(),
             keys: Vec::new(),
-            index: HashMap::new(),
+            index: GoalIndex::with_nodes(cp.num_nodes()),
             queue: VecDeque::new(),
             obs,
             counters,
@@ -370,8 +372,10 @@ impl<'p> DemandEngine<'p> {
     /// would silently fuse unrelated goals of the next table.
     pub fn clear(&mut self) {
         self.goals.clear();
+        for &key in &self.keys {
+            self.index.remove(key);
+        }
         self.keys.clear();
-        self.index.clear();
         self.queue.clear();
         self.provenance.clear();
         self.published.clear();
@@ -413,6 +417,7 @@ impl<'p> DemandEngine<'p> {
     pub fn reload(&mut self, cp: &'p ConstraintProgram) {
         self.cp = cp;
         self.invalidate();
+        self.index.grow(cp.num_nodes());
     }
 
     /// Swaps in an updated program, invalidating *only* the transitively
@@ -462,13 +467,13 @@ impl<'p> DemandEngine<'p> {
         // keys the shared table publishes), plus clones of whatever
         // other engines published that this one never tabled.
         let mut views: Vec<DirtyView<'_>> = Vec::new();
-        let mut at = ViewIndex::with_nodes(cp.num_nodes());
+        let mut at = GoalIndex::with_nodes(cp.num_nodes());
         for (gi, state) in self.goals.iter().enumerate() {
             if state.merged || !state.complete {
                 continue;
             }
             for goal in std::iter::once(self.keys[gi]).chain(state.aliases.iter().copied()) {
-                at.insert(goal, views.len());
+                at.insert(goal, views.len() as u32);
                 views.push(DirtyView {
                     goal,
                     support: SupportRef::Set(&state.support),
@@ -482,7 +487,7 @@ impl<'p> DemandEngine<'p> {
             None => Vec::new(),
         };
         for (goal, entry) in &foreign {
-            at.insert(*goal, views.len());
+            at.insert(*goal, views.len() as u32);
             views.push(DirtyView::of_entry(*goal, entry));
         }
         let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
@@ -499,8 +504,12 @@ impl<'p> DemandEngine<'p> {
         // `install_completed` would give them, in the same order.
         let mut goals = std::mem::take(&mut self.goals);
         let keys = std::mem::take(&mut self.keys);
+        for &key in &keys {
+            self.index.remove(key);
+        }
         let provenance = std::mem::take(&mut self.provenance);
         self.clear();
+        self.index.grow(cp.num_nodes());
         self.goals.reserve_exact(retained);
         self.keys.reserve_exact(retained);
         self.costs.reserve_exact(retained);
@@ -565,6 +574,7 @@ impl<'p> DemandEngine<'p> {
     /// the real program is being edited in place.
     pub fn repoint(&mut self, cp: &'p ConstraintProgram) {
         self.cp = cp;
+        self.index.grow(cp.num_nodes());
     }
 
     /// Computes `pts(node)` on demand.
@@ -682,7 +692,7 @@ impl<'p> DemandEngine<'p> {
         if let Some(hit) = try_key(goal) {
             return Some(hit);
         }
-        let &gi = self.index.get(&goal)?;
+        let gi = self.index.get(goal)?;
         let rep = self.cycles.find_readonly(gi);
         let rep_key = self.keys[rep as usize];
         if rep_key != goal {
@@ -708,7 +718,7 @@ impl<'p> DemandEngine<'p> {
     /// Activates `goal` and returns the index of the state holding it —
     /// the *representative* index when the goal was merged into a cycle.
     fn activate(&mut self, goal: Goal) -> u32 {
-        if let Some(&gi) = self.index.get(&goal) {
+        if let Some(gi) = self.index.get(goal) {
             return self.cycles.find(gi);
         }
         let gi = self.goals.len() as u32;
@@ -851,7 +861,7 @@ impl<'p> DemandEngine<'p> {
     /// over the *same program*; snapshot restore verifies the program
     /// hash first.
     pub fn install_completed(&mut self, goal: Goal, result: &CompletedGoal) -> bool {
-        if !self.config.caching || self.index.contains_key(&goal) {
+        if !self.config.caching || self.index.get(goal).is_some() {
             return false;
         }
         let state = GoalState::completed(
@@ -948,14 +958,14 @@ impl<'p> DemandEngine<'p> {
         // dirties the consumer (see `reload_incremental`). Recorded even
         // for suppressed/duplicate subscriptions — `add_dep` dedups, and
         // a same-family edge (consumer routed to `gi` itself) is skipped.
-        if let Some(&ci) = self.index.get(&watcher.consumer()) {
+        if let Some(ci) = self.index.get(watcher.consumer()) {
             let ci = self.cycles.find(ci);
             if ci != gi {
                 self.goals[ci as usize].add_dep(goal);
             }
         }
         if let Watcher::CopyTo { dst } = watcher {
-            if let Some(&di) = self.index.get(&Goal::Pts(dst)) {
+            if let Some(di) = self.index.get(Goal::Pts(dst)) {
                 if self.cycles.find(di) == gi {
                     self.goals[gi as usize].registered.insert(watcher);
                     return;
@@ -973,8 +983,8 @@ impl<'p> DemandEngine<'p> {
                 // The consumer goal now blocks on new elements of `gi`.
                 let consumer = self
                     .index
-                    .get(&watcher.consumer())
-                    .map(|&ci| self.cycles.find_readonly(ci))
+                    .get(watcher.consumer())
+                    .map(|ci| self.cycles.find_readonly(ci))
                     .unwrap_or(u32::MAX);
                 self.flight_record(FlightEventKind::Blocked, gi, consumer, 0);
             }
@@ -1000,6 +1010,36 @@ impl<'p> DemandEngine<'p> {
                 Goal::Ptb(o) => self.install_ptb(o),
             }
         }
+        // Per-fire tallies stay in a local and reach the shared counters
+        // once per visit: nothing reads them while a goal is processed.
+        let mut fires_by_kind = [0u64; 12];
+        let done = self.fire_watchers(gi, budget, &mut fires_by_kind);
+        let fires: u64 = fires_by_kind.iter().sum();
+        if fires > 0 {
+            self.counters.fires.add(fires);
+            self.counters.work.add(fires);
+            for (counter, &n) in self.counters.fires_by_kind.iter().zip(&fires_by_kind) {
+                if n > 0 {
+                    counter.add(n);
+                }
+            }
+            let cost = &mut self.costs[gi as usize];
+            cost.work += fires;
+            cost.fires += fires;
+            self.cycles.tick(fires);
+        }
+        done
+    }
+
+    /// Advances every watcher cursor of `gi` to the end of its element
+    /// list, counting each firing into `fires_by_kind`. Returns `false`
+    /// on budget exhaustion (the goal is re-queued at the front).
+    fn fire_watchers(
+        &mut self,
+        gi: u32,
+        budget: &mut Budget,
+        fires_by_kind: &mut [u64; 12],
+    ) -> bool {
         loop {
             let mut progressed = false;
             let mut wi = 0;
@@ -1018,20 +1058,12 @@ impl<'p> DemandEngine<'p> {
                     let elem = state.elems[cursor];
                     let watcher = state.watchers[wi];
                     self.goals[gi as usize].cursors[wi] = (cursor + 1) as u32;
-                    self.counters.fires.inc();
-                    self.counters.fires_by_kind[watcher.kind_index()].inc();
-                    self.counters.work.inc();
-                    {
-                        let cost = &mut self.costs[gi as usize];
-                        cost.work += 1;
-                        cost.fires += 1;
-                    }
+                    fires_by_kind[watcher.kind_index()] += 1;
                     if let Some(flight) = &self.flight {
                         if flight.maybe_record_fire(gi, watcher.kind_index() as u32) {
                             self.counters.flight_events.inc();
                         }
                     }
-                    self.cycles.tick();
                     let src = self.keys[gi as usize];
                     self.fire(src, watcher, elem);
                     progressed = true;
@@ -1089,9 +1121,7 @@ impl<'p> DemandEngine<'p> {
         let _span = self.obs.span("demand.cycles.collapse");
         self.counters.cycles_runs.inc();
         let index = &self.index;
-        let comps = self
-            .cycles
-            .components(|dst| index.get(&Goal::Pts(dst)).copied());
+        let comps = self.cycles.components(|dst| index.get(Goal::Pts(dst)));
         for comp in comps {
             // A completed goal is a frozen memo entry at fixpoint; at
             // fixpoint the complete set is closed under deduction, so a
@@ -1185,8 +1215,8 @@ impl<'p> DemandEngine<'p> {
             let internal = match w {
                 Watcher::CopyTo { dst } => self
                     .index
-                    .get(&Goal::Pts(dst))
-                    .is_some_and(|&di| self.cycles.find_readonly(di) == rep),
+                    .get(Goal::Pts(dst))
+                    .is_some_and(|di| self.cycles.find_readonly(di) == rep),
                 _ => false,
             };
             if !internal {
@@ -1222,8 +1252,8 @@ impl<'p> DemandEngine<'p> {
         {
             let cached = self
                 .index
-                .get(&goal)
-                .map(|&gi| self.cycles.find_readonly(gi))
+                .get(goal)
+                .map(|gi| self.cycles.find_readonly(gi))
                 .is_some_and(|gi| self.goals[gi as usize].complete);
             if !cached {
                 return self.run_parallel(goal);
@@ -1360,14 +1390,14 @@ impl<'p> Deduce<'p> for DemandEngine<'p> {
     }
 
     fn note_support(&mut self, goal: Goal, node: NodeId) {
-        if let Some(&gi) = self.index.get(&goal) {
+        if let Some(gi) = self.index.get(goal) {
             let gi = self.cycles.find(gi);
             self.goals[gi as usize].support.insert(node.as_u32());
         }
     }
 
     fn note_indirect(&mut self, goal: Goal) {
-        if let Some(&gi) = self.index.get(&goal) {
+        if let Some(gi) = self.index.get(goal) {
             let gi = self.cycles.find(gi);
             self.goals[gi as usize].reads_indirect = true;
         }

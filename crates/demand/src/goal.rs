@@ -6,9 +6,9 @@
 //! budget-abortable, and resumable: a watcher installed later simply
 //! starts its cursor at zero and replays the memoized elements.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
-use ddpa_support::HybridSet;
+use ddpa_support::{FxHashSet, HybridSet};
 
 use ddpa_constraints::NodeId;
 
@@ -37,6 +37,81 @@ impl Goal {
             Goal::Pts(n) => (0, n.as_u32()),
             Goal::Ptb(n) => (1, n.as_u32()),
         }
+    }
+}
+
+/// Goal → `u32` table (a goal-table index or a view index) addressed by
+/// the scheduler's slots: `pts(n) → 2n`, `ptb(n) → 2n+1`. Goals of the
+/// first `nodes` nodes live in a dense array, so lookups hash nothing;
+/// any other goal — one a snapshot may carry — goes to a map, so no node
+/// id can size an allocation. The dense part grows only by
+/// [`GoalIndex::grow`], to the node count of the program being analyzed.
+#[derive(Debug, Default)]
+pub(crate) struct GoalIndex {
+    dense: Vec<u32>,
+    sparse: HashMap<Goal, u32>,
+}
+
+impl GoalIndex {
+    const ABSENT: u32 = u32::MAX;
+
+    /// An empty index, dense over the goals of `nodes` nodes.
+    pub(crate) fn with_nodes(nodes: usize) -> Self {
+        let mut index = GoalIndex::default();
+        index.grow(nodes);
+        index
+    }
+
+    /// Extends the dense part to cover the goals of `nodes` nodes (never
+    /// shrinks), moving map entries that now fall inside it.
+    pub(crate) fn grow(&mut self, nodes: usize) {
+        if 2 * nodes <= self.dense.len() {
+            return;
+        }
+        self.dense.resize(2 * nodes, Self::ABSENT);
+        let sparse = std::mem::take(&mut self.sparse);
+        for (goal, v) in sparse {
+            self.insert(goal, v);
+        }
+    }
+
+    fn slot(&self, goal: Goal) -> Option<usize> {
+        let slot = match goal {
+            Goal::Pts(n) => 2 * n.as_u32() as usize,
+            Goal::Ptb(n) => 2 * n.as_u32() as usize + 1,
+        };
+        (slot < self.dense.len()).then_some(slot)
+    }
+
+    /// Records `v` for `goal` (a later call wins).
+    pub(crate) fn insert(&mut self, goal: Goal, v: u32) {
+        debug_assert_ne!(v, Self::ABSENT);
+        match self.slot(goal) {
+            Some(slot) => self.dense[slot] = v,
+            None => {
+                self.sparse.insert(goal, v);
+            }
+        }
+    }
+
+    /// Forgets `goal`.
+    pub(crate) fn remove(&mut self, goal: Goal) {
+        match self.slot(goal) {
+            Some(slot) => self.dense[slot] = Self::ABSENT,
+            None => {
+                self.sparse.remove(&goal);
+            }
+        }
+    }
+
+    /// The value recorded for `goal`, if any.
+    #[inline]
+    pub(crate) fn get(&self, goal: Goal) -> Option<u32> {
+        let v = match self.slot(goal) {
+            Some(slot) => self.dense[slot],
+            None => *self.sparse.get(&goal)?,
+        };
+        (v != Self::ABSENT).then_some(v)
     }
 }
 
@@ -213,8 +288,9 @@ pub struct GoalState {
     pub watchers: Vec<Watcher>,
     /// `cursors[i]` = how many of `elems` watcher `i` has consumed.
     pub cursors: Vec<u32>,
-    /// Deduplicates watcher installation.
-    pub registered: HashSet<Watcher>,
+    /// Deduplicates watcher installation. Only membership is ever read,
+    /// never iteration order, so a fixed fast hasher is safe here.
+    pub registered: FxHashSet<Watcher>,
     /// Static rules not yet installed.
     pub needs_init: bool,
     /// All rules installed and every fact fully propagated — the memoized
@@ -252,7 +328,7 @@ impl GoalState {
             elems: Vec::new(),
             watchers: Vec::new(),
             cursors: Vec::new(),
-            registered: HashSet::new(),
+            registered: FxHashSet::default(),
             needs_init: true,
             complete: false,
             on_list: false,

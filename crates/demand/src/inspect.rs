@@ -302,7 +302,7 @@ impl<'p> DemandEngine<'p> {
     /// no node. Tolerant by construction — a half-built table just yields
     /// fewer edges.
     fn consumer_node(&self, watcher: &Watcher, node_of: &HashMap<u32, usize>) -> Option<usize> {
-        let &ci = self.index.get(&watcher.consumer())?;
+        let ci = self.index.get(watcher.consumer())?;
         node_of.get(&self.cycles.find_readonly(ci)).copied()
     }
 

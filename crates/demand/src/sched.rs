@@ -32,9 +32,9 @@
 //!
 //! Frames are pre-allocated, one per possible goal, and addressed by
 //! *slot*: `pts(n) ↔ 2·n`, `ptb(n) ↔ 2·n + 1`. Slot identity replaces
-//! the sequential engine's activation-ordered goal indices and its
-//! `index` hash map — workers never contend on a shared allocation, and
-//! `Goal ↔ slot` is a pure function.
+//! the sequential engine's activation-ordered goal indices (which that
+//! engine finds through a slot-addressed `GoalIndex`) — workers never
+//! contend on a shared allocation, and `Goal ↔ slot` is a pure function.
 //!
 //! # Termination
 //!
@@ -45,7 +45,6 @@
 //! the global fixpoint; idle workers spin on a condvar with a short
 //! timeout until then.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -54,7 +53,7 @@ use ddpa_obs::{FlightEventKind, FlightRecorder, Obs};
 
 use crate::config::{DemandConfig, SchedPolicy};
 use crate::cycles::CopyGraph;
-use crate::goal::{Goal, GoalState, Watcher};
+use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
 use crate::share::{CompletedGoal, SharedMemo};
@@ -164,14 +163,14 @@ pub struct SolveOutcome {
 /// path's equivalent of a warm memo table.
 pub(crate) struct EngineView<'a> {
     pub goals: &'a [GoalState],
-    pub index: &'a HashMap<Goal, u32>,
+    pub index: &'a GoalIndex,
     pub cycles: &'a CopyGraph,
 }
 
 impl EngineView<'_> {
     /// The engine's completed element set for `goal`, if it has one.
     fn lookup(&self, goal: Goal) -> Option<Vec<u32>> {
-        let &gi = self.index.get(&goal)?;
+        let gi = self.index.get(goal)?;
         let rep = self.cycles.find_readonly(gi);
         let state = &self.goals[rep as usize];
         state.complete.then(|| state.members.iter().collect())

@@ -48,7 +48,7 @@ use std::sync::Mutex;
 use ddpa_constraints::ProgramDiff;
 use ddpa_support::HybridSet;
 
-use crate::goal::Goal;
+use crate::goal::{Goal, GoalIndex};
 use crate::trace::Origin;
 
 /// Number of independently locked shards; a power of two so the shard
@@ -335,12 +335,12 @@ pub fn dirty_closure(
     entries: &[(Goal, CompletedGoal)],
     diff: &ProgramDiff,
 ) -> (HashSet<Goal>, u64) {
-    let mut at = ViewIndex::with_nodes(0);
+    let mut at = GoalIndex::default();
     let views: Vec<DirtyView<'_>> = entries
         .iter()
         .enumerate()
         .map(|(i, (goal, cg))| {
-            at.insert(*goal, i);
+            at.insert(*goal, i as u32);
             DirtyView::of_entry(*goal, cg)
         })
         .collect();
@@ -352,52 +352,6 @@ pub fn dirty_closure(
         .map(|(v, _)| v.goal)
         .collect();
     (set, edges)
-}
-
-/// Goal → index of its view. Goals of the first `nodes` nodes are
-/// addressed densely by slot (`pts(n) → 2n`, `ptb(n) → 2n+1`), so the
-/// closure's many lookups hash nothing; any other goal — one a snapshot
-/// may carry — goes to a map, so no node id can size an allocation.
-pub(crate) struct ViewIndex {
-    dense: Vec<u32>,
-    sparse: HashMap<Goal, u32>,
-}
-
-impl ViewIndex {
-    /// An empty index, dense over the goals of `nodes` nodes.
-    pub(crate) fn with_nodes(nodes: usize) -> Self {
-        ViewIndex {
-            dense: vec![u32::MAX; 2 * nodes],
-            sparse: HashMap::new(),
-        }
-    }
-
-    fn slot(&self, goal: Goal) -> Option<usize> {
-        let slot = match goal {
-            Goal::Pts(n) => 2 * n.as_u32() as usize,
-            Goal::Ptb(n) => 2 * n.as_u32() as usize + 1,
-        };
-        (slot < self.dense.len()).then_some(slot)
-    }
-
-    /// Records `view` as the view of `goal` (a later call wins).
-    pub(crate) fn insert(&mut self, goal: Goal, view: usize) {
-        match self.slot(goal) {
-            Some(slot) => self.dense[slot] = view as u32,
-            None => {
-                self.sparse.insert(goal, view as u32);
-            }
-        }
-    }
-
-    /// The view of `goal`, if one was recorded.
-    pub(crate) fn get(&self, goal: Goal) -> Option<usize> {
-        let view = match self.slot(goal) {
-            Some(slot) => self.dense[slot],
-            None => *self.sparse.get(&goal)?,
-        };
-        (view != u32::MAX).then_some(view as usize)
-    }
 }
 
 /// A support set as [`close_dirty`] reads it.
@@ -445,7 +399,7 @@ impl<'a> DirtyView<'a> {
 /// propagation traversed.
 pub(crate) fn close_dirty(
     views: &[DirtyView<'_>],
-    at: &ViewIndex,
+    at: &GoalIndex,
     diff: &ProgramDiff,
 ) -> (Vec<bool>, u64) {
     let n = views.len();
@@ -457,7 +411,7 @@ pub(crate) fn close_dirty(
     for (i, view) in views.iter().enumerate() {
         let mut seed = view.seed(diff);
         for &p in view.deps {
-            match at.get(p) {
+            match at.get(p).map(|pi| pi as usize) {
                 Some(pi) if pi != i => start[pi + 1] += 1,
                 Some(_) => {}
                 None => seed = true,
@@ -475,7 +429,7 @@ pub(crate) fn close_dirty(
     let mut next = start.clone();
     for (i, view) in views.iter().enumerate() {
         for &p in view.deps {
-            if let Some(pi) = at.get(p).filter(|&pi| pi != i) {
+            if let Some(pi) = at.get(p).map(|pi| pi as usize).filter(|&pi| pi != i) {
                 consumers[next[pi] as usize] = i as u32;
                 next[pi] += 1;
             }

@@ -36,6 +36,11 @@ pub struct Interner {
     /// Each string is allocated once, shared by its slot and its map key.
     strings: IndexVec<Symbol, Arc<str>>,
     map: HashMap<Arc<str>, Symbol>,
+    /// Bit `n` is set once a string of `n` bytes was interned (never
+    /// cleared), so a lookup of any other length hashes nothing — a name
+    /// and its many prefixes cost one pass over the name, not one per
+    /// prefix.
+    lengths: Vec<u64>,
 }
 
 impl Interner {
@@ -49,6 +54,11 @@ impl Interner {
         if let Some(&sym) = self.map.get(text) {
             return sym;
         }
+        let (word, bit) = (text.len() / 64, text.len() % 64);
+        if word >= self.lengths.len() {
+            self.lengths.resize(word + 1, 0);
+        }
+        self.lengths[word] |= 1 << bit;
         let shared: Arc<str> = text.into();
         let sym = self.strings.push(Arc::clone(&shared));
         self.map.insert(shared, sym);
@@ -66,6 +76,10 @@ impl Interner {
 
     /// Returns the symbol for `text` if it has been interned.
     pub fn lookup(&self, text: &str) -> Option<Symbol> {
+        let (word, bit) = (text.len() / 64, text.len() % 64);
+        if self.lengths.get(word).is_none_or(|w| w & (1 << bit) == 0) {
+            return None;
+        }
         self.map.get(text).copied()
     }
 

@@ -5,6 +5,8 @@
 //!
 //! * [`idx`] — strongly typed `u32` index newtypes ([`define_index!`]) and
 //!   the dense [`IndexVec`] keyed by them;
+//! * [`fxhash`] — a fixed multiply–rotate hasher for tables keyed by ids
+//!   the program mints itself;
 //! * [`intern`] — a string interner for symbol names;
 //! * [`rng`] — a seeded, dependency-free xoshiro256++ generator used by
 //!   the workload generators and property tests;
@@ -33,6 +35,7 @@
 //! ```
 
 pub mod bitset;
+pub mod fxhash;
 pub mod hybrid;
 pub mod idx;
 pub mod intern;
@@ -42,6 +45,7 @@ pub mod stats;
 pub mod unionfind;
 
 pub use bitset::SparseBitSet;
+pub use fxhash::FxHashSet;
 pub use hybrid::HybridSet;
 pub use idx::{Idx, IndexVec};
 pub use intern::{Interner, Symbol};

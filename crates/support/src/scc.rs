@@ -33,7 +33,9 @@ impl SccResult {
 }
 
 /// Computes strongly-connected components of the graph with `n` nodes whose
-/// successors are produced by `successors(v, out)` (pushing into `out`).
+/// successors are produced by `successors(v, out)`, which appends them to
+/// `out`. The buffer is shared by the whole DFS stack, so `out` may already
+/// hold other nodes' successors: push, never clear or reorder.
 ///
 /// # Examples
 ///
@@ -59,35 +61,37 @@ pub fn tarjan(n: usize, mut successors: impl FnMut(u32, &mut Vec<u32>)) -> SccRe
     let mut next_index = 0u32;
     let mut count = 0u32;
 
-    // Explicit DFS frame: (node, successors, next successor position).
+    // Explicit DFS frame. Every frame's successors live in one shared
+    // buffer: the top frame owns `succs[start..]` and has consumed up to
+    // `pos`. A child's range sits above its parent's, so popping a frame
+    // truncates the buffer back to its `start`.
     struct Frame {
         node: u32,
-        succs: Vec<u32>,
+        start: usize,
         pos: usize,
     }
 
-    let mut scratch: Vec<u32> = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
+    let mut succs: Vec<u32> = Vec::new();
     for start in 0..n as u32 {
         if index[start as usize] != UNVISITED {
             continue;
         }
-        let mut frames: Vec<Frame> = Vec::new();
         index[start as usize] = next_index;
         lowlink[start as usize] = next_index;
         next_index += 1;
         stack.push(start);
         on_stack[start as usize] = true;
-        scratch.clear();
-        successors(start, &mut scratch);
+        successors(start, &mut succs);
         frames.push(Frame {
             node: start,
-            succs: std::mem::take(&mut scratch),
+            start: 0,
             pos: 0,
         });
 
         while let Some(frame) = frames.last_mut() {
-            if frame.pos < frame.succs.len() {
-                let w = frame.succs[frame.pos];
+            if frame.pos < succs.len() {
+                let w = succs[frame.pos];
                 frame.pos += 1;
                 let wi = w as usize;
                 if index[wi] == UNVISITED {
@@ -96,12 +100,12 @@ pub fn tarjan(n: usize, mut successors: impl FnMut(u32, &mut Vec<u32>)) -> SccRe
                     next_index += 1;
                     stack.push(w);
                     on_stack[wi] = true;
-                    scratch.clear();
-                    successors(w, &mut scratch);
+                    let child = succs.len();
+                    successors(w, &mut succs);
                     frames.push(Frame {
                         node: w,
-                        succs: std::mem::take(&mut scratch),
-                        pos: 0,
+                        start: child,
+                        pos: child,
                     });
                 } else if on_stack[wi] {
                     let v = frame.node as usize;
@@ -121,6 +125,7 @@ pub fn tarjan(n: usize, mut successors: impl FnMut(u32, &mut Vec<u32>)) -> SccRe
                     }
                     count += 1;
                 }
+                succs.truncate(frame.start);
                 frames.pop();
                 if let Some(parent) = frames.last() {
                     let p = parent.node as usize;
