@@ -883,6 +883,28 @@ mod tests {
             assert!(cp.field_of(heap, 0).is_some(), "{heap_name} untyped");
         }
     }
+
+    /// `main` with its assignment `levels` blocks deep: the statement
+    /// sits at depth `levels + 1` and its `&g` at `levels + 2`.
+    fn nested_src(levels: usize) -> String {
+        format!(
+            "int g; void main() {{ int *p; {} p = &g; {} }}",
+            "{".repeat(levels),
+            "}".repeat(levels)
+        )
+    }
+
+    #[test]
+    fn nesting_at_the_parser_maximum_parses_checks_and_lowers() {
+        let cp = lower_src(&nested_src(ddpa_ir::MAX_DEPTH - 2));
+        assert_eq!(cp.addr_ofs().len(), 1);
+        assert_eq!(cp.display_node(cp.addr_ofs()[0].obj), "g");
+        let err = ddpa_ir::parse(&nested_src(ddpa_ir::MAX_DEPTH - 1)).expect_err("too deep");
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {}", ddpa_ir::MAX_DEPTH)
+        );
+    }
 }
 
 #[cfg(test)]

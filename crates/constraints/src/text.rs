@@ -31,6 +31,10 @@
 //! may sit anywhere, and the error reported is the first in pass order
 //! (a bad `fun` line beats a bad `field` line above it, and either beats
 //! every bad constraint line), not the first in the text.
+//!
+//! The declared arities together may not exceed the input's length in
+//! bytes, since each formal becomes a node: a short line cannot make the
+//! parser mint billions of them.
 
 use crate::diff::{diff_appended, ProgramDiff};
 use crate::model::{FuncId, NodeId};
@@ -90,8 +94,22 @@ pub fn parse_constraints(text: &str) -> Result<ConstraintProgram, TextError> {
     let mut builder = ConstraintBuilder::new();
 
     // Pass 1: function declarations (so formal references resolve anywhere).
+    // Each formal is a node, so the declared arities together may not
+    // exceed the input's length: no number read from the text sizes the
+    // program beyond the text itself.
+    let mut formals = 0usize;
     for (lineno, rest) in funs {
         let (name, arity) = parse_fun_decl(rest, lineno)?;
+        formals = formals.saturating_add(arity);
+        if formals > text.len() {
+            return Err(TextError {
+                message: format!(
+                    "arity {arity} of `{name}` exceeds the input's length ({} bytes)",
+                    text.len()
+                ),
+                line: lineno,
+            });
+        }
         if builder.lookup_func(name).is_some() {
             return Err(TextError {
                 message: format!("function `{name}` declared twice"),
@@ -917,6 +935,21 @@ mod field_tests {
         assert_eq!(objs[1], field(ret, 0));
         // An undeclared suffix names a plain variable.
         assert_eq!(cp.display_node(objs[2]), "x.f1.f9");
+    }
+
+    #[test]
+    fn arity_beyond_the_input_length_is_an_error() {
+        let err = parse_constraints("fun f/4000000000").expect_err("bounded arity");
+        assert_eq!(err.line, 1);
+        assert_eq!(
+            err.message,
+            "arity 4000000000 of `f` exceeds the input's length (16 bytes)"
+        );
+        // The bound is on the sum: many declarations cannot add up past it.
+        let text = "fun f/20\nfun g/20\n";
+        assert!(parse_constraints(text).is_err());
+        let cp = parse_constraints("fun f/4\nfun g/3\n").expect("within the bound");
+        assert_eq!(cp.funcs().len(), 2);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::sync::Arc;
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId};
 use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
+use ddpa_support::FxHashSet;
 
 use crate::budget::Budget;
 use crate::config::DemandConfig;
@@ -111,7 +112,7 @@ pub struct DemandEngine<'p> {
     shared_gen: u64,
     /// Goals already published to (or installed from) the shared table,
     /// so a drain never re-publishes the whole table.
-    published: HashSet<Goal>,
+    published: FxHashSet<Goal>,
     /// The deduction flight recorder, when enabled
     /// ([`DemandConfig::flight`]). Recording is append-only and never
     /// feeds back into deduction, so answers are identical either way.
@@ -237,7 +238,7 @@ impl<'p> DemandEngine<'p> {
             cycles,
             shared: None,
             shared_gen: 0,
-            published: HashSet::new(),
+            published: FxHashSet::default(),
             flight,
             costs: Vec::new(),
             last_parallel: false,
@@ -820,30 +821,18 @@ impl<'p> DemandEngine<'p> {
     }
 
     /// Materializes the publishable [`CompletedGoal`] for the complete
-    /// goal at `gi` (provenance looked up under `key`). Member, support,
-    /// and dep orders are canonical, so entries are byte-stable
-    /// regardless of derivation order.
+    /// goal at `gi`, with its provenance (looked up under `key`) when
+    /// tracing.
     fn completed_entry(&self, gi: usize, key: Goal) -> CompletedGoal {
-        let state = &self.goals[gi];
-        let elems: Vec<u32> = state.members.iter().collect();
-        let provenance = if self.config.trace {
-            elems
+        let mut entry = CompletedGoal::of_state(&self.goals[gi]);
+        if self.config.trace {
+            entry.provenance = entry
+                .elems
                 .iter()
                 .filter_map(|&v| self.provenance.get(&(key, v)).map(|&origin| (v, origin)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let support: Vec<u32> = state.support.iter().collect();
-        let mut deps = state.deps.clone();
-        deps.sort_by_key(|g| g.canonical_key());
-        CompletedGoal {
-            elems,
-            provenance,
-            support,
-            deps,
-            reads_indirect: state.reads_indirect,
+                .collect();
         }
+        entry
     }
 
     /// Installs a completed fixpoint as a tabled, complete goal without
@@ -1305,7 +1294,7 @@ impl<'p> DemandEngine<'p> {
                 sched = sched.with_shared(Arc::clone(shared), self.shared_gen);
             }
         }
-        let outcome = {
+        let mut outcome = {
             let view = EngineView {
                 goals: &self.goals,
                 index: &self.index,
@@ -1313,7 +1302,7 @@ impl<'p> DemandEngine<'p> {
             };
             sched.solve_seeded(goal, Some(&view))
         };
-        let stats = &outcome.stats;
+        let stats = outcome.stats;
         self.counters.work.add(stats.work);
         self.counters.fires.add(stats.fires);
         for (i, &n) in stats.fires_by_kind.iter().enumerate() {
@@ -1331,34 +1320,35 @@ impl<'p> DemandEngine<'p> {
         self.counters.flight_events.add(stats.flight_events);
         let work = stats.work;
         if self.config.caching {
-            if let Some(shared) = &self.shared {
-                let shared = Arc::clone(shared);
-                for (g, entry) in &outcome.completed {
-                    if self.published.contains(g) {
-                        continue;
-                    }
-                    let (published, evicted) = shared.publish(self.shared_gen, *g, entry.clone());
-                    if evicted > 0 {
-                        self.counters.share_evictions.add(evicted);
-                    }
-                    if published {
-                        self.counters.share_publishes.inc();
+            let shared = self.shared.clone();
+            for (g, state) in outcome.completed() {
+                if let Some(shared) = &shared {
+                    if !self.published.contains(&g) {
+                        let entry = CompletedGoal::of_state(&state);
+                        let (published, evicted) = shared.publish(self.shared_gen, g, entry);
+                        if evicted > 0 {
+                            self.counters.share_evictions.add(evicted);
+                        }
+                        if published {
+                            self.counters.share_publishes.inc();
+                        }
                     }
                 }
-            }
-            // Table the fixpoints locally so later queries (parallel or
-            // sequential) answer from the memo. Goals the engine already
-            // tables (e.g. incomplete from an old budgeted query) are
-            // left untouched.
-            for (g, entry) in &outcome.completed {
-                self.install_completed(*g, entry);
+                // Table the fixpoint locally, by move, so later queries
+                // (parallel or sequential) answer from the memo. Goals
+                // the engine already tables (e.g. incomplete from an old
+                // budgeted query) are left untouched, as by
+                // `install_completed`.
+                if self.index.get(g).is_none() {
+                    self.push_completed(g, state);
+                }
             }
         } else {
             self.counters.goals_activated.add(stats.activated);
         }
         self.counters.complete_queries.inc();
         QueryResult {
-            pts: outcome.pts,
+            pts: std::mem::take(&mut outcome.pts),
             complete: true,
             work,
         }

@@ -42,10 +42,24 @@
 //! under the frame lock on the off-list → on-list transition, kept while
 //! a popped frame is being stepped, and decremented when the step
 //! finishes. New work only appears from steps, so `active == 0` implies
-//! the global fixpoint; idle workers spin on a condvar with a short
-//! timeout until then.
+//! the global fixpoint.
+//!
+//! A worker that finds no runnable frame sleeps on a condvar with no
+//! timeout, and wakeups are counted so that a schedule costs no syscall
+//! while every worker is busy:
+//!
+//! * the idle worker takes the idle lock, increments `sleepers`, re-checks
+//!   `active` and every queue, and only then waits;
+//! * a producer pushes the frame, issues a `SeqCst` fence, and takes the
+//!   idle lock to notify one sleeper only when `sleepers > 0`;
+//! * the step that drops `active` to zero notifies every sleeper.
+//!
+//! No wakeup is lost: either the producer's load sees the sleeper's
+//! increment, or the sleeper's re-check (which locks the queue after the
+//! increment) sees the pushed frame. The notify happens under the idle
+//! lock, which the sleeper holds from its increment until it waits.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use ddpa_constraints::{ConstraintProgram, NodeId};
@@ -56,7 +70,7 @@ use crate::cycles::CopyGraph;
 use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
-use crate::share::{CompletedGoal, SharedMemo};
+use crate::share::SharedMemo;
 use crate::trace::Origin;
 
 /// The slot addressing a goal's frame: `pts(n) → 2n`, `ptb(n) → 2n+1`.
@@ -145,10 +159,6 @@ impl SchedStats {
 /// The result of one parallel solve.
 #[derive(Debug)]
 pub struct SolveOutcome {
-    /// Every goal newly driven to fixpoint, with its final element set
-    /// (ascending) — ready for [`crate::DemandEngine::install_completed`]
-    /// or [`SharedMemo::publish`]. Engine-seeded goals are excluded.
-    pub completed: Vec<(Goal, CompletedGoal)>,
     /// The requested goal's final set, ascending.
     pub pts: Vec<NodeId>,
     /// Whether the requested goal was answered from an engine seed (no
@@ -156,6 +166,45 @@ pub struct SolveOutcome {
     pub seeded: bool,
     /// Summed worker tallies.
     pub stats: SchedStats,
+    /// The solve's frame table, at the global fixpoint.
+    frames: Vec<Mutex<Frame>>,
+    /// The slots the solve activated, ascending.
+    activated: Vec<u32>,
+}
+
+impl SolveOutcome {
+    /// Every goal newly driven to fixpoint, in slot order, as a complete,
+    /// watcher-free [`GoalState`] (`elems` ascending, `deps` canonical)
+    /// that a host engine tables as is. Engine-seeded goals are excluded.
+    ///
+    /// Each state is copied exact-size on the calling thread as the
+    /// iterator reaches it, rather than moved out of a frame a worker
+    /// grew: the frames, and the worker-grown buffers in them, are freed
+    /// with the outcome, after the copies exist.
+    pub fn completed(&mut self) -> impl Iterator<Item = (Goal, GoalState)> + '_ {
+        let frames = &mut self.frames;
+        self.activated.iter().filter_map(move |&slot| {
+            let f = frames[slot as usize]
+                .get_mut()
+                .expect("frame lock poisoned");
+            if f.seeded_from_engine {
+                return None;
+            }
+            let state = &f.state;
+            let mut elems = Vec::with_capacity(state.members.len());
+            elems.extend(state.members.iter());
+            let mut deps = state.deps.clone();
+            deps.sort_unstable_by_key(|g| g.canonical_key());
+            let copy = GoalState::completed(
+                state.members.clone(),
+                elems,
+                state.support.clone(),
+                deps,
+                state.reads_indirect,
+            );
+            Some((goal_of(slot), copy))
+        })
+    }
 }
 
 /// A read-only view of a host engine's tabled state, used to seed frames
@@ -189,6 +238,9 @@ struct Core<'p> {
     locals: Vec<StealQueue<u32>>,
     /// Queued + mid-step frames; 0 ⇒ global fixpoint.
     active: AtomicUsize,
+    /// Workers waiting (or about to wait) on `wake`; producers notify
+    /// only when it is nonzero.
+    sleepers: AtomicUsize,
     idle: Mutex<()>,
     wake: Condvar,
     shared: Option<(Arc<SharedMemo>, u64)>,
@@ -202,6 +254,20 @@ impl<'p> Core<'p> {
             .lock()
             .expect("frame lock poisoned")
     }
+
+    /// Whether any runnable queue holds a frame.
+    fn has_queued(&self) -> bool {
+        !self.injector.is_empty() || self.locals.iter().any(|q| !q.is_empty())
+    }
+
+    /// Wakes one sleeping worker after a push, if any worker sleeps.
+    fn wake_one(&self) {
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _idle = self.idle.lock().expect("idle lock poisoned");
+            self.wake.notify_one();
+        }
+    }
 }
 
 /// One worker's execution context. Implements [`Deduce`], so a step runs
@@ -213,18 +279,45 @@ struct WorkerCtx<'c, 'p> {
     /// context, which schedules onto the global injector.
     id: usize,
     stats: SchedStats,
+    /// Slots this context activated; finalize visits only these.
+    activated: Vec<u32>,
+    /// Step buffers, reused across steps: the claimed elements, and one
+    /// `(watcher, start, end)` range of them per watcher.
+    pending: Vec<u32>,
+    batch: Vec<(Watcher, u32, u32)>,
 }
 
 impl<'c, 'p> WorkerCtx<'c, 'p> {
-    /// First-touch activation: seed the frame from the host engine's
-    /// table or the shared memo, or schedule its first step.
-    fn ensure_active(&mut self, slot: u32) {
-        let mut f = self.core.lock(slot);
-        if f.active {
-            return;
+    fn new(core: &'c Core<'p>, view: Option<&'c EngineView<'c>>, id: usize) -> Self {
+        WorkerCtx {
+            core,
+            view,
+            id,
+            stats: SchedStats::default(),
+            activated: Vec::new(),
+            pending: Vec::new(),
+            batch: Vec::new(),
         }
+    }
+
+    /// Locks `slot`'s frame, activating it first if this is its first
+    /// touch.
+    fn lock_active(&mut self, slot: u32) -> MutexGuard<'c, Frame> {
+        let core = self.core;
+        let mut f = core.lock(slot);
+        if !f.active {
+            self.activate_locked(slot, &mut f);
+        }
+        f
+    }
+
+    /// First-touch activation of the locked, inactive frame `f`: seed it
+    /// from the host engine's table or the shared memo, or schedule its
+    /// first step.
+    fn activate_locked(&mut self, slot: u32, f: &mut Frame) {
         f.active = true;
         self.stats.activated += 1;
+        self.activated.push(slot);
         let goal = goal_of(slot);
         if let Some(elems) = self.view.and_then(|v| v.lookup(goal)) {
             for v in elems {
@@ -258,7 +351,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
                 None => self.stats.share_misses += 1,
             }
         }
-        self.schedule_locked(slot, &mut f);
+        self.schedule_locked(slot, f);
     }
 
     /// Puts `slot` on this worker's deque (idempotent while queued).
@@ -280,7 +373,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
         } else {
             self.core.locals[self.id].push(slot);
         }
-        self.core.wake.notify_one();
+        self.core.wake_one();
     }
 
     #[inline]
@@ -298,9 +391,10 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
 
     /// Runs one frame to (momentary) quiescence: install static rules on
     /// the first step, then fire every watcher on every unconsumed
-    /// element, in batches collected under the frame lock. Rule bodies
-    /// run *unlocked* — they lock other frames (or re-lock this one via
-    /// `add`/`subscribe`, e.g. the `FwdProp` self-subscription).
+    /// element, in batches collected under the frame lock into the
+    /// context's reused buffers. Rule bodies run *unlocked* — they lock
+    /// other frames (or re-lock this one via `add`/`subscribe`, e.g. the
+    /// `FwdProp` self-subscription).
     fn step(&mut self, slot: u32) {
         let _span = self.core.obs.span("demand.sched.step");
         let needs_init = {
@@ -319,28 +413,32 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
             }
         }
         let src = goal_of(slot);
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut batch = std::mem::take(&mut self.batch);
         loop {
-            // Claim the pending (watcher, elements) pairs under the lock;
+            // Claim the pending (watcher, elements) ranges under the lock;
             // cursor advancement is what makes concurrent steps of the
             // same frame consume disjoint ranges.
-            let mut batch: Vec<(Watcher, Vec<u32>)> = Vec::new();
+            pending.clear();
+            batch.clear();
             {
                 let mut f = self.core.lock(slot);
-                let nelems = f.state.elems.len();
-                for wi in 0..f.state.watchers.len() {
-                    let cursor = f.state.cursors[wi] as usize;
-                    if cursor < nelems {
-                        let pending = f.state.elems[cursor..nelems].to_vec();
-                        batch.push((f.state.watchers[wi], pending));
-                        f.state.cursors[wi] = nelems as u32;
+                let state = &mut f.state;
+                let nelems = state.elems.len();
+                for (watcher, cursor) in state.watchers.iter().zip(&mut state.cursors) {
+                    if (*cursor as usize) < nelems {
+                        let start = pending.len() as u32;
+                        pending.extend_from_slice(&state.elems[*cursor as usize..]);
+                        batch.push((*watcher, start, pending.len() as u32));
+                        *cursor = nelems as u32;
                     }
                 }
             }
             if batch.is_empty() {
                 break;
             }
-            for (watcher, elems) in batch {
-                for elem in elems {
+            for &(watcher, start, end) in &batch {
+                for &elem in &pending[start as usize..end as usize] {
                     self.stats.fires += 1;
                     self.stats.work += 1;
                     self.stats.fires_by_kind[watcher.kind_index()] += 1;
@@ -353,6 +451,8 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
                 }
             }
         }
+        self.pending = pending;
+        self.batch = batch;
         let mut f = self.core.lock(slot);
         f.steps += 1;
         if !f.state.on_list && !f.state.complete {
@@ -404,15 +504,18 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
                 if self.core.active.load(Ordering::SeqCst) == 0 {
                     return;
                 }
+                // Announce the sleep before the re-check, so a producer
+                // that pushes after the re-check sees `sleepers > 0`.
                 let idle = self.core.idle.lock().expect("idle lock poisoned");
-                if self.core.active.load(Ordering::SeqCst) == 0 {
+                self.core.sleepers.fetch_add(1, Ordering::SeqCst);
+                let done = self.core.active.load(Ordering::SeqCst) == 0;
+                if !done && !self.core.has_queued() {
+                    drop(self.core.wake.wait(idle).expect("idle lock poisoned"));
+                }
+                self.core.sleepers.fetch_sub(1, Ordering::SeqCst);
+                if done {
                     return;
                 }
-                let _ = self
-                    .core
-                    .wake
-                    .wait_timeout(idle, std::time::Duration::from_millis(1))
-                    .expect("idle lock poisoned");
             }
         }
     }
@@ -425,8 +528,7 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
 
     fn add(&mut self, goal: Goal, value: u32, _origin: Origin) {
         let slot = slot_of(goal);
-        self.ensure_active(slot);
-        let mut f = self.core.lock(slot);
+        let mut f = self.lock_active(slot);
         let inserted = f.state.add(value);
         debug_assert!(
             !(inserted && f.state.complete),
@@ -445,8 +547,7 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
         if consumer != slot {
             self.core.lock(consumer).state.add_dep(goal);
         }
-        self.ensure_active(slot);
-        let mut f = self.core.lock(slot);
+        let mut f = self.lock_active(slot);
         // A CopyTo into the subscribed goal itself (`p = p`) is the
         // identity — suppress it, mirroring the sequential engine.
         if let Watcher::CopyTo { dst } = watcher {
@@ -533,6 +634,7 @@ impl<'p> Scheduler<'p> {
             injector: StealQueue::new(),
             locals: (0..workers).map(|_| StealQueue::new()).collect(),
             active: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),
             wake: Condvar::new(),
             shared: self.shared.clone(),
@@ -543,14 +645,10 @@ impl<'p> Scheduler<'p> {
         // Bootstrap from the driver: activate the root (which may answer
         // it outright from a seed) and enqueue its first step on the
         // global injector.
-        let mut boot = WorkerCtx {
-            core: &core,
-            view,
-            id: usize::MAX,
-            stats: SchedStats::default(),
-        };
-        boot.ensure_active(root);
+        let mut boot = WorkerCtx::new(&core, view, usize::MAX);
+        drop(boot.lock_active(root));
         let mut stats = boot.stats;
+        let mut activated = boot.activated;
         let seeded = core.lock(root).seeded_from_engine;
         if !seeded {
             std::thread::scope(|s| {
@@ -558,58 +656,41 @@ impl<'p> Scheduler<'p> {
                     .map(|id| {
                         let core = &core;
                         s.spawn(move || {
-                            let mut ctx = WorkerCtx {
-                                core,
-                                view,
-                                id,
-                                stats: SchedStats::default(),
-                            };
+                            let mut ctx = WorkerCtx::new(core, view, id);
                             ctx.run();
-                            ctx.stats
+                            (ctx.stats, ctx.activated)
                         })
                     })
                     .collect();
                 for h in handles {
-                    stats.absorb(&h.join().expect("scheduler worker panicked"));
+                    let (worker_stats, worker_activated) =
+                        h.join().expect("scheduler worker panicked");
+                    stats.absorb(&worker_stats);
+                    activated.extend(worker_activated);
                 }
             });
         }
         debug_assert_eq!(core.active.load(Ordering::SeqCst), 0);
-        // Finalize: every referenced frame is at the global fixpoint.
-        let mut completed = Vec::new();
-        let mut pts = Vec::new();
-        for (slot, frame) in core.frames.iter().enumerate() {
-            let mut f = frame.lock().expect("frame lock poisoned");
-            if !f.active {
-                continue;
-            }
-            if !f.state.complete {
-                debug_assert!(f.state.quiescent(), "fixpoint but frame not quiescent");
-                f.state.complete = true;
-            }
-            if slot as u32 == root {
-                pts = f.state.members.iter().map(NodeId::from_u32).collect();
-            }
-            if !f.seeded_from_engine {
-                let mut deps = std::mem::take(&mut f.state.deps);
-                deps.sort_unstable_by_key(|g| g.canonical_key());
-                completed.push((
-                    goal_of(slot as u32),
-                    CompletedGoal {
-                        elems: f.state.members.iter().collect(),
-                        provenance: Vec::new(),
-                        support: f.state.support.iter().collect(),
-                        deps,
-                        reads_indirect: f.state.reads_indirect,
-                    },
-                ));
-            }
-        }
+        // Finalize: every activated frame is at the global fixpoint. Each
+        // slot is activated once, so sorting gives slot order.
+        activated.sort_unstable();
+        debug_assert!(activated.iter().all(|&slot| {
+            let f = core.lock(slot);
+            f.state.complete || f.state.quiescent()
+        }));
+        let pts = core
+            .lock(root)
+            .state
+            .members
+            .iter()
+            .map(NodeId::from_u32)
+            .collect();
         SolveOutcome {
-            completed,
             pts,
             seeded,
             stats,
+            frames: core.frames,
+            activated,
         }
     }
 }
@@ -619,6 +700,7 @@ mod tests {
     use super::*;
     use crate::config::DemandConfig;
     use crate::engine::DemandEngine;
+    use crate::share::CompletedGoal;
 
     fn node(cp: &ConstraintProgram, name: &str) -> NodeId {
         cp.node_ids()
@@ -649,11 +731,11 @@ mod tests {
                         .with_workers(workers)
                         .with_sched_policy(policy),
                 );
-                let out = sched.solve(Goal::Pts(node(&cp, "r")));
+                let mut out = sched.solve(Goal::Pts(node(&cp, "r")));
                 let names: Vec<String> = out.pts.iter().map(|&n| cp.display_node(n)).collect();
                 assert_eq!(names, vec!["o"], "{policy:?} × {workers}");
                 assert!(!out.seeded);
-                assert!(!out.completed.is_empty());
+                assert!(out.completed().next().is_some());
             }
         }
     }
@@ -692,9 +774,9 @@ mod tests {
         let shared = Arc::new(SharedMemo::new());
         let sched = Scheduler::new(&cp, DemandConfig::new().with_workers(2))
             .with_shared(Arc::clone(&shared), shared.generation());
-        let first = sched.solve(Goal::Pts(node(&cp, "r")));
-        for (goal, entry) in &first.completed {
-            shared.publish(shared.generation(), *goal, entry.clone());
+        let mut first = sched.solve(Goal::Pts(node(&cp, "r")));
+        for (goal, state) in first.completed() {
+            shared.publish(shared.generation(), goal, CompletedGoal::of_state(&state));
         }
         // A second scheduler answers the root from the table without
         // stepping the subtree.

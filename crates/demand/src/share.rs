@@ -39,16 +39,16 @@
 //! Everything here is `std`-only, matching the repo's zero-dependency
 //! rule: 64 shards of `Mutex<HashMap>` rather than a lock-free map.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ddpa_constraints::ProgramDiff;
+use ddpa_support::fxhash::{FxBuildHasher, FxHashMap};
 use ddpa_support::HybridSet;
 
-use crate::goal::{Goal, GoalIndex};
+use crate::goal::{Goal, GoalIndex, GoalState};
 use crate::trace::Origin;
 
 /// Number of independently locked shards; a power of two so the shard
@@ -77,6 +77,27 @@ pub struct CompletedGoal {
     pub reads_indirect: bool,
 }
 
+impl CompletedGoal {
+    /// The untraced entry for the complete goal `state`. Member, support
+    /// and dep orders are canonical, so entries are byte-stable whatever
+    /// the derivation order; every list is allocated exact-size.
+    pub(crate) fn of_state(state: &GoalState) -> Self {
+        let mut elems = Vec::with_capacity(state.members.len());
+        elems.extend(state.members.iter());
+        let mut support = Vec::with_capacity(state.support.len());
+        support.extend(state.support.iter());
+        let mut deps = state.deps.clone();
+        deps.sort_unstable_by_key(|g| g.canonical_key());
+        CompletedGoal {
+            elems,
+            provenance: Vec::new(),
+            support,
+            deps,
+            reads_indirect: state.reads_indirect,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     generation: u64,
@@ -85,7 +106,7 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<Goal, Entry>,
+    entries: FxHashMap<Goal, Entry>,
     /// Generation this shard last swept stale entries at. Eviction is
     /// lazy: the first lookup/publish to observe a newer table
     /// generation retains only current-generation entries.
@@ -311,9 +332,12 @@ impl SharedMemo {
     /// shard is recovered (`into_inner`): entries are only ever inserted
     /// or removed whole, so the map is valid after any panic.
     fn shard(&self, goal: Goal) -> std::sync::MutexGuard<'_, Shard> {
-        let mut h = DefaultHasher::new();
-        goal.hash(&mut h);
-        let i = (h.finish() as usize) & (SHARDS - 1);
+        // The shard's map indexes buckets by the hash's low bits and tags
+        // them with its top bits, so the shard comes from bits it does not
+        // read: 20..26, the last product's best-mixed top bits once
+        // `finish` has rotated them.
+        let h = FxBuildHasher::default().hash_one(goal);
+        let i = ((h >> 20) as usize) & (SHARDS - 1);
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 }

@@ -9,9 +9,11 @@
 //! different order or a different number of times.
 
 use ddpa_constraints::{ConstraintProgram, NodeId};
-use ddpa_demand::{DemandConfig, DemandEngine};
+use ddpa_demand::goal::Goal;
+use ddpa_demand::{DemandConfig, DemandEngine, SchedPolicy, Scheduler};
 use ddpa_gen::{
-    generate_cyclic, generate_minic, generate_random, CyclicConfig, MiniCConfig, RandomConfig,
+    generate_cyclic, generate_minic, generate_random, generate_wide, CyclicConfig, MiniCConfig,
+    RandomConfig, WideConfig,
 };
 
 /// `(work, fires, goals_activated, cycle_runs, cycles_collapsed,
@@ -105,4 +107,134 @@ fn budgeted_resume_pins() {
     }
     let got = pins(&engine);
     assert_eq!((got, suspended), ([2477, 1879, 598, 55, 7, 40, 44], 42));
+}
+
+// ---------------------------------------------------------------------
+// Frame-scheduler pins
+//
+// These literals were recorded at commit 5d6ad35, before the scheduler's
+// bookkeeping (wakeups, step buffers, frame locking, finalize and the
+// copies into the memo) was rewritten for speed. At one worker a solve is
+// single-threaded and every counter repeats exactly; at two workers only
+// the fire multiset is fixed, so only `work`, `fires` and `activated` are
+// pinned there, next to the answers.
+// ---------------------------------------------------------------------
+
+/// `(work, fires, activated, parked, resumed, wakeups)` summed over a
+/// goal list, plus the answers' `(total length, digest)`.
+type SchedPins = ([u64; 6], (usize, u64));
+
+/// Solves each goal with a fresh [`Scheduler`] and sums its counters.
+fn sched_list(cp: &ConstraintProgram, config: DemandConfig, goals: &[Goal]) -> SchedPins {
+    let sched = Scheduler::new(cp, config);
+    let mut counts = [0u64; 6];
+    let (mut len, mut digest) = (0usize, 0u64);
+    for &goal in goals {
+        let out = sched.solve(goal);
+        let s = out.stats;
+        for (c, v) in
+            counts
+                .iter_mut()
+                .zip([s.work, s.fires, s.activated, s.parked, s.resumed, s.wakeups])
+        {
+            *c += v;
+        }
+        len += out.pts.len();
+        for n in out.pts {
+            digest = digest.wrapping_mul(0x100_0000_01b3) ^ u64::from(n.as_u32());
+        }
+    }
+    (counts, (len, digest))
+}
+
+fn wide() -> (ConstraintProgram, Vec<Goal>) {
+    let cp = generate_wide(&WideConfig::sized(1, 4000));
+    let hub = cp
+        .node_ids()
+        .find(|&n| cp.display_node(n) == "hub")
+        .expect("wide programs have a hub");
+    (cp, vec![Goal::Pts(hub)])
+}
+
+/// Every 5th node of the MiniC program, `pts` then `ptb`.
+fn minic_goals(cp: &ConstraintProgram) -> Vec<Goal> {
+    let nodes: Vec<NodeId> = cp.node_ids().step_by(5).collect();
+    let pts = nodes.iter().map(|&n| Goal::Pts(n));
+    pts.chain(nodes.iter().map(|&n| Goal::Ptb(n))).collect()
+}
+
+fn one_worker(policy: SchedPolicy) -> DemandConfig {
+    DemandConfig::default().with_sched_policy(policy)
+}
+
+fn two_workers(policy: SchedPolicy) -> DemandConfig {
+    DemandConfig::default()
+        .with_workers(2)
+        .with_sched_policy(policy)
+}
+
+#[test]
+fn sched_wide_one_worker_pins() {
+    let (cp, goals) = wide();
+    let dfs = sched_list(&cp, one_worker(SchedPolicy::Dfs), &goals);
+    let bfs = sched_list(&cp, one_worker(SchedPolicy::Bfs), &goals);
+    assert_eq!(
+        dfs,
+        (
+            [10705, 7136, 3569, 7137, 3721, 3568],
+            (306, 15752293990120923685)
+        )
+    );
+    assert_eq!(
+        bfs,
+        (
+            [10705, 7136, 3569, 6996, 3580, 3427],
+            (306, 15752293990120923685)
+        )
+    );
+}
+
+#[test]
+fn sched_minic_one_worker_pins() {
+    let cp = minic();
+    let goals = minic_goals(&cp);
+    let dfs = sched_list(&cp, one_worker(SchedPolicy::Dfs), &goals);
+    let bfs = sched_list(&cp, one_worker(SchedPolicy::Bfs), &goals);
+    assert_eq!(
+        dfs,
+        (
+            [24059, 20676, 3383, 11239, 9779, 7958],
+            (902, 7191550452860465799)
+        )
+    );
+    assert_eq!(
+        bfs,
+        (
+            [24059, 20676, 3383, 6555, 5095, 3274],
+            (902, 7191550452860465799)
+        )
+    );
+}
+
+#[test]
+fn sched_two_worker_pins() {
+    let (wide, hub) = wide();
+    let minic = minic();
+    let goals = minic_goals(&minic);
+    for policy in [SchedPolicy::Dfs, SchedPolicy::Bfs] {
+        let (w, (wlen, wdigest)) = sched_list(&wide, two_workers(policy), &hub);
+        let (m, (mlen, mdigest)) = sched_list(&minic, two_workers(policy), &goals);
+        assert_eq!([w[0], w[1], w[2]], [10705, 7136, 3569], "wide {policy:?}");
+        assert_eq!(
+            (wlen, wdigest),
+            (306, 15752293990120923685),
+            "wide {policy:?}"
+        );
+        assert_eq!([m[0], m[1], m[2]], [24059, 20676, 3383], "minic {policy:?}");
+        assert_eq!(
+            (mlen, mdigest),
+            (902, 7191550452860465799),
+            "minic {policy:?}"
+        );
+    }
 }

@@ -82,5 +82,5 @@ pub mod token;
 pub use ast::Program;
 pub use builder::ProgramBuilder;
 pub use check::{check, CheckError, CheckErrors};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};
 pub use pretty::pretty;

@@ -1,10 +1,18 @@
 //! Recursive-descent parser for MiniC.
+//!
+//! Statements and expressions nest at most [`MAX_DEPTH`] deep. Deeper
+//! input is a [`ParseError`], not a stack overflow, and the checker and
+//! lowering, which recurse over the same tree, inherit the bound.
 
 use ddpa_support::Symbol;
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError};
 use crate::token::{Span, Token, TokenKind};
+
+/// Nesting cap: a statement or expression may sit at most this many
+/// statements and expressions deep (counting itself).
+pub const MAX_DEPTH: usize = 64;
 
 /// An error produced while parsing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,6 +58,7 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
     Parser {
         tokens,
         pos: 0,
+        depth: 0,
         program: Program::new(),
     }
     .run()
@@ -58,6 +67,8 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Statements and expressions currently open.
+    depth: usize,
     program: Program,
 }
 
@@ -88,6 +99,32 @@ impl Parser {
             message: message.into(),
             span: self.span(),
         }
+    }
+
+    /// `expected {what}, found <the current token>`.
+    #[cold]
+    fn expected(&self, what: &str) -> ParseError {
+        self.error(format!("expected {what}, found {}", self.peek().describe()))
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    #[cold]
+    fn too_deep(&self) -> ParseError {
+        self.error(format!("nesting deeper than {MAX_DEPTH}"))
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
@@ -296,125 +333,146 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        let span = self.span();
+        self.nested(Self::stmt_at)
+    }
+
+    /// Dispatches on the statement's first token. Each kind is parsed in
+    /// its own function, so the frames on the recursive path (`block`,
+    /// `if`, `while`) stay small even without optimization.
+    fn stmt_at(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
-            TokenKind::KwInt | TokenKind::KwVoid | TokenKind::KwStruct => {
-                let ty = self.ty()?;
-                let (name, _) = self.expect_ident()?;
-                let array = self.array_suffix()?;
-                let init = if *self.peek() == TokenKind::Eq {
-                    self.bump();
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::Decl(Decl {
-                    name,
-                    ty,
-                    array,
-                    init,
-                    span,
-                }))
-            }
-            TokenKind::Star => {
-                let mut derefs: u8 = 0;
-                while *self.peek() == TokenKind::Star {
-                    self.bump();
-                    derefs = derefs
-                        .checked_add(1)
-                        .ok_or_else(|| self.error("dereference depth exceeds 255"))?;
-                }
-                let (name, _) = self.expect_ident()?;
-                self.expect(&TokenKind::Eq)?;
-                let rhs = self.expr()?;
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::Assign {
-                    lhs: Place {
-                        derefs,
-                        name,
-                        field: None,
-                        span,
-                    },
-                    rhs,
-                    span,
-                })
-            }
-            TokenKind::Ident(_) => {
-                if *self.peek_at(1) == TokenKind::LParen {
-                    let expr = self.expr()?;
-                    self.expect(&TokenKind::Semi)?;
-                    Ok(Stmt::Expr(expr))
-                } else {
-                    let (name, _) = self.expect_ident()?;
-                    // `a[i] = e` is `*a = e` under monolithic arrays.
-                    let derefs = if *self.peek() == TokenKind::LBracket {
-                        self.discard_index()?;
-                        1
-                    } else {
-                        0
-                    };
-                    let field = if derefs == 0 { self.field_sel()? } else { None };
-                    self.expect(&TokenKind::Eq)?;
-                    let rhs = self.expr()?;
-                    self.expect(&TokenKind::Semi)?;
-                    Ok(Stmt::Assign {
-                        lhs: Place {
-                            derefs,
-                            name,
-                            field,
-                            span,
-                        },
-                        rhs,
-                        span,
-                    })
-                }
-            }
-            TokenKind::LParen => {
-                let expr = self.expr()?;
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::Expr(expr))
-            }
-            TokenKind::KwReturn => {
-                self.bump();
-                let value = if *self.peek() == TokenKind::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::Return { value, span })
-            }
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.cond()?;
-                self.expect(&TokenKind::RParen)?;
-                let then_branch = Box::new(self.stmt()?);
-                let else_branch = if *self.peek() == TokenKind::KwElse {
-                    self.bump();
-                    Some(Box::new(self.stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    span,
-                })
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.cond()?;
-                self.expect(&TokenKind::RParen)?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt::While { cond, body, span })
-            }
+            TokenKind::KwInt | TokenKind::KwVoid | TokenKind::KwStruct => self.decl_stmt(),
+            TokenKind::Star => self.deref_assign_stmt(),
+            TokenKind::Ident(_) if *self.peek_at(1) == TokenKind::LParen => self.expr_stmt(),
+            TokenKind::Ident(_) => self.assign_stmt(),
+            TokenKind::LParen => self.expr_stmt(),
+            TokenKind::KwReturn => self.return_stmt(),
+            TokenKind::KwIf => self.if_stmt(),
+            TokenKind::KwWhile => self.while_stmt(),
             TokenKind::LBrace => Ok(Stmt::Block(self.block()?)),
-            other => Err(self.error(format!("expected a statement, found {}", other.describe()))),
+            _ => Err(self.expected("a statement")),
         }
+    }
+
+    fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        let ty = self.ty()?;
+        let (name, _) = self.expect_ident()?;
+        let array = self.array_suffix()?;
+        let init = if *self.peek() == TokenKind::Eq {
+            self.bump();
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::Decl(Decl {
+            name,
+            ty,
+            array,
+            init,
+            span,
+        }))
+    }
+
+    fn deref_assign_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        let mut derefs: u8 = 0;
+        while *self.peek() == TokenKind::Star {
+            self.bump();
+            derefs = derefs
+                .checked_add(1)
+                .ok_or_else(|| self.error("dereference depth exceeds 255"))?;
+        }
+        let (name, _) = self.expect_ident()?;
+        self.expect(&TokenKind::Eq)?;
+        let rhs = self.expr()?;
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::Assign {
+            lhs: Place {
+                derefs,
+                name,
+                field: None,
+                span,
+            },
+            rhs,
+            span,
+        })
+    }
+
+    fn assign_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        let (name, _) = self.expect_ident()?;
+        // `a[i] = e` is `*a = e` under monolithic arrays.
+        let derefs = if *self.peek() == TokenKind::LBracket {
+            self.discard_index()?;
+            1
+        } else {
+            0
+        };
+        let field = if derefs == 0 { self.field_sel()? } else { None };
+        self.expect(&TokenKind::Eq)?;
+        let rhs = self.expr()?;
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::Assign {
+            lhs: Place {
+                derefs,
+                name,
+                field,
+                span,
+            },
+            rhs,
+            span,
+        })
+    }
+
+    fn expr_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let expr = self.expr()?;
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::Expr(expr))
+    }
+
+    fn return_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        self.bump();
+        let value = if *self.peek() == TokenKind::Semi {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::Return { value, span })
+    }
+
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.cond()?;
+        self.expect(&TokenKind::RParen)?;
+        let then_branch = Box::new(self.stmt()?);
+        let else_branch = if *self.peek() == TokenKind::KwElse {
+            self.bump();
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+            span,
+        })
+    }
+
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let span = self.span();
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.cond()?;
+        self.expect(&TokenKind::RParen)?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt::While { cond, body, span })
     }
 
     /// Parses an optional `.field` / `->field` suffix.
@@ -446,6 +504,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::expr_at)
+    }
+
+    fn expr_at(&mut self) -> Result<Expr, ParseError> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::Amp => {
@@ -551,10 +613,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Int { value, span })
             }
-            other => Err(self.error(format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.expected("an expression")),
         }
     }
 
@@ -828,5 +887,37 @@ mod array_tests {
             parse("int *tab[4] = null;").is_ok(),
             "init rejected by checker, not parser"
         );
+    }
+
+    #[test]
+    fn deep_block_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let src = format!(
+            "void main() {{{}{} }}",
+            "{".repeat(depth),
+            "}".repeat(depth)
+        );
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&src).map(|_| ()))
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        let err = parsed.expect_err("too deep");
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH}"));
+        // The error points at the first brace past the cap.
+        assert_eq!(err.span.col as usize, "void main() {".len() + MAX_DEPTH + 1);
+    }
+
+    #[test]
+    fn deep_call_argument_nesting_is_an_error() {
+        let depth = MAX_DEPTH;
+        let src = format!(
+            "void *f(void *a) {{ return a; }} void main() {{ f({}null{}); }}",
+            "f(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let err = parse(&src).expect_err("too deep");
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH}"));
     }
 }

@@ -1,12 +1,15 @@
 //! A fixed, fast, non-cryptographic hasher for small integer keys.
 //!
 //! The multiply–rotate scheme of rustc's `FxHasher`: each word is folded
-//! into the state with one rotate, one xor and one multiply. It is not
-//! DoS-resistant, so use it only for keys the program mints itself
-//! (node ids, watcher variants), never for bytes read from a client. The
-//! seed is fixed, so iteration order is the same on every run.
+//! into the state with one rotate, one xor and one multiply, and `finish`
+//! rotates the well-mixed high bits of the last product down to the low
+//! bits a hash table indexes by (a product's low bits depend only on its
+//! inputs' low bits). It is not DoS-resistant, so use it only for keys
+//! the program mints itself (node ids, watcher variants), never for bytes
+//! read from a client. The seed is fixed, so iteration order is the same
+//! on every run.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -51,7 +54,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -59,6 +62,8 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashSet` hashed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

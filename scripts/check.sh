@@ -107,6 +107,31 @@ grep -q '"rebound":false' "$tmp/restore-canon.out" \
     || { echo "raw snapshot was rebound into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
 grep -Eq '"installed":[1-9]' "$tmp/restore-canon.out" \
     || { echo "raw snapshot installed nothing into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
+# Inputs that once took the whole server down (stack overflow or an
+# out-of-memory kill) get an answer, and every other session lives on:
+# a 200,000-suffix field chain (now a valid one-constraint program),
+# `fun f/4000000000` (an arity beyond the input's length) and a MiniC
+# block nested 100,000 deep (past the parser's nesting cap).
+{ printf 'p = &x'; printf '.f1%.0s' $(seq 200000); echo; } > "$tmp/deep-suffix.cons"
+printf 'fun f/4000000000\n' > "$tmp/huge-arity.cons"
+{ printf 'void main() {'; printf '{%.0s' $(seq 100000); printf '}%.0s' $(seq 100000); echo '}'; } \
+    > "$tmp/deep-blocks.mc"
+cargo run -q -p ddpa-cli -- client --addr "$addr" open suffix "$tmp/deep-suffix.cons" \
+    > "$tmp/open-suffix.out"
+grep -q '"ok":true,"op":"open","session":"suffix","nodes":2,"constraints":1' "$tmp/open-suffix.out" \
+    || { echo "deep field chain not opened: $(cut -c1-300 "$tmp/open-suffix.out")" >&2; exit 1; }
+for bad in huge-arity.cons deep-blocks.mc; do
+    if cargo run -q -p ddpa-cli -- client --addr "$addr" open bad "$tmp/$bad" \
+        > /dev/null 2> "$tmp/open-bad.err"; then
+        echo "server accepted $bad" >&2; exit 1
+    fi
+    grep -q 'server error bad-program' "$tmp/open-bad.err" \
+        || { echo "$bad: expected a bad-program error, got: $(cat "$tmp/open-bad.err")" >&2; exit 1; }
+    client ping
+    cargo run -q -p ddpa-cli -- client --addr "$addr" query smoke main::got > "$tmp/after-bad.out"
+    grep -q '"pts":\["data"\]' "$tmp/after-bad.out" \
+        || { echo "smoke session lost after $bad: $(cat "$tmp/after-bad.out")" >&2; exit 1; }
+done
 client slow                              # slow-query ring over the wire
 client stats
 client shutdown
