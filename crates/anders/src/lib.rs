@@ -34,6 +34,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod naive;
 pub mod solution;
 pub mod wave;

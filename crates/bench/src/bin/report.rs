@@ -15,6 +15,8 @@
 //! prints one trajectory table per experiment, metrics as rows and one
 //! column per input file, so headline numbers can be compared across PRs.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use ddpa_bench::render::{count, dur, pct, ratio, table};

@@ -6,6 +6,8 @@
 //! renders them as Markdown; the plain std timing benches under `benches/`
 //! time the same workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod history;
 pub mod render;

@@ -6,7 +6,7 @@
 //! demand route issues one query per indirect call site, which is exactly
 //! the query load the paper's evaluation measures.
 
-use ddpa_support::{IndexVec, Summary};
+use ddpa_support::IndexVec;
 
 use ddpa_anders::Solution;
 use ddpa_constraints::{CallSiteId, CalleeRef, ConstraintProgram, FuncId};
@@ -30,17 +30,6 @@ pub struct CallGraphStats {
 }
 
 impl CallGraphStats {
-    /// Total work across all queries.
-    pub fn total_work(&self) -> u64 {
-        self.work_per_query.iter().sum()
-    }
-
-    /// Distribution summary of per-query work.
-    pub fn work_summary(&self) -> Summary {
-        let mut samples = self.work_per_query.clone();
-        Summary::of(&mut samples)
-    }
-
     /// Fraction of indirect sites resolved precisely, or `None` when the
     /// program has no indirect sites — callers must not mistake "no data"
     /// for "all resolved".
@@ -70,12 +59,11 @@ impl CallGraph {
     /// address-taken function and are counted in
     /// [`CallGraphStats::indirect_fallback`].
     pub fn from_demand(engine: &mut DemandEngine<'_>) -> (Self, CallGraphStats) {
-        let cp = engine.program();
-        let mut targets = IndexVec::with_capacity(cp.callsites().len());
+        let mut targets = IndexVec::with_capacity(engine.program().callsites().len());
         let mut stats = CallGraphStats::default();
-        for cs in cp.callsites().indices() {
+        for cs in engine.program().callsites().indices() {
             let result = engine.call_targets(cs);
-            if cp.callsite(cs).is_indirect() {
+            if engine.program().callsite(cs).is_indirect() {
                 stats.work_per_query.push(result.work);
                 if result.resolved {
                     stats.indirect_resolved += 1;

@@ -39,6 +39,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod deref;
 pub mod reach;

@@ -61,11 +61,6 @@ impl Reachability {
         Reachability { reachable }
     }
 
-    /// Returns `true` if `f` is reachable.
-    pub fn is_reachable(&self, f: FuncId) -> bool {
-        self.reachable[f]
-    }
-
     /// Number of reachable functions.
     pub fn count(&self) -> usize {
         self.reachable.iter().filter(|&&r| r).count()

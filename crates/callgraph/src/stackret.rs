@@ -46,14 +46,14 @@ fn is_stack_object(cp: &ConstraintProgram, node: NodeId) -> bool {
 impl StackReturnAudit {
     /// Audits every function of `engine`'s program.
     pub fn run(engine: &mut DemandEngine<'_>) -> Self {
-        let cp = engine.program();
         let mut audit = StackReturnAudit::default();
-        for (func, info) in cp.funcs().iter_enumerated() {
-            let r = engine.points_to(info.ret);
+        for func in engine.program().funcs().indices() {
+            let r = engine.points_to(engine.program().func(func).ret);
             if !r.complete {
                 audit.unresolved.push(func);
                 continue;
             }
+            let cp = engine.program();
             let objects: Vec<NodeId> = r
                 .pts
                 .into_iter()

@@ -32,6 +32,8 @@
 //! Inputs ending in `.c` or `.mc` are parsed as MiniC; anything else as the
 //! textual constraint format (`--minic` / `--constraints` override).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::io::Write;
 

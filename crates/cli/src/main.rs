@@ -1,5 +1,7 @@
 //! The `ddpa` command-line tool.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -73,21 +73,6 @@ pub fn lower(program: &ast::Program) -> Result<ConstraintProgram, LowerError> {
     Ok(lowerer.builder.build())
 }
 
-/// Like [`lower`], but times the pass (span `constraints.lower`) and
-/// publishes the resulting program's [`crate::ProgramStats`] as
-/// `program.*` gauges in `obs`.
-pub fn lower_with_obs(
-    program: &ast::Program,
-    obs: &ddpa_obs::Obs,
-) -> Result<ConstraintProgram, LowerError> {
-    let cp = {
-        let _span = obs.span("constraints.lower");
-        lower(program)?
-    };
-    crate::ProgramStats::of(&cp).record(&obs.registry);
-    Ok(cp)
-}
-
 /// The value an expression lowers to.
 #[derive(Clone, Copy, Debug)]
 enum Value {

@@ -1,5 +1,6 @@
 //! The immutable, fully indexed constraint program and its builder.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use ddpa_support::{IndexVec, Interner, Symbol};
@@ -416,7 +417,7 @@ impl ConstraintBuilder {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct ProgramIndex {
     addr_objs_of: IndexVec<NodeId, Vec<NodeId>>,
     addr_dsts_of: IndexVec<NodeId, Vec<NodeId>>,
@@ -467,7 +468,7 @@ impl ProgramIndex {
 /// Built with [`ConstraintBuilder`], [`crate::lower()`], or
 /// [`crate::parse_constraints`]; [`crate::append_constraints`] extends
 /// one in place. The default program is empty.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ConstraintProgram {
     interner: Interner,
     nodes: IndexVec<NodeId, NodeInfo>,
@@ -487,6 +488,19 @@ pub struct ConstraintProgram {
     temp_seq: u32,
     heap_seq: u32,
     index: ProgramIndex,
+}
+
+/// Lets an analysis take its program borrowed (`&cp`) or owned (`cp`).
+impl<'a> From<&'a ConstraintProgram> for Cow<'a, ConstraintProgram> {
+    fn from(cp: &'a ConstraintProgram) -> Self {
+        Cow::Borrowed(cp)
+    }
+}
+
+impl From<ConstraintProgram> for Cow<'_, ConstraintProgram> {
+    fn from(cp: ConstraintProgram) -> Self {
+        Cow::Owned(cp)
+    }
 }
 
 impl ConstraintProgram {

@@ -44,6 +44,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// MiniC frontend (re-export of `ddpa-ir`).
 pub use ddpa_ir as ir;
 

@@ -49,10 +49,11 @@
 //! query resumes exactly where it stopped. When the queue drains, every
 //! activated goal is at fixpoint and is memoized as complete.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId};
+use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId, TextError};
 use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
 use ddpa_support::FxHashSet;
 
@@ -62,7 +63,7 @@ use crate::cycles::CopyGraph;
 use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
-use crate::sched::{EngineView, Scheduler};
+use crate::sched::Scheduler;
 use crate::share::{close_dirty, CompletedGoal, DirtyView, SharedMemo, SupportRef};
 use crate::stats::EngineStats;
 use crate::trace::{Explanation, Origin, TraceStep};
@@ -87,7 +88,17 @@ use crate::trace::{Explanation, Origin, TraceStep};
 /// ```
 #[derive(Debug)]
 pub struct DemandEngine<'p> {
-    cp: &'p ConstraintProgram,
+    /// The program, borrowed from the caller or handed over by value (a
+    /// server session's, which edits append to in place).
+    program: Cow<'p, ConstraintProgram>,
+    pub(crate) memo: Memo,
+}
+
+/// Everything an engine keeps apart from its program: the memo table,
+/// its cycle and cost bookkeeping, counters and the shared table. It
+/// borrows nothing; each call that deduces is handed the program.
+#[derive(Debug)]
+pub(crate) struct Memo {
     config: DemandConfig,
     pub(crate) goals: Vec<GoalState>,
     pub(crate) keys: Vec<Goal>,
@@ -209,40 +220,21 @@ impl EngineCounters {
 
 impl<'p> DemandEngine<'p> {
     /// Creates an engine over `cp` with a private [`Obs`] (profiling off).
-    pub fn new(cp: &'p ConstraintProgram, config: DemandConfig) -> Self {
+    /// Pass `&cp` to borrow the program, or `cp` to hand it over.
+    pub fn new(cp: impl Into<Cow<'p, ConstraintProgram>>, config: DemandConfig) -> Self {
         DemandEngine::with_obs(cp, config, Obs::new())
     }
 
     /// Creates an engine publishing metrics and spans into `obs` — share
     /// one [`Obs`] across engines and solvers to aggregate a whole run.
-    pub fn with_obs(cp: &'p ConstraintProgram, config: DemandConfig, obs: Obs) -> Self {
-        let counters = EngineCounters::new(&obs);
-        let cycles = CopyGraph::new(config.collapse_cycles, config.collapse_threshold);
-        let flight = config.flight.then(|| {
-            Arc::new(FlightRecorder::new(FlightConfig {
-                capacity: config.flight_capacity,
-                sample: config.flight_sample,
-            }))
-        });
-        DemandEngine {
-            cp,
-            config,
-            goals: Vec::new(),
-            keys: Vec::new(),
-            index: GoalIndex::with_nodes(cp.num_nodes()),
-            queue: VecDeque::new(),
-            obs,
-            counters,
-            provenance: HashMap::new(),
-            generation: 0,
-            cycles,
-            shared: None,
-            shared_gen: 0,
-            published: FxHashSet::default(),
-            flight,
-            costs: Vec::new(),
-            last_parallel: false,
-        }
+    pub fn with_obs(
+        cp: impl Into<Cow<'p, ConstraintProgram>>,
+        config: DemandConfig,
+        obs: Obs,
+    ) -> Self {
+        let program = cp.into();
+        let memo = Memo::new(config, obs, program.num_nodes());
+        DemandEngine { program, memo }
     }
 
     /// Whether the most recent query ran on the frame scheduler
@@ -250,23 +242,14 @@ impl<'p> DemandEngine<'p> {
     /// cache hits and for queries the engine pinned to the sequential
     /// path (budgeted, traced, or resuming suspended work).
     pub fn last_query_parallel(&self) -> bool {
-        self.last_parallel
+        self.memo.last_parallel
     }
 
     /// The deduction flight recorder, when enabled
     /// ([`DemandConfig::flight`]). Snapshot it at any time to reconstruct
     /// recent engine activity; see `docs/OBSERVABILITY.md`.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
-    }
-
-    /// Records one flight event (no-op when the recorder is off).
-    #[inline]
-    fn flight_record(&self, kind: FlightEventKind, a: u32, b: u32, work: u32) {
-        if let Some(flight) = &self.flight {
-            flight.record(kind, a, b, work);
-            self.counters.flight_events.inc();
-        }
+        self.memo.flight.as_ref()
     }
 
     /// Attaches a shared cross-engine memo table (concurrent tabling).
@@ -285,45 +268,45 @@ impl<'p> DemandEngine<'p> {
     /// are never served again (see [`SharedMemo`]). Attach the table at
     /// construction time, before issuing queries.
     pub fn with_shared_memo(mut self, shared: Arc<SharedMemo>) -> Self {
-        self.shared_gen = shared.generation();
-        self.shared = Some(shared);
+        self.memo.shared_gen = shared.generation();
+        self.memo.shared = Some(shared);
         self
     }
 
     /// The shared memo table this engine consults, if one is attached.
     pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
-        self.shared.as_ref()
+        self.memo.shared.as_ref()
     }
 
     /// The observability hub this engine publishes into.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.memo.obs
     }
 
     /// The program being analyzed.
-    pub fn program(&self) -> &'p ConstraintProgram {
-        self.cp
+    pub fn program(&self) -> &ConstraintProgram {
+        &self.program
     }
 
     /// The current configuration.
     pub fn config(&self) -> &DemandConfig {
-        &self.config
+        &self.memo.config
     }
 
     /// Adjusts only the per-query budget.
     pub fn set_budget(&mut self, budget: Option<u64>) {
-        self.config.budget = budget;
+        self.memo.config.budget = budget;
     }
 
     /// Adjusts only the per-query worker count (clamped to ≥ 1). Used by
     /// hosts that toggle intra-query parallelism per request.
     pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers.max(1);
+        self.memo.config.workers = workers.max(1);
     }
 
     /// Adjusts the scheduler policy used by parallel queries.
     pub fn set_sched_policy(&mut self, policy: crate::config::SchedPolicy) {
-        self.config.sched_policy = policy;
+        self.memo.config.sched_policy = policy;
     }
 
     /// A snapshot of the cumulative statistics across all queries so far.
@@ -331,25 +314,26 @@ impl<'p> DemandEngine<'p> {
     /// Counts reflect only this engine unless the [`Obs`] passed to
     /// [`DemandEngine::with_obs`] is shared with other engines.
     pub fn stats(&self) -> EngineStats {
+        let c = &self.memo.counters;
         EngineStats {
-            queries: self.counters.queries.get(),
-            complete_queries: self.counters.complete_queries.get(),
-            cache_hits: self.counters.cache_hits.get(),
-            fires: self.counters.fires.get(),
-            goals_activated: self.counters.goals_activated.get(),
-            work: self.counters.work.get(),
-            cycle_runs: self.counters.cycles_runs.get(),
-            cycles_collapsed: self.counters.cycles_collapsed.get(),
-            merged_goals: self.counters.cycles_merged_goals.get(),
-            share_hits: self.counters.share_hits.get(),
-            share_misses: self.counters.share_misses.get(),
-            share_publishes: self.counters.share_publishes.get(),
-            share_evictions: self.counters.share_evictions.get(),
-            flight_events: self.counters.flight_events.get(),
-            sched_parked: self.counters.sched_parked.get(),
-            sched_resumed: self.counters.sched_resumed.get(),
-            sched_steals: self.counters.sched_steals.get(),
-            sched_wakeups: self.counters.sched_wakeups.get(),
+            queries: c.queries.get(),
+            complete_queries: c.complete_queries.get(),
+            cache_hits: c.cache_hits.get(),
+            fires: c.fires.get(),
+            goals_activated: c.goals_activated.get(),
+            work: c.work.get(),
+            cycle_runs: c.cycles_runs.get(),
+            cycles_collapsed: c.cycles_collapsed.get(),
+            merged_goals: c.cycles_merged_goals.get(),
+            share_hits: c.share_hits.get(),
+            share_misses: c.share_misses.get(),
+            share_publishes: c.share_publishes.get(),
+            share_evictions: c.share_evictions.get(),
+            flight_events: c.flight_events.get(),
+            sched_parked: c.sched_parked.get(),
+            sched_resumed: c.sched_resumed.get(),
+            sched_steals: c.sched_steals.get(),
+            sched_wakeups: c.sched_wakeups.get(),
         }
     }
 
@@ -363,25 +347,7 @@ impl<'p> DemandEngine<'p> {
 
     /// Number of subgoals currently tabled.
     pub fn tabled_goals(&self) -> usize {
-        self.goals.len()
-    }
-
-    /// Drops all memoized state (used between queries when caching is off).
-    ///
-    /// Also rebuilds the cycle union-find: merged representatives are
-    /// meaningless once the goal table is gone, and a stale union-find
-    /// would silently fuse unrelated goals of the next table.
-    pub fn clear(&mut self) {
-        self.goals.clear();
-        for &key in &self.keys {
-            self.index.remove(key);
-        }
-        self.keys.clear();
-        self.queue.clear();
-        self.provenance.clear();
-        self.published.clear();
-        self.costs.clear();
-        self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
+        self.memo.goals.len()
     }
 
     /// The invalidation generation: starts at 0 and increments on every
@@ -390,7 +356,7 @@ impl<'p> DemandEngine<'p> {
     /// another — long-lived hosts (the `ddpa-serve` sessions) stamp every
     /// response with this value.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.memo.generation
     }
 
     /// Invalidates every tabled goal and bumps the generation.
@@ -399,14 +365,7 @@ impl<'p> DemandEngine<'p> {
     /// [`DemandEngine::reload`]): completed memo entries from the old
     /// program would otherwise be served as stale cache hits.
     pub fn invalidate(&mut self) {
-        self.clear();
-        self.generation += 1;
-        // The program this engine answers for has changed, so entries in
-        // an attached shared table are stale for every engine sharing it:
-        // bump its generation and adopt the new one.
-        if let Some(shared) = &self.shared {
-            self.shared_gen = shared.bump_generation();
-        }
+        self.memo.invalidate();
     }
 
     /// Swaps in an updated constraint program and invalidates all memoized
@@ -415,10 +374,10 @@ impl<'p> DemandEngine<'p> {
     /// This is the incremental-edit hook: grow the program (append
     /// constraints, rebuild) and reload — queries issued afterwards see
     /// the new edges and never a stale memo.
-    pub fn reload(&mut self, cp: &'p ConstraintProgram) {
-        self.cp = cp;
-        self.invalidate();
-        self.index.grow(cp.num_nodes());
+    pub fn reload(&mut self, cp: impl Into<Cow<'p, ConstraintProgram>>) {
+        self.program = cp.into();
+        self.memo.invalidate();
+        self.memo.index.grow(self.program.num_nodes());
     }
 
     /// Swaps in an updated program, invalidating *only* the transitively
@@ -431,7 +390,7 @@ impl<'p> DemandEngine<'p> {
     /// misses the edit (and whose producers all survive) are
     /// bit-identical fixpoints under `cp`, so they stay tabled as
     /// completed goals, moved (not copied) into the slots
-    /// [`install_completed`](Self::install_completed) would give them;
+    /// [`warm_start`](Self::warm_start) would give them;
     /// the rest — plus any entry with no recorded support,
     /// conservatively — are dropped and re-derived on demand. An
     /// attached [`SharedMemo`] gets the same
@@ -446,16 +405,220 @@ impl<'p> DemandEngine<'p> {
     /// generation-stamped protocols except as less work.
     pub fn reload_incremental(
         &mut self,
-        cp: &'p ConstraintProgram,
+        cp: impl Into<Cow<'p, ConstraintProgram>>,
         diff: &ddpa_constraints::ProgramDiff,
     ) -> EditStats {
+        self.program = cp.into();
+        self.memo.edit(self.program.num_nodes(), diff)
+    }
+
+    /// Appends constraint text to the program in place
+    /// ([`ddpa_constraints::append_constraints`], copying a borrowed
+    /// program first) and keeps warm every goal the edit does not dirty,
+    /// as [`reload_incremental`](Self::reload_incremental) does. On a
+    /// [`TextError`] the program and the memo table are unchanged.
+    pub fn append_constraints(
+        &mut self,
+        text: &str,
+        lines_before: usize,
+    ) -> Result<EditStats, TextError> {
+        let diff = ddpa_constraints::append_constraints(self.program.to_mut(), text, lines_before)?;
+        Ok(self.memo.edit(self.program.num_nodes(), &diff))
+    }
+
+    /// Computes `pts(node)` on demand.
+    pub fn points_to(&mut self, node: NodeId) -> QueryResult {
+        self.memo.run(&self.program, Goal::Pts(node))
+    }
+
+    /// Computes `ptb(node)` — the pointers that may point to `node`.
+    pub fn pointed_to_by(&mut self, node: NodeId) -> QueryResult {
+        self.memo.run(&self.program, Goal::Ptb(node))
+    }
+
+    /// Resolves the callee set of call site `cs` on demand.
+    ///
+    /// Direct calls are free. For indirect calls the engine queries the
+    /// function pointer; if the budget runs out, the result falls back to
+    /// every address-taken function (sound) with `resolved = false`.
+    pub fn call_targets(&mut self, cs: ddpa_constraints::CallSiteId) -> CallTargets {
+        match self.program.callsite(cs).callee {
+            CalleeRef::Direct(f) => CallTargets {
+                targets: vec![f],
+                resolved: true,
+                work: 0,
+            },
+            CalleeRef::Indirect(fp) => {
+                let r = self.points_to(fp);
+                if r.complete {
+                    let mut targets: Vec<FuncId> = r
+                        .pts
+                        .iter()
+                        .filter_map(|&n| self.program.node(n).as_func())
+                        .collect();
+                    targets.sort_unstable();
+                    CallTargets {
+                        targets,
+                        resolved: true,
+                        work: r.work,
+                    }
+                } else {
+                    CallTargets {
+                        targets: self.program.address_taken_funcs(),
+                        resolved: false,
+                        work: r.work,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answers "may `a` and `b` alias?" on demand.
+    ///
+    /// Conservative: if either query is unresolved and no intersection was
+    /// found in the partial sets, the answer is `may_alias = true` with
+    /// `resolved = false`.
+    pub fn may_alias(&mut self, a: NodeId, b: NodeId) -> AliasResult {
+        let ra = self.points_to(a);
+        let rb = self.points_to(b);
+        let intersects = intersect_sorted(&ra.pts, &rb.pts);
+        let resolved = intersects || (ra.complete && rb.complete);
+        AliasResult {
+            may_alias: intersects || !(ra.complete && rb.complete),
+            resolved,
+            work: ra.work + rb.work,
+        }
+    }
+
+    /// Explains why `target ∈ pts(node)`, as a derivation chain ending in
+    /// a base `x = &o` fact.
+    ///
+    /// Returns `None` if tracing is disabled ([`DemandConfig::trace`]), the
+    /// fact has not been derived (query it first), or the fact is false.
+    pub fn explain_points_to(&self, node: NodeId, target: NodeId) -> Option<Explanation> {
+        if !self.memo.config.trace {
+            return None;
+        }
+        let mut steps = Vec::new();
+        let mut current = (Goal::Pts(node), target.as_u32());
+        // Cycle collapsing can leave a fact recorded under any member of
+        // a merged goal family, so lookup may fall back from the exact
+        // key to the representative's key and its aliases. The visited
+        // set keeps those fallbacks from revisiting an entry; each loop
+        // iteration consumes a fresh entry, so the walk terminates.
+        let mut visited: HashSet<(Goal, u32)> = HashSet::new();
+        loop {
+            let (entry_key, origin) = self
+                .memo
+                .lookup_provenance(current.0, current.1, &visited)?;
+            visited.insert((entry_key, current.1));
+            steps.push(TraceStep {
+                goal: current.0,
+                elem: current.1,
+                origin,
+            });
+            match origin {
+                Origin::Base => return Some(Explanation { steps }),
+                Origin::Rule { src, elem, .. } => current = (src, elem),
+            }
+        }
+    }
+
+    /// Installs completed fixpoints as tabled, complete goals without
+    /// deriving them — the warm-start path used by snapshot restore
+    /// ([`ddpa-snap`](../../ddpa_snap/index.html)). Equivalent to the
+    /// shared-memo hit branch of `activate`: the whole subtree below each
+    /// goal costs zero rule firings, and later subscribers replay `elems`
+    /// from cursor 0 exactly as with a locally completed goal.
+    ///
+    /// Skips goals already tabled locally — a warm start must never
+    /// overwrite live deduction state — and installs nothing when caching
+    /// is disabled. Returns how many goals were installed.
+    ///
+    /// The caller is responsible for only installing fixpoints computed
+    /// over the *same program*; snapshot restore verifies the program
+    /// hash first.
+    pub fn warm_start<'e, I>(&mut self, entries: I) -> usize
+    where
+        I: IntoIterator<Item = &'e (Goal, CompletedGoal)>,
+    {
+        entries
+            .into_iter()
+            .filter(|(goal, result)| self.memo.install_completed(*goal, result))
+            .count()
+    }
+}
+
+impl Memo {
+    fn new(config: DemandConfig, obs: Obs, nodes: usize) -> Self {
+        let counters = EngineCounters::new(&obs);
+        let cycles = CopyGraph::new(config.collapse_cycles, config.collapse_threshold);
+        let flight = config.flight.then(|| {
+            Arc::new(FlightRecorder::new(FlightConfig {
+                capacity: config.flight_capacity,
+                sample: config.flight_sample,
+            }))
+        });
+        Memo {
+            config,
+            goals: Vec::new(),
+            keys: Vec::new(),
+            index: GoalIndex::with_nodes(nodes),
+            queue: VecDeque::new(),
+            obs,
+            counters,
+            provenance: HashMap::new(),
+            generation: 0,
+            cycles,
+            shared: None,
+            shared_gen: 0,
+            published: FxHashSet::default(),
+            flight,
+            costs: Vec::new(),
+            last_parallel: false,
+        }
+    }
+
+    /// Drops all memoized state (used between queries when caching is off).
+    ///
+    /// Also rebuilds the cycle union-find: merged representatives are
+    /// meaningless once the goal table is gone, and a stale union-find
+    /// would silently fuse unrelated goals of the next table.
+    fn clear(&mut self) {
+        self.goals.clear();
+        for &key in &self.keys {
+            self.index.remove(key);
+        }
+        self.keys.clear();
+        self.queue.clear();
+        self.provenance.clear();
+        self.published.clear();
+        self.costs.clear();
+        self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
+    }
+
+    fn invalidate(&mut self) {
+        self.clear();
+        self.generation += 1;
+        // The program this engine answers for has changed, so entries in
+        // an attached shared table are stale for every engine sharing it:
+        // bump its generation and adopt the new one.
+        if let Some(shared) = &self.shared {
+            self.shared_gen = shared.bump_generation();
+        }
+    }
+
+    /// The memo side of [`DemandEngine::reload_incremental`], for a new
+    /// program of `nodes` nodes.
+    fn edit(&mut self, nodes: usize, diff: &ddpa_constraints::ProgramDiff) -> EditStats {
         if !diff.compatible || !self.config.caching {
             let dropped = self
                 .goals
                 .iter()
                 .filter(|s| !s.merged && s.complete)
                 .count();
-            self.reload(cp);
+            self.invalidate();
+            self.index.grow(nodes);
             return EditStats {
                 invalidated: dropped,
                 retained: 0,
@@ -468,7 +631,7 @@ impl<'p> DemandEngine<'p> {
         // keys the shared table publishes), plus clones of whatever
         // other engines published that this one never tabled.
         let mut views: Vec<DirtyView<'_>> = Vec::new();
-        let mut at = GoalIndex::with_nodes(cp.num_nodes());
+        let mut at = GoalIndex::with_nodes(nodes);
         for (gi, state) in self.goals.iter().enumerate() {
             if state.merged || !state.complete {
                 continue;
@@ -510,12 +673,11 @@ impl<'p> DemandEngine<'p> {
         }
         let provenance = std::mem::take(&mut self.provenance);
         self.clear();
-        self.index.grow(cp.num_nodes());
+        self.index.grow(nodes);
         self.goals.reserve_exact(retained);
         self.keys.reserve_exact(retained);
         self.costs.reserve_exact(retained);
         self.generation += 1;
-        self.cp = cp;
         if let Some(shared) = &self.shared {
             let shared = Arc::clone(shared);
             let (_removed, compacted) = shared.invalidate_entries(&dirty_goals);
@@ -569,108 +731,20 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Points the engine at `cp` without touching the memo table. `cp`
-    /// must be rule-equivalent to the current program: the same program
-    /// at a new address, or a placeholder no query runs against while
-    /// the real program is being edited in place.
-    pub fn repoint(&mut self, cp: &'p ConstraintProgram) {
-        self.cp = cp;
-        self.index.grow(cp.num_nodes());
+    /// The completed element set tabled for `goal`, if it has one: how
+    /// the frame scheduler seeds frames from goals already at fixpoint.
+    pub(crate) fn completed_elems(&self, goal: Goal) -> Option<Vec<u32>> {
+        let gi = self.index.get(goal)?;
+        let state = &self.goals[self.cycles.find_readonly(gi) as usize];
+        state.complete.then(|| state.members.iter().collect())
     }
 
-    /// Computes `pts(node)` on demand.
-    pub fn points_to(&mut self, node: NodeId) -> QueryResult {
-        self.run(Goal::Pts(node))
-    }
-
-    /// Computes `ptb(node)` — the pointers that may point to `node`.
-    pub fn pointed_to_by(&mut self, node: NodeId) -> QueryResult {
-        self.run(Goal::Ptb(node))
-    }
-
-    /// Resolves the callee set of call site `cs` on demand.
-    ///
-    /// Direct calls are free. For indirect calls the engine queries the
-    /// function pointer; if the budget runs out, the result falls back to
-    /// every address-taken function (sound) with `resolved = false`.
-    pub fn call_targets(&mut self, cs: ddpa_constraints::CallSiteId) -> CallTargets {
-        match self.cp.callsite(cs).callee {
-            CalleeRef::Direct(f) => CallTargets {
-                targets: vec![f],
-                resolved: true,
-                work: 0,
-            },
-            CalleeRef::Indirect(fp) => {
-                let r = self.points_to(fp);
-                if r.complete {
-                    let mut targets: Vec<FuncId> = r
-                        .pts
-                        .iter()
-                        .filter_map(|&n| self.cp.node(n).as_func())
-                        .collect();
-                    targets.sort_unstable();
-                    CallTargets {
-                        targets,
-                        resolved: true,
-                        work: r.work,
-                    }
-                } else {
-                    CallTargets {
-                        targets: self.cp.address_taken_funcs(),
-                        resolved: false,
-                        work: r.work,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Answers "may `a` and `b` alias?" on demand.
-    ///
-    /// Conservative: if either query is unresolved and no intersection was
-    /// found in the partial sets, the answer is `may_alias = true` with
-    /// `resolved = false`.
-    pub fn may_alias(&mut self, a: NodeId, b: NodeId) -> AliasResult {
-        let ra = self.points_to(a);
-        let rb = self.points_to(b);
-        let intersects = intersect_sorted(&ra.pts, &rb.pts);
-        let resolved = intersects || (ra.complete && rb.complete);
-        AliasResult {
-            may_alias: intersects || !(ra.complete && rb.complete),
-            resolved,
-            work: ra.work + rb.work,
-        }
-    }
-
-    /// Explains why `target ∈ pts(node)`, as a derivation chain ending in
-    /// a base `x = &o` fact.
-    ///
-    /// Returns `None` if tracing is disabled ([`DemandConfig::trace`]), the
-    /// fact has not been derived (query it first), or the fact is false.
-    pub fn explain_points_to(&self, node: NodeId, target: NodeId) -> Option<Explanation> {
-        if !self.config.trace {
-            return None;
-        }
-        let mut steps = Vec::new();
-        let mut current = (Goal::Pts(node), target.as_u32());
-        // Cycle collapsing can leave a fact recorded under any member of
-        // a merged goal family, so lookup may fall back from the exact
-        // key to the representative's key and its aliases. The visited
-        // set keeps those fallbacks from revisiting an entry; each loop
-        // iteration consumes a fresh entry, so the walk terminates.
-        let mut visited: HashSet<(Goal, u32)> = HashSet::new();
-        loop {
-            let (entry_key, origin) = self.lookup_provenance(current.0, current.1, &visited)?;
-            visited.insert((entry_key, current.1));
-            steps.push(TraceStep {
-                goal: current.0,
-                elem: current.1,
-                origin,
-            });
-            match origin {
-                Origin::Base => return Some(Explanation { steps }),
-                Origin::Rule { src, elem, .. } => current = (src, elem),
-            }
+    /// Records one flight event (no-op when the recorder is off).
+    #[inline]
+    fn flight_record(&self, kind: FlightEventKind, a: u32, b: u32, work: u32) {
+        if let Some(flight) = &self.flight {
+            flight.record(kind, a, b, work);
+            self.counters.flight_events.inc();
         }
     }
 
@@ -835,21 +909,9 @@ impl<'p> DemandEngine<'p> {
         entry
     }
 
-    /// Installs a completed fixpoint as a tabled, complete goal without
-    /// deriving it — the warm-start path used by snapshot restore
-    /// ([`ddpa-snap`](../../ddpa_snap/index.html)). Equivalent to the
-    /// shared-memo hit branch of `activate`: the whole subtree below
-    /// `goal` costs zero rule firings, and later subscribers replay
-    /// `elems` from cursor 0 exactly as with a locally completed goal.
-    ///
-    /// Returns `false` (and installs nothing) when the goal is already
-    /// tabled locally — a warm start must never overwrite live deduction
-    /// state — or when caching is disabled.
-    ///
-    /// The caller is responsible for only installing fixpoints computed
-    /// over the *same program*; snapshot restore verifies the program
-    /// hash first.
-    pub fn install_completed(&mut self, goal: Goal, result: &CompletedGoal) -> bool {
+    /// Tables one completed fixpoint ([`DemandEngine::warm_start`]);
+    /// `false` when it was skipped.
+    fn install_completed(&mut self, goal: Goal, result: &CompletedGoal) -> bool {
         if !self.config.caching || self.index.get(goal).is_some() {
             return false;
         }
@@ -883,18 +945,6 @@ impl<'p> DemandEngine<'p> {
         self.flight_record(FlightEventKind::Activated, gi, 0, 0);
         self.published.insert(goal);
         gi
-    }
-
-    /// Bulk [`install_completed`](Self::install_completed); returns how
-    /// many goals were actually installed.
-    pub fn warm_start<'e, I>(&mut self, entries: I) -> usize
-    where
-        I: IntoIterator<Item = &'e (Goal, CompletedGoal)>,
-    {
-        entries
-            .into_iter()
-            .filter(|(goal, result)| self.install_completed(*goal, result))
-            .count()
     }
 
     fn enqueue(&mut self, gi: u32) {
@@ -983,7 +1033,7 @@ impl<'p> DemandEngine<'p> {
 
     /// Processes one goal to quiescence. Returns `false` on budget
     /// exhaustion (the goal is re-queued at the front for resumption).
-    fn process(&mut self, gi: u32, budget: &mut Budget) -> bool {
+    fn process(&mut self, cp: &ConstraintProgram, gi: u32, budget: &mut Budget) -> bool {
         if self.goals[gi as usize].needs_init {
             if !budget.charge(1) {
                 self.requeue_front(gi);
@@ -995,14 +1045,14 @@ impl<'p> DemandEngine<'p> {
             self.goals[gi as usize].needs_init = false;
             let _span = self.obs.span("demand.query.goal_init");
             match self.keys[gi as usize] {
-                Goal::Pts(x) => self.install_pts(x),
-                Goal::Ptb(o) => self.install_ptb(o),
+                Goal::Pts(x) => Sequential { cp, memo: self }.install_pts(x),
+                Goal::Ptb(o) => Sequential { cp, memo: self }.install_ptb(o),
             }
         }
         // Per-fire tallies stay in a local and reach the shared counters
         // once per visit: nothing reads them while a goal is processed.
         let mut fires_by_kind = [0u64; 12];
-        let done = self.fire_watchers(gi, budget, &mut fires_by_kind);
+        let done = self.fire_watchers(cp, gi, budget, &mut fires_by_kind);
         let fires: u64 = fires_by_kind.iter().sum();
         if fires > 0 {
             self.counters.fires.add(fires);
@@ -1025,6 +1075,7 @@ impl<'p> DemandEngine<'p> {
     /// on budget exhaustion (the goal is re-queued at the front).
     fn fire_watchers(
         &mut self,
+        cp: &ConstraintProgram,
         gi: u32,
         budget: &mut Budget,
         fires_by_kind: &mut [u64; 12],
@@ -1054,7 +1105,7 @@ impl<'p> DemandEngine<'p> {
                         }
                     }
                     let src = self.keys[gi as usize];
-                    self.fire(src, watcher, elem);
+                    Sequential { cp, memo: self }.fire(src, watcher, elem);
                     progressed = true;
                 }
                 wi += 1;
@@ -1066,10 +1117,10 @@ impl<'p> DemandEngine<'p> {
     }
 
     /// Drains the queue. Returns `true` when everything reached fixpoint.
-    fn drain(&mut self, budget: &mut Budget) -> bool {
+    fn drain(&mut self, cp: &ConstraintProgram, budget: &mut Budget) -> bool {
         while let Some(gi) = self.queue.pop_front() {
             if self.cycles.due() {
-                self.collapse_now();
+                self.collapse_now(cp);
             }
             if self.cycles.find(gi) != gi {
                 // Merged away while queued: the representative carries
@@ -1078,7 +1129,7 @@ impl<'p> DemandEngine<'p> {
                 continue;
             }
             self.goals[gi as usize].on_list = false;
-            if !self.process(gi, budget) {
+            if !self.process(cp, gi, budget) {
                 return false;
             }
         }
@@ -1106,7 +1157,7 @@ impl<'p> DemandEngine<'p> {
 
     /// Runs an SCC pass over the discovered copy graph and merges every
     /// non-trivial component that is still in flux.
-    fn collapse_now(&mut self) {
+    fn collapse_now(&mut self, cp: &ConstraintProgram) {
         let _span = self.obs.span("demand.cycles.collapse");
         self.counters.cycles_runs.inc();
         let index = &self.index;
@@ -1128,8 +1179,8 @@ impl<'p> DemandEngine<'p> {
                     self.counters.work.inc();
                     self.costs[g as usize].work += 1;
                     match self.keys[g as usize] {
-                        Goal::Pts(x) => self.install_pts(x),
-                        Goal::Ptb(o) => self.install_ptb(o),
+                        Goal::Pts(x) => Sequential { cp, memo: self }.install_pts(x),
+                        Goal::Ptb(o) => Sequential { cp, memo: self }.install_ptb(o),
                     }
                 }
             }
@@ -1221,7 +1272,7 @@ impl<'p> DemandEngine<'p> {
         self.enqueue(rep);
     }
 
-    fn run(&mut self, goal: Goal) -> QueryResult {
+    fn run(&mut self, cp: &ConstraintProgram, goal: Goal) -> QueryResult {
         let _span = self.obs.span("demand.query");
         self.last_parallel = false;
         if !self.config.caching {
@@ -1245,7 +1296,7 @@ impl<'p> DemandEngine<'p> {
                 .map(|gi| self.cycles.find_readonly(gi))
                 .is_some_and(|gi| self.goals[gi as usize].complete);
             if !cached {
-                return self.run_parallel(goal);
+                return self.run_parallel(cp, goal);
             }
         }
         let gi = self.activate(goal);
@@ -1262,7 +1313,7 @@ impl<'p> DemandEngine<'p> {
         let mut budget = Budget::new(self.config.budget);
         let drained = {
             let _span = self.obs.span("demand.query.drain");
-            self.drain(&mut budget)
+            self.drain(cp, &mut budget)
         };
         if drained {
             self.counters.complete_queries.inc();
@@ -1282,10 +1333,10 @@ impl<'p> DemandEngine<'p> {
     /// newly completed fixpoints back into the engine (and the attached
     /// [`SharedMemo`], when caching). Answers are bit-identical to the
     /// sequential drain — see the module docs of [`crate::sched`].
-    fn run_parallel(&mut self, goal: Goal) -> QueryResult {
+    fn run_parallel(&mut self, cp: &ConstraintProgram, goal: Goal) -> QueryResult {
         let _span = self.obs.span("demand.query.parallel");
         self.last_parallel = true;
-        let mut sched = Scheduler::new(self.cp, self.config.clone()).with_obs(self.obs.clone());
+        let mut sched = Scheduler::new(cp, self.config.clone()).with_obs(self.obs.clone());
         if let Some(flight) = &self.flight {
             sched = sched.with_flight(Arc::clone(flight));
         }
@@ -1294,14 +1345,7 @@ impl<'p> DemandEngine<'p> {
                 sched = sched.with_shared(Arc::clone(shared), self.shared_gen);
             }
         }
-        let mut outcome = {
-            let view = EngineView {
-                goals: &self.goals,
-                index: &self.index,
-                cycles: &self.cycles,
-            };
-            sched.solve_seeded(goal, Some(&view))
-        };
+        let mut outcome = sched.solve_seeded(goal, Some(self));
         let stats = outcome.stats;
         self.counters.work.add(stats.work);
         self.counters.fires.add(stats.fires);
@@ -1363,33 +1407,39 @@ impl<'p> DemandEngine<'p> {
     }
 }
 
-/// The sequential engine evaluates the shared rule system
-/// ([`crate::rules`]) against its tabled goal states; the scheduler's
-/// workers ([`crate::sched`]) implement the same trait against frames.
-impl<'p> Deduce<'p> for DemandEngine<'p> {
-    fn cp(&self) -> &'p ConstraintProgram {
+/// The sequential evaluator: the shared rule system ([`crate::rules`])
+/// run over one program and the engine's memo table, built for the
+/// length of one rule application. The scheduler's workers
+/// ([`crate::sched`]) implement the same trait against frames.
+struct Sequential<'a> {
+    cp: &'a ConstraintProgram,
+    memo: &'a mut Memo,
+}
+
+impl<'a> Deduce<'a> for Sequential<'a> {
+    fn cp(&self) -> &'a ConstraintProgram {
         self.cp
     }
 
     fn add(&mut self, goal: Goal, value: u32, origin: Origin) {
-        self.add_fact(goal, value, origin);
+        self.memo.add_fact(goal, value, origin);
     }
 
     fn subscribe(&mut self, goal: Goal, watcher: Watcher) {
-        self.subscribe_watcher(goal, watcher);
+        self.memo.subscribe_watcher(goal, watcher);
     }
 
     fn note_support(&mut self, goal: Goal, node: NodeId) {
-        if let Some(gi) = self.index.get(goal) {
-            let gi = self.cycles.find(gi);
-            self.goals[gi as usize].support.insert(node.as_u32());
+        if let Some(gi) = self.memo.index.get(goal) {
+            let gi = self.memo.cycles.find(gi);
+            self.memo.goals[gi as usize].support.insert(node.as_u32());
         }
     }
 
     fn note_indirect(&mut self, goal: Goal) {
-        if let Some(gi) = self.index.get(goal) {
-            let gi = self.cycles.find(gi);
-            self.goals[gi as usize].reads_indirect = true;
+        if let Some(gi) = self.memo.index.get(goal) {
+            let gi = self.memo.cycles.find(gi);
+            self.memo.goals[gi as usize].reads_indirect = true;
         }
     }
 }

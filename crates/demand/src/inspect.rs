@@ -219,8 +219,8 @@ impl CriticalPath {
 impl<'p> DemandEngine<'p> {
     /// Live (non-merged) goal indices, in table order.
     fn live_goals(&self) -> Vec<u32> {
-        (0..self.goals.len() as u32)
-            .filter(|&gi| !self.goals[gi as usize].merged)
+        (0..self.memo.goals.len() as u32)
+            .filter(|&gi| !self.memo.goals[gi as usize].merged)
             .collect()
     }
 
@@ -230,10 +230,10 @@ impl<'p> DemandEngine<'p> {
         self.live_goals()
             .into_iter()
             .map(|gi| {
-                let state = &self.goals[gi as usize];
-                let cost = self.costs[gi as usize];
+                let state = &self.memo.goals[gi as usize];
+                let cost = self.memo.costs[gi as usize];
                 GoalProfile {
-                    goal: self.keys[gi as usize],
+                    goal: self.memo.keys[gi as usize],
                     work: cost.work,
                     fires: cost.fires,
                     complete: state.complete,
@@ -263,10 +263,10 @@ impl<'p> DemandEngine<'p> {
         let nodes = live
             .iter()
             .map(|&gi| {
-                let state = &self.goals[gi as usize];
-                let cost = self.costs[gi as usize];
+                let state = &self.memo.goals[gi as usize];
+                let cost = self.memo.costs[gi as usize];
                 GoalGraphNode {
-                    goal: self.keys[gi as usize],
+                    goal: self.memo.keys[gi as usize],
                     work: cost.work,
                     fires: cost.fires,
                     complete: state.complete,
@@ -276,7 +276,7 @@ impl<'p> DemandEngine<'p> {
         let mut seen = std::collections::HashSet::new();
         let mut edges = Vec::new();
         for (from, &gi) in live.iter().enumerate() {
-            for watcher in &self.goals[gi as usize].watchers {
+            for watcher in &self.memo.goals[gi as usize].watchers {
                 let Some(to) = self.consumer_node(watcher, &node_of) else {
                     continue;
                 };
@@ -302,8 +302,8 @@ impl<'p> DemandEngine<'p> {
     /// no node. Tolerant by construction — a half-built table just yields
     /// fewer edges.
     fn consumer_node(&self, watcher: &Watcher, node_of: &HashMap<u32, usize>) -> Option<usize> {
-        let ci = self.index.get(watcher.consumer())?;
-        node_of.get(&self.cycles.find_readonly(ci)).copied()
+        let ci = self.memo.index.get(watcher.consumer())?;
+        node_of.get(&self.memo.cycles.find_readonly(ci)).copied()
     }
 
     /// Computes the work/span profile of the current goal table: total
@@ -402,7 +402,8 @@ impl<'p> DemandEngine<'p> {
         let snap = flight.snapshot();
         let cp = self.program();
         let name_of = |gi: u32| -> String {
-            self.keys
+            self.memo
+                .keys
                 .get(gi as usize)
                 .map(|&g| display_goal(cp, g))
                 .unwrap_or_else(|| format!("goal#{gi}"))

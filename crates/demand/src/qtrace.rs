@@ -112,30 +112,24 @@ mod tests {
     use super::*;
     use crate::DemandConfig;
 
-    fn engine_over(
-        src: &str,
-    ) -> (
-        &'static ddpa_constraints::ConstraintProgram,
-        DemandEngine<'static>,
-    ) {
+    fn engine_over(src: &str) -> DemandEngine<'static> {
         let program = ddpa_ir::parse(src).expect("parse");
-        let cp = Box::leak(Box::new(ddpa_constraints::lower(&program).expect("lower")));
-        let engine = DemandEngine::new(cp, DemandConfig::default());
-        (cp, engine)
+        let cp = ddpa_constraints::lower(&program).expect("lower");
+        DemandEngine::new(cp, DemandConfig::default())
+    }
+
+    fn node(engine: &DemandEngine<'_>, name: &str) -> ddpa_constraints::NodeId {
+        let cp = engine.program();
+        cp.node_ids()
+            .find(|&n| cp.display_node(n) == name)
+            .unwrap_or_else(|| panic!("no node named {name}"))
     }
 
     #[test]
     fn trace_captures_exactly_one_querys_work() {
-        let (cp, mut engine) =
+        let mut engine =
             engine_over("int g; int h; void main() { int *p = &g; int *q = p; int *r = &h; }");
-        let q = cp
-            .node_ids()
-            .find(|&n| cp.display_node(n) == "main::q")
-            .expect("q exists");
-        let r = cp
-            .node_ids()
-            .find(|&n| cp.display_node(n) == "main::r")
-            .expect("r exists");
+        let (q, r) = (node(&engine, "main::q"), node(&engine, "main::r"));
 
         // Warm-up query outside the bracket must not leak into the trace.
         let _ = engine.points_to(r);
@@ -159,11 +153,8 @@ mod tests {
 
     #[test]
     fn report_json_carries_the_schema_fields() {
-        let (cp, mut engine) = engine_over("int g; void main() { int *p = &g; }");
-        let p = cp
-            .node_ids()
-            .find(|&n| cp.display_node(n) == "main::p")
-            .expect("p exists");
+        let mut engine = engine_over("int g; void main() { int *p = &g; }");
+        let p = node(&engine, "main::p");
         let t = engine.begin_trace("abc");
         let _ = engine.points_to(p);
         let report = t.finish(&engine);

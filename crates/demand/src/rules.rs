@@ -12,11 +12,13 @@
 //! changed here changes for both, which is what keeps parallel answers
 //! bit-identical to sequential ones.
 //!
-//! The bodies use index-based loops (`for i in 0..cp.xxx().len()`) rather
-//! than iterator borrows because `add`/`subscribe` take `&mut self` while
-//! the program slices are borrowed from `self.cp()` — the `'p` lifetime
-//! makes the program reference independent of the evaluator borrow, but
-//! the slices themselves must be re-fetched per element.
+//! `'p` is the lifetime of the program borrow, which is independent of
+//! the evaluator's own borrow, so a rule body may hold the program across
+//! its `&mut self` calls to `add`/`subscribe`. The sequential evaluator
+//! is a pair of `&'p ConstraintProgram` and the engine's `&mut` memo
+//! table, built per rule application (the engine keeps the two side by
+//! side); a scheduler worker reads the program its scheduler was built
+//! over.
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, NodeId, NodeKind};
 

@@ -66,8 +66,8 @@ use ddpa_constraints::{ConstraintProgram, NodeId};
 use ddpa_obs::{FlightEventKind, FlightRecorder, Obs};
 
 use crate::config::{DemandConfig, SchedPolicy};
-use crate::cycles::CopyGraph;
-use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
+use crate::engine::Memo;
+use crate::goal::{Goal, GoalState, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
 use crate::share::SharedMemo;
@@ -207,25 +207,6 @@ impl SolveOutcome {
     }
 }
 
-/// A read-only view of a host engine's tabled state, used to seed frames
-/// from goals the engine has already driven to fixpoint — the parallel
-/// path's equivalent of a warm memo table.
-pub(crate) struct EngineView<'a> {
-    pub goals: &'a [GoalState],
-    pub index: &'a GoalIndex,
-    pub cycles: &'a CopyGraph,
-}
-
-impl EngineView<'_> {
-    /// The engine's completed element set for `goal`, if it has one.
-    fn lookup(&self, goal: Goal) -> Option<Vec<u32>> {
-        let gi = self.index.get(goal)?;
-        let rep = self.cycles.find_readonly(gi);
-        let state = &self.goals[rep as usize];
-        state.complete.then(|| state.members.iter().collect())
-    }
-}
-
 /// Shared scheduler state: the frame table plus the runnable queues.
 struct Core<'p> {
     cp: &'p ConstraintProgram,
@@ -274,7 +255,7 @@ impl<'p> Core<'p> {
 /// the very same rule bodies as the sequential engine.
 struct WorkerCtx<'c, 'p> {
     core: &'c Core<'p>,
-    view: Option<&'c EngineView<'c>>,
+    seed: Option<&'c Memo>,
     /// Worker index into `locals`; `usize::MAX` is the driver bootstrap
     /// context, which schedules onto the global injector.
     id: usize,
@@ -288,10 +269,10 @@ struct WorkerCtx<'c, 'p> {
 }
 
 impl<'c, 'p> WorkerCtx<'c, 'p> {
-    fn new(core: &'c Core<'p>, view: Option<&'c EngineView<'c>>, id: usize) -> Self {
+    fn new(core: &'c Core<'p>, seed: Option<&'c Memo>, id: usize) -> Self {
         WorkerCtx {
             core,
-            view,
+            seed,
             id,
             stats: SchedStats::default(),
             activated: Vec::new(),
@@ -319,7 +300,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
         self.stats.activated += 1;
         self.activated.push(slot);
         let goal = goal_of(slot);
-        if let Some(elems) = self.view.and_then(|v| v.lookup(goal)) {
+        if let Some(elems) = self.seed.and_then(|m| m.completed_elems(goal)) {
             for v in elems {
                 f.state.add(v);
             }
@@ -624,7 +605,7 @@ impl<'p> Scheduler<'p> {
 
     /// [`solve`](Self::solve), additionally seeding frames from a host
     /// engine's already-completed goals.
-    pub(crate) fn solve_seeded(&self, goal: Goal, view: Option<&EngineView<'_>>) -> SolveOutcome {
+    pub(crate) fn solve_seeded(&self, goal: Goal, seed: Option<&Memo>) -> SolveOutcome {
         let workers = self.config.workers.max(1);
         let slots = 2 * self.cp.num_nodes();
         let core = Core {
@@ -645,7 +626,7 @@ impl<'p> Scheduler<'p> {
         // Bootstrap from the driver: activate the root (which may answer
         // it outright from a seed) and enqueue its first step on the
         // global injector.
-        let mut boot = WorkerCtx::new(&core, view, usize::MAX);
+        let mut boot = WorkerCtx::new(&core, seed, usize::MAX);
         drop(boot.lock_active(root));
         let mut stats = boot.stats;
         let mut activated = boot.activated;
@@ -656,7 +637,7 @@ impl<'p> Scheduler<'p> {
                     .map(|id| {
                         let core = &core;
                         s.spawn(move || {
-                            let mut ctx = WorkerCtx::new(core, view, id);
+                            let mut ctx = WorkerCtx::new(core, seed, id);
                             ctx.run();
                             (ctx.stats, ctx.activated)
                         })

@@ -21,6 +21,8 @@
 //! All generators take explicit seeds; the same seed reproduces the same
 //! program byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 pub mod cyclic;
 pub mod minic;
 pub mod random;

@@ -71,6 +71,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod builder;
 pub mod check;

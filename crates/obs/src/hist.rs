@@ -8,11 +8,9 @@
 //! allocation — so it is safe on the server's request path and inside
 //! frame-scheduler workers.
 //!
-//! Histograms are *mergeable* ([`Histogram::merge_from`]): per-bucket
-//! counts add, so merging is exact and associative, which lets per-worker
-//! histograms fold into one report. Quantiles ([`Histogram::quantile`])
-//! return the inclusive upper bound of the target bucket clamped to the
-//! exact recorded maximum, guaranteeing `p50 ≤ p90 ≤ p99 ≤ max`.
+//! Quantiles ([`Histogram::quantile`]) return the inclusive upper bound
+//! of the target bucket clamped to the exact recorded maximum,
+//! guaranteeing `p50 ≤ p90 ≤ p99 ≤ max`.
 //!
 //! By convention the workspace records *microseconds* in histograms whose
 //! names end in `_us` (see [`Histogram::record_duration`]).
@@ -156,25 +154,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Folds `other`'s samples into `self`. Per-bucket counts add, so the
-    /// merge is exact (no re-bucketing error) and associative. Merging a
-    /// histogram into itself (including a clone sharing the same buckets)
-    /// is a no-op rather than a silent doubling of every count.
-    pub fn merge_from(&self, other: &Histogram) {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return;
-        }
-        for (mine, theirs) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.0.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.0.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.0.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
     /// Nonzero buckets as `(lower_bound, count)` pairs, in value order —
     /// for tests and debugging dumps.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
@@ -285,54 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_exact_and_associative() {
-        let seed_values = |vals: &[u64]| {
-            let h = Histogram::detached();
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let a = || seed_values(&[1, 5, 9000, 77]);
-        let b = || seed_values(&[2, 2, 2, 1 << 40]);
-        let c = || seed_values(&[0, u64::MAX]);
-
-        // (a ∪ b) ∪ c
-        let left = a();
-        left.merge_from(&b());
-        left.merge_from(&c());
-        // a ∪ (b ∪ c)
-        let bc = b();
-        bc.merge_from(&c());
-        let right = a();
-        right.merge_from(&bc);
-
-        assert_eq!(left.nonzero_buckets(), right.nonzero_buckets());
-        assert_eq!(left.count(), right.count());
-        assert_eq!(left.sum(), right.sum());
-        assert_eq!(left.max(), right.max());
-        assert_eq!(left.count(), 10);
-    }
-
-    #[test]
-    fn merge_empty_into_empty_stays_empty() {
-        let a = Histogram::detached();
-        let b = Histogram::detached();
-        a.merge_from(&b);
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.sum(), 0);
-        assert_eq!(a.max(), 0);
-        assert_eq!(a.quantile(0.99), 0);
-        assert!(a.nonzero_buckets().is_empty());
-    }
-
-    #[test]
     fn merge_preserves_saturated_max_bucket() {
+        // Two samples at the top of the range share one bucket.
         let a = Histogram::detached();
-        let b = Histogram::detached();
-        b.record(u64::MAX);
-        b.record(u64::MAX - 1);
-        a.merge_from(&b);
+        a.record(u64::MAX);
+        a.record(u64::MAX - 1);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), u64::MAX);
         // Both samples land in the top bucket; the quantile clamps to the
@@ -344,27 +280,6 @@ mod tests {
         // Sum wraps (documented counter-like behavior) but must match the
         // wrapping sum of the inputs, not drift.
         assert_eq!(a.sum(), u64::MAX.wrapping_add(u64::MAX - 1));
-    }
-
-    #[test]
-    fn self_merge_is_a_no_op() {
-        let h = Histogram::detached();
-        h.record(5);
-        h.record(900);
-        h.merge_from(&h);
-        assert_eq!(h.count(), 2, "self-merge must not double counts");
-        assert_eq!(h.sum(), 905);
-        // A clone shares the same buckets — merging it in is the same
-        // aliasing hazard and must also be a no-op.
-        let alias = h.clone();
-        h.merge_from(&alias);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.nonzero_buckets().iter().map(|&(_, n)| n).sum::<u64>(), 2);
-        // A genuinely distinct histogram with equal contents still merges.
-        let other = Histogram::detached();
-        other.record(5);
-        h.merge_from(&other);
-        assert_eq!(h.count(), 3);
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //! assert_eq!(tree[0].children[0].name, "solve.propagate");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod hist;
 pub mod json;
@@ -86,12 +88,6 @@ impl Obs {
             profiling: true,
             ..Obs::default()
         }
-    }
-
-    /// Enables or disables span profiling on this handle (counters are
-    /// always live; they cost one relaxed atomic add).
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
     }
 
     /// Whether spans are being timed.

@@ -52,6 +52,8 @@
 //!
 //! [`ConstraintProgram`]: ddpa_constraints::ConstraintProgram
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod proto;
 pub mod server;

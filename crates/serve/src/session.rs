@@ -3,15 +3,12 @@
 //!
 //! # Incremental edits
 //!
-//! The engine borrows the program (`DemandEngine<'p>`) through a
-//! `'static` reference into the session's boxed program. A plain
-//! `add-constraints` edit is appended to that program in place: the
-//! engine is parked on an empty program while the box is written, then
-//! repointed and reloaded with [`DemandEngine::reload_incremental`],
+//! The session's engine owns the program. A plain `add-constraints`
+//! edit is appended to it in place ([`DemandEngine::append_constraints`]),
 //! which keeps every goal the edit did not dirty and bumps the
 //! generation counter. An edit that declares a function or field is
-//! re-parsed with the whole source into a *new* box instead, and the old
-//! box is freed only after the engine moved to the new one. Responses
+//! re-parsed with the whole source into a new program instead, which the
+//! engine takes over with [`DemandEngine::reload_incremental`]. Responses
 //! are stamped with the generation so clients can detect which answers
 //! predate an edit.
 //!
@@ -25,7 +22,7 @@
 //! new slice would restart from scratch.
 
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
@@ -369,20 +366,14 @@ fn run_resolved(
 }
 
 /// One loaded program with a warm demand engine.
-///
-/// `engine` borrows `program` through a `'static` lifetime obtained from
-/// the stable `Box` allocation; see the field-level SAFETY notes.
 pub struct Session {
-    /// Declared *before* `program` so it drops first: the engine's
-    /// `&'static ConstraintProgram` must never outlive the box it points
-    /// into.
+    /// The warm engine, which owns the loaded program
+    /// ([`Session::program`]). Only [`Session::add_constraints`] edits
+    /// or replaces that program.
     engine: DemandEngine<'static>,
-    /// The owning allocation behind the engine's borrow. Only written or
-    /// replaced by [`Session::add_constraints`], which parks the engine
-    /// on [`EMPTY`] while it does.
-    program: Box<ConstraintProgram>,
-    /// Canonical constraint text of `program`: `add-constraints` appends
-    /// to it, and `program` is always `parse_constraints(source)`.
+    /// Canonical constraint text of the program: `add-constraints`
+    /// appends to it, and the program is always
+    /// `parse_constraints(source)`.
     source: String,
     /// Number of lines in `source`, so an appended edit's parse errors
     /// name lines of the whole text.
@@ -414,14 +405,7 @@ pub struct Session {
     last_sched: Option<&'static str>,
 }
 
-/// Where the engine points while `add_constraints` writes the session's
-/// program in place: no reference into the program may be live then.
-static EMPTY: LazyLock<ConstraintProgram> = LazyLock::new(ConstraintProgram::default);
-
-// Compile-time proof that sessions may move between connection threads:
-// the engine holds `&'static ConstraintProgram`, which is `Send` because
-// `ConstraintProgram` is `Sync` (it is plain immutable data; the frame
-// scheduler already shares it across workers).
+// Compile-time proof that sessions may move between connection threads.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Session>();
@@ -430,8 +414,8 @@ const _: fn() = || {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("nodes", &self.program.num_nodes())
-            .field("constraints", &self.program.num_constraints())
+            .field("nodes", &self.program().num_nodes())
+            .field("constraints", &self.program().num_constraints())
             .field("generation", &self.engine.generation())
             .finish()
     }
@@ -460,19 +444,12 @@ impl Session {
             drop(cp);
             parse_program(&source, false)?
         };
-        let program = Box::new(cp);
-        // SAFETY: the box's heap allocation is stable; the reference is
-        // only held by `self.engine`, which drops before `self.program`
-        // (field order) and is repointed before any box replacement.
-        let cp_ref: &'static ConstraintProgram =
-            unsafe { &*(program.as_ref() as *const ConstraintProgram) };
+        let (names, name_table) = index_names(&cp);
         let shared = Arc::new(SharedMemo::new());
-        let engine = DemandEngine::new(cp_ref, DemandConfig::default())
-            .with_shared_memo(Arc::clone(&shared));
-        let (names, name_table) = index_names(&program);
+        let engine =
+            DemandEngine::new(cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
         Ok(Session {
             engine,
-            program,
             lines: source.lines().count(),
             source,
             names,
@@ -507,7 +484,7 @@ impl Session {
 
     /// The loaded program.
     pub fn program(&self) -> &ConstraintProgram {
-        &self.program
+        self.engine.program()
     }
 
     /// The canonical constraint text of the loaded program.
@@ -640,7 +617,7 @@ impl Session {
                 format!("snapshot program text does not parse: {}", e.message),
             )
         })?;
-        let diff = ddpa_constraints::diff_programs(&old, &self.program);
+        let diff = ddpa_constraints::diff_programs(&old, self.program());
         if !diff.compatible {
             return Err(ProtoError::new(
                 ErrorCode::Snapshot,
@@ -680,29 +657,13 @@ impl Session {
         if ddpa_constraints::has_declarations(extra) {
             return self.reparse_with(extra);
         }
-        let old_nodes = self.program.num_nodes();
-        // Park the engine's `&'static` on `EMPTY` before the program is
-        // written, so no reference into it is live during the write.
-        self.engine.repoint(&EMPTY);
-        let appended = ddpa_constraints::append_constraints(&mut self.program, extra, self.lines);
-        // SAFETY: the box was written in place, not moved or freed, so
-        // the same argument as in `open` holds; the write above happened
-        // while the engine pointed at `EMPTY`, and `&mut self` excludes
-        // every other borrower of the program.
-        let cp_ref: &'static ConstraintProgram =
-            unsafe { &*(self.program.as_ref() as *const ConstraintProgram) };
-        let diff = match appended {
-            Ok(diff) => diff,
-            Err(e) => {
-                // The failed append left the program unchanged, so the
-                // memo table is still valid for it.
-                self.engine.repoint(cp_ref);
-                return Err(ProtoError::new(ErrorCode::BadProgram, e.to_string()));
-            }
-        };
-        let stats = self.engine.reload_incremental(cp_ref, &diff);
+        let old_nodes = self.program().num_nodes();
+        let stats = self
+            .engine
+            .append_constraints(extra, self.lines)
+            .map_err(|e| ProtoError::new(ErrorCode::BadProgram, e.to_string()))?;
         let table = Arc::make_mut(&mut self.name_table);
-        extend_names(&mut self.names, table, &self.program, old_nodes);
+        extend_names(&mut self.names, table, self.engine.program(), old_nodes);
         self.push_source(extra);
         Ok(stats)
     }
@@ -721,15 +682,9 @@ impl Session {
                 return Err(e);
             }
         };
-        let diff = ddpa_constraints::diff_programs(&self.program, &cp);
-        let program = Box::new(cp);
-        // SAFETY: same argument as in `open`; ordering matters — the
-        // engine is repointed at the new box *before* the old box drops.
-        let cp_ref: &'static ConstraintProgram =
-            unsafe { &*(program.as_ref() as *const ConstraintProgram) };
-        let stats = self.engine.reload_incremental(cp_ref, &diff);
-        (self.names, self.name_table) = index_names(&program);
-        let _old = std::mem::replace(&mut self.program, program);
+        let diff = ddpa_constraints::diff_programs(self.program(), &cp);
+        let stats = self.engine.reload_incremental(cp, &diff);
+        (self.names, self.name_table) = index_names(self.engine.program());
         Ok(stats)
     }
 
@@ -754,7 +709,7 @@ impl Session {
             QuerySpec::PointedToBy { name } => Ok(ResolvedSpec::PointedToBy(node(name)?)),
             QuerySpec::MayAlias { a, b } => Ok(ResolvedSpec::MayAlias(node(a)?, node(b)?)),
             QuerySpec::CallTargets { site } => {
-                let sites = self.program.callsites().len();
+                let sites = self.program().callsites().len();
                 if *site >= sites as u64 {
                     return Err(ProtoError::new(
                         ErrorCode::NoNode,
@@ -791,7 +746,7 @@ impl Session {
         parallel: Option<bool>,
     ) -> QueryAnswer {
         self.query_ids(spec, budget, deadline, parallel)
-            .named(&self.program)
+            .named(self.program())
     }
 
     /// [`Session::query_opt`] without the names: answers carry node and
@@ -932,16 +887,27 @@ mod tests {
 
     #[test]
     fn bad_edit_leaves_session_unchanged() {
-        let mut s = Session::open("p = &o\n", false, None).expect("valid program");
-        let err = s
-            .add_constraints("this is not a constraint")
-            .expect_err("parse error");
-        assert_eq!(err.code, ErrorCode::BadProgram);
-        assert_eq!(s.generation(), 0);
+        let mut s = Session::open("p = &o\nq = p\n", false, None).expect("valid program");
         let spec = s
-            .resolve(&QuerySpec::PointsTo { name: "p".into() })
-            .expect("p still resolvable");
+            .resolve(&QuerySpec::PointsTo { name: "q".into() })
+            .expect("q resolves");
         assert_eq!(set_names(&s.query(spec, None, None)), vec!["o"]);
+        let state = |s: &Session| (s.generation(), s.tabled_goals(), s.program().num_nodes());
+        let warm = state(&s);
+        assert!(warm.1 > 0, "the query tabled goals");
+        // A failed plain append (edits the program in place), then a
+        // failed declaration edit (re-parses the whole source).
+        for bad in ["oops", "fun f/1\noops"] {
+            let err = s.add_constraints(bad).expect_err("parse error");
+            assert_eq!(err.code, ErrorCode::BadProgram, "{bad:?}");
+            assert_eq!(state(&s), warm, "{bad:?}");
+            assert_eq!(s.source(), "p = &o\nq = p\n", "{bad:?}");
+            let again = s.query(spec, None, None);
+            assert!(
+                matches!(&again, QueryAnswer::Set { names, work: 0, .. } if names == &["o"]),
+                "{bad:?} left the memo cold or wrong: {again:?}"
+            );
+        }
     }
 
     #[test]

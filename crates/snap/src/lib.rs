@@ -110,6 +110,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -824,6 +826,86 @@ mod tests {
         let fresh = SharedMemo::new();
         assert_eq!(snap.install(&fresh), 2);
         assert_eq!(fresh.lookup(0, goal(1)).0.expect("hit").elems, vec![2, 8]);
+    }
+
+    #[test]
+    fn lying_fields_under_a_valid_checksum_decode_to_typed_errors() {
+        // A real snapshot: a warm engine's pts and ptb fixpoints.
+        let cp = ddpa_gen::generate_random(&ddpa_gen::RandomConfig::sized(7, 60));
+        let shared = std::sync::Arc::new(SharedMemo::new());
+        let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default())
+            .with_shared_memo(std::sync::Arc::clone(&shared));
+        for n in cp.node_ids() {
+            engine.points_to(n);
+            engine.pointed_to_by(n);
+        }
+        let snap = Snapshot::of_memo(&shared, ddpa_constraints::print_constraints(&cp));
+        let bytes = snap.to_bytes();
+        let payload = &bytes[HEADER_LEN..];
+        // The layout `SnapshotWriter::encode` writes: each count field as
+        // (offset, width, bytes per counted item), each goal and dep tag,
+        // and each entry's byte range.
+        let mut at = 32 + snap.program_text.len();
+        let (mut counts, mut tags, mut entries) = (vec![(at - 8, 8, 18)], vec![], vec![]);
+        for (_, e) in &snap.entries {
+            let deps = at + 17 + 4 * (e.elems.len() + e.support.len());
+            counts.extend([(at + 5, 4, 4), (at + 9 + 4 * e.elems.len(), 4, 4)]);
+            counts.push((deps - 4, 4, 5));
+            tags.push(at);
+            tags.extend((0..e.deps.len()).map(|d| deps + 5 * d));
+            entries.push(at..deps + 5 * e.deps.len() + 1);
+            at = deps + 5 * e.deps.len() + 1;
+        }
+        assert_eq!(at, payload.len(), "layout walk covers the payload");
+        assert!(tags.len() > entries.len(), "some entry has deps");
+
+        // Decodes under a recomputed checksum, so only the structural
+        // checks stand between the lie and a panic or a hang.
+        let decode = |payload: &[u8], what: &str| {
+            let mut file = bytes[..HEADER_LEN].to_vec();
+            file[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+            file.extend_from_slice(payload);
+            let started = std::time::Instant::now();
+            let result = Snapshot::from_bytes(&file);
+            assert!(started.elapsed().as_secs() < 2, "{what}: decode hung");
+            match result {
+                Ok(_) => false,
+                Err(SnapError::Corrupt(_)) => true,
+                Err(other) => panic!("{what}: untyped failure {other:?}"),
+            }
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..400 {
+            let mut lied = payload.to_vec();
+            let (rejected, what) = match next(3) {
+                0 => {
+                    let (off, width, item) = counts[next(counts.len())];
+                    let rem = (payload.len() - off - width) as u64;
+                    let value = [u32::MAX as u64, rem + 1, rem / item + 1, 0][next(4)];
+                    lied[off..off + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                    let what = format!("count at {off} = {value}");
+                    (decode(&lied, &what) || value == 0, what)
+                }
+                1 => {
+                    let off = tags[next(tags.len())];
+                    lied[off] = 2 + next(254) as u8;
+                    let what = format!("tag at {off} = {}", lied[off]);
+                    (decode(&lied, &what), what)
+                }
+                _ => {
+                    let entry = &entries[next(entries.len())];
+                    let cut = entry.start + 1 + next(entry.len() - 1);
+                    let what = format!("payload cut at {cut}");
+                    (decode(&lied[..cut], &what), what)
+                }
+            };
+            assert!(rejected, "{what} accepted");
+        }
+        assert!(!decode(payload, "unmutated"));
     }
 
     #[test]

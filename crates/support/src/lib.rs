@@ -34,6 +34,8 @@
 //! assert_eq!(pts.iter().collect::<Vec<_>>(), vec![7]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod fxhash;
 pub mod hybrid;
