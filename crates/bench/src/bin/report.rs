@@ -102,9 +102,7 @@ fn main() {
     run("t2", &mut || t2(&benches));
     run("t3", &mut || t3(&benches));
     run("t4", &mut || t4(&quick));
-    run("t5", &mut || t5(&quick));
     run("t6", &mut || t6());
-    run("t7", &mut || t7());
     run("t8", &mut || t8(&quick));
     run("t9", &mut || t9());
     run("t10", &mut || t10(full));
@@ -346,66 +344,6 @@ fn t4(benches: &[Benchmark]) -> JsonValue {
     med
 }
 
-fn t5(benches: &[Benchmark]) -> JsonValue {
-    println!("## T5 — Server throughput (ddpa-serve over loopback, ≤200 queries)\n");
-    let qps = |r: &T5Row, t: Duration| format!("{:.0}", r.qps(t));
-    let data = run_t5(benches, 200);
-    let med = obj(vec![
-        (
-            "warm_qps",
-            JsonValue::F64(median(
-                data.iter().map(|r| r.qps(r.time_batch_warm)).collect(),
-            )),
-        ),
-        (
-            "cache_hits",
-            JsonValue::F64(median(data.iter().map(|r| r.cache_hits as f64).collect())),
-        ),
-        (
-            "seq_p99_us",
-            JsonValue::F64(median(data.iter().map(|r| r.lat_p99_us as f64).collect())),
-        ),
-    ]);
-    let rows: Vec<Vec<String>> = data
-        .into_iter()
-        .map(|r| {
-            let warm_speedup =
-                r.time_batch_cold.as_secs_f64() / r.time_batch_warm.as_secs_f64().max(1e-9);
-            vec![
-                r.name.to_owned(),
-                count(r.queries),
-                qps(&r, r.time_batch_cold),
-                qps(&r, r.time_batch_warm),
-                qps(&r, r.time_sequential),
-                count(r.lat_p50_us as usize),
-                count(r.lat_p95_us as usize),
-                count(r.lat_p99_us as usize),
-                ratio(warm_speedup),
-                count(r.cache_hits as usize),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "program",
-                "queries",
-                "batch cold q/s",
-                "batch warm q/s",
-                "sequential q/s",
-                "seq p50 µs",
-                "seq p95 µs",
-                "seq p99 µs",
-                "warm speedup",
-                "cache hits"
-            ],
-            &rows
-        )
-    );
-    med
-}
-
 fn t6() -> JsonValue {
     println!("## T6 — Online cycle collapsing (demand engine, cyclic suite)\n");
     let data = run_t6(&[4, 6, 8]);
@@ -483,91 +421,6 @@ fn t6() -> JsonValue {
                 "time (off)",
                 "cycles",
                 "merged goals",
-                "answers"
-            ],
-            &rows
-        )
-    );
-    med
-}
-
-fn t7() -> JsonValue {
-    println!("## T7 — Shared cross-worker memo table (4 simulated workers, cyclic suite)\n");
-    let data = run_t7(&[4, 6, 8], 4);
-    let med = obj(vec![
-        (
-            "fires_single",
-            JsonValue::F64(median(data.iter().map(|r| r.fires_single as f64).collect())),
-        ),
-        (
-            "fires_shared",
-            JsonValue::F64(median(data.iter().map(|r| r.fires_shared as f64).collect())),
-        ),
-        (
-            "fires_private",
-            JsonValue::F64(median(
-                data.iter().map(|r| r.fires_private as f64).collect(),
-            )),
-        ),
-        (
-            "shared_ratio",
-            JsonValue::F64(median(data.iter().map(|r| r.shared_ratio()).collect())),
-        ),
-        (
-            "private_ratio",
-            JsonValue::F64(median(data.iter().map(|r| r.private_ratio()).collect())),
-        ),
-        (
-            "share_hits",
-            JsonValue::F64(median(data.iter().map(|r| r.share_hits as f64).collect())),
-        ),
-        (
-            "share_publishes",
-            JsonValue::F64(median(
-                data.iter().map(|r| r.share_publishes as f64).collect(),
-            )),
-        ),
-        (
-            "identical",
-            JsonValue::Bool(data.iter().all(|r| r.identical)),
-        ),
-    ]);
-    let rows: Vec<Vec<String>> = data
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                count(r.queries),
-                r.workers.to_string(),
-                count(r.fires_single as usize),
-                count(r.fires_shared as usize),
-                count(r.fires_private as usize),
-                ratio(r.shared_ratio()),
-                ratio(r.private_ratio()),
-                count(r.share_hits as usize),
-                count(r.share_publishes as usize),
-                if r.identical {
-                    "identical ✓".into()
-                } else {
-                    "DIFFERS ✗".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "program",
-                "queries",
-                "workers",
-                "fires (single)",
-                "fires (shared)",
-                "fires (private)",
-                "shared/single",
-                "private/single",
-                "share hits",
-                "publishes",
                 "answers"
             ],
             &rows
@@ -1059,7 +912,3 @@ fn history(files: &[&str]) {
     let docs = ddpa_bench::history::load_summaries(files).unwrap_or_else(|e| panic!("{e}"));
     print!("{}", ddpa_bench::history::trajectory(&docs));
 }
-
-// Silence the unused-import lint when only some sections are requested.
-#[allow(dead_code)]
-fn _unused(_: Duration) {}

@@ -1,12 +1,12 @@
-//! Runners for every experiment (tables T1–T11, figures F1–F3, ablation A3).
+//! Runners for every experiment (tables T1–T11 without the retired T5 and
+//! T7, figures F1–F3, ablation A3).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddpa_anders::{worklist, SolverConfig};
 use ddpa_callgraph::CallGraph;
 use ddpa_constraints::{ConstraintProgram, NodeId, ProgramStats};
-use ddpa_demand::{DemandConfig, DemandEngine, EngineStats, SharedMemo};
+use ddpa_demand::{DemandConfig, DemandEngine};
 use ddpa_gen::Benchmark;
 use ddpa_obs::Obs;
 use ddpa_support::Summary;
@@ -486,122 +486,6 @@ pub fn run_a3(benches: &[Benchmark], ks: &[usize]) -> Vec<A3Row> {
 }
 
 // ---------------------------------------------------------------------
-// T5: server throughput (ddpa-serve over loopback TCP)
-// ---------------------------------------------------------------------
-
-/// One row of the server-throughput table.
-#[derive(Clone, Debug)]
-pub struct T5Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Queries per measured run.
-    pub queries: usize,
-    /// One batch request against a cold session (empty memo table).
-    pub time_batch_cold: Duration,
-    /// The identical batch repeated against the now-warm session.
-    pub time_batch_warm: Duration,
-    /// One request round-trip per query on the warm session.
-    pub time_sequential: Duration,
-    /// Median sequential round-trip latency (µs).
-    pub lat_p50_us: u64,
-    /// 95th-percentile sequential round-trip latency (µs).
-    pub lat_p95_us: u64,
-    /// 99th-percentile sequential round-trip latency (µs).
-    pub lat_p99_us: u64,
-    /// `server.cache_hits.<session>` after the warm batch.
-    pub cache_hits: u64,
-}
-
-impl T5Row {
-    /// Queries per second for a measured duration.
-    pub fn qps(&self, time: Duration) -> f64 {
-        self.queries as f64 / time.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Regenerates table T5: query throughput of `ddpa-serve` over loopback
-/// TCP, batch vs sequential round-trips, cold vs warm session caches.
-///
-/// Each benchmark gets a fresh in-process server on `127.0.0.1:0`; the
-/// program travels over the wire as canonical constraint text, queries
-/// are points-to over (up to) `max_queries` dereferenced pointers.
-pub fn run_t5(benches: &[Benchmark], max_queries: usize) -> Vec<T5Row> {
-    use ddpa_serve::proto::{build, QuerySpec};
-
-    benches
-        .iter()
-        .map(|b| {
-            let cp = b.build();
-            let text = ddpa_constraints::print_constraints(&cp);
-            let specs: Vec<QuerySpec> = deref_queries(&cp)
-                .into_iter()
-                .take(max_queries)
-                .map(|n| QuerySpec::PointsTo {
-                    name: cp.display_node(n),
-                })
-                .collect();
-
-            let obs = Obs::new();
-            let mut config = ddpa_serve::ServeConfig::default();
-            config.max_batch = specs.len().max(config.max_batch);
-            let server = ddpa_serve::Server::bind("127.0.0.1:0", config, obs.clone())
-                .expect("bind loopback");
-            let addr = server.local_addr();
-            let handle = server.handle();
-            let thread = std::thread::spawn(move || server.run());
-
-            let mut client = ddpa_serve::Client::connect(addr).expect("connect");
-            client
-                .expect_ok(&build::open(b.name, &text, false, None))
-                .expect("open session");
-
-            // timeout_ms=0 disables the wall-clock deadline: T5 measures
-            // raw throughput, not timeout behaviour.
-            let batch = build::batch(b.name, &specs, false, None, Some(0));
-            let start = Instant::now();
-            client.expect_ok(&batch).expect("cold batch");
-            let time_batch_cold = start.elapsed();
-
-            let start = Instant::now();
-            client.expect_ok(&batch).expect("warm batch");
-            let time_batch_warm = start.elapsed();
-            let cache_hits = obs
-                .registry
-                .counter_value(&format!("server.cache_hits.{}", b.name));
-
-            let latency = ddpa_obs::Histogram::default();
-            let start = Instant::now();
-            for spec in &specs {
-                let t = Instant::now();
-                client
-                    .expect_ok(&build::query(b.name, spec, None, Some(0)))
-                    .expect("sequential query");
-                latency.record_duration(t.elapsed());
-            }
-            let time_sequential = start.elapsed();
-
-            handle.shutdown();
-            thread
-                .join()
-                .expect("server thread")
-                .expect("clean shutdown");
-
-            T5Row {
-                name: b.name,
-                queries: specs.len(),
-                time_batch_cold,
-                time_batch_warm,
-                time_sequential,
-                lat_p50_us: latency.quantile(0.50),
-                lat_p95_us: latency.quantile(0.95),
-                lat_p99_us: latency.quantile(0.99),
-                cache_hits,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // T6: online cycle collapsing on cycle-dominated programs
 // ---------------------------------------------------------------------
 
@@ -686,107 +570,6 @@ pub fn run_t6(scales: &[usize]) -> Vec<T6Row> {
 }
 
 // ---------------------------------------------------------------------
-// T7: shared cross-worker memo table (concurrent tabling)
-// ---------------------------------------------------------------------
-
-/// One row of the shared-memo table.
-#[derive(Clone, Debug)]
-pub struct T7Row {
-    /// Workload name (`cyc-<scale>`).
-    pub name: String,
-    /// Pointer-variable queries issued (round-robin across workers).
-    pub queries: usize,
-    /// Simulated worker count.
-    pub workers: usize,
-    /// Rule firings for one engine answering the whole batch (the floor).
-    pub fires_single: u64,
-    /// Total rule firings across workers sharing one memo table.
-    pub fires_shared: u64,
-    /// Total rule firings across workers with private tables only.
-    pub fires_private: u64,
-    /// Completed goals installed from the shared table.
-    pub share_hits: u64,
-    /// Completed goals published to the shared table.
-    pub share_publishes: u64,
-    /// Every query answer bit-identical across all three configurations.
-    pub identical: bool,
-}
-
-impl T7Row {
-    /// `fires_shared / fires_single` — near 1.0 when tabling works.
-    pub fn shared_ratio(&self) -> f64 {
-        self.fires_shared as f64 / self.fires_single.max(1) as f64
-    }
-
-    /// `fires_private / fires_single` — near the worker count without it.
-    pub fn private_ratio(&self) -> f64 {
-        self.fires_private as f64 / self.fires_single.max(1) as f64
-    }
-}
-
-/// Regenerates table T7: total work of a multi-worker batch with and
-/// without the shared cross-worker memo table ([`SharedMemo`]).
-///
-/// Workers are simulated as `workers` sequential engines with queries
-/// dispatched round-robin, which interleaves publish/consume the way
-/// concurrent engines on one table would while keeping the work counts deterministic
-/// on any host. The cyclic suite's queries overlap heavily in subgoals,
-/// so private tables redo the shared closure once per worker (≈ `workers`
-/// × the single-engine floor) while the shared table collapses the batch
-/// back to roughly one engine's work.
-pub fn run_t7(scales: &[usize], workers: usize) -> Vec<T7Row> {
-    assert!(workers > 0, "need at least one simulated worker");
-    scales
-        .iter()
-        .map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let queries: Vec<NodeId> = cp
-                .node_ids()
-                .filter(|&n| !cp.display_node(n).contains("obj"))
-                .collect();
-
-            let mut single = DemandEngine::new(&cp, DemandConfig::default());
-            let baseline: Vec<Vec<NodeId>> =
-                queries.iter().map(|&q| single.points_to(q).pts).collect();
-            let fires_single = single.stats().fires;
-
-            let run_fleet = |shared: Option<Arc<SharedMemo>>| {
-                let mut engines: Vec<DemandEngine> = (0..workers)
-                    .map(|_| {
-                        let engine = DemandEngine::new(&cp, DemandConfig::default());
-                        match &shared {
-                            Some(s) => engine.with_shared_memo(Arc::clone(s)),
-                            None => engine,
-                        }
-                    })
-                    .collect();
-                let answers: Vec<Vec<NodeId>> = queries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &q)| engines[i % workers].points_to(q).pts)
-                    .collect();
-                let stats: Vec<EngineStats> = engines.iter().map(|e| e.stats()).collect();
-                (answers, stats)
-            };
-            let (ans_shared, stats_shared) = run_fleet(Some(Arc::new(SharedMemo::new())));
-            let (ans_private, stats_private) = run_fleet(None);
-
-            T7Row {
-                name: format!("cyc-{scale}"),
-                queries: queries.len(),
-                workers,
-                fires_single,
-                fires_shared: stats_shared.iter().map(|s| s.fires).sum(),
-                fires_private: stats_private.iter().map(|s| s.fires).sum(),
-                share_hits: stats_shared.iter().map(|s| s.share_hits).sum(),
-                share_publishes: stats_shared.iter().map(|s| s.share_publishes).sum(),
-                identical: ans_shared == baseline && ans_private == baseline,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // T8: durable snapshots — cold vs restored time-to-first-answer
 // ---------------------------------------------------------------------
 
@@ -819,12 +602,11 @@ impl T8Row {
 /// Regenerates table T8: time-to-first-answer of a cold engine vs one
 /// warm-started from a durable snapshot ([`ddpa_snap`]).
 ///
-/// The cold run answers every dereference query from scratch, publishing
-/// its completed fixpoints into a [`SharedMemo`]; the snapshot of that
-/// table round-trips through an actual file, and the restored run
-/// measures the full restore path a server pays on startup: read,
-/// checksum + program-hash verification, warm-start install, then
-/// answering the identical query set.
+/// The cold run answers every dereference query from scratch; the
+/// snapshot of its memo table round-trips through an actual file, and the
+/// restored run measures the full restore path a server pays on startup:
+/// read, checksum + program-hash verification, warm start, then answering
+/// the identical query set.
 pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
     benches
         .iter()
@@ -833,15 +615,14 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
             let text = ddpa_constraints::print_constraints(&cp);
             let queries: Vec<NodeId> = deref_queries(&cp);
 
-            let shared = Arc::new(SharedMemo::new());
-            let mut cold = DemandEngine::new(&cp, DemandConfig::default())
-                .with_shared_memo(Arc::clone(&shared));
+            let mut cold = DemandEngine::new(&cp, DemandConfig::default());
             let start = Instant::now();
             let cold_answers: Vec<Vec<NodeId>> =
                 queries.iter().map(|&q| cold.points_to(q).pts).collect();
             let time_cold = start.elapsed();
 
-            let snapshot = ddpa_snap::Snapshot::of_memo(&shared, text.clone());
+            let snapshot =
+                ddpa_snap::Snapshot::new(cold.generation(), text.clone(), cold.export_completed());
             let dir = std::env::temp_dir().join("ddpa-bench-t8");
             let path = dir.join(format!("{}.snap", b.name));
             let bytes = ddpa_snap::write_file(&snapshot, &path).expect("write snapshot");
@@ -1314,19 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn t5_server_throughput_warm_beats_cold_on_work() {
-        let rows = run_t5(&tiny(), 50);
-        let r = &rows[0];
-        assert_eq!(r.name, "syn-1k");
-        assert!(r.queries > 0 && r.queries <= 50);
-        assert!(
-            r.cache_hits > 0,
-            "the repeated batch must hit the warm session cache: {r:?}"
-        );
-        assert!(r.qps(r.time_batch_warm) > 0.0);
-    }
-
-    #[test]
     fn t6_collapsing_at_least_halves_work_with_identical_answers() {
         let rows = run_t6(&[6, 8]);
         for r in &rows {
@@ -1337,27 +1105,6 @@ mod tests {
                 "expected ≥2× work reduction: {r:?}"
             );
             assert!(r.fires_on * 2 <= r.fires_off, "fires too: {r:?}");
-        }
-    }
-
-    #[test]
-    fn t7_shared_table_collapses_cross_worker_duplication() {
-        let rows = run_t7(&[6, 8], 4);
-        for r in &rows {
-            assert!(r.identical, "answers must be bit-identical: {r:?}");
-            assert!(
-                r.share_hits > 0,
-                "workers must reuse published goals: {r:?}"
-            );
-            assert!(r.share_publishes > 0, "fixpoints must be published: {r:?}");
-            assert!(
-                r.shared_ratio() <= 1.2,
-                "shared batch must do ≈ single-engine work: {r:?}"
-            );
-            assert!(
-                r.private_ratio() >= 2.0,
-                "private tables must duplicate the closure: {r:?}"
-            );
         }
     }
 

@@ -631,13 +631,11 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             // The snapshot binds to the canonical constraint text, so a
             // MiniC input and its `ddpa dump` restore interchangeably.
             let source = ddpa::constraints::print_constraints(&cp);
-            let shared = std::sync::Arc::new(ddpa::demand::SharedMemo::new());
             let config = DemandConfig {
                 budget: opts.budget,
                 ..DemandConfig::default()
             };
-            let mut engine = DemandEngine::with_obs(&cp, config, obs.clone())
-                .with_shared_memo(std::sync::Arc::clone(&shared));
+            let mut engine = DemandEngine::with_obs(&cp, config, obs.clone());
             let names = &opts.positional[1..];
             let nodes: Vec<NodeId> = if names.is_empty() {
                 cp.node_ids().collect()
@@ -650,7 +648,8 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             for node in nodes {
                 let _ = engine.points_to(node);
             }
-            let snapshot = ddpa::snap::Snapshot::of_memo(&shared, source);
+            let snapshot =
+                ddpa::snap::Snapshot::new(engine.generation(), source, engine.export_completed());
             let bytes = ddpa::snap::write_file(&snapshot, out_path)
                 .map_err(|e| err(format!("cannot write `{out_path}`: {e}")))?;
             writeln!(

@@ -47,9 +47,9 @@ pub struct DemandConfig {
     pub budget: Option<u64>,
     /// Memoize subgoal results across queries (the paper's caching; on by
     /// default). When off, every query starts from scratch — the ablation
-    /// baseline for the caching experiment. Also gates an attached
-    /// [`crate::SharedMemo`]: a no-caching engine neither consults nor
-    /// feeds the shared table.
+    /// baseline for the caching experiment. Also gates restores: a
+    /// no-caching engine stages nothing
+    /// ([`crate::DemandEngine::warm_start`]).
     pub caching: bool,
     /// Record derivation provenance so
     /// [`crate::DemandEngine::explain_points_to`] can reconstruct why a

@@ -50,12 +50,13 @@
 //! activated goal is at fixpoint and is memoized as complete.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId, TextError};
 use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
-use ddpa_support::FxHashSet;
+use ddpa_support::fxhash::FxHashMap;
 
 use crate::budget::Budget;
 use crate::config::DemandConfig;
@@ -64,7 +65,7 @@ use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
 use crate::sched::Scheduler;
-use crate::share::{close_dirty, CompletedGoal, DirtyView, SharedMemo, SupportRef};
+use crate::share::{close_dirty, CompletedGoal, DirtyView, SupportRef};
 use crate::stats::EngineStats;
 use crate::trace::{Explanation, Origin, TraceStep};
 
@@ -95,8 +96,9 @@ pub struct DemandEngine<'p> {
 }
 
 /// Everything an engine keeps apart from its program: the memo table,
-/// its cycle and cost bookkeeping, counters and the shared table. It
-/// borrows nothing; each call that deduces is handed the program.
+/// its cycle and cost bookkeeping, counters and the entries a restore
+/// staged. It borrows nothing; each call that deduces is handed the
+/// program.
 #[derive(Debug)]
 pub(crate) struct Memo {
     config: DemandConfig,
@@ -113,17 +115,10 @@ pub(crate) struct Memo {
     /// Copy-graph edges and the goal-merging union-find; every goal-index
     /// lookup routes through [`CopyGraph::find`].
     pub(crate) cycles: CopyGraph,
-    /// Cross-engine memo table, when attached
-    /// ([`DemandEngine::with_shared_memo`]); ignored while
-    /// [`DemandConfig::caching`] is off.
-    shared: Option<Arc<SharedMemo>>,
-    /// The [`SharedMemo`] generation this engine's tabled state was
-    /// computed under; lookups and publishes against any other
-    /// generation are refused by the table.
-    shared_gen: u64,
-    /// Goals already published to (or installed from) the shared table,
-    /// so a drain never re-publishes the whole table.
-    published: FxHashSet<Goal>,
+    /// Restored fixpoints not yet touched ([`DemandEngine::warm_start`]).
+    /// The first activation of a staged goal moves its entry into the
+    /// table; a goal is never both staged and tabled.
+    staged: FxHashMap<Goal, CompletedGoal>,
     /// The deduction flight recorder, when enabled
     /// ([`DemandConfig::flight`]). Recording is append-only and never
     /// feeds back into deduction, so answers are identical either way.
@@ -178,8 +173,6 @@ struct EngineCounters {
     cycles_merged_goals: Counter,
     share_hits: Counter,
     share_misses: Counter,
-    share_publishes: Counter,
-    share_evictions: Counter,
     flight_events: Counter,
     sched_parked: Counter,
     sched_resumed: Counter,
@@ -204,8 +197,6 @@ impl EngineCounters {
             cycles_merged_goals: obs.counter("demand.cycles.merged_goals"),
             share_hits: obs.counter("demand.share.hits"),
             share_misses: obs.counter("demand.share.misses"),
-            share_publishes: obs.counter("demand.share.publishes"),
-            share_evictions: obs.counter("demand.share.evictions"),
             flight_events: obs.counter("demand.flight.events"),
             sched_parked: obs.counter("demand.sched.parked"),
             sched_resumed: obs.counter("demand.sched.resumed"),
@@ -250,32 +241,6 @@ impl<'p> DemandEngine<'p> {
     /// recent engine activity; see `docs/OBSERVABILITY.md`.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.memo.flight.as_ref()
-    }
-
-    /// Attaches a shared cross-engine memo table (concurrent tabling).
-    ///
-    /// On activating a goal it has not tabled, the engine first consults
-    /// `shared`: a hit installs the published member set as a completed
-    /// local goal, costing zero rule firings for that whole subtree. On
-    /// every successful drain the engine publishes its newly completed
-    /// goals, so engines attached to the same table do each subgoal's
-    /// work once between them. Gated on [`DemandConfig::caching`]: with
-    /// caching off every query clears local state and the shared table
-    /// is ignored entirely.
-    ///
-    /// [`DemandEngine::invalidate`] / [`DemandEngine::reload`] bump the
-    /// table's generation, so entries computed against the old program
-    /// are never served again (see [`SharedMemo`]). Attach the table at
-    /// construction time, before issuing queries.
-    pub fn with_shared_memo(mut self, shared: Arc<SharedMemo>) -> Self {
-        self.memo.shared_gen = shared.generation();
-        self.memo.shared = Some(shared);
-        self
-    }
-
-    /// The shared memo table this engine consults, if one is attached.
-    pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
-        self.memo.shared.as_ref()
     }
 
     /// The observability hub this engine publishes into.
@@ -327,8 +292,6 @@ impl<'p> DemandEngine<'p> {
             merged_goals: c.cycles_merged_goals.get(),
             share_hits: c.share_hits.get(),
             share_misses: c.share_misses.get(),
-            share_publishes: c.share_publishes.get(),
-            share_evictions: c.share_evictions.get(),
             flight_events: c.flight_events.get(),
             sched_parked: c.sched_parked.get(),
             sched_resumed: c.sched_resumed.get(),
@@ -392,11 +355,9 @@ impl<'p> DemandEngine<'p> {
     /// completed goals, moved (not copied) into the slots
     /// [`warm_start`](Self::warm_start) would give them;
     /// the rest — plus any entry with no recorded support,
-    /// conservatively — are dropped and re-derived on demand. An
-    /// attached [`SharedMemo`] gets the same
-    /// treatment via [`SharedMemo::invalidate_entries`]: per-entry
-    /// removal *without* a generation bump, so surviving entries keep
-    /// serving other engines that move to the new program.
+    /// conservatively — are dropped and re-derived on demand. Entries
+    /// [`warm_start`](Self::warm_start) staged get the same treatment and
+    /// stay staged when they survive.
     ///
     /// Falls back to full invalidation ([`reload`](Self::reload)) when
     /// the diff is incompatible (old node ids don't survive into `cp`) or
@@ -524,27 +485,54 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Installs completed fixpoints as tabled, complete goals without
-    /// deriving them — the warm-start path used by snapshot restore
-    /// ([`ddpa-snap`](../../ddpa_snap/index.html)). Equivalent to the
-    /// shared-memo hit branch of `activate`: the whole subtree below each
-    /// goal costs zero rule firings, and later subscribers replay `elems`
-    /// from cursor 0 exactly as with a locally completed goal.
+    /// Every complete goal of the memo table, plus every entry still
+    /// staged, as `(goal, fixpoint)` pairs in canonical order (all `Pts`
+    /// goals by node id, then all `Ptb`) — what a snapshot persists. A
+    /// goal merged into a cycle is exported under its own key with its
+    /// family's fixpoint. Provenance is included when tracing.
+    pub fn export_completed(&self) -> Vec<(Goal, CompletedGoal)> {
+        self.memo.export_completed()
+    }
+
+    /// Stages completed fixpoints for this engine's program — the restore
+    /// path of snapshots ([`ddpa-snap`](../../ddpa_snap/index.html)). A
+    /// staged goal is not tabled yet: its first activation moves the
+    /// entry into the table as a complete goal, so the whole subtree
+    /// below it costs zero rule firings, and later subscribers replay its
+    /// members from cursor 0 exactly as with a locally completed goal.
+    /// Edits dirty staged entries as they dirty tabled ones, and
+    /// [`invalidate`](Self::invalidate) / [`reload`](Self::reload) drop
+    /// them.
     ///
-    /// Skips goals already tabled locally — a warm start must never
-    /// overwrite live deduction state — and installs nothing when caching
-    /// is disabled. Returns how many goals were installed.
+    /// Skips goals already tabled or staged — a warm start must never
+    /// overwrite live deduction state — and stages nothing when caching
+    /// is disabled. Returns how many entries were staged.
     ///
-    /// The caller is responsible for only installing fixpoints computed
+    /// The caller is responsible for only staging fixpoints computed
     /// over the *same program*; snapshot restore verifies the program
     /// hash first.
     pub fn warm_start<'e, I>(&mut self, entries: I) -> usize
     where
         I: IntoIterator<Item = &'e (Goal, CompletedGoal)>,
     {
+        let memo = &mut self.memo;
+        if !memo.config.caching {
+            return 0;
+        }
         entries
             .into_iter()
-            .filter(|(goal, result)| self.memo.install_completed(*goal, result))
+            .filter(|(goal, entry)| {
+                if memo.index.get(*goal).is_some() {
+                    return false;
+                }
+                match memo.staged.entry(*goal) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(entry.clone());
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                }
+            })
             .count()
     }
 }
@@ -570,9 +558,7 @@ impl Memo {
             provenance: HashMap::new(),
             generation: 0,
             cycles,
-            shared: None,
-            shared_gen: 0,
-            published: FxHashSet::default(),
+            staged: FxHashMap::default(),
             flight,
             costs: Vec::new(),
             last_parallel: false,
@@ -592,20 +578,14 @@ impl Memo {
         self.keys.clear();
         self.queue.clear();
         self.provenance.clear();
-        self.published.clear();
         self.costs.clear();
         self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
     }
 
     fn invalidate(&mut self) {
         self.clear();
+        self.staged.clear();
         self.generation += 1;
-        // The program this engine answers for has changed, so entries in
-        // an attached shared table are stale for every engine sharing it:
-        // bump its generation and adopt the new one.
-        if let Some(shared) = &self.shared {
-            self.shared_gen = shared.bump_generation();
-        }
     }
 
     /// The memo side of [`DemandEngine::reload_incremental`], for a new
@@ -628,8 +608,7 @@ impl Memo {
         }
         // Candidates: one borrowed view per key of every completed local
         // fixpoint (the canonical key, then its merged-in aliases — the
-        // keys the shared table publishes), plus clones of whatever
-        // other engines published that this one never tabled.
+        // keys an export writes), then one per staged entry.
         let mut views: Vec<DirtyView<'_>> = Vec::new();
         let mut at = GoalIndex::with_nodes(nodes);
         for (gi, state) in self.goals.iter().enumerate() {
@@ -646,26 +625,27 @@ impl Memo {
                 });
             }
         }
-        let foreign = match &self.shared {
-            Some(shared) => shared.export_where(|g| at.get(g).is_none()),
-            None => Vec::new(),
-        };
-        for (goal, entry) in &foreign {
+        let tabled = views.len();
+        for (goal, entry) in &self.staged {
             at.insert(*goal, views.len() as u32);
             views.push(DirtyView::of_entry(*goal, entry));
         }
         let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
-        let dirty_goals: HashSet<Goal> = views
+        let invalidated = dirty.iter().filter(|&&d| d).count();
+        let retained = views.len() - invalidated;
+        let dirty_staged: Vec<Goal> = views[tabled..]
             .iter()
-            .zip(&dirty)
+            .zip(&dirty[tabled..])
             .filter(|&(_, &d)| d)
             .map(|(v, _)| v.goal)
             .collect();
-        let retained = views.len() - dirty_goals.len();
         drop(views);
+        for goal in &dirty_staged {
+            self.staged.remove(goal);
+        }
 
-        // Re-table the survivors by moving their state into the slots
-        // `install_completed` would give them, in the same order.
+        // Re-table the survivors by moving their state into new slots, in
+        // table order.
         let mut goals = std::mem::take(&mut self.goals);
         let keys = std::mem::take(&mut self.keys);
         for &key in &keys {
@@ -678,17 +658,6 @@ impl Memo {
         self.keys.reserve_exact(retained);
         self.costs.reserve_exact(retained);
         self.generation += 1;
-        if let Some(shared) = &self.shared {
-            let shared = Arc::clone(shared);
-            let (_removed, compacted) = shared.invalidate_entries(&dirty_goals);
-            if compacted > 0 {
-                self.counters.share_evictions.add(compacted);
-            }
-            // No generation bump: survivors stay valid for the new
-            // program, and this engine keeps publishing under the same
-            // shared generation.
-            self.shared_gen = shared.generation();
-        }
         let mut flags = dirty.iter();
         for (gi, slot) in goals.iter_mut().enumerate() {
             if slot.merged || !slot.complete {
@@ -708,7 +677,7 @@ impl Memo {
                     Some(s) => s,
                     None => self.goals.last().expect("tabled above").completed_copy(),
                 };
-                let at = self.push_completed(goal, fresh) as usize;
+                let at = self.push(goal, fresh) as usize;
                 if self.config.trace {
                     for &v in &self.goals[at].elems {
                         if let Some(&origin) = provenance.get(&(key, v)) {
@@ -718,25 +687,68 @@ impl Memo {
                 }
             }
         }
-        for ((goal, entry), &d) in foreign.iter().zip(flags) {
-            if !d {
-                self.install_completed(*goal, entry);
-            }
-        }
         EditStats {
-            invalidated: dirty_goals.len(),
+            invalidated,
             retained,
             dirty_edges,
             full: false,
         }
     }
 
-    /// The completed element set tabled for `goal`, if it has one: how
-    /// the frame scheduler seeds frames from goals already at fixpoint.
+    /// The completed element set tabled or staged for `goal`, if it has
+    /// one: how the frame scheduler seeds frames from goals already at
+    /// fixpoint. A staged entry stays staged; the probe counts as a share
+    /// hit or miss as in [`activate`](Self::activate).
     pub(crate) fn completed_elems(&self, goal: Goal) -> Option<Vec<u32>> {
-        let gi = self.index.get(goal)?;
-        let state = &self.goals[self.cycles.find_readonly(gi) as usize];
-        state.complete.then(|| state.members.iter().collect())
+        if let Some(gi) = self.index.get(goal) {
+            let state = &self.goals[self.cycles.find_readonly(gi) as usize];
+            return state.complete.then(|| state.members.iter().collect());
+        }
+        self.probe_staged(goal).map(|entry| entry.elems.clone())
+    }
+
+    /// Looks `goal` up among the staged entries, counting a share hit or
+    /// miss while any are staged.
+    fn probe_staged(&self, goal: Goal) -> Option<&CompletedGoal> {
+        if self.staged.is_empty() {
+            return None;
+        }
+        let hit = self.staged.get(&goal);
+        match hit {
+            Some(_) => self.counters.share_hits.inc(),
+            None => self.counters.share_misses.inc(),
+        }
+        hit
+    }
+
+    /// Every complete goal, under its key and its merged-in aliases, plus
+    /// every staged entry, in canonical order.
+    fn export_completed(&self) -> Vec<(Goal, CompletedGoal)> {
+        let mut out: Vec<(Goal, CompletedGoal)> = self
+            .staged
+            .iter()
+            .map(|(&goal, entry)| (goal, entry.clone()))
+            .collect();
+        for (gi, state) in self.goals.iter().enumerate() {
+            if state.merged || !state.complete {
+                continue;
+            }
+            let key = self.keys[gi];
+            let mut entry = CompletedGoal::of_state(state);
+            if self.config.trace {
+                entry.provenance = entry
+                    .elems
+                    .iter()
+                    .filter_map(|&v| self.provenance.get(&(key, v)).map(|&o| (v, o)))
+                    .collect();
+            }
+            for &alias in &state.aliases {
+                out.push((alias, entry.clone()));
+            }
+            out.push((key, entry));
+        }
+        out.sort_unstable_by_key(|&(goal, _)| goal.canonical_key());
+        out
     }
 
     /// Records one flight event (no-op when the recorder is off).
@@ -796,144 +808,30 @@ impl Memo {
         if let Some(gi) = self.index.get(goal) {
             return self.cycles.find(gi);
         }
-        let gi = self.goals.len() as u32;
-        self.goals.push(GoalState::new());
-        self.keys.push(goal);
-        self.index.insert(goal, gi);
-        self.costs.push(GoalCost::default());
-        let slot = self.cycles.push();
-        debug_assert_eq!(slot, gi, "union-find aligned with goal table");
-        self.counters.goals_activated.inc();
-        self.flight_record(FlightEventKind::Activated, gi, 0, 0);
-        if let Some(hit) = self.shared_lookup(goal) {
-            // Install the published fixpoint as a completed goal: no
+        if self.probe_staged(goal).is_some() {
+            // Table the restored fixpoint as a completed goal, by move: no
             // static rules, no enqueue — the whole subtree below `goal`
             // costs zero firings. Later subscribers replay `elems` from
             // cursor 0, exactly as with a locally completed goal.
-            let state = &mut self.goals[gi as usize];
-            for &v in &hit.elems {
-                state.members.insert(v);
-                state.elems.push(v);
-            }
-            for &n in &hit.support {
-                state.support.insert(n);
-            }
-            state.deps = hit.deps.clone();
-            state.reads_indirect = hit.reads_indirect;
-            state.needs_init = false;
-            state.complete = true;
+            let mut entry = self.staged.remove(&goal).expect("probed above");
+            let provenance = std::mem::take(&mut entry.provenance);
+            let gi = self.push(goal, entry.into_state());
             if self.config.trace {
-                for &(v, origin) in &hit.provenance {
+                for (v, origin) in provenance {
                     self.provenance.insert((goal, v), origin);
                 }
             }
-            self.published.insert(goal);
             self.flight_record(FlightEventKind::MemoHit, gi, 1, 0);
             return gi;
         }
+        let gi = self.push(goal, GoalState::new());
         self.enqueue(gi);
         gi
     }
 
-    /// Consults the attached shared memo table for `goal`, counting the
-    /// hit or miss and any stale entries the touched shard evicted.
-    fn shared_lookup(&self, goal: Goal) -> Option<CompletedGoal> {
-        let shared = self.shared.as_ref()?;
-        if !self.config.caching {
-            return None;
-        }
-        let _span = self.obs.span("demand.share.lookup");
-        let (hit, evicted) = shared.lookup(self.shared_gen, goal);
-        if evicted > 0 {
-            self.counters.share_evictions.add(evicted);
-        }
-        if hit.is_some() {
-            self.counters.share_hits.inc();
-        } else {
-            self.counters.share_misses.inc();
-        }
-        hit
-    }
-
-    /// Publishes every newly completed goal into the attached shared
-    /// table. Called at global fixpoint: a completed set is the unique
-    /// least-model answer for this generation, so any engine may reuse
-    /// it. Merged cycle members share one fixpoint — the representative's
-    /// set is published under its own key and every alias key.
-    fn shared_publish_completed(&mut self) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        if !self.config.caching {
-            return;
-        }
-        let shared = Arc::clone(shared);
-        for gi in 0..self.goals.len() {
-            let state = &self.goals[gi];
-            if state.merged || !state.complete {
-                continue;
-            }
-            let key = self.keys[gi];
-            if self.published.contains(&key) && state.aliases.is_empty() {
-                continue;
-            }
-            let mut entry: Option<CompletedGoal> = None;
-            for target in std::iter::once(key).chain(state.aliases.iter().copied()) {
-                if !self.published.insert(target) {
-                    continue;
-                }
-                let entry = entry.get_or_insert_with(|| self.completed_entry(gi, key));
-                let (published, evicted) = shared.publish(self.shared_gen, target, entry.clone());
-                if evicted > 0 {
-                    self.counters.share_evictions.add(evicted);
-                }
-                if published {
-                    self.counters.share_publishes.inc();
-                }
-            }
-        }
-    }
-
-    /// Materializes the publishable [`CompletedGoal`] for the complete
-    /// goal at `gi`, with its provenance (looked up under `key`) when
-    /// tracing.
-    fn completed_entry(&self, gi: usize, key: Goal) -> CompletedGoal {
-        let mut entry = CompletedGoal::of_state(&self.goals[gi]);
-        if self.config.trace {
-            entry.provenance = entry
-                .elems
-                .iter()
-                .filter_map(|&v| self.provenance.get(&(key, v)).map(|&origin| (v, origin)))
-                .collect();
-        }
-        entry
-    }
-
-    /// Tables one completed fixpoint ([`DemandEngine::warm_start`]);
-    /// `false` when it was skipped.
-    fn install_completed(&mut self, goal: Goal, result: &CompletedGoal) -> bool {
-        if !self.config.caching || self.index.get(goal).is_some() {
-            return false;
-        }
-        let state = GoalState::completed(
-            result.elems.iter().copied().collect(),
-            result.elems.clone(),
-            result.support.iter().copied().collect(),
-            result.deps.clone(),
-            result.reads_indirect,
-        );
-        self.push_completed(goal, state);
-        if self.config.trace {
-            for &(v, origin) in &result.provenance {
-                self.provenance.insert((goal, v), origin);
-            }
-        }
-        true
-    }
-
-    /// Tables `state`, a completed fixpoint, as `goal` in a new slot and
-    /// returns the slot. The goal counts as activated and as published.
-    fn push_completed(&mut self, goal: Goal, state: GoalState) -> u32 {
+    /// Tables `state` as `goal` in a new slot and returns the slot. The
+    /// goal counts as activated.
+    fn push(&mut self, goal: Goal, state: GoalState) -> u32 {
         let gi = self.goals.len() as u32;
         self.goals.push(state);
         self.keys.push(goal);
@@ -943,7 +841,6 @@ impl Memo {
         debug_assert_eq!(slot, gi, "union-find aligned with goal table");
         self.counters.goals_activated.inc();
         self.flight_record(FlightEventKind::Activated, gi, 0, 0);
-        self.published.insert(goal);
         gi
     }
 
@@ -1151,7 +1048,6 @@ impl Memo {
                 self.flight_record(FlightEventKind::Completed, gi as u32, elems, work);
             }
         }
-        self.shared_publish_completed();
         true
     }
 
@@ -1283,18 +1179,17 @@ impl Memo {
         // queue: eligible queries are unbudgeted (frames cannot abort
         // mid-step deterministically), untraced (no cross-thread
         // provenance map), and start from a drained queue (no suspended
-        // sequential work to interleave with). Already-answered goals
-        // fall through to the sequential cache-hit path.
+        // sequential work to interleave with). Already-answered goals,
+        // tabled or staged, fall through to the sequential cache-hit path.
         if self.config.workers > 1
             && self.config.budget.is_none()
             && !self.config.trace
             && self.queue.is_empty()
         {
-            let cached = self
-                .index
-                .get(goal)
-                .map(|gi| self.cycles.find_readonly(gi))
-                .is_some_and(|gi| self.goals[gi as usize].complete);
+            let cached = match self.index.get(goal) {
+                Some(gi) => self.goals[self.cycles.find_readonly(gi) as usize].complete,
+                None => self.staged.contains_key(&goal),
+            };
             if !cached {
                 return self.run_parallel(cp, goal);
             }
@@ -1329,21 +1224,16 @@ impl Memo {
 
     /// Answers `goal` with the frame scheduler ([`crate::sched`]) on
     /// [`DemandConfig::workers`] threads, seeding frames from this
-    /// engine's completed goals, then folds the scheduler's counters and
-    /// newly completed fixpoints back into the engine (and the attached
-    /// [`SharedMemo`], when caching). Answers are bit-identical to the
-    /// sequential drain — see the module docs of [`crate::sched`].
+    /// engine's completed and staged goals, then folds the scheduler's
+    /// counters and, when caching, its newly completed fixpoints back
+    /// into the table. Answers are bit-identical to the sequential drain
+    /// — see the module docs of [`crate::sched`].
     fn run_parallel(&mut self, cp: &ConstraintProgram, goal: Goal) -> QueryResult {
         let _span = self.obs.span("demand.query.parallel");
         self.last_parallel = true;
         let mut sched = Scheduler::new(cp, self.config.clone()).with_obs(self.obs.clone());
         if let Some(flight) = &self.flight {
             sched = sched.with_flight(Arc::clone(flight));
-        }
-        if self.config.caching {
-            if let Some(shared) = &self.shared {
-                sched = sched.with_shared(Arc::clone(shared), self.shared_gen);
-            }
         }
         let mut outcome = sched.solve_seeded(goal, Some(self));
         let stats = outcome.stats;
@@ -1354,9 +1244,6 @@ impl Memo {
                 self.counters.fires_by_kind[i].add(n);
             }
         }
-        self.counters.share_hits.add(stats.share_hits);
-        self.counters.share_misses.add(stats.share_misses);
-        self.counters.share_evictions.add(stats.share_evictions);
         self.counters.sched_parked.add(stats.parked);
         self.counters.sched_resumed.add(stats.resumed);
         self.counters.sched_steals.add(stats.steals);
@@ -1364,27 +1251,13 @@ impl Memo {
         self.counters.flight_events.add(stats.flight_events);
         let work = stats.work;
         if self.config.caching {
-            let shared = self.shared.clone();
             for (g, state) in outcome.completed() {
-                if let Some(shared) = &shared {
-                    if !self.published.contains(&g) {
-                        let entry = CompletedGoal::of_state(&state);
-                        let (published, evicted) = shared.publish(self.shared_gen, g, entry);
-                        if evicted > 0 {
-                            self.counters.share_evictions.add(evicted);
-                        }
-                        if published {
-                            self.counters.share_publishes.inc();
-                        }
-                    }
-                }
-                // Table the fixpoint locally, by move, so later queries
-                // (parallel or sequential) answer from the memo. Goals
-                // the engine already tables (e.g. incomplete from an old
-                // budgeted query) are left untouched, as by
-                // `install_completed`.
+                // Table the fixpoint, by move, so later queries (parallel
+                // or sequential) answer from the memo. Goals the engine
+                // already tables (e.g. incomplete from an old budgeted
+                // query) are left untouched.
                 if self.index.get(g).is_none() {
-                    self.push_completed(g, state);
+                    self.push(g, state);
                 }
             }
         } else {
@@ -1527,25 +1400,33 @@ mod tests {
     fn warm_start_installs_fixpoints_and_answers_with_zero_work() {
         let cp = ddpa_constraints::parse_constraints("p = &o\nq = p\nr = q\n").expect("parses");
         // Derive the fixpoints once, capture the export.
-        let shared = std::sync::Arc::new(crate::SharedMemo::new());
-        let mut warm = DemandEngine::new(&cp, DemandConfig::default())
-            .with_shared_memo(std::sync::Arc::clone(&shared));
+        let mut warm = DemandEngine::new(&cp, DemandConfig::default());
         let full = warm.points_to(node(&cp, "r"));
-        let exported = shared.export_completed();
+        let exported = warm.export_completed();
         assert!(!exported.is_empty());
 
-        // A fresh engine (no shared table at all) warm-starts from them.
+        // A fresh engine warm-starts from them: staged, not yet tabled.
         let mut cold = DemandEngine::new(&cp, DemandConfig::default());
         let installed = cold.warm_start(&exported);
         assert_eq!(installed, exported.len());
-        // Re-installing is a no-op: the goals are already tabled.
+        assert_eq!(cold.tabled_goals(), 0, "restore is lazy");
+        assert_eq!(cold.export_completed(), exported);
+        // Re-staging is a no-op: the goals are already staged.
         assert_eq!(cold.warm_start(&exported), 0);
         let reused = cold.points_to(node(&cp, "r"));
         assert_eq!(reused.pts, full.pts);
         assert_eq!(reused.work, 0, "restored answer costs zero rule firings");
+        assert_eq!(cold.stats().share_hits, 1, "the hit moved one entry in");
+        assert_eq!(cold.tabled_goals(), 1);
+        // A tabled goal is not staged again.
+        assert_eq!(cold.warm_start(&exported), 0);
+        assert_eq!(cold.export_completed(), exported);
         // And the memo keeps working for queries beyond the snapshot.
         let o = cold.points_to(node(&cp, "o"));
         assert!(o.complete);
+        // `invalidate` drops what is still staged.
+        cold.invalidate();
+        assert!(cold.export_completed().is_empty());
     }
 
     #[test]
@@ -1747,30 +1628,28 @@ mod tests {
     }
 
     #[test]
-    fn incremental_reload_keeps_shared_survivors_without_generation_bump() {
+    fn incremental_reload_keeps_staged_survivors_staged() {
         let before =
             ddpa_constraints::parse_constraints("p = &o\nq = p\nr = &u\n").expect("parses");
         let after =
             ddpa_constraints::parse_constraints("p = &o\nq = p\nr = &u\ns = r\n").expect("parses");
-        let shared = std::sync::Arc::new(crate::SharedMemo::new());
-        let mut engine = DemandEngine::new(&before, DemandConfig::default())
-            .with_shared_memo(std::sync::Arc::clone(&shared));
-        assert!(engine.points_to(node(&before, "q")).complete);
-        assert!(engine.points_to(node(&before, "r")).complete);
-        let gen_before = shared.generation();
+        let mut donor = DemandEngine::new(&before, DemandConfig::default());
+        assert!(donor.points_to(node(&before, "q")).complete);
+        assert!(donor.points_to(node(&before, "r")).complete);
+        let mut engine = DemandEngine::new(&before, DemandConfig::default());
+        engine.warm_start(&donor.export_completed());
 
         let diff = ddpa_constraints::diff_programs(&before, &after);
         let stats = engine.reload_incremental(&after, &diff);
         assert!(!stats.full);
-        assert_eq!(
-            shared.generation(),
-            gen_before,
-            "per-entry invalidation must not bump the shared generation"
-        );
-        // Survivors are still served; dirtied entries are gone.
-        let kept = shared.export_completed();
+        assert!(stats.retained > 0 && stats.invalidated > 0);
+        assert_eq!(engine.tabled_goals(), 0, "survivors stay staged");
+        // Survivors are still exported; dirtied entries are gone.
+        let kept = engine.export_completed();
+        assert_eq!(kept.len(), stats.retained);
         assert!(kept.iter().any(|(g, _)| *g == Goal::Pts(node(&after, "q"))));
         assert!(!kept.iter().any(|(g, _)| *g == Goal::Pts(node(&after, "r"))));
+        assert_eq!(engine.points_to(node(&after, "q")).work, 0);
     }
 
     #[test]
@@ -1933,7 +1812,7 @@ mod cycle_tests {
         let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
         let first = engine.points_to(node(&cp, "r3"));
         assert!(first.complete && first.work > 0);
-        // Every ring member now answers from the shared memo entry.
+        // Every ring member now answers from the family's merged entry.
         for i in 0..8 {
             let r = engine.points_to(node(&cp, &format!("r{i}")));
             assert!(r.complete);

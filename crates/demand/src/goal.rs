@@ -30,7 +30,7 @@ impl Goal {
         }
     }
 
-    /// The canonical goal order of published entries and their deps:
+    /// The canonical goal order of exported entries and their deps:
     /// every `Pts` goal by node id, then every `Ptb`.
     pub fn canonical_key(self) -> (u8, u32) {
         match self {

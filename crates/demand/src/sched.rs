@@ -70,7 +70,6 @@ use crate::engine::Memo;
 use crate::goal::{Goal, GoalState, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
-use crate::share::SharedMemo;
 use crate::trace::Origin;
 
 /// The slot addressing a goal's frame: `pts(n) → 2n`, `ptb(n) → 2n+1`.
@@ -101,9 +100,9 @@ struct Frame {
     steps: u32,
     /// The frame has been referenced (seeded or queued) this solve.
     active: bool,
-    /// Seeded from the host engine's already-complete table entry — the
-    /// fixpoint was derived (and published) previously, so finalization
-    /// skips it.
+    /// Seeded from the host engine's already-complete table entry or a
+    /// staged one — the fixpoint exists already, so finalization skips
+    /// it.
     seeded_from_engine: bool,
 }
 
@@ -125,12 +124,6 @@ pub struct SchedStats {
     pub steals: u64,
     /// Reschedules of previously stepped frames (fact or watcher arrived).
     pub wakeups: u64,
-    /// Shared-memo consults that installed a published fixpoint.
-    pub share_hits: u64,
-    /// Shared-memo consults that found nothing.
-    pub share_misses: u64,
-    /// Stale shared-memo entries evicted by our lookups.
-    pub share_evictions: u64,
     /// Flight-recorder events emitted by this worker.
     pub flight_events: u64,
     /// Firings per [`Watcher`] variant, by [`Watcher::kind_index`].
@@ -146,9 +139,6 @@ impl SchedStats {
         self.resumed += other.resumed;
         self.steals += other.steals;
         self.wakeups += other.wakeups;
-        self.share_hits += other.share_hits;
-        self.share_misses += other.share_misses;
-        self.share_evictions += other.share_evictions;
         self.flight_events += other.flight_events;
         for (mine, theirs) in self.fires_by_kind.iter_mut().zip(&other.fires_by_kind) {
             *mine += *theirs;
@@ -224,7 +214,6 @@ struct Core<'p> {
     sleepers: AtomicUsize,
     idle: Mutex<()>,
     wake: Condvar,
-    shared: Option<(Arc<SharedMemo>, u64)>,
     flight: Option<Arc<FlightRecorder>>,
     obs: Obs,
 }
@@ -293,7 +282,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
     }
 
     /// First-touch activation of the locked, inactive frame `f`: seed it
-    /// from the host engine's table or the shared memo, or schedule its
+    /// from the host engine's table or staged entries, or schedule its
     /// first step.
     fn activate_locked(&mut self, slot: u32, f: &mut Frame) {
         f.active = true;
@@ -310,27 +299,6 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
             // Nothing to schedule: a complete frame with no watchers is
             // quiescent. A later subscribe wakes it to replay `elems`.
             return;
-        }
-        if let Some((shared, gen)) = &self.core.shared {
-            let (hit, evicted) = shared.lookup(*gen, goal);
-            self.stats.share_evictions += evicted;
-            match hit {
-                Some(hit) => {
-                    self.stats.share_hits += 1;
-                    for &v in &hit.elems {
-                        f.state.add(v);
-                    }
-                    for &n in &hit.support {
-                        f.state.support.insert(n);
-                    }
-                    f.state.deps = hit.deps.clone();
-                    f.state.reads_indirect = hit.reads_indirect;
-                    f.state.needs_init = false;
-                    f.state.complete = true;
-                    return;
-                }
-                None => self.stats.share_misses += 1,
-            }
         }
         self.schedule_locked(slot, f);
     }
@@ -561,7 +529,6 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
 pub struct Scheduler<'p> {
     cp: &'p ConstraintProgram,
     config: DemandConfig,
-    shared: Option<(Arc<SharedMemo>, u64)>,
     flight: Option<Arc<FlightRecorder>>,
     obs: Obs,
 }
@@ -572,18 +539,9 @@ impl<'p> Scheduler<'p> {
         Scheduler {
             cp,
             config,
-            shared: None,
             flight: None,
             obs: Obs::new(),
         }
-    }
-
-    /// Routes cross-worker fact publication through `shared` (entries
-    /// valid for generation `gen`): activations consult it, and the
-    /// driver publishes every newly completed goal into it.
-    pub fn with_shared(mut self, shared: Arc<SharedMemo>, gen: u64) -> Self {
-        self.shared = Some((shared, gen));
-        self
     }
 
     /// Records park/steal/wake (and sampled fire) events into `flight`.
@@ -604,7 +562,7 @@ impl<'p> Scheduler<'p> {
     }
 
     /// [`solve`](Self::solve), additionally seeding frames from a host
-    /// engine's already-completed goals.
+    /// engine's already-completed and staged goals.
     pub(crate) fn solve_seeded(&self, goal: Goal, seed: Option<&Memo>) -> SolveOutcome {
         let workers = self.config.workers.max(1);
         let slots = 2 * self.cp.num_nodes();
@@ -618,7 +576,6 @@ impl<'p> Scheduler<'p> {
             sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),
             wake: Condvar::new(),
-            shared: self.shared.clone(),
             flight: self.flight.clone(),
             obs: self.obs.clone(),
         };
@@ -681,7 +638,6 @@ mod tests {
     use super::*;
     use crate::config::DemandConfig;
     use crate::engine::DemandEngine;
-    use crate::share::CompletedGoal;
 
     fn node(cp: &ConstraintProgram, name: &str) -> NodeId {
         cp.node_ids()
@@ -750,22 +706,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_memo_seeds_and_receives_fixpoints() {
+    fn staged_entries_seed_frames_and_stay_staged() {
         let cp = ddpa_constraints::parse_constraints("p = &o\nq = p\nr = q\n").expect("parses");
-        let shared = Arc::new(SharedMemo::new());
-        let sched = Scheduler::new(&cp, DemandConfig::new().with_workers(2))
-            .with_shared(Arc::clone(&shared), shared.generation());
-        let mut first = sched.solve(Goal::Pts(node(&cp, "r")));
-        for (goal, state) in first.completed() {
-            shared.publish(shared.generation(), goal, CompletedGoal::of_state(&state));
-        }
-        // A second scheduler answers the root from the table without
-        // stepping the subtree.
-        let sched2 = Scheduler::new(&cp, DemandConfig::new().with_workers(2))
-            .with_shared(Arc::clone(&shared), shared.generation());
-        let second = sched2.solve(Goal::Pts(node(&cp, "r")));
+        let config = DemandConfig::new().with_workers(2);
+        let mut donor = DemandEngine::new(&cp, config.clone());
+        let first = donor.points_to(node(&cp, "q"));
+        let mut engine = DemandEngine::new(&cp, config);
+        engine.warm_start(&donor.export_completed());
+        // The root is not staged, so the query runs on the scheduler; the
+        // staged pts(q) seeds its frame without stepping the subtree.
+        let second = engine.points_to(node(&cp, "r"));
+        assert!(engine.last_query_parallel());
         assert_eq!(second.pts, first.pts);
-        assert!(second.stats.share_hits >= 1);
-        assert_eq!(second.stats.work, 0, "published fixpoint costs no work");
+        assert_eq!(second.work, 2, "only pts(r) is derived");
+        assert!(engine.stats().share_hits >= 1);
+        assert!(
+            engine
+                .export_completed()
+                .iter()
+                .any(|(g, _)| *g == Goal::Pts(node(&cp, "q"))),
+            "the seeded entry stays staged"
+        );
     }
 }

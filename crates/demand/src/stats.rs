@@ -27,16 +27,13 @@ pub struct EngineStats {
     /// Goals merged away into a representative (excludes the
     /// representatives themselves).
     pub merged_goals: u64,
-    /// Goals installed from an attached [`crate::SharedMemo`] (each one
-    /// a whole subtree of rule firings saved).
+    /// Activations answered by an entry a restore staged
+    /// ([`crate::DemandEngine::warm_start`]), each one a whole subtree of
+    /// rule firings saved.
     pub share_hits: u64,
-    /// Shared-table lookups that found no entry.
+    /// Activations, while entries were staged, that found none for their
+    /// goal.
     pub share_misses: u64,
-    /// Completed goals this engine published into the shared table.
-    pub share_publishes: u64,
-    /// Stale (old-generation) shared entries lazily evicted by this
-    /// engine's lookups and publishes.
-    pub share_evictions: u64,
     /// Events recorded into the deduction flight recorder
     /// (see [`crate::DemandEngine::flight_recorder`]).
     pub flight_events: u64,
@@ -84,8 +81,6 @@ impl EngineStats {
             merged_goals: self.merged_goals.saturating_sub(before.merged_goals),
             share_hits: self.share_hits.saturating_sub(before.share_hits),
             share_misses: self.share_misses.saturating_sub(before.share_misses),
-            share_publishes: self.share_publishes.saturating_sub(before.share_publishes),
-            share_evictions: self.share_evictions.saturating_sub(before.share_evictions),
             flight_events: self.flight_events.saturating_sub(before.flight_events),
             sched_parked: self.sched_parked.saturating_sub(before.sched_parked),
             sched_resumed: self.sched_resumed.saturating_sub(before.sched_resumed),

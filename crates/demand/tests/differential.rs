@@ -7,6 +7,7 @@ use ddpa_support::rng::Rng;
 
 use ddpa_anders::naive;
 use ddpa_constraints::{ConstraintBuilder, ConstraintProgram, NodeId};
+use ddpa_demand::goal::Goal;
 use ddpa_demand::{DemandConfig, DemandEngine};
 
 const CASES: usize = 256;
@@ -255,124 +256,77 @@ fn call_targets_match_exhaustive() {
     }
 }
 
-/// The shared memo table is transparent: engines wired to one
-/// [`SharedMemo`] give bit-identical answers to a private-memo engine
-/// and to the exhaustive oracle — whether they compute a result
-/// themselves or install another engine's published fixpoint — and
-/// invalidation (the `add-constraints` path) never serves an answer
-/// from a stale generation.
+/// Snapshot restore is transparent and lazy: an engine warm-started
+/// from another's export (round-tripped through the snapshot bytes)
+/// gives bit-identical answers to the naive oracle, with zero work for
+/// every exported goal. Before its first query the restored engine
+/// exports exactly what the donor did, and `reload` drops the staged
+/// entries.
 #[test]
-fn shared_memo_is_transparent_and_respects_generations() {
-    use ddpa_demand::SharedMemo;
-    use std::sync::Arc;
-
+fn snapshot_restore_is_transparent_and_lazy() {
     let mut rng = Rng::seed_from_u64(0xd1f_0005);
     for case in 0..CASES {
         let spec = random_spec(&mut rng);
         let cp = build(&spec);
         let oracle = naive::solve(&cp);
-        let shared = Arc::new(SharedMemo::new());
-        let mut plain = DemandEngine::new(&cp, DemandConfig::default());
-        // `writer` computes and publishes; `reader` starts cold against
-        // a table `writer` has already filled, so its answers come
-        // largely from shared installs rather than deduction.
-        let mut writer =
-            DemandEngine::new(&cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
-        let mut reader =
-            DemandEngine::new(&cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
+        let text = ddpa_constraints::print_constraints(&cp);
+        // The donor answers a random half of the pts and ptb queries.
+        let mut donor = DemandEngine::new(&cp, DemandConfig::default());
         for node in cp.node_ids() {
-            let want = oracle.pts_nodes(node);
-            assert_eq!(plain.points_to(node).pts, want, "case {case}: private");
-            assert_eq!(writer.points_to(node).pts, want, "case {case}: writer");
-            let got = reader.points_to(node);
-            assert!(got.complete, "case {case}: reader");
-            assert_eq!(got.pts, want, "case {case}: shared install");
+            if rng.gen_bool(0.5) {
+                let _ = donor.points_to(node);
+            }
+            if rng.gen_bool(0.5) {
+                let _ = donor.pointed_to_by(node);
+            }
         }
-        for obj in cp.node_ids() {
-            let want: Vec<NodeId> = cp
-                .node_ids()
-                .filter(|&w| oracle.points_to(w, obj))
-                .collect();
-            assert_eq!(writer.pointed_to_by(obj).pts, want, "case {case}: ptb");
-            assert_eq!(reader.pointed_to_by(obj).pts, want, "case {case}: ptb");
-        }
-        let stats = reader.stats();
+        let exported = donor.export_completed();
+        let snapshot = ddpa_snap::Snapshot::new(donor.generation(), text, exported.clone());
+        let restored = ddpa_snap::Snapshot::from_bytes(&snapshot.to_bytes()).expect("decodes");
+        assert_eq!(restored.entries, exported, "case {case}: bytes round-trip");
+
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default());
+        assert_eq!(engine.warm_start(&restored.entries), exported.len());
+        assert_eq!(engine.tabled_goals(), 0, "case {case}: restore is lazy");
         assert_eq!(
-            stats.share_hits + stats.share_misses,
-            stats.goals_activated,
-            "case {case}: every activation consulted the shared table"
+            engine.export_completed(),
+            exported,
+            "case {case}: a restored engine exports what its donor did"
         );
-
-        // Invalidate (as `add-constraints` does via reload): the bumped
-        // generation must hide every published entry from both the
-        // invalidating engine and any engine attached afterwards.
-        writer.invalidate();
+        let exported_goal = |goal: Goal| exported.iter().any(|(g, _)| *g == goal);
         for node in cp.node_ids() {
-            let want = oracle.pts_nodes(node);
-            assert_eq!(
-                writer.points_to(node).pts,
-                want,
-                "case {case}: post-invalidate recompute"
-            );
-        }
-        let mut fresh =
-            DemandEngine::new(&cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
-        for node in cp.node_ids() {
-            assert_eq!(
-                fresh.points_to(node).pts,
-                oracle.pts_nodes(node),
-                "case {case}: new engine after invalidation"
-            );
-        }
-    }
-}
-
-/// Invalidation across a *program change*: results published for the old
-/// program must never leak into answers for the new one, in any engine
-/// attached to the table.
-#[test]
-fn shared_memo_never_serves_across_reload() {
-    use ddpa_demand::SharedMemo;
-    use std::sync::Arc;
-
-    let mut rng = Rng::seed_from_u64(0xd1f_0006);
-    for case in 0..64 {
-        let spec1 = random_spec(&mut rng);
-        let spec2 = random_spec(&mut rng);
-        let cp1 = build(&spec1);
-        let cp2 = build(&spec2);
-        let oracle2 = naive::solve(&cp2);
-        let shared = Arc::new(SharedMemo::new());
-
-        // Fill the table with cp1's fixpoints...
-        let mut engine =
-            DemandEngine::new(&cp1, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
-        for node in cp1.node_ids() {
-            let _ = engine.points_to(node);
-        }
-        // ...then swap the program. `reload` bumps the shared
-        // generation, so every cp1 entry is dead.
-        engine.reload(&cp2);
-        for node in cp2.node_ids() {
             let got = engine.points_to(node);
             assert!(got.complete, "case {case}");
-            assert_eq!(
-                got.pts,
-                oracle2.pts_nodes(node),
-                "case {case}: stale cp1 entry served after reload"
-            );
+            assert_eq!(got.pts, oracle.pts_nodes(node), "case {case}: pts");
+            if exported_goal(Goal::Pts(node)) {
+                assert_eq!(got.work, 0, "case {case}: restored pts costs no work");
+            }
+            let got = engine.pointed_to_by(node);
+            let want: Vec<NodeId> = cp
+                .node_ids()
+                .filter(|&w| oracle.points_to(w, node))
+                .collect();
+            assert_eq!(got.pts, want, "case {case}: ptb");
+            if exported_goal(Goal::Ptb(node)) {
+                assert_eq!(got.work, 0, "case {case}: restored ptb costs no work");
+            }
         }
-        // A second engine over cp2 sharing the same table is also clean,
-        // and benefits from the re-published cp2 results.
-        let mut second =
-            DemandEngine::new(&cp2, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
-        for node in cp2.node_ids() {
-            assert_eq!(
-                second.points_to(node).pts,
-                oracle2.pts_nodes(node),
-                "case {case}: second engine after reload"
-            );
+        let stats = engine.stats();
+        assert!(
+            stats.share_hits <= exported.len() as u64,
+            "case {case}: each staged entry answers at most once"
+        );
+
+        // `reload` drops whatever is still staged.
+        let mut fresh = DemandEngine::new(&cp, DemandConfig::default());
+        fresh.warm_start(&restored.entries);
+        fresh.reload(&cp);
+        assert!(
+            fresh.export_completed().is_empty(),
+            "case {case}: reload drops staged entries"
+        );
+        for node in cp.node_ids() {
+            assert_eq!(fresh.points_to(node).pts, oracle.pts_nodes(node));
         }
-        assert!(second.stats().share_hits > 0 || cp2.node_ids().count() == 0);
     }
 }

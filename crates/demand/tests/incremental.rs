@@ -9,6 +9,7 @@ use ddpa_support::rng::Rng;
 
 use ddpa_anders::naive;
 use ddpa_constraints::{diff_programs, ConstraintBuilder, ConstraintProgram, NodeId};
+use ddpa_demand::goal::Goal;
 use ddpa_demand::{DemandConfig, DemandEngine};
 
 /// One appended constraint: `(kind, a, b)` over var indices, where kind
@@ -317,17 +318,14 @@ fn edit_scripts_are_bit_identical_across_generations() {
     );
 }
 
-/// The shared table survives edits per-entry: after an edit, an engine
-/// freshly attached to the shared memo answers correctly for the new
-/// program — retained entries serve, dirtied ones are gone (no stale
-/// serve, no wholesale eviction).
+/// Staged entries survive edits per-entry: an engine warm-started from
+/// a snapshot of the old program and then edited answers correctly for
+/// the new program. Surviving staged entries answer with zero work, and
+/// dirtied ones are dropped and re-derived.
 #[test]
-fn shared_survivors_answer_for_the_new_program() {
-    use ddpa_demand::SharedMemo;
-    use std::sync::Arc;
-
+fn staged_survivors_answer_for_the_new_program() {
     let mut rng = Rng::seed_from_u64(0x1ec_0002);
-    let mut survivor_hits = 0u64;
+    let (mut survivor_hits, mut rederived_work) = (0u64, 0u64);
     for case in 0..48 {
         let mut spec = match case % 3 {
             0 => random_scripted(&mut rng),
@@ -337,32 +335,42 @@ fn shared_survivors_answer_for_the_new_program() {
         spec.edits = random_edits(&mut rng, &spec, 1);
         let before = build_gen(&spec, 0);
         let after = build_gen(&spec, 1);
-        let shared = Arc::new(SharedMemo::new());
-        let mut engine = DemandEngine::new(&before, DemandConfig::default())
-            .with_shared_memo(Arc::clone(&shared));
+        let mut donor = DemandEngine::new(&before, DemandConfig::default());
         for node in before.node_ids() {
-            let _ = engine.points_to(node);
+            let _ = donor.points_to(node);
         }
+        let exported = donor.export_completed();
+        let mut engine = DemandEngine::new(&before, DemandConfig::default());
+        engine.warm_start(&exported);
         let diff = diff_programs(&before, &after);
-        engine.reload_incremental(&after, &diff);
+        let stats = engine.reload_incremental(&after, &diff);
+        assert!(!stats.full, "case {case}");
+        assert_eq!(stats.invalidated + stats.retained, exported.len());
+        let survivors: Vec<Goal> = engine.export_completed().iter().map(|&(g, _)| g).collect();
+        assert_eq!(survivors.len(), stats.retained, "case {case}");
 
         let oracle = naive::solve(&after);
-        let mut fresh = DemandEngine::new(&after, DemandConfig::default())
-            .with_shared_memo(Arc::clone(&shared));
         for node in after.node_ids() {
-            let got = fresh.points_to(node);
+            let got = engine.points_to(node);
             assert!(got.complete, "case {case}");
             assert_eq!(
                 got.pts,
                 oracle.pts_nodes(node),
-                "case {case}: stale or missing shared entry for pts({})",
+                "case {case}: stale or missing staged entry for pts({})",
                 after.display_node(node)
             );
+            let goal = Goal::Pts(node);
+            if survivors.contains(&goal) {
+                assert_eq!(got.work, 0, "case {case}: a survivor answers for free");
+            } else if exported.iter().any(|&(g, _)| g == goal) {
+                rederived_work += got.work;
+            }
         }
-        survivor_hits += fresh.stats().share_hits;
+        survivor_hits += engine.stats().share_hits;
     }
     assert!(
         survivor_hits > 0,
-        "some pre-edit fixpoints were served from the shared table"
+        "some pre-edit fixpoints were served from the staged entries"
     );
+    assert!(rederived_work > 0, "dirtied entries were re-derived");
 }

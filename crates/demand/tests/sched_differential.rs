@@ -8,10 +8,8 @@
 //! Set `DDPA_SCHED_WORKERS` to raise (or lower) the maximum worker
 //! count exercised; the default sweeps 1..=4.
 
-use std::sync::Arc;
-
 use ddpa_constraints::{ConstraintBuilder, ConstraintProgram, NodeId};
-use ddpa_demand::{DemandConfig, DemandEngine, SchedPolicy, SharedMemo};
+use ddpa_demand::{DemandConfig, DemandEngine, SchedPolicy};
 use ddpa_gen::{generate_cyclic, generate_wide, CyclicConfig, WideConfig};
 use ddpa_support::rng::Rng;
 
@@ -175,9 +173,9 @@ fn parallel_matches_wave_on_wide_programs() {
 }
 
 /// Across add-constraints generations: after `reload` onto a grown
-/// program, parallel engines sharing a memo table republish fresh
-/// fixpoints — never a stale generation's — and still match the wave
-/// solver on the new program.
+/// program, a parallel engine derives fresh fixpoints — never a stale
+/// generation's — and still matches the wave solver on the new program,
+/// as does a second parallel engine restored from its export.
 #[test]
 fn parallel_stays_exact_across_generations() {
     let mut rng = Rng::seed_from_u64(0x5ced_0003);
@@ -185,7 +183,6 @@ fn parallel_stays_exact_across_generations() {
     for case in 0..32 {
         // Generation 0: a base program, solved and published.
         let base = random_program(&mut rng);
-        let shared = Arc::new(SharedMemo::new());
         let config = DemandConfig::default()
             .with_workers(workers)
             .with_sched_policy(if case % 2 == 0 {
@@ -193,8 +190,7 @@ fn parallel_stays_exact_across_generations() {
             } else {
                 SchedPolicy::Bfs
             });
-        let mut engine =
-            DemandEngine::new(&base, config.clone()).with_shared_memo(Arc::clone(&shared));
+        let mut engine = DemandEngine::new(&base, config.clone());
         for node in base.node_ids() {
             let _ = engine.points_to(node);
         }
@@ -225,9 +221,11 @@ fn parallel_stays_exact_across_generations() {
                 grown.display_node(node)
             );
         }
-        // A second parallel engine attached to the same table sees only
-        // current-generation entries.
-        let mut second = DemandEngine::new(&grown, config).with_shared_memo(Arc::clone(&shared));
+        // A second parallel engine restored from half of the first one's
+        // export holds only current-generation entries; the scheduler
+        // seeds its frames from them.
+        let mut second = DemandEngine::new(&grown, config);
+        second.warm_start(engine.export_completed().iter().step_by(2));
         for node in grown.node_ids() {
             assert_eq!(
                 second.points_to(node).pts,

@@ -51,9 +51,8 @@ pub enum FlightEventKind {
     /// A goal reached its final fixpoint. `a` = goal index, `b` = element
     /// count, `work` = attributed work ticks.
     Completed,
-    /// A query or activation was answered from a memo table. `a` = goal
-    /// index, `b` = 0 for the local table, 1 for the shared cross-worker
-    /// table.
+    /// A query or activation was answered from the memo table. `a` = goal
+    /// index, `b` = 0 for a tabled goal, 1 for an entry a restore staged.
     MemoHit,
     /// A copy cycle was collapsed into one representative. `a` =
     /// representative goal index, `b` = component size.

@@ -928,7 +928,7 @@ fn deadline_for(state: &ServerState, timeout_ms: Option<u64>) -> Option<Instant>
 
 /// Mirrors a request's per-session engine deltas into the server
 /// registry, so the `--metrics-out` export carries them: the cache-hit
-/// delta goes to the slot's `server.cache_hits.<name>`, shared-memo traffic
+/// delta goes to the slot's `server.cache_hits.<name>`, restored-entry traffic
 /// aggregates across sessions under `demand.share.*`, and timeouts bump
 /// `server.timeouts`. `delta` is the request's [`TraceReport`] delta
 /// ([`EngineStats::delta_since`] around the query call(s)); batch
@@ -941,8 +941,6 @@ fn record_query_obs(state: &ServerState, slot: &SessionSlot, delta: &EngineStats
     let share = [
         ("demand.share.hits", delta.share_hits),
         ("demand.share.misses", delta.share_misses),
-        ("demand.share.publishes", delta.share_publishes),
-        ("demand.share.evictions", delta.share_evictions),
         ("demand.sched.parked", delta.sched_parked),
         ("demand.sched.resumed", delta.sched_resumed),
         ("demand.sched.steals", delta.sched_steals),
@@ -1092,7 +1090,7 @@ fn dispatch(
                 parallel_query,
             );
             // Best-effort warm start: a matching snapshot in the
-            // snapshot dir seeds the fresh session's shared memo, so its
+            // snapshot dir is staged in the fresh session's engine, so its
             // first queries are share hits instead of cold deduction. A
             // missing, corrupt, or mismatched snapshot leaves the open
             // cold — restore failures must never fail an open.
@@ -1483,14 +1481,20 @@ fn dispatch(
 }
 
 fn stats_response(state: &ServerState) -> JsonValue {
-    let sessions = lock_sessions(state);
-    let mut per_session: Vec<(String, JsonValue)> = sessions
+    // Release the session map before locking any session: every request
+    // looks its session up under the map lock, so holding it while one
+    // session is busy would stall requests on all the others.
+    let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
         .iter()
-        .map(|(name, slot)| {
-            let s = lock_session(&slot.session);
+        .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
+        .collect();
+    let mut per_session: Vec<(String, JsonValue)> = sessions
+        .into_iter()
+        .map(|(name, handle)| {
+            let s = lock_session(&handle);
             let stats = s.engine_stats();
             (
-                name.clone(),
+                name,
                 JsonValue::Object(vec![
                     (
                         "nodes".to_string(),
@@ -1510,17 +1514,12 @@ fn stats_response(state: &ServerState) -> JsonValue {
                     ("goals".to_string(), JsonValue::U64(stats.goals_activated)),
                     ("cache_hits".to_string(), JsonValue::U64(stats.cache_hits)),
                     ("share_hits".to_string(), JsonValue::U64(stats.share_hits)),
-                    (
-                        "share_publishes".to_string(),
-                        JsonValue::U64(stats.share_publishes),
-                    ),
                     ("work".to_string(), JsonValue::U64(stats.work)),
                 ]),
             )
         })
         .collect();
     per_session.sort_by(|a, b| a.0.cmp(&b.0));
-    drop(sessions);
     let c = &state.counters;
     let counters = JsonValue::Object(vec![
         ("requests".to_string(), JsonValue::U64(c.requests.get())),
@@ -1635,6 +1634,59 @@ mod tests {
         assert_eq!(pts_names(&wedged, "q"), vec!["o"]);
         // Unrelated sessions never notice.
         assert_eq!(pts_names(&healthy, "r"), vec!["u"]);
+    }
+
+    #[test]
+    fn stats_never_stalls_other_sessions_behind_a_busy_one() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default(), Obs::new()).expect("bind");
+        let state = Arc::clone(&server.state);
+        for (name, text) in [("a", "p = &o\n"), ("b", "r = &u\n")] {
+            let slot = SessionSlot {
+                session: Arc::new(Mutex::new(Session::open(text, false, None).expect("valid"))),
+                cache_hits: state.obs.counter(&format!("server.cache_hits.{name}")),
+            };
+            lock_sessions(&state).insert(name.to_owned(), slot);
+        }
+        // A long query holds session a's lock; `stats` blocks on it.
+        let busy = get_session(&state, "a").expect("a is open");
+        let held = lock_session(&busy);
+        let stats = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || stats_response(&state).to_string())
+        };
+        // A head start so that `stats` is waiting on a's lock when the
+        // query arrives; the query must answer whether or not it is.
+        std::thread::sleep(Duration::from_millis(100));
+
+        // A query on session b must still answer before the watchdog.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let query = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                let request = Request::Query {
+                    session: "b".into(),
+                    spec: QuerySpec::PointsTo { name: "r".into() },
+                    budget: None,
+                    timeout_ms: None,
+                    trace: false,
+                    parallel_query: None,
+                };
+                let answer = dispatch(&state, request, "r1", &mut None).map(|(line, _)| line);
+                let _ = tx.send(answer);
+            })
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        let stats = stats.join().expect("stats thread");
+        query.join().expect("query thread");
+        let line = answered
+            .expect("session b answered while session a was busy")
+            .expect("query ok");
+        assert!(line.contains(r#""pts":["u"]"#), "{line}");
+        assert!(
+            stats.contains(r#""a":"#) && stats.contains(r#""b":"#),
+            "{stats}"
+        );
     }
 
     #[test]

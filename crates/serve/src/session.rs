@@ -27,8 +27,7 @@ use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
 use ddpa_demand::{
-    DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, SharedMemo,
-    TraceReport,
+    DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, TraceReport,
 };
 
 use crate::proto::{ErrorCode, ProtoError, QuerySpec};
@@ -221,7 +220,7 @@ impl QueryAnswer {
 /// What [`Session::restore_snapshot`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RestoreStats {
-    /// Entries newly installed into the shared table.
+    /// Entries newly staged in the warm engine.
     pub installed: usize,
     /// `true` when the snapshot predated an edit and its surviving
     /// entries were rebound to the live program (rather than installed
@@ -386,12 +385,6 @@ pub struct Session {
     name_table: Arc<NameTable>,
     /// Default deduction budget for queries on this session.
     default_budget: Option<u64>,
-    /// Shared memo table behind the warm engine: the engine publishes
-    /// its completed subgoals here and installs entries it finds here at
-    /// zero cost. Snapshots are exported from it and restored into it.
-    /// `add-constraints` bumps its generation through
-    /// [`DemandEngine::reload`].
-    shared: Arc<SharedMemo>,
     /// Frame-scheduler width for parallel queries (1 = scheduler off).
     workers: usize,
     /// Session default for intra-query parallelism: applied when a query
@@ -445,9 +438,7 @@ impl Session {
             parse_program(&source, false)?
         };
         let (names, name_table) = index_names(&cp);
-        let shared = Arc::new(SharedMemo::new());
-        let engine =
-            DemandEngine::new(cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
+        let engine = DemandEngine::new(cp, DemandConfig::default());
         Ok(Session {
             engine,
             lines: source.lines().count(),
@@ -455,7 +446,6 @@ impl Session {
             names,
             name_table,
             default_budget,
-            shared,
             workers: 1,
             parallel_default: false,
             last_sched: None,
@@ -574,30 +564,28 @@ impl Session {
         self.engine.goal_graph().to_json(self.engine.program())
     }
 
-    /// The shared memo table the warm engine publishes into and
-    /// snapshots restore into.
-    pub fn shared_memo(&self) -> &Arc<SharedMemo> {
-        &self.shared
-    }
-
-    /// Captures the session's completed fixpoints as a snapshot, stamped
-    /// with the session's canonical program text. Compacts the shared
-    /// table first, so stale generations are never serialized.
+    /// Captures the session's completed fixpoints — tabled, or staged by
+    /// a restore and not yet touched — as a snapshot, stamped with the
+    /// engine's generation and the session's canonical program text.
     pub fn export_snapshot(&self) -> ddpa_snap::Snapshot {
-        ddpa_snap::Snapshot::of_memo(&self.shared, self.source.clone())
+        ddpa_snap::Snapshot::new(
+            self.engine.generation(),
+            self.source.clone(),
+            self.engine.export_completed(),
+        )
     }
 
     /// Warm-starts the session from a snapshot.
     ///
     /// When the snapshot's program hash matches the session's canonical
-    /// text, every entry is imported into the shared table (where the
-    /// warm engine's next activation of each goal finds it at zero
-    /// cost). When the hashes differ — the usual cause is an
+    /// text, every entry is staged in the warm engine
+    /// ([`DemandEngine::warm_start`]), whose next activation of each goal
+    /// moves it into the memo table at zero cost. When the hashes differ — the usual cause is an
     /// `add-constraints` edit since the snapshot was taken — the
     /// snapshot's own program text is re-parsed and diffed against the
     /// live program: if the old node ids survive, every entry the edit
     /// did not transitively dirty is *rebound* to the live program and
-    /// installed, and only the dirtied remainder is dropped. The restore
+    /// staged, and only the dirtied remainder is dropped. The restore
     /// is refused only when the two programs are incompatible (old ids
     /// name different locations) or the snapshot text does not parse.
     pub fn restore_snapshot(
@@ -606,7 +594,7 @@ impl Session {
     ) -> Result<RestoreStats, ProtoError> {
         if snapshot.verify_program(&self.source).is_ok() {
             return Ok(RestoreStats {
-                installed: snapshot.install(&self.shared),
+                installed: self.engine.warm_start(&snapshot.entries),
                 rebound: false,
                 dropped: 0,
             });
@@ -627,17 +615,11 @@ impl Session {
             ));
         }
         let (dirty, _edges) = ddpa_demand::dirty_closure(&snapshot.entries, &diff);
-        let survivors: Vec<_> = snapshot
-            .entries
-            .iter()
-            .filter(|(g, _)| !dirty.contains(g))
-            .cloned()
-            .collect();
-        let dropped = snapshot.entries.len() - survivors.len();
+        let survivors = snapshot.entries.iter().filter(|(g, _)| !dirty.contains(g));
         Ok(RestoreStats {
-            installed: self.shared.import(survivors),
+            installed: self.engine.warm_start(survivors),
             rebound: true,
-            dropped,
+            dropped: dirty.len(),
         })
     }
 

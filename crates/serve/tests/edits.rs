@@ -148,7 +148,7 @@ fn edit_after_restore_matches_the_whole_program_oracle() {
     let (target, _) = all[all.len() / 2].clone();
     let (source, _) = all[all.len() / 3].clone();
     let edit = format!("{target} = {source}\n");
-    let entries = s.shared_memo().export_completed();
+    let entries = s.export_snapshot().entries;
     let old = parse_constraints(s.source()).expect("source parses");
     let new = parse_constraints(&format!("{}{edit}", s.source())).expect("edit parses");
     let (dirty, edges) = dirty_closure(&entries, &diff_programs(&old, &new));

@@ -1,18 +1,19 @@
 //! Durable memo snapshots — persisting demand fixpoints across process
 //! lifetimes.
 //!
-//! Every server restart starts cold: the [`SharedMemo`] of completed
+//! Every server restart starts cold: an engine's memo table of completed
 //! fixpoints is process-local and dies with it, so each deploy re-derives
 //! answers that were already at fixpoint. This crate turns the table into
-//! a durable artifact: [`Snapshot`] captures the completed `(goal,
-//! fixpoint)` pairs of the current generation together with the canonical
-//! program text, and [`write_file`]/[`read_file`] persist it in a
-//! versioned, checksummed binary format with atomic
-//! write-temp-then-rename semantics. A fresh process restores the file
-//! into its own table ([`Snapshot::install`]) or directly into an engine
+//! a durable artifact: [`Snapshot`] holds the completed `(goal,
+//! fixpoint)` pairs an engine exports
+//! ([`DemandEngine::export_completed`](ddpa_demand::DemandEngine::export_completed))
+//! together with the canonical program text, and
+//! [`write_file`]/[`read_file`] persist it in a versioned, checksummed
+//! binary format with atomic write-temp-then-rename semantics. A fresh
+//! process restores the file into an engine
 //! ([`DemandEngine::warm_start`](ddpa_demand::DemandEngine::warm_start)),
-//! and the first query over each restored goal is a shared-memo hit —
-//! zero rule firings.
+//! and the first query over each restored goal is a share hit — zero
+//! rule firings.
 //!
 //! # Format
 //!
@@ -28,7 +29,7 @@
 //! followed by the payload:
 //!
 //! ```text
-//! u64  generation the table was at when exported (informational)
+//! u64  generation the engine was at when exported (informational)
 //! u64  FNV-1a 64 hash of the program text (the consistency token)
 //! u64  program text byte length, then that many UTF-8 bytes
 //! u64  entry count, then per entry:
@@ -63,12 +64,12 @@
 //!   of the *live* program ([`Snapshot::verify_program`]). Fixpoints are
 //!   only valid over the exact constraint program they were derived
 //!   from, so a mismatch is [`SnapError::ProgramMismatch`].
-//! * Element lists must be strictly ascending (the canonical snapshot
-//!   order [`SharedMemo`] exports); violations are treated as corruption.
-//! * The stored generation is informational: [`Snapshot::install`]
-//!   publishes at the *target* table's current generation. The program
-//!   hash, not the generation counter, is the cross-process consistency
-//!   token — generation counters are process-local.
+//! * Element lists must be strictly ascending (the canonical order an
+//!   engine exports); violations are treated as corruption.
+//! * The stored generation is informational: a restore leaves the
+//!   *target* engine's generation as it is. The program hash, not the
+//!   generation counter, is the cross-process consistency token —
+//!   generation counters are process-local.
 //! * Hashes are hand-rolled (FNV-1a, CRC-32) rather than
 //!   `DefaultHasher`, whose keys are randomized per process and
 //!   therefore useless for persistence. Everything here is `std`-only.
@@ -81,8 +82,7 @@
 //! # Examples
 //!
 //! ```
-//! use std::sync::Arc;
-//! use ddpa_demand::{DemandConfig, DemandEngine, SharedMemo};
+//! use ddpa_demand::{DemandConfig, DemandEngine};
 //! use ddpa_snap::Snapshot;
 //!
 //! let text = "p = &g\nq = p\n";
@@ -90,20 +90,16 @@
 //! let canonical = ddpa_constraints::print_constraints(&cp);
 //! let q = cp.node_ids().find(|&n| cp.display_node(n) == "q").expect("q exists");
 //!
-//! // Warm an engine, then capture its shared table.
-//! let shared = Arc::new(SharedMemo::new());
-//! let mut warm = DemandEngine::new(&cp, DemandConfig::default())
-//!     .with_shared_memo(Arc::clone(&shared));
+//! // Warm an engine, then capture its memo table.
+//! let mut warm = DemandEngine::new(&cp, DemandConfig::default());
 //! let full = warm.points_to(q);
-//! let snap = Snapshot::of_memo(&shared, canonical.clone());
+//! let snap = Snapshot::new(warm.generation(), canonical.clone(), warm.export_completed());
 //!
 //! // A fresh process round-trips through bytes and warm-starts.
 //! let restored = Snapshot::from_bytes(&snap.to_bytes())?;
 //! restored.verify_program(&canonical)?;
-//! let fresh = Arc::new(SharedMemo::new());
-//! restored.install(&fresh);
-//! let mut cold = DemandEngine::new(&cp, DemandConfig::default())
-//!     .with_shared_memo(Arc::clone(&fresh));
+//! let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+//! cold.warm_start(&restored.entries);
 //! let reused = cold.points_to(q);
 //! assert_eq!(full.pts, reused.pts);
 //! assert_eq!(reused.work, 0); // zero rule firings
@@ -119,7 +115,7 @@ use std::path::Path;
 
 use ddpa_constraints::NodeId;
 use ddpa_demand::goal::Goal;
-use ddpa_demand::{CompletedGoal, SharedMemo};
+use ddpa_demand::CompletedGoal;
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DDPASNAP";
@@ -223,12 +219,11 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// An in-memory snapshot: the completed fixpoints of one generation of a
-/// [`SharedMemo`], plus the canonical text of the program they were
-/// derived over.
+/// An in-memory snapshot: the completed fixpoints an engine exported,
+/// plus the canonical text of the program they were derived over.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Table generation at export time. Informational — see the module
+    /// Engine generation at export time. Informational — see the module
     /// docs; the program hash is the consistency token.
     pub generation: u64,
     /// Canonical program text (`ddpa_constraints::print_constraints`).
@@ -251,17 +246,6 @@ impl Snapshot {
         }
     }
 
-    /// Captures `memo`'s current generation: compacts stale entries,
-    /// exports the completed fixpoints in canonical order, and stamps
-    /// the snapshot with the (canonical) program text.
-    pub fn of_memo(memo: &SharedMemo, program_text: impl Into<String>) -> Self {
-        Snapshot {
-            generation: memo.generation(),
-            program_text: program_text.into(),
-            entries: memo.export_completed(),
-        }
-    }
-
     /// The FNV-1a hash of the stored program text — what gets written to
     /// (and must match in) the file.
     pub fn program_hash(&self) -> u64 {
@@ -276,13 +260,6 @@ impl Snapshot {
             return Err(SnapError::ProgramMismatch { expected, found });
         }
         Ok(())
-    }
-
-    /// Installs every entry into `memo` at its current generation;
-    /// returns how many were newly inserted. Callers must
-    /// [`verify_program`](Self::verify_program) first.
-    pub fn install(&self, memo: &SharedMemo) -> usize {
-        memo.import(self.entries.iter().cloned())
     }
 
     /// Serializes to the on-disk byte format.
@@ -816,30 +793,35 @@ mod tests {
 
     #[test]
     fn memo_capture_and_install_round_trip() {
-        let memo = SharedMemo::new();
-        memo.publish(0, goal(1), entry(&[2, 8]));
-        memo.publish(0, Goal::Ptb(NodeId::from_u32(4)), entry(&[1]));
-        let snap = Snapshot::of_memo(&memo, "x = &y\n");
-        assert_eq!(snap.entries.len(), 2);
+        let text = "y = &o\nx = &y\nz = x\n";
+        let cp = ddpa_constraints::parse_constraints(text).expect("parses");
+        let z = cp
+            .node_ids()
+            .find(|&n| cp.display_node(n) == "z")
+            .expect("z");
+        let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default());
+        let full = engine.points_to(z);
+        let snap = Snapshot::new(engine.generation(), text, engine.export_completed());
+        assert_eq!(snap.entries.len(), 2, "pts(z) and pts(x)");
         assert_eq!(snap.generation, 0);
 
-        let fresh = SharedMemo::new();
-        assert_eq!(snap.install(&fresh), 2);
-        assert_eq!(fresh.lookup(0, goal(1)).0.expect("hit").elems, vec![2, 8]);
+        let mut fresh = ddpa_demand::DemandEngine::new(&cp, Default::default());
+        assert_eq!(fresh.warm_start(&snap.entries), 2);
+        let reused = fresh.points_to(z);
+        assert_eq!((reused.pts, reused.work), (full.pts, 0));
     }
 
     #[test]
     fn lying_fields_under_a_valid_checksum_decode_to_typed_errors() {
         // A real snapshot: a warm engine's pts and ptb fixpoints.
         let cp = ddpa_gen::generate_random(&ddpa_gen::RandomConfig::sized(7, 60));
-        let shared = std::sync::Arc::new(SharedMemo::new());
-        let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default())
-            .with_shared_memo(std::sync::Arc::clone(&shared));
+        let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default());
         for n in cp.node_ids() {
             engine.points_to(n);
             engine.pointed_to_by(n);
         }
-        let snap = Snapshot::of_memo(&shared, ddpa_constraints::print_constraints(&cp));
+        let text = ddpa_constraints::print_constraints(&cp);
+        let snap = Snapshot::new(engine.generation(), text, engine.export_completed());
         let bytes = snap.to_bytes();
         let payload = &bytes[HEADER_LEN..];
         // The layout `SnapshotWriter::encode` writes: each count field as

@@ -7,10 +7,8 @@
 //! truth. Also exercises the file-level negative paths: truncation,
 //! checksum damage, version skew, and cross-program restores.
 
-use std::sync::Arc;
-
 use ddpa_constraints::{print_constraints, ConstraintProgram, NodeId};
-use ddpa_demand::{DemandConfig, DemandEngine, SharedMemo};
+use ddpa_demand::{DemandConfig, DemandEngine};
 use ddpa_gen::{generate_random, RandomConfig};
 use ddpa_snap::{read_file, write_file, SnapError, Snapshot, FORMAT_VERSION};
 
@@ -25,14 +23,10 @@ fn all_nodes(cp: &ConstraintProgram) -> Vec<NodeId> {
     cp.node_ids().collect()
 }
 
-/// Warms a shared-memo engine over `nodes`, returning the live answers.
-fn warm_live(
-    cp: &ConstraintProgram,
-    nodes: &[NodeId],
-) -> (Arc<SharedMemo>, Vec<(NodeId, Vec<NodeId>)>) {
-    let shared = Arc::new(SharedMemo::new());
-    let mut engine =
-        DemandEngine::new(cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
+/// Warms an engine over `nodes`, returning its snapshot and the live
+/// answers.
+fn warm_live(cp: &ConstraintProgram, nodes: &[NodeId]) -> (Snapshot, Vec<(NodeId, Vec<NodeId>)>) {
+    let mut engine = DemandEngine::new(cp, DemandConfig::default());
     let answers = nodes
         .iter()
         .map(|&n| {
@@ -41,7 +35,12 @@ fn warm_live(
             (n, r.pts)
         })
         .collect();
-    (shared, answers)
+    let snapshot = Snapshot::new(
+        engine.generation(),
+        print_constraints(cp),
+        engine.export_completed(),
+    );
+    (snapshot, answers)
 }
 
 #[test]
@@ -50,11 +49,10 @@ fn warm_start_matches_live_engine_and_exhaustive_solver() {
         let cp = generate_random(&RandomConfig::sized(seed, size));
         let text = print_constraints(&cp);
         let nodes = all_nodes(&cp);
-        let (shared, live) = warm_live(&cp, &nodes);
+        let (snapshot, live) = warm_live(&cp, &nodes);
 
         // Round-trip the completed fixpoints through the binary format
         // and the filesystem.
-        let snapshot = Snapshot::of_memo(&shared, text.clone());
         assert!(
             !snapshot.entries.is_empty(),
             "seed {seed}: warm run produced fixpoints"
@@ -65,8 +63,8 @@ fn warm_start_matches_live_engine_and_exhaustive_solver() {
         assert_eq!(restored.entries.len(), snapshot.entries.len());
         restored.verify_program(&text).expect("same program");
 
-        // A fresh engine (no shared table, no prior state) warm-starts
-        // from the restored snapshot.
+        // A fresh engine (no prior state) warm-starts from the restored
+        // snapshot.
         let mut cold = DemandEngine::new(&cp, DemandConfig::default());
         let installed = cold.warm_start(&restored.entries);
         assert_eq!(installed, restored.entries.len(), "seed {seed}");
@@ -100,9 +98,7 @@ fn warm_start_preserves_ptb_and_alias_answers() {
     let nodes = all_nodes(&cp);
 
     // Live run answers both directions plus alias probes.
-    let shared = Arc::new(SharedMemo::new());
-    let mut live =
-        DemandEngine::new(&cp, DemandConfig::default()).with_shared_memo(Arc::clone(&shared));
+    let mut live = DemandEngine::new(&cp, DemandConfig::default());
     let live_pts: Vec<_> = nodes.iter().map(|&n| live.points_to(n).pts).collect();
     let live_ptb: Vec<_> = nodes.iter().map(|&n| live.pointed_to_by(n).pts).collect();
     let probes: Vec<(NodeId, NodeId)> = nodes
@@ -117,7 +113,7 @@ fn warm_start_preserves_ptb_and_alias_answers() {
         .collect();
 
     // Round-trip and warm-start a fresh engine.
-    let snapshot = Snapshot::of_memo(&shared, text);
+    let snapshot = Snapshot::new(live.generation(), text, live.export_completed());
     let bytes = snapshot.to_bytes();
     let restored = Snapshot::from_bytes(&bytes).expect("decode");
     let mut cold = DemandEngine::new(&cp, DemandConfig::default());
@@ -135,8 +131,7 @@ fn warm_start_preserves_ptb_and_alias_answers() {
 #[test]
 fn file_level_truncation_is_rejected() {
     let cp = generate_random(&RandomConfig::sized(3, 150));
-    let (shared, _) = warm_live(&cp, &all_nodes(&cp));
-    let snapshot = Snapshot::of_memo(&shared, print_constraints(&cp));
+    let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("truncated.snap");
     write_file(&snapshot, &path).expect("write");
     let full = std::fs::read(&path).expect("read");
@@ -154,8 +149,7 @@ fn file_level_truncation_is_rejected() {
 #[test]
 fn file_level_bit_flips_break_the_checksum() {
     let cp = generate_random(&RandomConfig::sized(4, 150));
-    let (shared, _) = warm_live(&cp, &all_nodes(&cp));
-    let snapshot = Snapshot::of_memo(&shared, print_constraints(&cp));
+    let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("bitflip.snap");
     write_file(&snapshot, &path).expect("write");
     let full = std::fs::read(&path).expect("read");
@@ -176,8 +170,7 @@ fn file_level_bit_flips_break_the_checksum() {
 #[test]
 fn file_level_version_skew_is_rejected() {
     let cp = generate_random(&RandomConfig::sized(5, 100));
-    let (shared, _) = warm_live(&cp, &all_nodes(&cp));
-    let snapshot = Snapshot::of_memo(&shared, print_constraints(&cp));
+    let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("version.snap");
     write_file(&snapshot, &path).expect("write");
     let mut bytes = std::fs::read(&path).expect("read");
@@ -196,8 +189,7 @@ fn file_level_version_skew_is_rejected() {
 fn file_level_cross_program_restore_is_rejected() {
     let a = generate_random(&RandomConfig::sized(11, 200));
     let b = generate_random(&RandomConfig::sized(12, 200));
-    let (shared, _) = warm_live(&a, &all_nodes(&a));
-    let snapshot = Snapshot::of_memo(&shared, print_constraints(&a));
+    let (snapshot, _) = warm_live(&a, &all_nodes(&a));
     let path = temp_path("crossprog.snap");
     write_file(&snapshot, &path).expect("write");
 

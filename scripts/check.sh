@@ -49,13 +49,14 @@ cargo run -q -p ddpa-cli -- jsonl-check "$cyc"
 grep -q '"name":"demand.cycles.collapsed","value":[1-9]' "$cyc" \
     || { echo "metrics missing a nonzero demand.cycles.collapsed" >&2; exit 1; }
 
-echo "==> shared-memo smoke test"
-# The differential suite (fixed seeds) proves the shared cross-worker
-# memo table is transparent: answers bit-identical to private-memo
-# engines and the naive oracle, including across add-constraints
-# generations. The serve run below proves end to end that a session
-# installs fixpoints another session published (via the restore op).
-cargo test -q -p ddpa-demand --test differential shared_memo
+echo "==> snapshot-restore smoke test"
+# The differential suite (fixed seeds) proves that restoring an engine's
+# export is transparent and lazy: answers bit-identical to the naive
+# oracle, zero work for every restored goal, an untouched restore
+# exporting exactly what its donor did, and reload dropping staged
+# entries. The serve run below proves end to end that a session answers
+# from fixpoints another session exported (via the restore op).
+cargo test -q -p ddpa-demand --test differential snapshot_restore
 
 echo "==> ddpa-serve smoke test"
 # Start a server on an ephemeral port, run a batch through the client,
@@ -88,7 +89,7 @@ cmp -s "$tmp/batch-seq.out" "$tmp/batch-par.out" \
     || { echo "parallel batch differs from sequential: $(cat "$tmp/batch-seq.out") vs $(cat "$tmp/batch-par.out")" >&2; exit 1; }
 client query smoke main::got --trace     # traced request: response carries the delta report
 # A peer session warm-started from smoke's snapshot answers from the
-# installed shared fixpoints (demand.share.hits below).
+# restored fixpoints (demand.share.hits below).
 client snapshot smoke --out "$tmp/peer.snap"
 client open peer samples/list.mc
 client restore peer "$tmp/peer.snap"
