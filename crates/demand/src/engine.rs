@@ -48,6 +48,20 @@
 //! flat, so a budget can abort it *between any two firings* and a later
 //! query resumes exactly where it stopped. When the queue drains, every
 //! activated goal is at fixpoint and is memoized as complete.
+//!
+//! Bookkeeping costs only what changed, and never reorders a firing:
+//!
+//! * A goal visit costs O(watchers added since the last visit + firings).
+//!   A visit that reaches quiescence settles the goal's watcher prefix;
+//!   a later visit of a goal that gained no element since starts after
+//!   it, and a pass that adds no element to the goal ends the visit. Both
+//!   skip only watchers whose cursor is already at the end.
+//! * Recording a dependency edge ([`GoalState::add_dep`]) is O(1)
+//!   amortized: a hash index answers membership once the list outgrows a
+//!   short scan, and the list keeps first-insertion order.
+//! * The completion sweep after a full drain starts at a watermark below
+//!   which every goal is complete or merged, so it visits only the goals
+//!   tabled since the last sweep.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -108,6 +122,9 @@ pub(crate) struct Memo {
     /// `ptb(n) ↔ 2n+1`) and sized from the program's node count.
     pub(crate) index: GoalIndex,
     queue: VecDeque<u32>,
+    /// Every goal below this table index is complete or merged, so
+    /// [`drain`](Self::drain)'s completion sweep starts here.
+    complete_below: usize,
     obs: Obs,
     counters: EngineCounters,
     provenance: HashMap<(Goal, u32), Origin>,
@@ -553,6 +570,7 @@ impl Memo {
             keys: Vec::new(),
             index: GoalIndex::with_nodes(nodes),
             queue: VecDeque::new(),
+            complete_below: 0,
             obs,
             counters,
             provenance: HashMap::new(),
@@ -577,6 +595,7 @@ impl Memo {
         }
         self.keys.clear();
         self.queue.clear();
+        self.complete_below = 0;
         self.provenance.clear();
         self.costs.clear();
         self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
@@ -687,6 +706,7 @@ impl Memo {
                 }
             }
         }
+        self.complete_below = self.goals.len();
         EditStats {
             invalidated,
             retained,
@@ -970,6 +990,12 @@ impl Memo {
     /// Advances every watcher cursor of `gi` to the end of its element
     /// list, counting each firing into `fires_by_kind`. Returns `false`
     /// on budget exhaustion (the goal is re-queued at the front).
+    ///
+    /// Passes run over the watchers in list order until one adds no
+    /// element to the goal: every cursor is then at the end, and the
+    /// visit settles the goal's watcher prefix. The first pass starts
+    /// past that prefix when the goal gained no element since. Both
+    /// shortcuts skip only watchers that would fire nothing.
     fn fire_watchers(
         &mut self,
         cp: &ConstraintProgram,
@@ -977,9 +1003,9 @@ impl Memo {
         budget: &mut Budget,
         fires_by_kind: &mut [u64; 12],
     ) -> bool {
+        let mut wi = self.goals[gi as usize].first_unsettled();
         loop {
-            let mut progressed = false;
-            let mut wi = 0;
+            let pass_len = self.goals[gi as usize].elems.len();
             while wi < self.goals[gi as usize].watchers.len() {
                 loop {
                     let state = &self.goals[gi as usize];
@@ -1003,13 +1029,15 @@ impl Memo {
                     }
                     let src = self.keys[gi as usize];
                     Sequential { cp, memo: self }.fire(src, watcher, elem);
-                    progressed = true;
                 }
                 wi += 1;
             }
-            if !progressed {
+            let state = &mut self.goals[gi as usize];
+            if state.elems.len() == pass_len {
+                state.settle();
                 return true;
             }
+            wi = 0;
         }
     }
 
@@ -1031,8 +1059,10 @@ impl Memo {
             }
         }
         // Global fixpoint: memoize everything as complete. Merged shells
-        // hold no state of their own — their representative does.
-        for gi in 0..self.goals.len() {
+        // hold no state of their own — their representative does. Goals
+        // below the watermark were settled by an earlier sweep, so the
+        // sweep costs only the goals tabled since.
+        for gi in self.complete_below..self.goals.len() {
             let state = &mut self.goals[gi];
             if state.merged {
                 continue;
@@ -1048,6 +1078,7 @@ impl Memo {
                 self.flight_record(FlightEventKind::Completed, gi as u32, elems, work);
             }
         }
+        self.complete_below = self.goals.len();
         true
     }
 
@@ -1162,6 +1193,7 @@ impl Memo {
         }
         merged.watchers = watchers;
         merged.cursors = cursors;
+        merged.unsettle();
         merged.needs_init = false;
         merged.on_list = false;
         self.goals[rep as usize] = merged;
@@ -1804,6 +1836,35 @@ mod cycle_tests {
             fires_on * 2 <= fires_off,
             "expected ≥2× fire reduction, got {fires_on} vs {fires_off}"
         );
+    }
+
+    /// A collapsed family's representative records each member's
+    /// producers exactly once: its deps are the set the uncollapsed
+    /// goals record between them, long enough to be indexed.
+    #[test]
+    fn merged_deps_are_the_members_union() {
+        let cp = ring_program(40, 3);
+        let tail = node(&cp, "tail");
+        let mut on = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
+        let mut off = DemandEngine::new(&cp, DemandConfig::default().without_cycle_collapsing());
+        on.points_to(tail);
+        off.points_to(tail);
+        let memo = &on.memo;
+        let rep = memo.index.get(Goal::Pts(node(&cp, "r0"))).expect("tabled");
+        let rep = memo.cycles.find_readonly(rep) as usize;
+        let state = &memo.goals[rep];
+        assert_eq!(state.aliases.len(), 39, "the whole ring merged");
+        let distinct: HashSet<Goal> = state.deps.iter().copied().collect();
+        assert_eq!(distinct.len(), state.deps.len(), "no dep recorded twice");
+        let family = std::iter::once(memo.keys[rep]).chain(state.aliases.iter().copied());
+        let union: HashSet<Goal> = family
+            .flat_map(|g| {
+                let gi = off.memo.index.get(g).expect("tabled uncollapsed");
+                off.memo.goals[gi as usize].deps.iter().copied()
+            })
+            .collect();
+        assert_eq!(distinct, union);
+        assert_eq!(union.len(), 40);
     }
 
     #[test]

@@ -312,13 +312,28 @@ pub struct GoalState {
     /// leaves the memoized result valid for the new program.
     pub support: HybridSet,
     /// Producer goals this goal consumed facts from (the reverse of the
-    /// watcher edges): transitive dirtying follows these edges forward,
-    /// from a dirty producer to every consumer.
+    /// watcher edges), in first-insertion order: transitive dirtying
+    /// follows these edges forward, from a dirty producer to every
+    /// consumer. Append only through [`GoalState::add_dep`], which keeps
+    /// `dep_index` in step.
     pub deps: Vec<Goal>,
+    /// Membership index over `deps`, built by [`GoalState::add_dep`] once
+    /// `deps` outgrows a [`DEP_SCAN`]-element linear scan. Boxed, so a
+    /// goal without one pays a single pointer.
+    dep_index: Option<Box<FxHashSet<Goal>>>,
+    /// The settled watcher prefix: while `elems` still holds
+    /// `settled_len` elements, every watcher below `settled_watchers` has
+    /// consumed all of them (see [`GoalState::first_unsettled`]).
+    settled_watchers: u32,
+    settled_len: u32,
     /// The fixpoint scanned the global indirect-callsite list ([PARAM] /
     /// fwd-prop rule (e)), so any edit adding an indirect call dirties it.
     pub reads_indirect: bool,
 }
+
+/// How many dependencies [`GoalState::add_dep`] deduplicates by a linear
+/// scan before it builds a hash index.
+const DEP_SCAN: usize = 16;
 
 impl GoalState {
     /// A freshly activated, uninitialized goal.
@@ -336,6 +351,9 @@ impl GoalState {
             aliases: Vec::new(),
             support: HybridSet::new(),
             deps: Vec::new(),
+            dep_index: None,
+            settled_watchers: 0,
+            settled_len: 0,
             reads_indirect: false,
         }
     }
@@ -386,9 +404,22 @@ impl GoalState {
         )
     }
 
-    /// Records a producer goal this state consumed facts from.
+    /// Records a producer goal this state consumed facts from, once, in
+    /// O(1) amortized: a short `deps` list is scanned, a longer one is
+    /// answered from `dep_index`, built here on the first record past
+    /// [`DEP_SCAN`] (a restored state may start with a long list).
     pub fn add_dep(&mut self, producer: Goal) {
-        if !self.deps.contains(&producer) {
+        let new = match &mut self.dep_index {
+            Some(index) => index.insert(producer),
+            None if self.deps.len() < DEP_SCAN => !self.deps.contains(&producer),
+            None => {
+                let mut index: FxHashSet<Goal> = self.deps.iter().copied().collect();
+                let new = index.insert(producer);
+                self.dep_index = Some(Box::new(index));
+                new
+            }
+        };
+        if new {
             self.deps.push(producer);
         }
     }
@@ -401,6 +432,33 @@ impl GoalState {
         } else {
             false
         }
+    }
+
+    /// Where a visit starts firing: past the settled watcher prefix when
+    /// the goal gained no element since [`GoalState::settle`], else at
+    /// the first watcher. Only watchers whose cursor is already at the end
+    /// are skipped, so the firing order is unchanged.
+    pub(crate) fn first_unsettled(&self) -> usize {
+        if self.elems.len() == self.settled_len as usize {
+            self.settled_watchers as usize
+        } else {
+            0
+        }
+    }
+
+    /// Marks every watcher as settled; the caller has just advanced every
+    /// cursor to the end of `elems`. New watchers append after the prefix
+    /// and new elements void it, so it stays valid until the watcher list
+    /// is rebuilt ([`GoalState::unsettle`]).
+    pub(crate) fn settle(&mut self) {
+        self.settled_watchers = self.watchers.len() as u32;
+        self.settled_len = self.elems.len() as u32;
+    }
+
+    /// Forgets the settled prefix (the watcher list was rebuilt).
+    pub(crate) fn unsettle(&mut self) {
+        self.settled_watchers = 0;
+        self.settled_len = 0;
     }
 
     /// Returns `true` if every watcher has consumed every element and the
@@ -443,6 +501,128 @@ mod tests {
         assert!(!g.quiescent());
         g.cursors[0] = 1;
         assert!(g.quiescent());
+    }
+
+    fn goals(ids: impl IntoIterator<Item = u32>) -> Vec<Goal> {
+        ids.into_iter()
+            .map(|i| {
+                let n = NodeId::from_u32(i / 2);
+                if i % 2 == 0 {
+                    Goal::Pts(n)
+                } else {
+                    Goal::Ptb(n)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn add_dep_keeps_first_insertion_order_across_the_index_threshold() {
+        let mut g = GoalState::new();
+        // Descending ids, each recorded twice and interleaved with a
+        // repeat of an earlier one, well past the scan length.
+        let order = goals((0..3 * DEP_SCAN as u32).rev());
+        for (i, &dep) in order.iter().enumerate() {
+            g.add_dep(dep);
+            g.add_dep(order[i / 2]);
+            g.add_dep(dep);
+        }
+        assert_eq!(g.deps, order);
+        assert!(g.dep_index.is_some(), "a long list is indexed");
+        for &dep in &order {
+            g.add_dep(dep);
+        }
+        assert_eq!(g.deps, order, "re-recording adds nothing");
+    }
+
+    #[test]
+    fn dep_index_is_built_once_the_scan_is_full() {
+        let mut g = GoalState::new();
+        for dep in goals(0..DEP_SCAN as u32) {
+            g.add_dep(dep);
+            assert!(g.dep_index.is_none(), "a short list is scanned");
+        }
+        g.add_dep(goals([0])[0]);
+        assert!(g.dep_index.is_some());
+        assert_eq!(g.deps, goals(0..DEP_SCAN as u32));
+    }
+
+    #[test]
+    fn restored_long_dep_list_dedups_on_the_next_record() {
+        let restored = goals(0..2 * DEP_SCAN as u32);
+        let entry = crate::share::CompletedGoal {
+            elems: vec![1, 2],
+            support: vec![0],
+            deps: restored.clone(),
+            ..Default::default()
+        };
+        let mut g = entry.into_state();
+        assert!(g.dep_index.is_none(), "the index is built lazily");
+        for &dep in restored.iter().rev() {
+            g.add_dep(dep);
+        }
+        assert_eq!(g.deps, restored);
+        let extra = goals([1000, 1001]);
+        for &dep in extra.iter().chain(&extra) {
+            g.add_dep(dep);
+        }
+        assert_eq!(g.deps.len(), restored.len() + 2);
+        assert_eq!(&g.deps[restored.len()..], &extra[..]);
+    }
+
+    #[test]
+    fn dep_union_keeps_set_semantics() {
+        // `merge_component` folds each member's deps into the
+        // representative by `add_dep`; overlapping long lists union to
+        // the representative's order followed by the member's new deps.
+        let mut rep = GoalState::new();
+        for dep in goals(0..2 * DEP_SCAN as u32) {
+            rep.add_dep(dep);
+        }
+        let mut member = GoalState::new();
+        for dep in goals((DEP_SCAN as u32..3 * DEP_SCAN as u32).rev()) {
+            member.add_dep(dep);
+        }
+        for dep in std::mem::take(&mut member.deps) {
+            rep.add_dep(dep);
+        }
+        let mut want = goals(0..2 * DEP_SCAN as u32);
+        want.extend(goals((2 * DEP_SCAN as u32..3 * DEP_SCAN as u32).rev()));
+        assert_eq!(rep.deps, want);
+    }
+
+    #[test]
+    fn settled_prefix_is_voided_by_a_new_element() {
+        let mut g = GoalState::new();
+        g.needs_init = false;
+        g.add(4);
+        for dst in 0..3 {
+            g.watchers.push(Watcher::CopyTo {
+                dst: NodeId::from_u32(dst),
+            });
+            g.cursors.push(1);
+        }
+        assert_eq!(g.first_unsettled(), 0);
+        g.settle();
+        assert_eq!(g.first_unsettled(), 3);
+        g.watchers.push(Watcher::CopyTo {
+            dst: NodeId::from_u32(9),
+        });
+        g.cursors.push(0);
+        assert_eq!(g.first_unsettled(), 3, "a new watcher is past the prefix");
+        g.add(5);
+        assert_eq!(g.first_unsettled(), 0, "a new element voids the prefix");
+        g.unsettle();
+        assert_eq!(g.first_unsettled(), 0);
+    }
+
+    /// The scheduler allocates one state per frame slot (`2 · nodes`), so
+    /// the state's size is a memory budget: 224 B before the settled
+    /// prefix and the dep index were added, at most 16 B more after.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn goal_state_stays_within_its_size_budget() {
+        assert!(std::mem::size_of::<GoalState>() <= 240);
     }
 
     #[test]

@@ -367,14 +367,20 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
         loop {
             // Claim the pending (watcher, elements) ranges under the lock;
             // cursor advancement is what makes concurrent steps of the
-            // same frame consume disjoint ranges.
+            // same frame consume disjoint ranges. A claim leaves every
+            // cursor at the end, so it settles the watcher prefix, and the
+            // next claim starts past it unless an element arrived since.
             pending.clear();
             batch.clear();
             {
                 let mut f = self.core.lock(slot);
                 let state = &mut f.state;
                 let nelems = state.elems.len();
-                for (watcher, cursor) in state.watchers.iter().zip(&mut state.cursors) {
+                let from = state.first_unsettled();
+                let claims = state.watchers[from..]
+                    .iter()
+                    .zip(&mut state.cursors[from..]);
+                for (watcher, cursor) in claims {
                     if (*cursor as usize) < nelems {
                         let start = pending.len() as u32;
                         pending.extend_from_slice(&state.elems[*cursor as usize..]);
@@ -382,6 +388,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
                         *cursor = nelems as u32;
                     }
                 }
+                state.settle();
             }
             if batch.is_empty() {
                 break;

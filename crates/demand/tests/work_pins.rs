@@ -110,6 +110,63 @@ fn budgeted_resume_pins() {
 }
 
 // ---------------------------------------------------------------------
+// Servebench-sized MiniC pins
+//
+// These literals were recorded at commit 8dee23e, before a goal visit
+// learned to resume after its settled watcher prefix and before
+// dependency records were deduplicated through an index. The program is
+// the size a servebench `cold` MiniC round opens, so goals grow long
+// watcher and dependency lists and both fast paths run often; any drift
+// means a watcher fired in a different order or a different number of
+// times.
+// ---------------------------------------------------------------------
+
+fn minic_large() -> ConstraintProgram {
+    ddpa_constraints::lower(&generate_minic(&MiniCConfig::sized(7, 240))).expect("lowers")
+}
+
+/// Like [`run_list`], but each query is re-asked until it completes;
+/// also returns how many times a query was suspended.
+fn run_list_resumed(cp: &ConstraintProgram, config: DemandConfig, stride: usize) -> (Pins, u64) {
+    let mut engine = DemandEngine::new(cp, config);
+    let nodes: Vec<NodeId> = cp.node_ids().step_by(stride).collect();
+    let mut suspended = 0u64;
+    for _ in 0..2 {
+        for &n in &nodes {
+            while !engine.points_to(n).complete {
+                suspended += 1;
+            }
+        }
+        for &n in &nodes {
+            while !engine.pointed_to_by(n).complete {
+                suspended += 1;
+            }
+        }
+    }
+    (pins(&engine), suspended)
+}
+
+#[test]
+fn minic_large_pins() {
+    let got = run_list(&minic_large(), DemandConfig::default(), 7);
+    assert_eq!(got, [468162, 463021, 5141, 905, 142, 362, 2263]);
+}
+
+#[test]
+fn minic_large_budgeted_resume_pins() {
+    let config = DemandConfig::default().with_budget(64);
+    let got = run_list_resumed(&minic_large(), config, 7);
+    assert_eq!(got, ([464839, 459698, 5141, 991, 142, 362, 2263], 7136));
+}
+
+#[test]
+fn minic_large_collapse_off_pins() {
+    let config = DemandConfig::default().without_cycle_collapsing();
+    let got = run_list(&minic_large(), config, 7);
+    assert_eq!(got, [509615, 504474, 5141, 0, 0, 0, 2263]);
+}
+
+// ---------------------------------------------------------------------
 // Frame-scheduler pins
 //
 // These literals were recorded at commit 5d6ad35, before the scheduler's

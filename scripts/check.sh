@@ -34,15 +34,20 @@ for sample in samples/*; do
     cargo run -q -p ddpa-cli -- jsonl-check "$out"
 done
 
+echo "==> work-pin smoke test"
+# The work pins hold the engine's and the scheduler's work, fires,
+# activations and collapse counts on fixed query lists, so bookkeeping
+# changes cannot move a deduction step. They guard the firing order
+# that the settled-watcher-prefix and dependency-index fast paths must
+# keep: a skipped or reordered firing changes a pinned count.
+cargo test -q -p ddpa-demand --test work_pins
+
 echo "==> cycle-collapse smoke test"
 # The differential suite (fixed seeds) proves collapsing never changes an
 # answer; the profile run proves the collapse actually fires end-to-end —
 # samples/cycles.cons is a 40-edge copy ring, over the engine's default
-# threshold — and exports well-formed demand.cycles.* metrics. The work
-# pins hold the engine's work, fires, activations and collapse counts on
-# fixed query lists, so bookkeeping changes cannot move a deduction step.
+# threshold — and exports well-formed demand.cycles.* metrics.
 cargo test -q -p ddpa-demand --test cycles_differential
-cargo test -q -p ddpa-demand --test work_pins
 cyc="$tmp/cycles-metrics.jsonl"
 cargo run -q -p ddpa-cli -- profile samples/cycles.cons --json "$cyc" > /dev/null
 cargo run -q -p ddpa-cli -- jsonl-check "$cyc"
