@@ -16,7 +16,7 @@
 //!   against the live one, and an edit that declares a `fun` or `field`
 //!   is re-parsed whole. For every node id of the old program, a
 //!   deterministic signature is computed over everything the deduction
-//!   rules ([`ddpa-demand`]'s `rules.rs`) can read about that node — its
+//!   rules (`ddpa-demand`'s `rules.rs`) can read about that node — its
 //!   display identity, address-takenness, all eight primitive adjacency
 //!   rows, field-address rows, field declarations, and the full contents
 //!   of every call site reachable from its argument/return/fp rows
@@ -25,7 +25,7 @@
 //!
 //! Two scans fall outside per-node rows and are tracked separately:
 //!
-//! * the global indirect-callsite list ([PARAM] and forward-prop rule
+//! * the global indirect-callsite list (`[PARAM]` and forward-prop rule
 //!   (e) scan it in full) — [`ProgramDiff::indirect_changed`];
 //! * identity itself — if any *old* node id resolves to a different
 //!   location in the new program (or an old function's shape moved), the

@@ -18,7 +18,8 @@
 //! 4. run **any** existing engine — exhaustive or demand — on the expanded
 //!    program, and project answers back through the clone maps.
 //!
-//! Because the output is an ordinary [`ConstraintProgram`], the demand
+//! Because the output is an ordinary
+//! [`ConstraintProgram`](ddpa_constraints::ConstraintProgram), the demand
 //! engine, budgets, memoization, tracing, and every client work on it
 //! unchanged — context-sensitivity composes with the whole stack.
 //!

@@ -56,9 +56,12 @@
 //!   a later visit of a goal that gained no element since starts after
 //!   it, and a pass that adds no element to the goal ends the visit. Both
 //!   skip only watchers whose cursor is already at the end.
-//! * Recording a dependency edge ([`GoalState::add_dep`]) is O(1)
-//!   amortized: a hash index answers membership once the list outgrows a
-//!   short scan, and the list keeps first-insertion order.
+//! * Adding an element, installing a watcher and recording a dependency
+//!   edge each cost one membership test and at most one push. A goal
+//!   keeps each of the three once, as a [`ListSet`]: a list in
+//!   first-insertion order whose membership a short scan answers, and
+//!   past it a lazily built index (a bitset for elements, a hash set
+//!   otherwise).
 //! * The completion sweep after a full drain starts at a watermark below
 //!   which every goal is complete or merged, so it visits only the goals
 //!   tabled since the last sweep.
@@ -75,7 +78,7 @@ use ddpa_support::fxhash::FxHashMap;
 use crate::budget::Budget;
 use crate::config::DemandConfig;
 use crate::cycles::CopyGraph;
-use crate::goal::{Goal, GoalIndex, GoalState, Watcher};
+use crate::goal::{Goal, GoalIndex, GoalState, ListSet, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
 use crate::sched::Scheduler;
@@ -156,7 +159,9 @@ pub(crate) struct Memo {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EditStats {
     /// Completed entries dropped because the edit transitively dirtied
-    /// them (or, on the full path, every completed entry).
+    /// them (or, on the full path, every one). Entries count as
+    /// [`DemandEngine::export_completed`] writes them, so
+    /// `invalidated + retained` is its length before the edit.
     pub invalidated: usize,
     /// Completed entries kept warm and re-installed.
     pub retained: usize,
@@ -611,11 +616,15 @@ impl Memo {
     /// program of `nodes` nodes.
     fn edit(&mut self, nodes: usize, diff: &ddpa_constraints::ProgramDiff) -> EditStats {
         if !diff.compatible || !self.config.caching {
+            // Every entry an export would write: each completed family
+            // under its key and its aliases, then each staged entry.
             let dropped = self
                 .goals
                 .iter()
                 .filter(|s| !s.merged && s.complete)
-                .count();
+                .map(|s| 1 + s.aliases.len())
+                .sum::<usize>()
+                + self.staged.len();
             self.invalidate();
             self.index.grow(nodes);
             return EditStats {
@@ -698,7 +707,7 @@ impl Memo {
                 };
                 let at = self.push(goal, fresh) as usize;
                 if self.config.trace {
-                    for &v in &self.goals[at].elems {
+                    for &v in self.goals[at].elems.iter() {
                         if let Some(&origin) = provenance.get(&(key, v)) {
                             self.provenance.insert((goal, v), origin);
                         }
@@ -722,7 +731,7 @@ impl Memo {
     pub(crate) fn completed_elems(&self, goal: Goal) -> Option<Vec<u32>> {
         if let Some(gi) = self.index.get(goal) {
             let state = &self.goals[self.cycles.find_readonly(gi) as usize];
-            return state.complete.then(|| state.members.iter().collect());
+            return state.complete.then(|| state.sorted_elems());
         }
         self.probe_staged(goal).map(|entry| entry.elems.clone())
     }
@@ -886,7 +895,7 @@ impl Memo {
     fn add_fact(&mut self, goal: Goal, value: u32, origin: Origin) {
         let gi = self.activate(goal);
         let state = &mut self.goals[gi as usize];
-        let inserted = state.add(value);
+        let inserted = state.elems.insert(value);
         debug_assert!(
             !(inserted && state.complete),
             "fact added to a completed goal {goal:?}"
@@ -912,25 +921,26 @@ impl Memo {
         // The consumer's fixpoint reads the producer's set: record the
         // dependency edge so an edit dirtying the producer transitively
         // dirties the consumer (see `reload_incremental`). Recorded even
-        // for suppressed/duplicate subscriptions — `add_dep` dedups, and
-        // a same-family edge (consumer routed to `gi` itself) is skipped.
+        // for suppressed/duplicate subscriptions — `deps` dedups, and a
+        // same-family edge (consumer routed to `gi` itself) is skipped.
         if let Some(ci) = self.index.get(watcher.consumer()) {
             let ci = self.cycles.find(ci);
             if ci != gi {
-                self.goals[ci as usize].add_dep(goal);
+                self.goals[ci as usize].deps.insert(goal);
             }
         }
+        // The identity test runs before the duplicate test: a family only
+        // grows until the table is cleared, so a suppressed copy stays
+        // suppressed and never needs a place in `watchers`.
         if let Watcher::CopyTo { dst } = watcher {
             if let Some(di) = self.index.get(Goal::Pts(dst)) {
                 if self.cycles.find(di) == gi {
-                    self.goals[gi as usize].registered.insert(watcher);
                     return;
                 }
             }
         }
         let state = &mut self.goals[gi as usize];
-        if state.registered.insert(watcher) {
-            state.watchers.push(watcher);
+        if state.watchers.insert(watcher) {
             state.cursors.push(0);
             if let Watcher::CopyTo { dst } = watcher {
                 self.cycles.record_edge(gi, dst);
@@ -1145,21 +1155,13 @@ impl Memo {
             self.costs[rep as usize].fires += cost.fires;
             merged.aliases.push(self.keys[g as usize]);
             merged.aliases.extend(state.aliases.iter().copied());
-            for &v in &state.elems {
-                if merged.members.insert(v) {
-                    merged.elems.push(v);
-                }
+            for &v in state.elems.iter() {
+                merged.elems.insert(v);
             }
-            for &w in &state.watchers {
-                if merged.registered.insert(w) {
-                    merged.watchers.push(w);
+            for &w in state.watchers.iter() {
+                if merged.watchers.insert(w) {
                     merged.cursors.push(0);
                 }
-            }
-            // Suppressed registrations (identity copies) must keep
-            // deduplicating future subscriptions.
-            for w in state.registered {
-                merged.registered.insert(w);
             }
             // The merged fixpoint read everything its members read: the
             // representative's support/deps must cover them all, or an
@@ -1168,14 +1170,14 @@ impl Memo {
             for n in state.support.iter() {
                 merged.support.insert(n);
             }
-            for dep in state.deps {
-                merged.add_dep(dep);
+            for &dep in state.deps.iter() {
+                merged.deps.insert(dep);
             }
             merged.reads_indirect |= state.reads_indirect;
         }
         // Copy edges that now point inside the merged family are the
-        // identity: drop them from the active list. They stay
-        // `registered`, so re-subscription attempts still dedup.
+        // identity: drop them. A re-subscription is suppressed as an
+        // identity copy before it reaches the list.
         let mut watchers = Vec::with_capacity(merged.watchers.len());
         let mut cursors = Vec::with_capacity(merged.cursors.len());
         for (&w, &c) in merged.watchers.iter().zip(&merged.cursors) {
@@ -1191,7 +1193,7 @@ impl Memo {
                 cursors.push(c);
             }
         }
-        merged.watchers = watchers;
+        merged.watchers = ListSet::from_vec(watchers);
         merged.cursors = cursors;
         merged.unsettle();
         merged.needs_init = false;
@@ -1305,8 +1307,8 @@ impl Memo {
 
     fn snapshot(&self, gi: u32) -> Vec<NodeId> {
         self.goals[gi as usize]
-            .members
-            .iter()
+            .sorted_elems()
+            .into_iter()
             .map(NodeId::from_u32)
             .collect()
     }
@@ -1643,10 +1645,21 @@ mod tests {
 
     #[test]
     fn incremental_reload_falls_back_on_incompatible_diff() {
-        let before = ddpa_constraints::parse_constraints("p = &o\nq = p\n").expect("parses");
+        let before = ddpa_constraints::parse_constraints(
+            "p = &o\nq = p\nr0 = &u\nr1 = r0\nr2 = r1\nr0 = r2\nt = r1\n",
+        )
+        .expect("parses");
         let after = ddpa_constraints::parse_constraints("z = &w\np = z\n").expect("parses");
-        let mut engine = DemandEngine::new(&before, DemandConfig::default());
-        assert!(engine.points_to(node(&before, "q")).complete);
+        // The engine stages a donor's fixpoints for `q` and tables the
+        // collapsed ring below `t` itself.
+        let config = DemandConfig::default().with_collapse_threshold(1);
+        let mut donor = DemandEngine::new(&before, config.clone());
+        assert!(donor.points_to(node(&before, "q")).complete);
+        let mut engine = DemandEngine::new(&before, config);
+        assert!(engine.warm_start(&donor.export_completed()) > 0);
+        assert!(engine.points_to(node(&before, "t")).complete);
+        assert!(engine.stats().merged_goals > 0, "the ring collapsed");
+        let exported = engine.export_completed().len();
 
         let diff = ddpa_constraints::diff_programs(&before, &after);
         assert!(!diff.compatible);
@@ -1656,6 +1669,11 @@ mod tests {
             "incompatible node spaces force full invalidation"
         );
         assert_eq!(stats.retained, 0);
+        assert_eq!(
+            stats.invalidated + stats.retained,
+            exported,
+            "every exported entry, staged or merged-in, is counted"
+        );
         assert_eq!(engine.tabled_goals(), 0);
     }
 

@@ -7,8 +7,9 @@
 //! starts its cursor at zero and replays the memoized elements.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use ddpa_support::{FxHashSet, HybridSet};
+use ddpa_support::{FxHashSet, HybridSet, SparseBitSet};
 
 use ddpa_constraints::NodeId;
 
@@ -277,20 +278,93 @@ impl Watcher {
     }
 }
 
-/// The table entry for one goal.
+/// How many entries a [`ListSet`] scans for membership before it builds
+/// an index.
+const SCAN: usize = 16;
+
+/// The membership index a [`ListSet`] builds past the scan.
+pub trait SetIndex<T>: FromIterator<T> {
+    /// Inserts `value`; returns `true` if it was absent.
+    fn insert_new(&mut self, value: T) -> bool;
+}
+
+/// Element ids: the bitset also iterates them ascending.
+impl SetIndex<u32> for SparseBitSet {
+    fn insert_new(&mut self, value: u32) -> bool {
+        self.insert(value)
+    }
+}
+
+impl<T: Hash + Eq> SetIndex<T> for FxHashSet<T> {
+    fn insert_new(&mut self, value: T) -> bool {
+        self.insert(value)
+    }
+}
+
+/// A set stored once, as a list in first-insertion order. Membership is
+/// a linear scan up to 16 entries (`SCAN`) and past that an index `I`
+/// behind one box, built by the first insert that needs it, so a set
+/// that is never probed past the scan never pays for one. Reads go
+/// through the list; only [`insert`](ListSet::insert) grows it.
+#[derive(Clone, Debug)]
+pub struct ListSet<T, I = FxHashSet<T>> {
+    list: Vec<T>,
+    index: Option<Box<I>>,
+}
+
+impl<T: Copy + Eq, I: SetIndex<T>> ListSet<T, I> {
+    /// The set of `list`'s entries, which must be distinct, in their
+    /// order.
+    pub fn from_vec(list: Vec<T>) -> Self {
+        ListSet { list, index: None }
+    }
+
+    /// Appends `value` unless present; returns `true` if it was new.
+    pub fn insert(&mut self, value: T) -> bool {
+        let new = match &mut self.index {
+            Some(index) => index.insert_new(value),
+            None if self.list.len() < SCAN => !self.list.contains(&value),
+            None => {
+                let index = self.list.iter().copied().collect();
+                self.index.insert(Box::new(index)).insert_new(value)
+            }
+        };
+        if new {
+            self.list.push(value);
+        }
+        new
+    }
+}
+
+impl<T, I> Default for ListSet<T, I> {
+    fn default() -> Self {
+        ListSet {
+            list: Vec::new(),
+            index: None,
+        }
+    }
+}
+
+impl<T, I> std::ops::Deref for ListSet<T, I> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.list
+    }
+}
+
+/// The table entry for one goal: its fact set and the rule instances
+/// reading it, each stored once in a [`ListSet`].
 #[derive(Debug)]
 pub struct GoalState {
-    /// Membership set (query answers read this).
-    pub members: HybridSet,
-    /// Elements in insertion order — watchers index into this.
-    pub elems: Vec<u32>,
-    /// Installed rule instances.
-    pub watchers: Vec<Watcher>,
+    /// Elements in insertion order — watchers index into this; queries
+    /// read it ascending through [`GoalState::sorted_elems`].
+    pub elems: ListSet<u32, SparseBitSet>,
+    /// Installed rule instances, in installation order. A suppressed
+    /// identity copy is never installed, and the engine tests for one
+    /// before it tests membership here.
+    pub watchers: ListSet<Watcher>,
     /// `cursors[i]` = how many of `elems` watcher `i` has consumed.
     pub cursors: Vec<u32>,
-    /// Deduplicates watcher installation. Only membership is ever read,
-    /// never iteration order, so a fixed fast hasher is safe here.
-    pub registered: FxHashSet<Watcher>,
     /// Static rules not yet installed.
     pub needs_init: bool,
     /// All rules installed and every fact fully propagated — the memoized
@@ -314,61 +388,49 @@ pub struct GoalState {
     /// Producer goals this goal consumed facts from (the reverse of the
     /// watcher edges), in first-insertion order: transitive dirtying
     /// follows these edges forward, from a dirty producer to every
-    /// consumer. Append only through [`GoalState::add_dep`], which keeps
-    /// `dep_index` in step.
-    pub deps: Vec<Goal>,
-    /// Membership index over `deps`, built by [`GoalState::add_dep`] once
-    /// `deps` outgrows a [`DEP_SCAN`]-element linear scan. Boxed, so a
-    /// goal without one pays a single pointer.
-    dep_index: Option<Box<FxHashSet<Goal>>>,
+    /// consumer.
+    pub deps: ListSet<Goal>,
     /// The settled watcher prefix: while `elems` still holds
     /// `settled_len` elements, every watcher below `settled_watchers` has
     /// consumed all of them (see [`GoalState::first_unsettled`]).
     settled_watchers: u32,
     settled_len: u32,
-    /// The fixpoint scanned the global indirect-callsite list ([PARAM] /
+    /// The fixpoint scanned the global indirect-callsite list (`[PARAM]` /
     /// fwd-prop rule (e)), so any edit adding an indirect call dirties it.
     pub reads_indirect: bool,
 }
-
-/// How many dependencies [`GoalState::add_dep`] deduplicates by a linear
-/// scan before it builds a hash index.
-const DEP_SCAN: usize = 16;
 
 impl GoalState {
     /// A freshly activated, uninitialized goal.
     pub fn new() -> Self {
         GoalState {
-            members: HybridSet::new(),
-            elems: Vec::new(),
-            watchers: Vec::new(),
+            elems: ListSet::default(),
+            watchers: ListSet::default(),
             cursors: Vec::new(),
-            registered: FxHashSet::default(),
             needs_init: true,
             complete: false,
             on_list: false,
             merged: false,
             aliases: Vec::new(),
             support: HybridSet::new(),
-            deps: Vec::new(),
-            dep_index: None,
+            deps: ListSet::default(),
             settled_watchers: 0,
             settled_len: 0,
             reads_indirect: false,
         }
     }
 
-    /// A completed fixpoint with no watchers: `elems` is `members` in
-    /// ascending order, `deps` in [`Goal::canonical_key`] order.
+    /// A completed fixpoint with no watchers, its `elems` sorted ascending
+    /// and its `deps` into [`Goal::canonical_key`] order.
     pub fn completed(
-        members: HybridSet,
-        elems: Vec<u32>,
+        mut elems: ListSet<u32, SparseBitSet>,
         support: HybridSet,
-        deps: Vec<Goal>,
+        mut deps: ListSet<Goal>,
         reads_indirect: bool,
     ) -> Self {
+        elems.list.sort_unstable();
+        deps.list.sort_unstable_by_key(|g| g.canonical_key());
         GoalState {
-            members,
             elems,
             support,
             deps,
@@ -379,24 +441,16 @@ impl GoalState {
         }
     }
 
-    /// This completed state as [`GoalState::completed`] would build it:
-    /// the fixpoint kept, watchers dropped, `elems` and `deps` sorted.
-    pub fn into_completed(mut self) -> Self {
-        self.elems.sort_unstable();
-        self.deps.sort_by_key(|g| g.canonical_key());
-        GoalState::completed(
-            self.members,
-            self.elems,
-            self.support,
-            self.deps,
-            self.reads_indirect,
-        )
+    /// This state's fixpoint as [`GoalState::completed`] builds it, by
+    /// move: watchers dropped, `elems` and `deps` sorted.
+    pub fn into_completed(self) -> Self {
+        GoalState::completed(self.elems, self.support, self.deps, self.reads_indirect)
     }
 
-    /// A copy of a completed, watcher-free fixpoint.
+    /// A copy of this state's fixpoint as [`GoalState::completed`] builds
+    /// it.
     pub fn completed_copy(&self) -> Self {
         GoalState::completed(
-            self.members.clone(),
             self.elems.clone(),
             self.support.clone(),
             self.deps.clone(),
@@ -404,33 +458,21 @@ impl GoalState {
         )
     }
 
-    /// Records a producer goal this state consumed facts from, once, in
-    /// O(1) amortized: a short `deps` list is scanned, a longer one is
-    /// answered from `dep_index`, built here on the first record past
-    /// [`DEP_SCAN`] (a restored state may start with a long list).
-    pub fn add_dep(&mut self, producer: Goal) {
-        let new = match &mut self.dep_index {
-            Some(index) => index.insert(producer),
-            None if self.deps.len() < DEP_SCAN => !self.deps.contains(&producer),
-            None => {
-                let mut index: FxHashSet<Goal> = self.deps.iter().copied().collect();
-                let new = index.insert(producer);
-                self.dep_index = Some(Box::new(index));
-                new
+    /// The elements in ascending order, exact-size: read off the index
+    /// when `elems` has one, else a sorted copy of the list — at most 16
+    /// (`SCAN`) elements, or a completed state's, already in order.
+    pub fn sorted_elems(&self) -> Vec<u32> {
+        match self.elems.index.as_deref() {
+            Some(bits) => {
+                let mut out = Vec::with_capacity(self.elems.len());
+                out.extend(bits.iter());
+                out
             }
-        };
-        if new {
-            self.deps.push(producer);
-        }
-    }
-
-    /// Adds `value`; returns `true` if new.
-    pub fn add(&mut self, value: u32) -> bool {
-        if self.members.insert(value) {
-            self.elems.push(value);
-            true
-        } else {
-            false
+            None => {
+                let mut out = self.elems.to_vec();
+                out.sort_unstable();
+                out
+            }
         }
     }
 
@@ -476,16 +518,20 @@ impl Default for GoalState {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use ddpa_support::Rng;
+
     use super::*;
 
     #[test]
     fn add_deduplicates_and_orders() {
         let mut g = GoalState::new();
-        assert!(g.add(5));
-        assert!(g.add(3));
-        assert!(!g.add(5));
-        assert_eq!(g.elems, vec![5, 3]);
-        assert_eq!(g.members.len(), 2);
+        assert!(g.elems.insert(5));
+        assert!(g.elems.insert(3));
+        assert!(!g.elems.insert(5));
+        assert_eq!(*g.elems, [5, 3]);
+        assert_eq!(g.elems.len(), 2);
     }
 
     #[test]
@@ -493,8 +539,8 @@ mod tests {
         let mut g = GoalState::new();
         g.needs_init = false;
         assert!(g.quiescent());
-        g.add(1);
-        g.watchers.push(Watcher::CopyTo {
+        g.elems.insert(1);
+        g.watchers.insert(Watcher::CopyTo {
             dst: NodeId::from_u32(0),
         });
         g.cursors.push(0);
@@ -503,17 +549,115 @@ mod tests {
         assert!(g.quiescent());
     }
 
+    fn goal(i: u32) -> Goal {
+        let n = NodeId::from_u32(i / 2);
+        if i.is_multiple_of(2) {
+            Goal::Pts(n)
+        } else {
+            Goal::Ptb(n)
+        }
+    }
+
     fn goals(ids: impl IntoIterator<Item = u32>) -> Vec<Goal> {
-        ids.into_iter()
-            .map(|i| {
-                let n = NodeId::from_u32(i / 2);
-                if i % 2 == 0 {
-                    Goal::Pts(n)
-                } else {
-                    Goal::Ptb(n)
+        ids.into_iter().map(goal).collect()
+    }
+
+    fn watcher(i: u32) -> Watcher {
+        let n = NodeId::from_u32(i / 3);
+        match i % 3 {
+            0 => Watcher::CopyTo { dst: n },
+            1 => Watcher::FwdProp { obj: n },
+            _ => Watcher::FieldOf { dst: n, field: i },
+        }
+    }
+
+    /// Random insert sequences of `make(id)` over id ranges on both sides
+    /// of the scan, checked after every insert against a model: the ids
+    /// in first-insertion order and their `BTreeSet`. `each` then sees
+    /// every final set with its model, for reads specific to `T`.
+    fn model_check<T: Copy + Eq + std::fmt::Debug, I: SetIndex<T>>(
+        make: impl Fn(u32) -> T,
+        mut each: impl FnMut(&ListSet<T, I>, &BTreeSet<u32>),
+    ) {
+        let mut rng = Rng::seed_from_u64(21);
+        for universe in 1..=4 * SCAN as u32 {
+            let mut set = ListSet::default();
+            let (mut order, mut model) = (Vec::new(), BTreeSet::new());
+            for _ in 0..3 * universe {
+                let id = rng.gen_range(0..universe);
+                let new = model.insert(id);
+                if new {
+                    order.push(id);
                 }
-            })
-            .collect()
+                assert_eq!(set.insert(make(id)), new, "set semantics");
+                assert!(set.len() <= SCAN || set.index.is_some(), "long lists index");
+                assert!(set.iter().copied().eq(order.iter().map(|&i| make(i))));
+            }
+            let mut rebuilt = ListSet::<T, I>::from_vec(set.to_vec());
+            assert!(rebuilt.index.is_none(), "the index waits for an insert");
+            assert!(
+                set.iter().all(|&v| !rebuilt.insert(v)),
+                "every entry is known"
+            );
+            assert_eq!(rebuilt.index.is_some(), set.len() >= SCAN);
+            assert!(rebuilt.iter().eq(set.iter()));
+            each(&set, &model);
+        }
+    }
+
+    #[test]
+    fn list_set_of_elements_matches_its_model() {
+        model_check(
+            |id| id * 37 % 1000,
+            |set, model| {
+                let g = GoalState {
+                    elems: set.clone(),
+                    ..GoalState::new()
+                };
+                let want: BTreeSet<u32> = model.iter().map(|&id| id * 37 % 1000).collect();
+                assert_eq!(g.sorted_elems(), want.into_iter().collect::<Vec<_>>());
+            },
+        );
+    }
+
+    #[test]
+    fn list_set_of_goals_matches_its_model() {
+        model_check(goal, |set, model| {
+            let g = GoalState::completed(ListSet::default(), HybridSet::new(), set.clone(), false);
+            let mut want = goals(model.iter().copied());
+            want.sort_by_key(|g| g.canonical_key());
+            assert_eq!(*g.deps, want[..]);
+        });
+    }
+
+    #[test]
+    fn list_set_of_watchers_matches_its_model() {
+        model_check(watcher, |set: &ListSet<Watcher>, model| {
+            assert_eq!(set.len(), model.len());
+        });
+    }
+
+    #[test]
+    fn long_sorted_list_reads_sorted_before_and_after_its_index() {
+        let sorted: Vec<u32> = (0..3 * SCAN as u32).map(|i| 5 * i).collect();
+        let entry = crate::share::CompletedGoal {
+            elems: sorted.clone(),
+            support: vec![0],
+            ..Default::default()
+        };
+        let mut g = entry.into_state();
+        assert!(g.elems.index.is_none(), "the index is built lazily");
+        assert_eq!(g.sorted_elems(), sorted);
+        assert!(
+            sorted.iter().all(|&v| !g.elems.insert(v)),
+            "every element is known"
+        );
+        assert!(g.elems.index.is_some());
+        assert_eq!(g.sorted_elems(), sorted);
+        assert!(g.elems.insert(1));
+        assert_eq!(g.elems.len(), sorted.len() + 1);
+        assert_eq!(g.elems.last(), Some(&1), "a new element appends");
+        assert_eq!(g.sorted_elems()[..2], [0, 1]);
     }
 
     #[test]
@@ -521,35 +665,37 @@ mod tests {
         let mut g = GoalState::new();
         // Descending ids, each recorded twice and interleaved with a
         // repeat of an earlier one, well past the scan length.
-        let order = goals((0..3 * DEP_SCAN as u32).rev());
+        let order = goals((0..3 * SCAN as u32).rev());
         for (i, &dep) in order.iter().enumerate() {
-            g.add_dep(dep);
-            g.add_dep(order[i / 2]);
-            g.add_dep(dep);
+            g.deps.insert(dep);
+            g.deps.insert(order[i / 2]);
+            g.deps.insert(dep);
         }
-        assert_eq!(g.deps, order);
-        assert!(g.dep_index.is_some(), "a long list is indexed");
+        assert_eq!(*g.deps, order[..]);
+        assert!(g.deps.index.is_some(), "a long list is indexed");
         for &dep in &order {
-            g.add_dep(dep);
+            g.deps.insert(dep);
         }
-        assert_eq!(g.deps, order, "re-recording adds nothing");
+        assert_eq!(*g.deps, order[..], "re-recording adds nothing");
     }
 
     #[test]
     fn dep_index_is_built_once_the_scan_is_full() {
         let mut g = GoalState::new();
-        for dep in goals(0..DEP_SCAN as u32) {
-            g.add_dep(dep);
-            assert!(g.dep_index.is_none(), "a short list is scanned");
+        for dep in goals(0..SCAN as u32) {
+            g.deps.insert(dep);
+            assert!(g.deps.index.is_none(), "a short list is scanned");
         }
-        g.add_dep(goals([0])[0]);
-        assert!(g.dep_index.is_some());
-        assert_eq!(g.deps, goals(0..DEP_SCAN as u32));
+        g.deps.insert(goal(0));
+        assert!(g.deps.index.is_some());
+        assert_eq!(*g.deps, goals(0..SCAN as u32)[..]);
     }
 
     #[test]
     fn restored_long_dep_list_dedups_on_the_next_record() {
-        let restored = goals(0..2 * DEP_SCAN as u32);
+        // A restored entry's deps are in canonical order.
+        let mut restored = goals(0..2 * SCAN as u32);
+        restored.sort_by_key(|g| g.canonical_key());
         let entry = crate::share::CompletedGoal {
             elems: vec![1, 2],
             support: vec![0],
@@ -557,14 +703,14 @@ mod tests {
             ..Default::default()
         };
         let mut g = entry.into_state();
-        assert!(g.dep_index.is_none(), "the index is built lazily");
+        assert!(g.deps.index.is_none(), "the index is built lazily");
         for &dep in restored.iter().rev() {
-            g.add_dep(dep);
+            g.deps.insert(dep);
         }
-        assert_eq!(g.deps, restored);
+        assert_eq!(*g.deps, restored[..]);
         let extra = goals([1000, 1001]);
         for &dep in extra.iter().chain(&extra) {
-            g.add_dep(dep);
+            g.deps.insert(dep);
         }
         assert_eq!(g.deps.len(), restored.len() + 2);
         assert_eq!(&g.deps[restored.len()..], &extra[..]);
@@ -573,31 +719,31 @@ mod tests {
     #[test]
     fn dep_union_keeps_set_semantics() {
         // `merge_component` folds each member's deps into the
-        // representative by `add_dep`; overlapping long lists union to
+        // representative by `insert`; overlapping long lists union to
         // the representative's order followed by the member's new deps.
         let mut rep = GoalState::new();
-        for dep in goals(0..2 * DEP_SCAN as u32) {
-            rep.add_dep(dep);
+        for dep in goals(0..2 * SCAN as u32) {
+            rep.deps.insert(dep);
         }
         let mut member = GoalState::new();
-        for dep in goals((DEP_SCAN as u32..3 * DEP_SCAN as u32).rev()) {
-            member.add_dep(dep);
+        for dep in goals((SCAN as u32..3 * SCAN as u32).rev()) {
+            member.deps.insert(dep);
         }
-        for dep in std::mem::take(&mut member.deps) {
-            rep.add_dep(dep);
+        for &dep in member.deps.iter() {
+            rep.deps.insert(dep);
         }
-        let mut want = goals(0..2 * DEP_SCAN as u32);
-        want.extend(goals((2 * DEP_SCAN as u32..3 * DEP_SCAN as u32).rev()));
-        assert_eq!(rep.deps, want);
+        let mut want = goals(0..2 * SCAN as u32);
+        want.extend(goals((2 * SCAN as u32..3 * SCAN as u32).rev()));
+        assert_eq!(*rep.deps, want[..]);
     }
 
     #[test]
     fn settled_prefix_is_voided_by_a_new_element() {
         let mut g = GoalState::new();
         g.needs_init = false;
-        g.add(4);
+        g.elems.insert(4);
         for dst in 0..3 {
-            g.watchers.push(Watcher::CopyTo {
+            g.watchers.insert(Watcher::CopyTo {
                 dst: NodeId::from_u32(dst),
             });
             g.cursors.push(1);
@@ -605,24 +751,25 @@ mod tests {
         assert_eq!(g.first_unsettled(), 0);
         g.settle();
         assert_eq!(g.first_unsettled(), 3);
-        g.watchers.push(Watcher::CopyTo {
+        g.watchers.insert(Watcher::CopyTo {
             dst: NodeId::from_u32(9),
         });
         g.cursors.push(0);
         assert_eq!(g.first_unsettled(), 3, "a new watcher is past the prefix");
-        g.add(5);
+        g.elems.insert(5);
         assert_eq!(g.first_unsettled(), 0, "a new element voids the prefix");
         g.unsettle();
         assert_eq!(g.first_unsettled(), 0);
     }
 
     /// The scheduler allocates one state per frame slot (`2 · nodes`), so
-    /// the state's size is a memory budget: 224 B before the settled
-    /// prefix and the dep index were added, at most 16 B more after.
+    /// the state's size is a memory budget: 240 B while elements and
+    /// watchers were each stored twice, 192 B since each fact is stored
+    /// once.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn goal_state_stays_within_its_size_budget() {
-        assert!(std::mem::size_of::<GoalState>() <= 240);
+        assert!(std::mem::size_of::<GoalState>() <= 192);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 
 use ddpa_constraints::ConstraintProgram;
 use ddpa_obs::JsonValue;
+use ddpa_support::scc::tarjan;
 
 use crate::engine::DemandEngine;
 use crate::goal::{Goal, Watcher};
@@ -276,7 +277,7 @@ impl<'p> DemandEngine<'p> {
         let mut seen = std::collections::HashSet::new();
         let mut edges = Vec::new();
         for (from, &gi) in live.iter().enumerate() {
-            for watcher in &self.memo.goals[gi as usize].watchers {
+            for watcher in self.memo.goals[gi as usize].watchers.iter() {
                 let Some(to) = self.consumer_node(watcher, &node_of) else {
                     continue;
                 };
@@ -313,11 +314,13 @@ impl<'p> DemandEngine<'p> {
     pub fn critical_path(&self) -> CriticalPath {
         let graph = self.goal_graph();
         let n = graph.nodes.len();
-        let mut adj = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for e in &graph.edges {
-            adj[e.from].push(e.to);
+            adj[e.from].push(e.to as u32);
         }
-        let (comp, ncomps) = condense(n, &adj);
+        let scc = tarjan(n, |v, out| out.extend(&adj[v as usize]));
+        let comp: Vec<usize> = scc.component.iter().map(|&c| c as usize).collect();
+        let ncomps = scc.count as usize;
 
         let mut weight = vec![0u64; ncomps];
         // The heaviest member represents its component in the reported path.
@@ -469,63 +472,6 @@ impl<'p> DemandEngine<'p> {
     }
 }
 
-/// Iterative Tarjan SCC over `adj`; returns (component id per node,
-/// component count). Component ids come out in reverse topological order
-/// of the condensation: every inter-component edge points from a higher
-/// id to a lower one.
-fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comp = vec![UNSEEN; n];
-    let mut next = 0usize;
-    let mut ncomps = 0usize;
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSEEN {
-            continue;
-        }
-        call.push((start, 0));
-        while let Some(&(v, ci)) = call.last() {
-            if ci == 0 && index[v] == UNSEEN {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if ci < adj[v].len() {
-                call.last_mut().expect("frame exists").1 = ci + 1;
-                let w = adj[v][ci];
-                if index[w] == UNSEEN {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("scc stack non-empty");
-                        on_stack[w] = false;
-                        comp[w] = ncomps;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    ncomps += 1;
-                }
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-            }
-        }
-    }
-    (comp, ncomps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,9 +487,10 @@ mod tests {
     #[test]
     fn condense_finds_sccs_in_reverse_topo_order() {
         // 0 → 1 ⇄ 2 → 3; SCCs: {0}, {1,2}, {3}.
-        let adj = vec![vec![1], vec![2], vec![1, 3], vec![]];
-        let (comp, ncomps) = condense(4, &adj);
-        assert_eq!(ncomps, 3);
+        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1, 3], vec![]];
+        let scc = tarjan(4, |v, out| out.extend(&adj[v as usize]));
+        let comp = scc.component;
+        assert_eq!(scc.count, 3);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[1]);
         assert_ne!(comp[1], comp[3]);

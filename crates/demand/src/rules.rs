@@ -3,8 +3,8 @@
 //! Both evaluators — the sequential tabled engine
 //! ([`DemandEngine`](crate::DemandEngine)) and the frame scheduler's
 //! workers ([`crate::sched`]) — run the *same* rule system: the static
-//! rule installation for a goal ([ADDR]/[COPY]/[LOAD]/[STORE]/[FIELD]/
-//! [PARAM]/[RET] and their `ptb` inverses) and the per-element firing of
+//! rule installation for a goal (`[ADDR]`/`[COPY]`/`[LOAD]`/`[STORE]`/
+//! `[FIELD]`/`[PARAM]`/`[RET]` and their `ptb` inverses) and the per-element firing of
 //! each [`Watcher`] variant. This trait is that rule system. An evaluator
 //! provides three primitives — the program, "add this fact to that goal",
 //! and "install this watcher on that goal" — and inherits every rule body

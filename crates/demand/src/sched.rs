@@ -1,7 +1,7 @@
 //! Frame-based suspendable goal scheduler — intra-query parallelism.
 //!
 //! The sequential engine drains one goal queue on one thread; here each
-//! in-progress goal becomes a [`Frame`] any worker can *step*. A step
+//! in-progress goal becomes a `Frame` any worker can *step*. A step
 //! installs the goal's static rules (first step only) and then fires
 //! every watcher on every element it has not yet consumed. A frame whose
 //! watchers have drained *parks* — it simply leaves the runnable set.
@@ -67,7 +67,7 @@ use ddpa_obs::{FlightEventKind, FlightRecorder, Obs};
 
 use crate::config::{DemandConfig, SchedPolicy};
 use crate::engine::Memo;
-use crate::goal::{Goal, GoalState, Watcher};
+use crate::goal::{Goal, GoalState, ListSet, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
 use crate::trace::Origin;
@@ -180,19 +180,7 @@ impl SolveOutcome {
             if f.seeded_from_engine {
                 return None;
             }
-            let state = &f.state;
-            let mut elems = Vec::with_capacity(state.members.len());
-            elems.extend(state.members.iter());
-            let mut deps = state.deps.clone();
-            deps.sort_unstable_by_key(|g| g.canonical_key());
-            let copy = GoalState::completed(
-                state.members.clone(),
-                elems,
-                state.support.clone(),
-                deps,
-                state.reads_indirect,
-            );
-            Some((goal_of(slot), copy))
+            Some((goal_of(slot), f.state.completed_copy()))
         })
     }
 }
@@ -290,9 +278,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
         self.activated.push(slot);
         let goal = goal_of(slot);
         if let Some(elems) = self.seed.and_then(|m| m.completed_elems(goal)) {
-            for v in elems {
-                f.state.add(v);
-            }
+            f.state.elems = ListSet::from_vec(elems);
             f.state.needs_init = false;
             f.state.complete = true;
             f.seeded_from_engine = true;
@@ -485,7 +471,7 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
     fn add(&mut self, goal: Goal, value: u32, _origin: Origin) {
         let slot = slot_of(goal);
         let mut f = self.lock_active(slot);
-        let inserted = f.state.add(value);
+        let inserted = f.state.elems.insert(value);
         debug_assert!(
             !(inserted && f.state.complete),
             "fact added to a completed goal {goal:?}"
@@ -501,19 +487,17 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
         // the producer frame (one frame lock at a time, never two).
         let consumer = slot_of(watcher.consumer());
         if consumer != slot {
-            self.core.lock(consumer).state.add_dep(goal);
+            self.core.lock(consumer).state.deps.insert(goal);
         }
         let mut f = self.lock_active(slot);
         // A CopyTo into the subscribed goal itself (`p = p`) is the
         // identity — suppress it, mirroring the sequential engine.
         if let Watcher::CopyTo { dst } = watcher {
             if slot_of(Goal::Pts(dst)) == slot {
-                f.state.registered.insert(watcher);
                 return;
             }
         }
-        if f.state.registered.insert(watcher) {
-            f.state.watchers.push(watcher);
+        if f.state.watchers.insert(watcher) {
             f.state.cursors.push(0);
             self.schedule_locked(slot, &mut f);
         }
@@ -626,8 +610,8 @@ impl<'p> Scheduler<'p> {
         let pts = core
             .lock(root)
             .state
-            .members
-            .iter()
+            .sorted_elems()
+            .into_iter()
             .map(NodeId::from_u32)
             .collect();
         SolveOutcome {

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 use ddpa_constraints::ProgramDiff;
 use ddpa_support::HybridSet;
 
-use crate::goal::{Goal, GoalIndex, GoalState};
+use crate::goal::{Goal, GoalIndex, GoalState, ListSet};
 use crate::trace::Origin;
 
 /// A completed goal's fixpoint, as exported and restored.
@@ -38,7 +38,7 @@ pub struct CompletedGoal {
     /// Support set: node ids whose program rows this fixpoint read,
     /// sorted ascending. An empty support on an entry means
     /// "unknown provenance" and is treated as always-dirty by
-    /// [`dirty_closure`](crate::dirty_closure).
+    /// [`dirty_closure`].
     pub support: Vec<u32>,
     /// Producer goals this fixpoint consumed facts from, in canonical
     /// order (`Pts` before `Ptb`, then by node id). Transitive dirtying
@@ -53,14 +53,12 @@ impl CompletedGoal {
     /// and dep orders are canonical, so entries are byte-stable whatever
     /// the derivation order; every list is allocated exact-size.
     pub(crate) fn of_state(state: &GoalState) -> Self {
-        let mut elems = Vec::with_capacity(state.members.len());
-        elems.extend(state.members.iter());
         let mut support = Vec::with_capacity(state.support.len());
         support.extend(state.support.iter());
-        let mut deps = state.deps.clone();
+        let mut deps = state.deps.to_vec();
         deps.sort_unstable_by_key(|g| g.canonical_key());
         CompletedGoal {
-            elems,
+            elems: state.sorted_elems(),
             provenance: Vec::new(),
             support,
             deps,
@@ -68,14 +66,13 @@ impl CompletedGoal {
         }
     }
 
-    /// The complete goal state this entry restores; `elems`, `deps` and
-    /// the rest move rather than copy. Provenance is left to the caller.
+    /// The complete goal state this entry restores; `elems` and `deps`
+    /// move rather than copy. Provenance is left to the caller.
     pub(crate) fn into_state(self) -> GoalState {
         GoalState::completed(
-            self.elems.iter().copied().collect(),
-            self.elems,
+            ListSet::from_vec(self.elems),
             self.support.iter().copied().collect(),
-            self.deps,
+            ListSet::from_vec(self.deps),
             self.reads_indirect,
         )
     }

@@ -295,3 +295,22 @@ fn sched_two_worker_pins() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Large copy-cycle pins
+//
+// These literals were recorded at commit 5a2bb74, before a goal state
+// stopped keeping a second, hashed copy of its watchers. On this program
+// 3,136 of the 3,875 watcher registrations are ring copies that a cycle
+// merge drops as the identity, and only that hashed copy remembered
+// them; a later subscription of one must still be suppressed. Any drift
+// means a dropped copy was installed again, or a watcher fired in a
+// different order or a different number of times.
+// ---------------------------------------------------------------------
+
+#[test]
+fn cyclic_large_pins() {
+    let cp = generate_cyclic(&CyclicConfig::sized(1, 28));
+    let got = run_list(&cp, DemandConfig::default(), 7);
+    assert_eq!(got, [688907, 685059, 3848, 1331, 28, 3108, 1684]);
+}

@@ -6,7 +6,7 @@
 //! with no lock and no name lookup — callers resolve the handle once and
 //! keep it. The registry itself is behind a mutex and is only touched on
 //! registration and snapshot; those locks recover from poisoning
-//! ([`lock_unpoisoned`]) so a thread that panics mid-snapshot cannot
+//! (`lock_unpoisoned`) so a thread that panics mid-snapshot cannot
 //! wedge every later metrics export.
 
 use std::collections::BTreeMap;

@@ -16,7 +16,7 @@
 //!
 //! The engine has no clock; it has *budgets*, and an out-of-budget query
 //! resumes exactly where it stopped on the next call. Wall-clock
-//! timeouts are therefore implemented by [`drive`]: run the query in
+//! timeouts are therefore implemented by `drive`: run the query in
 //! fixed budget slices and check the deadline between slices. This
 //! requires memoization (the session engine always caches), otherwise a
 //! new slice would restart from scratch.

@@ -11,6 +11,12 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# Broken intra-doc links and links to private items fail the build, so a
+# renamed or deleted item cannot leave a dangling reference in the docs.
+# `--lib` skips the binaries: `ddpa` names both a bin and a lib target.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib -q
+
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -38,8 +44,9 @@ echo "==> work-pin smoke test"
 # The work pins hold the engine's and the scheduler's work, fires,
 # activations and collapse counts on fixed query lists, so bookkeeping
 # changes cannot move a deduction step. They guard the firing order
-# that the settled-watcher-prefix and dependency-index fast paths must
-# keep: a skipped or reordered firing changes a pinned count.
+# that the settled-watcher-prefix fast path and the goal state's
+# one-list sets must keep: a skipped or reordered firing changes a
+# pinned count.
 cargo test -q -p ddpa-demand --test work_pins
 
 echo "==> cycle-collapse smoke test"
