@@ -225,6 +225,24 @@ mod tests {
     }
 
     #[test]
+    fn tolerates_an_experiment_dropped_later() {
+        // A newer summary no longer runs t5: the older column keeps its
+        // numbers and the newer one renders as dots.
+        let old = doc(vec![
+            ("t5", vec![("warm_qps", JsonValue::F64(1000.0))]),
+            ("t6", vec![("work_on", JsonValue::F64(100.0))]),
+        ]);
+        let new = doc(vec![("t6", vec![("work_on", JsonValue::F64(100.0))])]);
+        let out = trajectory(&[("BENCH_old".into(), old), ("BENCH_new".into(), new)]);
+        let row = out
+            .lines()
+            .find(|l| l.contains("warm_qps"))
+            .expect("dropped metric keeps its row");
+        assert!(row.contains("1000") && row.contains('·'), "got: {row}");
+        assert!(out.contains("## t6"), "got: {out}");
+    }
+
+    #[test]
     fn tolerates_metrics_added_later_within_an_experiment() {
         let old = doc(vec![("t6", vec![("work_on", JsonValue::F64(100.0))])]);
         let new = doc(vec![(

@@ -677,7 +677,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 ..DemandConfig::default()
             };
             let mut engine = DemandEngine::with_obs(&cp, config, obs.clone());
-            let installed = engine.warm_start(&snapshot.entries);
+            let installed = engine.warm_start_owned(snapshot.entries);
             writeln!(out, "restored {installed} fixpoint(s) from {snap_path}",)?;
             for name in &opts.positional[2..] {
                 let node = find_node(&cp, name)?;

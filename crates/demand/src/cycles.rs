@@ -12,37 +12,53 @@
 //! [`CopyGraph`] owns the bookkeeping: a [`UnionFind`] over the engine's
 //! dense goal indices (kept in lockstep with the goal table via
 //! [`CopyGraph::push`]), the discovered copy edges, and a pending counter
-//! that triggers a periodic SCC pass ([`CopyGraph::components`],
-//! iterative Tarjan from `ddpa_support::scc`) once enough new edges and
-//! work have accumulated. The engine routes every goal-index lookup
-//! through [`CopyGraph::find`], so merged-away goals transparently
-//! resolve to their representative.
+//! that triggers a periodic SCC pass ([`CopyGraph::components`]) once
+//! enough new edges and work have accumulated. The engine routes every
+//! goal-index lookup through [`CopyGraph::find`], so merged-away goals
+//! transparently resolve to their representative.
 //!
-//! # What persists between passes, and what a pass costs
+//! # What a pass costs
 //!
-//! Passes run often (every `collapse_threshold` events), so the graph is
-//! kept canonical between them instead of being rebuilt:
+//! Passes run often (every `collapse_threshold` events) and almost never
+//! find a cycle, so a pass first asks whether one *can* exist:
 //!
-//! - `canon`, the resolved edges as `(representative, representative)`
-//!   pairs, sorted and deduplicated, with no self-edges;
-//! - `raw`, the recorded edges not in `canon` yet: those recorded since
-//!   the last pass, plus older ones whose destination goal was not
-//!   activated when a pass last looked;
-//! - reusable buffers, and a per-goal mark array that is reset after
-//!   every pass.
+//! - Edges are monotonic and contracting a component closes no new
+//!   cycle, so a new non-trivial component must contain an edge resolved
+//!   since the last pass.
+//! - The graph keeps a dynamic topological order over representatives
+//!   (Pearce & Kelly, *Online Cycle Detection and Difference Propagation
+//!   for Pointer Analysis*, SCAM 2003). A new edge `u → v` with
+//!   `ord(u) < ord(v)` cannot close a cycle and is only linked in. An edge
+//!   that breaks the order searches forward from `v` and backward from `u`
+//!   within the window `ord(v)..=ord(u)`; reaching `u` is a cycle,
+//!   otherwise the two visited sets swap places inside the window.
+//! - Goals activated since the last pass take positions before every
+//!   other: demand activates a copy's destination before its source, so
+//!   most new edges already respect the order.
+//! - A component the engine returned but left unmerged (it holds a
+//!   completed goal) is one block of the order: its members share one
+//!   position. Any later component through it also holds that goal.
 //!
-//! A pass re-maps `canon` through `find`: an edge whose endpoints are
-//! still representatives stays in place, and an edge that became a
-//! self-edge drops out. It resolves only `raw`, sorts only the new and
-//! re-mapped edges, and merges them into `canon`. Tarjan then runs over
-//! the edge *sources* (the only nodes that can lie on a cycle), numbered
-//! densely in ascending order through the mark array, with `canon`'s
-//! sorted rows as CSR adjacency; output vectors are allocated only for
-//! non-trivial components. So a pass costs `O(E)` for the re-map and the
-//! DFS plus `O(k log k)` for the `k` changed edges, where `E` is the
-//! number of distinct canonical edges, with no hashing at all. It
-//! returns exactly what a from-scratch pass over every recorded edge
-//! would, in the same order (the tests keep that pass as an oracle).
+//! A pass whose new edges close no cycle returns nothing, and costs
+//! `O(k)` for its `k` new edges and the goals activated since, plus the
+//! searched windows of the edges that broke the order. A pass that finds a cycle runs the full pass below
+//! unchanged, so it returns exactly what a from-scratch pass over every
+//! recorded edge would, in the same order (the tests keep that pass as an
+//! oracle). A pass that skips leaves out only components returned
+//! earlier and never merged, which the engine would skip again.
+//!
+//! The full pass keeps the graph canonical instead of rebuilding it:
+//! `canon` holds the resolved edges as `(representative, representative)`
+//! pairs, sorted and deduplicated, with no self-edges; the pass sorts the
+//! edges resolved since and merges them in. Tarjan then runs over the
+//! edge *sources* (the only nodes that can lie on a cycle), numbered
+//! densely in ascending order through a mark array, with `canon`'s sorted
+//! rows as CSR adjacency; its component numbering, a reverse topological
+//! order, re-seeds the order. That costs `O(E + k log k)` with no hashing,
+//! where `E` is the number of distinct canonical edges. The union-find
+//! changes only when the engine merges a returned component, and only
+//! then does the next pass re-map `canon` through `find` and relink the
+//! order's adjacency, in `O(E)`.
 //!
 //! Edges are monotonic — a `CopyTo` subscription is never retracted while
 //! the memo table lives — which is what makes merging sound: once a cycle
@@ -56,10 +72,18 @@
 //! outgoing subscriptions), so it waits in `raw` for a later pass.
 
 use ddpa_constraints::NodeId;
-use ddpa_support::{scc, UnionFind};
+use ddpa_support::scc::{self, SccResult};
+use ddpa_support::UnionFind;
 
 /// Marks a goal that is not a source of the current pass's graph.
 const NOT_SOURCE: u32 = u32::MAX;
+
+/// Ends an adjacency list of [`Order`].
+const NIL: u32 = u32::MAX;
+
+/// Where [`Order`] re-seeds its positions: goals activated since count
+/// down from below it, the re-seeded ones count up from it.
+const SEED: u32 = 1 << 31;
 
 /// The copy-subscription graph and goal-merging union-find.
 #[derive(Debug)]
@@ -67,22 +91,30 @@ pub struct CopyGraph {
     enabled: bool,
     threshold: u32,
     uf: UnionFind,
-    /// Recorded `pts(src_goal) ⊆ pts(dst_node)` subscriptions not yet in
-    /// `canon`: those recorded since the last pass, plus older ones whose
+    /// Recorded `pts(src_goal) ⊆ pts(dst_node)` subscriptions not resolved
+    /// yet: those recorded since the last pass, plus older ones whose
     /// destination goal was not activated yet. Sources are goal indices
     /// (the goal carrying the watcher necessarily exists); destinations
     /// stay symbolic until a pass resolves them.
     raw: Vec<(u32, NodeId)>,
-    /// Every resolved edge as `(representative, representative)` pairs
-    /// as of the last pass: sorted, deduplicated, no self-edges.
+    /// Resolved edges as `(representative, representative)` pairs as of
+    /// the last full pass: sorted, deduplicated, no self-edges.
     canon: Vec<(u32, u32)>,
-    /// Reused buffers: the pass's new and re-mapped edges, and the merge
-    /// target that becomes the next `canon`.
-    fresh: Vec<(u32, u32)>,
+    /// Edges resolved since `canon` was last brought up to date, in
+    /// resolution order (repeats allowed), plus the merge target that
+    /// becomes the next `canon`.
+    added: Vec<(u32, u32)>,
     merged: Vec<(u32, u32)>,
-    /// Per goal: its dense number among the pass's sources, or
-    /// [`NOT_SOURCE`]. Reset after every pass.
+    /// Set by [`CopyGraph::union_all`]: `canon` and the order's adjacency
+    /// name merged-away goals until the next pass re-maps them.
+    remap: bool,
+    order: Order,
+    /// Per goal: its dense number among the full pass's sources, or
+    /// [`NOT_SOURCE`]. Reset after every full pass.
     mark: Vec<u32>,
+    /// Passes that ran Tarjan.
+    #[cfg(test)]
+    full_passes: usize,
     /// Number of copy edges recorded so far.
     recorded: usize,
     /// Edges recorded since the last SCC pass.
@@ -95,10 +127,11 @@ pub struct CopyGraph {
 }
 
 impl CopyGraph {
-    /// An empty graph. `threshold` is the number of newly discovered copy
-    /// edges that triggers an SCC pass (clamped to at least 1); `enabled`
-    /// gates edge recording entirely, so a disabled graph costs one
-    /// identity `find` per lookup and nothing else.
+    /// An empty graph. A pass is due once at least one new copy edge was
+    /// recorded and the new edges plus the work ticks since the last pass
+    /// reach `threshold` (clamped to at least 1); `enabled` gates edge
+    /// recording entirely, so a disabled graph costs one identity `find`
+    /// per lookup and nothing else.
     pub fn new(enabled: bool, threshold: u32) -> Self {
         CopyGraph {
             enabled,
@@ -106,9 +139,13 @@ impl CopyGraph {
             uf: UnionFind::new(0),
             raw: Vec::new(),
             canon: Vec::new(),
-            fresh: Vec::new(),
+            added: Vec::new(),
             merged: Vec::new(),
+            remap: false,
+            order: Order::default(),
             mark: Vec::new(),
+            #[cfg(test)]
+            full_passes: 0,
             recorded: 0,
             pending: 0,
             ticks: 0,
@@ -176,6 +213,10 @@ impl CopyGraph {
     /// activated (such edges cannot participate in a cycle yet; they are
     /// retried on the next pass).
     ///
+    /// When no newly resolved edge closes a cycle, returns nothing; the
+    /// components it leaves out were all returned by an earlier pass and
+    /// not merged since. Otherwise returns every non-trivial component.
+    ///
     /// Resets the pending counter, so the next pass only runs after
     /// another `threshold` edges. Deterministic: the graph is the sorted,
     /// deduplicated set of canonical edges, so component contents and
@@ -184,10 +225,35 @@ impl CopyGraph {
     pub fn components(&mut self, resolve: impl Fn(NodeId) -> Option<u32>) -> Vec<Vec<u32>> {
         self.pending = 0;
         self.ticks = 0;
-        self.canonicalize(resolve);
-        if self.canon.is_empty() {
+        self.order.grow(self.uf.len());
+        if self.remap {
+            self.remap_canon();
+        }
+        let (uf, order, added) = (&mut self.uf, &mut self.order, &mut self.added);
+        let mut cycle = false;
+        self.raw.retain(|&(s, d)| {
+            let Some(di) = resolve(d) else {
+                return true;
+            };
+            let (rs, rd) = (uf.find(s), uf.find(di));
+            if rs != rd {
+                added.push((rs, rd));
+                if cycle {
+                    order.link(rs, rd);
+                } else {
+                    cycle = order.insert(rs, rd);
+                }
+            }
+            false
+        });
+        if !cycle {
             return Vec::new();
         }
+        #[cfg(test)]
+        {
+            self.full_passes += 1;
+        }
+        self.fold_added();
         // Only edge sources can lie on a cycle, and they come sorted and
         // grouped: number them densely in ascending order, so the CSR
         // rows of `canon` are the adjacency lists. Edges into non-sources
@@ -217,6 +283,7 @@ impl CopyGraph {
         for &a in &sources {
             mark[a as usize] = NOT_SOURCE;
         }
+        self.order.reseed(&sources, &r);
         // Allocate only for non-trivial components, in component order.
         let mut slot = vec![NOT_SOURCE; r.count as usize];
         let mut comps: Vec<Vec<u32>> = Vec::new();
@@ -225,9 +292,6 @@ impl CopyGraph {
                 slot[c] = comps.len() as u32;
                 comps.push(Vec::with_capacity(n as usize));
             }
-        }
-        if comps.is_empty() {
-            return comps;
         }
         for (i, &c) in r.component.iter().enumerate() {
             let at = slot[c as usize];
@@ -238,44 +302,45 @@ impl CopyGraph {
         comps
     }
 
-    /// Brings `canon` up to date: re-maps the kept edges through `find`
-    /// (unchanged ones stay in place, self-edges drop out), resolves the
-    /// pending raw edges, then sorts only the new and re-mapped edges
-    /// and merges them in.
-    fn canonicalize(&mut self, resolve: impl Fn(NodeId) -> Option<u32>) {
+    /// Re-maps `canon` and `added` through `find` after merges (unchanged
+    /// edges stay in place, self-edges drop out), folds the re-mapped
+    /// edges in, and relinks the order's adjacency from the result.
+    fn remap_canon(&mut self) {
+        self.remap = false;
         let uf = &mut self.uf;
-        let fresh = &mut self.fresh;
-        fresh.clear();
+        let added = &mut self.added;
+        added.retain_mut(|(a, b)| {
+            (*a, *b) = (uf.find(*a), uf.find(*b));
+            a != b
+        });
         self.canon.retain(|&(a, b)| {
             let (ra, rb) = (uf.find(a), uf.find(b));
             if (ra, rb) == (a, b) {
                 return true;
             }
             if ra != rb {
-                fresh.push((ra, rb));
+                added.push((ra, rb));
             }
             false
         });
-        self.raw.retain(|&(s, d)| {
-            let Some(di) = resolve(d) else {
-                return true;
-            };
-            let (rs, rd) = (uf.find(s), uf.find(di));
-            if rs != rd {
-                fresh.push((rs, rd));
-            }
-            false
-        });
-        if fresh.is_empty() {
+        self.fold_added();
+        self.order.relink(&self.canon);
+    }
+
+    /// Sorts the edges resolved since the last fold and merges them into
+    /// `canon`.
+    fn fold_added(&mut self) {
+        let added = &mut self.added;
+        if added.is_empty() {
             return;
         }
-        fresh.sort_unstable();
-        fresh.dedup();
+        added.sort_unstable();
+        added.dedup();
         let merged = &mut self.merged;
         merged.clear();
-        merged.reserve(self.canon.len() + fresh.len());
+        merged.reserve(self.canon.len() + added.len());
         let (mut i, mut j) = (0, 0);
-        let (old, new) = (&self.canon, &*fresh);
+        let (old, new) = (&self.canon, &*added);
         while i < old.len() && j < new.len() {
             match old[i].cmp(&new[j]) {
                 std::cmp::Ordering::Less => {
@@ -296,16 +361,232 @@ impl CopyGraph {
         merged.extend_from_slice(&old[i..]);
         merged.extend_from_slice(&new[j..]);
         std::mem::swap(&mut self.canon, merged);
+        added.clear();
     }
 
     /// Unions every goal in `comp` into one set and returns the
-    /// representative index (one of `comp`'s members).
+    /// representative index (one of `comp`'s members). `comp` must be a
+    /// component returned by the last [`CopyGraph::components`] call: its
+    /// members share one position in the order, which the representative
+    /// keeps.
     pub fn union_all(&mut self, comp: &[u32]) -> u32 {
         debug_assert!(!comp.is_empty());
         for w in comp.windows(2) {
             self.uf.union(w[0], w[1]);
         }
+        self.remap = true;
         self.uf.find(comp[0])
+    }
+}
+
+/// One edge of [`Order`]'s adjacency, threaded on its source's
+/// out-list and its destination's in-list.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    src: u32,
+    dst: u32,
+    next_out: u32,
+    next_in: u32,
+}
+
+/// A dynamic topological order over the copy graph's representatives
+/// (Pearce & Kelly), with the adjacency its searches walk. An edge
+/// `a → b` has `ord[a] <= ord[b]`, with equality only inside an unmerged
+/// component; positions need not be contiguous.
+#[derive(Debug)]
+struct Order {
+    /// Per goal: its position.
+    ord: Vec<u32>,
+    /// The position the next goal added takes: before every other.
+    /// Demand activates a copy's destination before its source, so a
+    /// discovered edge usually runs from a newer goal to an older one.
+    next: u32,
+    /// Per goal: the first link of its out-list and of its in-list.
+    out_head: Vec<u32>,
+    in_head: Vec<u32>,
+    links: Vec<Link>,
+    /// Search state, cleared after every search: per-goal visit marks,
+    /// the DFS stack, the forward and backward visited sets, and the
+    /// positions they hand round.
+    seen: Vec<bool>,
+    stack: Vec<u32>,
+    forward: Vec<u32>,
+    backward: Vec<u32>,
+    pool: Vec<u32>,
+}
+
+impl Default for Order {
+    fn default() -> Self {
+        Order {
+            ord: Vec::new(),
+            next: SEED - 1,
+            out_head: Vec::new(),
+            in_head: Vec::new(),
+            links: Vec::new(),
+            seen: Vec::new(),
+            stack: Vec::new(),
+            forward: Vec::new(),
+            backward: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+}
+
+impl Order {
+    /// Adds the goals activated since the last pass, each before every
+    /// other, in activation order.
+    fn grow(&mut self, goals: usize) {
+        for _ in self.ord.len()..goals {
+            self.ord.push(self.next);
+            self.next -= 1;
+        }
+        self.out_head.resize(goals, NIL);
+        self.in_head.resize(goals, NIL);
+        self.seen.resize(goals, false);
+    }
+
+    /// Adds `a → b` to the adjacency without touching the order.
+    fn link(&mut self, a: u32, b: u32) {
+        let at = self.links.len() as u32;
+        self.links.push(Link {
+            src: a,
+            dst: b,
+            next_out: self.out_head[a as usize],
+            next_in: self.in_head[b as usize],
+        });
+        self.out_head[a as usize] = at;
+        self.in_head[b as usize] = at;
+    }
+
+    /// Adds `a → b`, reordering when the edge breaks the order. Returns
+    /// `true` when it closes a cycle, leaving the order as it was.
+    fn insert(&mut self, a: u32, b: u32) -> bool {
+        let (ub, lb) = (self.ord[a as usize], self.ord[b as usize]);
+        let cycle = lb < ub && self.reorder(a, b, lb, ub);
+        self.link(a, b);
+        cycle
+    }
+
+    /// Pearce–Kelly's search-and-reorder for the edge `a → b` with
+    /// `ord[b] = lb < ub = ord[a]`: the goals `b` reaches inside the
+    /// window and the goals that reach `a` inside it take the window's
+    /// positions, the latter first. Returns `true`, reordering nothing,
+    /// when `b` reaches `a`'s block.
+    fn reorder(&mut self, a: u32, b: u32, lb: u32, ub: u32) -> bool {
+        if self.search_forward(b, ub) {
+            self.clear_search();
+            return true;
+        }
+        self.search_backward(a, lb);
+        let ord = &mut self.ord;
+        self.backward.sort_unstable_by_key(|&g| ord[g as usize]);
+        self.forward.sort_unstable_by_key(|&g| ord[g as usize]);
+        let pool = &mut self.pool;
+        for &g in self.backward.iter().chain(&self.forward) {
+            if pool.last() != Some(&ord[g as usize]) {
+                pool.push(ord[g as usize]);
+            }
+        }
+        pool.sort_unstable();
+        // Blocks (goals sharing a position) stay together: the next
+        // position is drawn only when the old one changes.
+        let mut at = 0;
+        for side in [&self.backward, &self.forward] {
+            let mut prev = ord[side[0] as usize];
+            for &g in side {
+                if ord[g as usize] != prev {
+                    prev = ord[g as usize];
+                    at += 1;
+                }
+                ord[g as usize] = pool[at];
+            }
+            at += 1;
+        }
+        self.clear_search();
+        false
+    }
+
+    /// Visits the goals `b` reaches through goals positioned before `ub`
+    /// into `forward`; returns `true` as soon as it reaches a goal at
+    /// `ub`. Every edge respects the order, so the search never leaves
+    /// the window.
+    fn search_forward(&mut self, b: u32, ub: u32) -> bool {
+        self.seen[b as usize] = true;
+        self.forward.push(b);
+        self.stack.push(b);
+        while let Some(g) = self.stack.pop() {
+            let mut e = self.out_head[g as usize];
+            while e != NIL {
+                let link = self.links[e as usize];
+                e = link.next_out;
+                let (d, o) = (link.dst as usize, self.ord[link.dst as usize]);
+                if o == ub {
+                    self.stack.clear();
+                    return true;
+                }
+                if o < ub && !self.seen[d] {
+                    self.seen[d] = true;
+                    self.forward.push(link.dst);
+                    self.stack.push(link.dst);
+                }
+            }
+        }
+        false
+    }
+
+    /// Visits the goals that reach `a` through goals positioned after
+    /// `lb` into `backward`. None sits at `lb`: that goal would share
+    /// `b`'s block, and `b` does not reach `a`.
+    fn search_backward(&mut self, a: u32, lb: u32) {
+        self.seen[a as usize] = true;
+        self.backward.push(a);
+        self.stack.push(a);
+        while let Some(g) = self.stack.pop() {
+            let mut e = self.in_head[g as usize];
+            while e != NIL {
+                let link = self.links[e as usize];
+                e = link.next_in;
+                let s = link.src as usize;
+                if self.ord[s] > lb && !self.seen[s] {
+                    self.seen[s] = true;
+                    self.backward.push(link.src);
+                    self.stack.push(link.src);
+                }
+            }
+        }
+    }
+
+    fn clear_search(&mut self) {
+        for &g in self.forward.iter().chain(&self.backward) {
+            self.seen[g as usize] = false;
+        }
+        self.forward.clear();
+        self.backward.clear();
+        self.pool.clear();
+    }
+
+    /// Rebuilds the adjacency from `canon`, after merges renamed goals.
+    fn relink(&mut self, canon: &[(u32, u32)]) {
+        self.out_head.fill(NIL);
+        self.in_head.fill(NIL);
+        self.links.clear();
+        for &(a, b) in canon {
+            self.link(a, b);
+        }
+    }
+
+    /// Re-seeds the order from a full pass's Tarjan numbering, a reverse
+    /// topological order of `sources`: each component takes one
+    /// position, and every other goal follows them all.
+    fn reseed(&mut self, sources: &[u32], r: &SccResult) {
+        let count = r.count;
+        for (g, o) in self.ord.iter_mut().enumerate() {
+            *o = SEED + count + g as u32;
+        }
+        for (&g, &c) in sources.iter().zip(&r.component) {
+            self.ord[g as usize] = SEED + count - 1 - c;
+        }
+        self.next = SEED - 1;
     }
 }
 
@@ -446,52 +727,163 @@ mod tests {
     }
 
     /// Seeded sequences of goal activations, edge records (some into
-    /// nodes activated only later) and passes: every incremental pass
-    /// must return exactly the reference's components, in its order.
-    /// Returned components are merged as the engine merges them — most
-    /// of the time; the engine skips components holding completed goals.
+    /// nodes activated only later), freezes, clears and passes, checked
+    /// against the from-scratch reference. Returned components are merged
+    /// as the engine merges them: unless they hold a frozen goal, which
+    /// stands in for a completed one and, like it, stays frozen until the
+    /// table is cleared. Every pass must merge exactly what the
+    /// reference's pass would, in its order, and may leave out only
+    /// components returned earlier and never merged.
     #[test]
     fn incremental_pass_matches_from_scratch_reference() {
         let mut rng = Rng::seed_from_u64(0x5cc_d1ff);
-        let mut passes = 0usize;
-        let mut merges = 0usize;
+        let (mut passes, mut full, mut merges, mut clears) = (0usize, 0usize, 0usize, 0usize);
         for seq in 0..1200 {
             let nodes = rng.gen_range(2..28u32);
             let steps = rng.gen_range(8..160usize);
             let mut g = CopyGraph::new(true, 1);
             let mut goal_of: Vec<Option<u32>> = vec![None; nodes as usize];
             let mut all: Vec<(u32, NodeId)> = Vec::new();
+            let mut frozen: Vec<bool> = Vec::new();
+            let mut left: Vec<Vec<u32>> = Vec::new();
             for _ in 0..steps {
-                let roll = rng.gen_range(0..10u32);
+                let roll = rng.gen_range(0..128u32);
                 let activated = g.uf.len() as u32;
-                if roll < 2 || activated == 0 {
+                if roll < 26 || activated == 0 {
                     let n = rng.gen_range(0..nodes) as usize;
                     if goal_of[n].is_none() {
                         goal_of[n] = Some(g.push());
+                        frozen.push(false);
                     }
-                } else if roll < 8 {
+                } else if roll < 102 {
                     let src = rng.gen_range(0..activated);
                     let dst = nid(rng.gen_range(0..nodes));
                     g.record_edge(src, dst);
                     all.push((src, dst));
-                } else {
+                } else if roll < 123 {
                     let resolve = |d: NodeId| goal_of[d.as_u32() as usize];
                     let want = reference_components(&all, &mut g.uf, resolve);
                     let got = g.components(resolve);
-                    assert_eq!(got, want, "sequence {seq}, pass {passes}");
+                    let mut rest = got.iter().peekable();
+                    for comp in &want {
+                        if rest.peek() == Some(&comp) {
+                            rest.next();
+                        } else {
+                            assert!(
+                                left.contains(comp),
+                                "sequence {seq}, pass {passes}: left out {comp:?}, got {got:?}"
+                            );
+                        }
+                    }
+                    assert!(
+                        rest.next().is_none(),
+                        "sequence {seq}, pass {passes}: got {got:?}, want {want:?}"
+                    );
+                    let thawed = |cs: &[Vec<u32>]| -> Vec<Vec<u32>> {
+                        cs.iter()
+                            .filter(|c| c.iter().all(|&m| !frozen[m as usize]))
+                            .cloned()
+                            .collect()
+                    };
+                    assert_eq!(thawed(&got), thawed(&want), "sequence {seq}, pass {passes}");
                     passes += 1;
-                    for comp in &got {
-                        if rng.gen_range(0..4u32) != 0 {
-                            g.union_all(comp);
+                    for comp in got {
+                        if comp.iter().any(|&m| frozen[m as usize]) {
+                            if !left.contains(&comp) {
+                                left.push(comp);
+                            }
+                        } else {
+                            g.union_all(&comp);
                             merges += 1;
                         }
                     }
+                } else if roll < 126 {
+                    let gi = g.find(rng.gen_range(0..activated));
+                    frozen[gi as usize] = true;
+                } else {
+                    full += g.full_passes;
+                    clears += 1;
+                    g = CopyGraph::new(true, 1);
+                    goal_of.fill(None);
+                    all.clear();
+                    frozen.clear();
+                    left.clear();
                 }
             }
+            full += g.full_passes;
         }
         assert!(
-            passes > 10_000 && merges > 1_000,
-            "{passes} passes, {merges} merges"
+            passes > 10_000 && merges > 1_000 && clears > 1_000,
+            "{passes} passes, {merges} merges, {clears} clears"
         );
+        // Both paths run: most passes skip Tarjan, and every merge
+        // needs a full pass.
+        assert!(
+            full >= merges / 4 && full < passes / 2,
+            "{full} of {passes} passes ran Tarjan"
+        );
+    }
+
+    #[test]
+    fn order_respecting_edges_skip_tarjan() {
+        let mut g = CopyGraph::new(true, 1);
+        for _ in 0..4 {
+            g.push();
+        }
+        // Goals are ordered newest first, as demand discovers copies: a
+        // chain from newer goals into older ones needs no search.
+        for (s, d) in [(1, 0), (2, 1), (3, 0), (3, 2)] {
+            g.record_edge(s, nid(d));
+            assert!(g.components(|d| Some(d.as_u32())).is_empty());
+        }
+        assert_eq!(g.full_passes, 0);
+        g.record_edge(0, nid(3));
+        assert_eq!(g.components(|d| Some(d.as_u32())), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(g.full_passes, 1);
+    }
+
+    #[test]
+    fn order_breaking_edge_without_cycle_reorders() {
+        let mut g = CopyGraph::new(true, 1);
+        for _ in 0..5 {
+            g.push();
+        }
+        // 1 → 3 breaks the order and closes nothing: the window is
+        // reordered so 1 and its predecessor 2 precede 3.
+        g.record_edge(2, nid(1));
+        g.record_edge(1, nid(3));
+        assert!(g.components(|d| Some(d.as_u32())).is_empty());
+        assert_eq!(g.full_passes, 0);
+        let ord = |g: &CopyGraph, n: usize| g.order.ord[n];
+        assert!(ord(&g, 2) < ord(&g, 1) && ord(&g, 1) < ord(&g, 3));
+        g.record_edge(4, nid(2));
+        assert!(g.components(|d| Some(d.as_u32())).is_empty());
+        assert_eq!(g.full_passes, 0);
+        // 3 → 4 closes 4 → 2 → 1 → 3 → 4.
+        g.record_edge(3, nid(4));
+        assert_eq!(g.components(|d| Some(d.as_u32())), vec![vec![1, 2, 3, 4]]);
+        assert_eq!(g.full_passes, 1);
+    }
+
+    #[test]
+    fn unmerged_component_is_one_block() {
+        let mut g = CopyGraph::new(true, 1);
+        for _ in 0..4 {
+            g.push();
+        }
+        g.record_edge(1, nid(2));
+        g.record_edge(2, nid(1));
+        assert_eq!(g.components(|d| Some(d.as_u32())), vec![vec![1, 2]]);
+        // Left unmerged, as the engine leaves a completed family. Edges
+        // into and out of the block close nothing new: no Tarjan pass,
+        // and the block is not returned again.
+        g.record_edge(3, nid(1));
+        g.record_edge(2, nid(0));
+        assert!(g.components(|d| Some(d.as_u32())).is_empty());
+        assert_eq!(g.full_passes, 1);
+        // 0 → 3 closes a larger cycle through the block.
+        g.record_edge(0, nid(3));
+        assert_eq!(g.components(|d| Some(d.as_u32())), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(g.full_passes, 2);
     }
 }

@@ -67,13 +67,11 @@
 //!   tabled since the last sweep.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId, TextError};
 use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
-use ddpa_support::fxhash::FxHashMap;
 
 use crate::budget::Budget;
 use crate::config::DemandConfig;
@@ -138,7 +136,7 @@ pub(crate) struct Memo {
     /// Restored fixpoints not yet touched ([`DemandEngine::warm_start`]).
     /// The first activation of a staged goal moves its entry into the
     /// table; a goal is never both staged and tabled.
-    staged: FxHashMap<Goal, CompletedGoal>,
+    staged: Staged,
     /// The deduction flight recorder, when enabled
     /// ([`DemandConfig::flight`]). Recording is append-only and never
     /// feeds back into deduction, so answers are identical either way.
@@ -528,7 +526,9 @@ impl<'p> DemandEngine<'p> {
     ///
     /// Skips goals already tabled or staged — a warm start must never
     /// overwrite live deduction state — and stages nothing when caching
-    /// is disabled. Returns how many entries were staged.
+    /// is disabled. Returns how many entries were staged. Each staged
+    /// entry is copied; [`warm_start_owned`](Self::warm_start_owned)
+    /// moves them instead.
     ///
     /// The caller is responsible for only staging fixpoints computed
     /// over the *same program*; snapshot restore verifies the program
@@ -537,25 +537,102 @@ impl<'p> DemandEngine<'p> {
     where
         I: IntoIterator<Item = &'e (Goal, CompletedGoal)>,
     {
+        self.stage(
+            entries
+                .into_iter()
+                .map(|(goal, entry)| (*goal, Cow::Borrowed(entry))),
+        )
+    }
+
+    /// [`warm_start`](Self::warm_start) for entries the caller gives up,
+    /// such as a snapshot just read from disk: each staged entry is moved
+    /// in, not copied.
+    pub fn warm_start_owned<I>(&mut self, entries: I) -> usize
+    where
+        I: IntoIterator<Item = (Goal, CompletedGoal)>,
+    {
+        self.stage(
+            entries
+                .into_iter()
+                .map(|(goal, entry)| (goal, Cow::Owned(entry))),
+        )
+    }
+
+    fn stage<'e>(
+        &mut self,
+        entries: impl Iterator<Item = (Goal, Cow<'e, CompletedGoal>)>,
+    ) -> usize {
         let memo = &mut self.memo;
         if !memo.config.caching {
             return 0;
         }
-        entries
-            .into_iter()
-            .filter(|(goal, entry)| {
-                if memo.index.get(*goal).is_some() {
-                    return false;
-                }
-                match memo.staged.entry(*goal) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(entry.clone());
-                        true
-                    }
-                    Entry::Occupied(_) => false,
-                }
-            })
-            .count()
+        memo.staged.at.grow(memo.index.nodes());
+        let mut staged = 0;
+        for (goal, entry) in entries {
+            if memo.index.get(goal).is_none() && memo.staged.insert(goal, entry) {
+                staged += 1;
+            }
+        }
+        staged
+    }
+}
+
+/// Restored fixpoints not tabled yet, in staging order, found through a
+/// [`GoalIndex`] so a lookup hashes nothing. Taking an entry out leaves
+/// a hole, and taking the last one frees the table; the index is sized
+/// to the program when entries are staged.
+#[derive(Debug, Default)]
+struct Staged {
+    entries: Vec<Option<(Goal, CompletedGoal)>>,
+    at: GoalIndex,
+    len: usize,
+}
+
+impl Staged {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn get(&self, goal: Goal) -> Option<&CompletedGoal> {
+        let i = self.at.get(goal)? as usize;
+        self.entries[i].as_ref().map(|(_, entry)| entry)
+    }
+
+    /// Stages `entry` unless `goal` is staged already.
+    fn insert(&mut self, goal: Goal, entry: Cow<'_, CompletedGoal>) -> bool {
+        if self.at.get(goal).is_some() {
+            return false;
+        }
+        self.at.insert(goal, self.entries.len() as u32);
+        self.entries.push(Some((goal, entry.into_owned())));
+        self.len += 1;
+        true
+    }
+
+    fn remove(&mut self, goal: Goal) -> Option<CompletedGoal> {
+        let i = self.at.get(goal)? as usize;
+        self.at.remove(goal);
+        self.len -= 1;
+        let entry = self.entries[i].take().map(|(_, entry)| entry);
+        if self.len == 0 {
+            self.clear();
+        }
+        entry
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Goal, &CompletedGoal)> {
+        self.entries
+            .iter()
+            .flatten()
+            .map(|(goal, entry)| (*goal, entry))
+    }
+
+    fn clear(&mut self) {
+        *self = Staged::default();
     }
 }
 
@@ -581,7 +658,7 @@ impl Memo {
             provenance: HashMap::new(),
             generation: 0,
             cycles,
-            staged: FxHashMap::default(),
+            staged: Staged::default(),
             flight,
             costs: Vec::new(),
             last_parallel: false,
@@ -654,9 +731,9 @@ impl Memo {
             }
         }
         let tabled = views.len();
-        for (goal, entry) in &self.staged {
-            at.insert(*goal, views.len() as u32);
-            views.push(DirtyView::of_entry(*goal, entry));
+        for (goal, entry) in self.staged.iter() {
+            at.insert(goal, views.len() as u32);
+            views.push(DirtyView::of_entry(goal, entry));
         }
         let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
         let invalidated = dirty.iter().filter(|&&d| d).count();
@@ -668,7 +745,7 @@ impl Memo {
             .map(|(v, _)| v.goal)
             .collect();
         drop(views);
-        for goal in &dirty_staged {
+        for &goal in &dirty_staged {
             self.staged.remove(goal);
         }
 
@@ -742,12 +819,28 @@ impl Memo {
         if self.staged.is_empty() {
             return None;
         }
-        let hit = self.staged.get(&goal);
-        match hit {
-            Some(_) => self.counters.share_hits.inc(),
-            None => self.counters.share_misses.inc(),
-        }
+        let hit = self.staged.get(goal);
+        self.count_share(hit.is_some());
         hit
+    }
+
+    /// Takes `goal`'s staged entry out, counting a share hit or miss as
+    /// [`probe_staged`](Self::probe_staged) does.
+    fn take_staged(&mut self, goal: Goal) -> Option<CompletedGoal> {
+        if self.staged.is_empty() {
+            return None;
+        }
+        let hit = self.staged.remove(goal);
+        self.count_share(hit.is_some());
+        hit
+    }
+
+    fn count_share(&self, hit: bool) {
+        if hit {
+            self.counters.share_hits.inc();
+        } else {
+            self.counters.share_misses.inc();
+        }
     }
 
     /// Every complete goal, under its key and its merged-in aliases, plus
@@ -756,7 +849,7 @@ impl Memo {
         let mut out: Vec<(Goal, CompletedGoal)> = self
             .staged
             .iter()
-            .map(|(&goal, entry)| (goal, entry.clone()))
+            .map(|(goal, entry)| (goal, entry.clone()))
             .collect();
         for (gi, state) in self.goals.iter().enumerate() {
             if state.merged || !state.complete {
@@ -837,12 +930,11 @@ impl Memo {
         if let Some(gi) = self.index.get(goal) {
             return self.cycles.find(gi);
         }
-        if self.probe_staged(goal).is_some() {
+        if let Some(mut entry) = self.take_staged(goal) {
             // Table the restored fixpoint as a completed goal, by move: no
             // static rules, no enqueue — the whole subtree below `goal`
             // costs zero firings. Later subscribers replay `elems` from
             // cursor 0, exactly as with a locally completed goal.
-            let mut entry = self.staged.remove(&goal).expect("probed above");
             let provenance = std::mem::take(&mut entry.provenance);
             let gi = self.push(goal, entry.into_state());
             if self.config.trace {
@@ -1222,7 +1314,7 @@ impl Memo {
         {
             let cached = match self.index.get(goal) {
                 Some(gi) => self.goals[self.cycles.find_readonly(gi) as usize].complete,
-                None => self.staged.contains_key(&goal),
+                None => self.staged.get(goal).is_some(),
             };
             if !cached {
                 return self.run_parallel(cp, goal);

@@ -76,6 +76,11 @@ impl GoalIndex {
         }
     }
 
+    /// The node count the dense part covers.
+    pub(crate) fn nodes(&self) -> usize {
+        self.dense.len() / 2
+    }
+
     fn slot(&self, goal: Goal) -> Option<usize> {
         let slot = match goal {
             Goal::Pts(n) => 2 * n.as_u32() as usize,

@@ -71,7 +71,7 @@ impl CompletedGoal {
     pub(crate) fn into_state(self) -> GoalState {
         GoalState::completed(
             ListSet::from_vec(self.elems),
-            self.support.iter().copied().collect(),
+            HybridSet::from(self.support),
             ListSet::from_vec(self.deps),
             self.reads_indirect,
         )

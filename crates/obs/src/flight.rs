@@ -170,8 +170,12 @@ struct Slot {
     b_work: AtomicU64,
 }
 
+/// Slots per lazily allocated chunk of the ring, as a power of two.
+const CHUNK_SHIFT: u32 = 8;
+
 /// The bounded lock-free event ring. Cheap to share (`Arc` it); writers
-/// never block and never allocate past the one lazy slot-table init.
+/// never block and allocate only when an event first lands in one of the
+/// ring's chunks, so a short run pays for the slots it uses.
 #[derive(Debug)]
 pub struct FlightRecorder {
     config: FlightConfig,
@@ -179,7 +183,12 @@ pub struct FlightRecorder {
     head: AtomicU64,
     /// Total rule firings offered to the sampler (recorded or not).
     fires_seen: AtomicU64,
-    slots: OnceLock<Box<[Slot]>>,
+    /// `capacity - 1`: event `i` lands in slot `i & mask`.
+    mask: u64,
+    /// Slot `at` is entry `at & (2^shift - 1)` of chunk `at >> shift`.
+    shift: u32,
+    /// The ring, `2^shift` slots per chunk.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
 }
 
 impl Default for FlightRecorder {
@@ -191,17 +200,21 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// A recorder with the given ring size and sampling stride.
     pub fn new(config: FlightConfig) -> Self {
+        let capacity = config.capacity.next_power_of_two().max(8);
+        let shift = CHUNK_SHIFT.min(capacity.trailing_zeros());
         FlightRecorder {
             config,
             head: AtomicU64::new(0),
             fires_seen: AtomicU64::new(0),
-            slots: OnceLock::new(),
+            mask: capacity as u64 - 1,
+            shift,
+            chunks: (0..capacity >> shift).map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// The effective ring capacity (power of two, ≥ 8).
     pub fn capacity(&self) -> usize {
-        self.config.capacity.next_power_of_two().max(8)
+        self.mask as usize + 1
     }
 
     /// The effective fire-sampling stride (≥ 1).
@@ -209,24 +222,25 @@ impl FlightRecorder {
         self.config.sample.max(1)
     }
 
-    fn slots(&self) -> &[Slot] {
-        self.slots.get_or_init(|| {
-            (0..self.capacity())
+    /// The slot event `i` lands in, allocating its chunk on first use.
+    fn slot(&self, i: u64) -> &Slot {
+        let at = (i & self.mask) as usize;
+        let chunk = self.chunks[at >> self.shift].get_or_init(|| {
+            (0..1usize << self.shift)
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
                     kind_a: AtomicU64::new(0),
                     b_work: AtomicU64::new(0),
                 })
                 .collect()
-        })
+        });
+        &chunk[at & ((1 << self.shift) - 1)]
     }
 
     /// Records one event; returns its logical timestamp.
     pub fn record(&self, kind: FlightEventKind, a: u32, b: u32, work: u32) -> u64 {
-        let slots = self.slots();
-        let mask = slots.len() as u64 - 1;
         let i = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &slots[(i & mask) as usize];
+        let slot = self.slot(i);
         slot.seq.store(2 * i + 1, Ordering::Release);
         slot.kind_a
             .store(((kind as u64) << 32) | a as u64, Ordering::Release);
@@ -280,33 +294,31 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> FlightSnapshot {
         let recorded = self.recorded();
         let mut events = Vec::new();
-        if let Some(slots) = self.slots.get() {
-            let oldest = recorded - recorded.min(slots.len() as u64);
-            for slot in slots.iter() {
-                let seq0 = slot.seq.load(Ordering::Acquire);
-                if seq0 == 0 || seq0 % 2 == 1 {
-                    continue; // never written / write in progress
-                }
-                let i = seq0 / 2 - 1;
-                if i < oldest {
-                    continue; // stale beyond the live window
-                }
-                let kind_a = slot.kind_a.load(Ordering::Acquire);
-                let b_work = slot.b_work.load(Ordering::Acquire);
-                if slot.seq.load(Ordering::Acquire) != seq0 {
-                    continue; // overwritten underfoot — tolerate the gap
-                }
-                let Some(kind) = FlightEventKind::from_u32((kind_a >> 32) as u32) else {
-                    continue;
-                };
-                events.push(FlightEvent {
-                    seq: i,
-                    kind,
-                    a: kind_a as u32,
-                    b: (b_work >> 32) as u32,
-                    work: b_work as u32,
-                });
+        let oldest = recorded - recorded.min(self.capacity() as u64);
+        for slot in self.chunks.iter().filter_map(OnceLock::get).flatten() {
+            let seq0 = slot.seq.load(Ordering::Acquire);
+            if seq0 == 0 || seq0 % 2 == 1 {
+                continue; // never written / write in progress
             }
+            let i = seq0 / 2 - 1;
+            if i < oldest {
+                continue; // stale beyond the live window
+            }
+            let kind_a = slot.kind_a.load(Ordering::Acquire);
+            let b_work = slot.b_work.load(Ordering::Acquire);
+            if slot.seq.load(Ordering::Acquire) != seq0 {
+                continue; // overwritten underfoot — tolerate the gap
+            }
+            let Some(kind) = FlightEventKind::from_u32((kind_a >> 32) as u32) else {
+                continue;
+            };
+            events.push(FlightEvent {
+                seq: i,
+                kind,
+                a: kind_a as u32,
+                b: (b_work >> 32) as u32,
+                work: b_work as u32,
+            });
         }
         events.sort_unstable_by_key(|e| e.seq);
         FlightSnapshot {
@@ -457,8 +469,7 @@ mod tests {
         for k in 0..8u32 {
             r.record(FlightEventKind::Activated, k, 0, 0);
         }
-        let slots = r.slots();
-        slots[3].seq.store(2 * 3 + 1, Ordering::Release);
+        r.slot(3).seq.store(2 * 3 + 1, Ordering::Release);
         let snap = r.snapshot();
         let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 4, 5, 6, 7], "gap where the write hangs");

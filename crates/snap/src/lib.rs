@@ -189,18 +189,33 @@ pub fn program_hash(text: &str) -> u64 {
     hash
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`,
+/// eight bytes per step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    static TABLES: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = TABLES[7][(lo & 0xff) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][w[4] as usize]
+            ^ TABLES[2][w[5] as usize]
+            ^ TABLES[1][w[6] as usize]
+            ^ TABLES[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xff) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `tables[0]` is the byte-at-a-time table; `tables[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -213,10 +228,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// An in-memory snapshot: the completed fixpoints an engine exported,
@@ -254,6 +279,9 @@ impl Snapshot {
 
     /// Checks that this snapshot was taken over exactly `live_text`.
     pub fn verify_program(&self, live_text: &str) -> Result<(), SnapError> {
+        if live_text == self.program_text {
+            return Ok(());
+        }
         let expected = program_hash(live_text);
         let found = self.program_hash();
         if expected != found {
@@ -384,7 +412,10 @@ impl<'a> SnapshotReader<'a> {
             ));
         }
         let count = self.u64("entry count")?;
-        let mut entries = Vec::new();
+        // An entry takes at least 18 bytes, so a lying count cannot size
+        // the allocation.
+        let fits = self.remaining() / 18;
+        let mut entries = Vec::with_capacity(usize::try_from(count).map_or(fits, |c| c.min(fits)));
         for i in 0..count {
             let tag = self.u8("goal tag")?;
             let node = NodeId::from_u32(self.u32("node id")?);
@@ -407,18 +438,9 @@ impl<'a> SnapshotReader<'a> {
                     self.remaining()
                 )));
             }
-            let mut elems = Vec::with_capacity(elem_count);
-            for _ in 0..elem_count {
-                let elem = self.u32("element")?;
-                if let Some(&prev) = elems.last() {
-                    if elem <= prev {
-                        return Err(SnapError::Corrupt(format!(
-                            "entry {i}: elements not strictly ascending ({prev} then {elem})"
-                        )));
-                    }
-                }
-                elems.push(elem);
-            }
+            let elems = self.ascending(elem_count, |prev, elem| {
+                format!("entry {i}: elements not strictly ascending ({prev} then {elem})")
+            })?;
             let support_count = self.u32("support count")? as usize;
             if support_count
                 .checked_mul(4)
@@ -429,18 +451,9 @@ impl<'a> SnapshotReader<'a> {
                     self.remaining()
                 )));
             }
-            let mut support = Vec::with_capacity(support_count);
-            for _ in 0..support_count {
-                let node = self.u32("support node")?;
-                if let Some(&prev) = support.last() {
-                    if node <= prev {
-                        return Err(SnapError::Corrupt(format!(
-                            "entry {i}: support not strictly ascending ({prev} then {node})"
-                        )));
-                    }
-                }
-                support.push(node);
-            }
+            let support = self.ascending(support_count, |prev, node| {
+                format!("entry {i}: support not strictly ascending ({prev} then {node})")
+            })?;
             let dep_count = self.u32("dep count")? as usize;
             if dep_count
                 .checked_mul(5)
@@ -452,9 +465,12 @@ impl<'a> SnapshotReader<'a> {
                 )));
             }
             let mut deps = Vec::with_capacity(dep_count);
-            for _ in 0..dep_count {
-                let tag = self.u8("dep goal tag")?;
-                let node = NodeId::from_u32(self.u32("dep node id")?);
+            let bytes = self.take(dep_count * 5, "deps")?;
+            let mut at = 0;
+            while at < bytes.len() {
+                let (tag, b) = (bytes[at], &bytes[at + 1..at + 5]);
+                at += 5;
+                let node = NodeId::from_u32(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
                 deps.push(match tag {
                     0 => Goal::Pts(node),
                     1 => Goal::Ptb(node),
@@ -502,6 +518,28 @@ impl<'a> SnapshotReader<'a> {
         self.payload.len() - self.pos
     }
 
+    /// `count` little-endian u32s, which must be strictly ascending;
+    /// `unordered(prev, next)` describes the first pair that is not.
+    /// The caller has checked that `count * 4` bytes remain.
+    fn ascending(
+        &mut self,
+        count: usize,
+        unordered: impl Fn(u32, u32) -> String,
+    ) -> Result<Vec<u32>, SnapError> {
+        let bytes = self.take(count * 4, "u32 list")?;
+        let mut values: Vec<u32> = Vec::with_capacity(count);
+        let mut at = 0;
+        while at < bytes.len() {
+            let v = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+            if at > 0 && v <= values[values.len() - 1] {
+                return Err(SnapError::Corrupt(unordered(values[values.len() - 1], v)));
+            }
+            values.push(v);
+            at += 4;
+        }
+        Ok(values)
+    }
+
     fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], SnapError> {
         if len > self.remaining() {
             return Err(SnapError::Corrupt(format!(
@@ -519,9 +557,8 @@ impl<'a> SnapshotReader<'a> {
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, SnapError> {
@@ -789,6 +826,31 @@ mod tests {
     fn crc32_known_answers() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_definition_at_every_length() {
+        let bitwise = |bytes: &[u8]| {
+            let mut crc: u32 = !0;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xedb8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        };
+        let bytes: Vec<u8> = (0..70u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..bytes.len() {
+            for start in 0..3.min(len + 1) {
+                let slice = &bytes[start..len];
+                assert_eq!(crc32(slice), bitwise(slice), "bytes {start}..{len}");
+            }
+        }
     }
 
     #[test]

@@ -200,6 +200,21 @@ impl<'a> IntoIterator for &'a HybridSet {
     }
 }
 
+impl From<Vec<u32>> for HybridSet {
+    /// The set of `values`, taking the vector as it is when it is already
+    /// strictly ascending: the same representation as inserting them.
+    fn from(values: Vec<u32>) -> Self {
+        if !values.windows(2).all(|w| w[0] < w[1]) {
+            return values.into_iter().collect();
+        }
+        if values.len() <= Self::PROMOTE_AT {
+            HybridSet::Small(values)
+        } else {
+            HybridSet::Large(values.into_iter().collect())
+        }
+    }
+}
+
 impl FromIterator<u32> for HybridSet {
     fn from_iter<T: IntoIterator<Item = u32>>(iter: T) -> Self {
         let mut s = HybridSet::new();
@@ -227,6 +242,22 @@ impl fmt::Debug for HybridSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_vec_matches_inserting_each_value() {
+        let cases: [Vec<u32>; 6] = [
+            vec![],
+            vec![3, 9, 40],
+            vec![9, 3, 3],
+            (0..16).collect(),
+            (0..17).map(|v| v * 5).collect(),
+            (0..40).rev().chain(0..40).collect(),
+        ];
+        for values in cases {
+            let inserted: HybridSet = values.iter().copied().collect();
+            assert_eq!(HybridSet::from(values.clone()), inserted, "{values:?}");
+        }
+    }
 
     #[test]
     fn stays_small_then_promotes() {

@@ -61,6 +61,13 @@ cargo run -q -p ddpa-cli -- jsonl-check "$cyc"
 grep -q '"name":"demand.cycles.collapsed","value":[1-9]' "$cyc" \
     || { echo "metrics missing a nonzero demand.cycles.collapsed" >&2; exit 1; }
 
+echo "==> cycle-detector oracle differential"
+# A pass skips Tarjan when the topological order shows that no new edge
+# closes a cycle. The oracle test replays 1,200 seeded sequences, with
+# unmerged components and clears, against the from-scratch pass: every
+# pass must merge exactly what the oracle's would.
+cargo test -q -p ddpa-demand --lib cycles::
+
 echo "==> snapshot-restore smoke test"
 # The differential suite (fixed seeds) proves that restoring an engine's
 # export is transparent and lazy: answers bit-identical to the naive
