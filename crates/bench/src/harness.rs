@@ -573,6 +573,24 @@ pub fn run_t6(scales: &[usize]) -> Vec<T6Row> {
 // T8: durable snapshots — cold vs restored time-to-first-answer
 // ---------------------------------------------------------------------
 
+/// Timed runs per side of a T8 row.
+const T8_RUNS: usize = 3;
+
+/// Runs `f` `runs` (≥ 1) times; returns the last result and the best
+/// wall time. Results are dropped outside the timed region.
+fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..runs.max(1) {
+        drop(last.take());
+        let start = Instant::now();
+        let out = f();
+        best = best.min(start.elapsed());
+        last = Some(out);
+    }
+    (last.expect("at least one run"), best)
+}
+
 /// One row of the snapshot warm-start table.
 #[derive(Clone, Debug)]
 pub struct T8Row {
@@ -606,7 +624,10 @@ impl T8Row {
 /// snapshot of its memo table round-trips through an actual file, and the
 /// restored run measures the full restore path `ddpa restore` takes:
 /// read, checksum + program-hash verification, a warm start that moves the
-/// decoded entries in, then answering the identical query set.
+/// decoded entries in, then answering the identical query set. Each side
+/// is timed the same way, as the best of three runs on fresh engines:
+/// one run of a small benchmark takes about a millisecond, and a single
+/// timing let scheduler noise decide the ratio.
 pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
     benches
         .iter()
@@ -615,11 +636,12 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
             let text = ddpa_constraints::print_constraints(&cp);
             let queries: Vec<NodeId> = deref_queries(&cp);
 
-            let mut cold = DemandEngine::new(&cp, DemandConfig::default());
-            let start = Instant::now();
-            let cold_answers: Vec<Vec<NodeId>> =
-                queries.iter().map(|&q| cold.points_to(q).pts).collect();
-            let time_cold = start.elapsed();
+            let ((cold_answers, cold), time_cold) = best_of(T8_RUNS, || {
+                let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+                let answers: Vec<Vec<NodeId>> =
+                    queries.iter().map(|&q| cold.points_to(q).pts).collect();
+                (answers, cold)
+            });
 
             let snapshot =
                 ddpa_snap::Snapshot::new(cold.generation(), text.clone(), cold.export_completed());
@@ -627,14 +649,15 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
             let path = dir.join(format!("{}.snap", b.name));
             let bytes = ddpa_snap::write_file(&snapshot, &path).expect("write snapshot");
 
-            let start = Instant::now();
-            let restored = ddpa_snap::read_file(&path).expect("read snapshot");
-            restored.verify_program(&text).expect("same program");
-            let mut warm = DemandEngine::new(&cp, DemandConfig::default());
-            warm.warm_start_owned(restored.entries);
-            let warm_answers: Vec<Vec<NodeId>> =
-                queries.iter().map(|&q| warm.points_to(q).pts).collect();
-            let time_restored = start.elapsed();
+            let ((warm_answers, _), time_restored) = best_of(T8_RUNS, || {
+                let restored = ddpa_snap::read_file(&path).expect("read snapshot");
+                restored.verify_program(&text).expect("same program");
+                let mut warm = DemandEngine::new(&cp, DemandConfig::default());
+                warm.warm_start_owned(restored.entries);
+                let answers: Vec<Vec<NodeId>> =
+                    queries.iter().map(|&q| warm.points_to(q).pts).collect();
+                (answers, warm)
+            });
             let _ = std::fs::remove_file(&path);
 
             T8Row {
@@ -654,10 +677,24 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
 // T9: flight-recorder overhead + critical-path parallelism headroom
 // ---------------------------------------------------------------------
 
+/// A T9 program: a cyclic-suite scale or a MiniC function count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum T9Program {
+    /// `generate_cyclic(&CyclicConfig::sized(42, scale))`, every pointer
+    /// variable queried.
+    Cyclic(usize),
+    /// `generate_minic(&MiniCConfig::sized(42, funcs))` lowered, every
+    /// dereferenced pointer queried. At 240 functions this is the MiniC
+    /// program a servebench `cold` round opens; such programs install a
+    /// watcher on almost every firing, and each install is a recorded
+    /// `blocked` event.
+    MiniC(usize),
+}
+
 /// One row of the flight-recorder / critical-path table.
 #[derive(Clone, Debug)]
 pub struct T9Row {
-    /// Workload name (`cyc-<scale>`).
+    /// Workload name (`cyc-<scale>` or `minic-<funcs>`).
     pub name: String,
     /// Pointer-variable queries issued.
     pub queries: usize,
@@ -671,6 +708,8 @@ pub struct T9Row {
     pub goals: usize,
     /// Dependency edges between distinct goals.
     pub edges: usize,
+    /// Rule firings of the recorder-on run.
+    pub fires: u64,
     /// Flight events landed in the ring at the default sampling.
     pub flight_recorded: u64,
     /// Events evicted by ring wrap-around.
@@ -689,58 +728,80 @@ impl T9Row {
     pub fn overhead(&self) -> f64 {
         self.time_on.as_secs_f64() / self.time_off.as_secs_f64().max(1e-9) - 1.0
     }
+
+    /// Recorded flight events per rule firing: near 1/64 (the default
+    /// fire-sampling stride) when firings dominate, near 1 when every
+    /// firing also installs a watcher.
+    pub fn events_per_fire(&self) -> f64 {
+        self.flight_recorded as f64 / self.fires.max(1) as f64
+    }
 }
 
 /// Regenerates table T9: what the deduction flight recorder costs, and
 /// what the goal graph's critical path says about parallelism headroom.
 ///
-/// Each scale of the cyclic suite is answered twice — recorder off, then
-/// on at the default capacity/sampling — taking the best wall time of
-/// `repeats` runs per configuration so scheduler noise does not swamp
-/// the few-percent effect being measured. `W` (total attributed work),
-/// `S` (the heaviest dependent chain over the SCC condensation of the
-/// goal graph) and `W/S` come from the recorder-on engine's drained
-/// table. Recording must never change deduction, which the row asserts
-/// via `identical`.
-pub fn run_t9(scales: &[usize], repeats: usize) -> Vec<T9Row> {
+/// Each program is answered `repeats` times with the recorder off and on
+/// (default capacity/sampling) in turn, on a fresh engine each time,
+/// taking the best wall time per configuration so scheduler noise does
+/// not swamp the effect being measured. `W` (total attributed work), `S`
+/// (the heaviest dependent chain over the SCC condensation of the goal
+/// graph) and `W/S` come from the recorder-on engine's drained table. Recording must never
+/// change deduction, which the row asserts via `identical`.
+pub fn run_t9(programs: &[T9Program], repeats: usize) -> Vec<T9Row> {
     assert!(repeats > 0, "need at least one timed run");
-    scales
+    programs
         .iter()
-        .map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let queries: Vec<NodeId> = cp
-                .node_ids()
-                .filter(|&n| !cp.display_node(n).contains("obj"))
-                .collect();
-            let run = |config: &DemandConfig| {
-                let mut best = Duration::MAX;
-                let mut kept = None;
-                for _ in 0..repeats {
-                    let mut engine = DemandEngine::new(&cp, config.clone());
-                    let start = Instant::now();
-                    let answers: Vec<Vec<NodeId>> =
-                        queries.iter().map(|&q| engine.points_to(q).pts).collect();
-                    best = best.min(start.elapsed());
-                    kept = Some((answers, engine));
+        .map(|&program| {
+            let (name, cp, queries) = match program {
+                T9Program::Cyclic(scale) => {
+                    let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
+                    let queries: Vec<NodeId> = cp
+                        .node_ids()
+                        .filter(|&n| !cp.display_node(n).contains("obj"))
+                        .collect();
+                    (format!("cyc-{scale}"), cp, queries)
                 }
-                let (answers, engine) = kept.expect("at least one run");
-                (answers, best, engine)
+                T9Program::MiniC(funcs) => {
+                    let ast = ddpa_gen::generate_minic(&ddpa_gen::MiniCConfig::sized(42, funcs));
+                    let cp = ddpa_constraints::lower(&ast).expect("generated MiniC lowers");
+                    let queries = deref_queries(&cp);
+                    (format!("minic-{funcs}"), cp, queries)
+                }
             };
-            let (ans_off, time_off, _) = run(&DemandConfig::default().without_flight_recorder());
-            let (ans_on, time_on, engine) = run(&DemandConfig::default());
+            let run = |config: &DemandConfig| {
+                let mut engine = DemandEngine::new(&cp, config.clone());
+                let start = Instant::now();
+                let answers: Vec<Vec<NodeId>> =
+                    queries.iter().map(|&q| engine.points_to(q).pts).collect();
+                (answers, start.elapsed(), engine)
+            };
+            // Off and on alternate, so a drift in machine speed over the
+            // repeats lands on both sides alike.
+            let off = DemandConfig::default().without_flight_recorder();
+            let (mut time_off, mut time_on) = (Duration::MAX, Duration::MAX);
+            let mut kept = None;
+            for _ in 0..repeats {
+                let (ans_off, t, _) = run(&off);
+                time_off = time_off.min(t);
+                let (ans_on, t, engine) = run(&DemandConfig::default());
+                time_on = time_on.min(t);
+                kept = Some((ans_off, ans_on, engine));
+            }
+            let (ans_off, ans_on, engine) = kept.expect("at least one run");
             let cpath = engine.critical_path();
             let (flight_recorded, flight_dropped) = engine
                 .flight_recorder()
                 .map(|f| (f.recorded(), f.dropped()))
                 .unwrap_or((0, 0));
             T9Row {
-                name: format!("cyc-{scale}"),
+                name,
                 queries: queries.len(),
                 work: cpath.work,
                 span: cpath.span,
                 headroom: cpath.headroom,
                 goals: cpath.goals,
                 edges: cpath.edges,
+                fires: engine.stats().fires,
                 flight_recorded,
                 flight_dropped,
                 time_off,
@@ -1124,7 +1185,14 @@ mod tests {
 
     #[test]
     fn t9_reports_headroom_and_identical_answers() {
-        let rows = run_t9(&[6, 8], 1);
+        let rows = run_t9(
+            &[
+                T9Program::Cyclic(6),
+                T9Program::Cyclic(8),
+                T9Program::MiniC(24),
+            ],
+            1,
+        );
         for r in &rows {
             assert!(r.identical, "recording must not change answers: {r:?}");
             assert!(r.work > 0 && r.span > 0, "work attributed: {r:?}");
@@ -1133,7 +1201,14 @@ mod tests {
             assert!((r.headroom - r.work as f64 / r.span as f64).abs() < 1e-9);
             assert!(r.goals > 0, "live goals in the graph: {r:?}");
             assert!(r.flight_recorded > 0, "recorder captured events: {r:?}");
+            assert!(r.fires > 0, "firings counted: {r:?}");
         }
+        let minic = rows.last().expect("MiniC row");
+        assert_eq!(minic.name, "minic-24");
+        assert!(
+            minic.events_per_fire() > 0.25,
+            "MiniC installs a watcher on many firings: {minic:?}"
+        );
     }
 
     #[test]

@@ -71,7 +71,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId, TextError};
-use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
+use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, FlightStage, Obs};
 
 use crate::budget::Budget;
 use crate::config::DemandConfig;
@@ -137,10 +137,12 @@ pub(crate) struct Memo {
     /// The first activation of a staged goal moves its entry into the
     /// table; a goal is never both staged and tabled.
     staged: Staged,
-    /// The deduction flight recorder, when enabled
-    /// ([`DemandConfig::flight`]). Recording is append-only and never
-    /// feeds back into deduction, so answers are identical either way.
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    /// The deduction flight recorder behind this engine's stage, when
+    /// enabled ([`DemandConfig::flight`]). A query stages its events and
+    /// publishes them into the ring when it ends, so the stage is empty
+    /// between queries. Recording is append-only and never feeds back
+    /// into deduction, so answers are identical either way.
+    flight: Option<FlightStage>,
     /// Per-goal attribution, parallel to `goals`: how much work and how
     /// many rule firings each goal's processing consumed. Folded into the
     /// representative when a cycle merges. Drives the top-k "hottest
@@ -260,7 +262,10 @@ impl<'p> DemandEngine<'p> {
     /// ([`DemandConfig::flight`]). Snapshot it at any time to reconstruct
     /// recent engine activity; see `docs/OBSERVABILITY.md`.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.memo.flight.as_ref()
+        self.memo.flight.as_ref().map(|stage| {
+            debug_assert!(stage.is_empty(), "flight events left staged");
+            stage.recorder()
+        })
     }
 
     /// The observability hub this engine publishes into.
@@ -641,10 +646,11 @@ impl Memo {
         let counters = EngineCounters::new(&obs);
         let cycles = CopyGraph::new(config.collapse_cycles, config.collapse_threshold);
         let flight = config.flight.then(|| {
-            Arc::new(FlightRecorder::new(FlightConfig {
+            let recorder = FlightRecorder::new(FlightConfig {
                 capacity: config.flight_capacity,
                 sample: config.flight_sample,
-            }))
+            });
+            FlightStage::new(Arc::new(recorder), counters.flight_events.clone())
         });
         Memo {
             config,
@@ -793,6 +799,10 @@ impl Memo {
             }
         }
         self.complete_below = self.goals.len();
+        // Each re-tabled goal staged an `activated` event.
+        if let Some(stage) = &mut self.flight {
+            stage.publish();
+        }
         EditStats {
             invalidated,
             retained,
@@ -873,12 +883,11 @@ impl Memo {
         out
     }
 
-    /// Records one flight event (no-op when the recorder is off).
+    /// Stages one flight event (no-op when the recorder is off).
     #[inline]
-    fn flight_record(&self, kind: FlightEventKind, a: u32, b: u32, work: u32) {
-        if let Some(flight) = &self.flight {
-            flight.record(kind, a, b, work);
-            self.counters.flight_events.inc();
+    fn flight_record(&mut self, kind: FlightEventKind, a: u32, b: u32, work: u32) {
+        if let Some(stage) = &mut self.flight {
+            stage.record(kind, a, b, work);
         }
     }
 
@@ -1015,8 +1024,13 @@ impl Memo {
         // dirties the consumer (see `reload_incremental`). Recorded even
         // for suppressed/duplicate subscriptions — `deps` dedups, and a
         // same-family edge (consumer routed to `gi` itself) is skipped.
-        if let Some(ci) = self.index.get(watcher.consumer()) {
-            let ci = self.cycles.find(ci);
+        // Nothing below merges goals, so the representative also names
+        // the consumer in the `blocked` event.
+        let consumer = self
+            .index
+            .get(watcher.consumer())
+            .map(|ci| self.cycles.find(ci));
+        if let Some(ci) = consumer {
             if ci != gi {
                 self.goals[ci as usize].deps.insert(goal);
             }
@@ -1037,15 +1051,13 @@ impl Memo {
             if let Watcher::CopyTo { dst } = watcher {
                 self.cycles.record_edge(gi, dst);
             }
-            if self.flight.is_some() {
-                // The consumer goal now blocks on new elements of `gi`.
-                let consumer = self
-                    .index
-                    .get(watcher.consumer())
-                    .map(|ci| self.cycles.find_readonly(ci))
-                    .unwrap_or(u32::MAX);
-                self.flight_record(FlightEventKind::Blocked, gi, consumer, 0);
-            }
+            // The consumer goal now blocks on new elements of `gi`.
+            self.flight_record(
+                FlightEventKind::Blocked,
+                gi,
+                consumer.unwrap_or(u32::MAX),
+                0,
+            );
             self.enqueue(gi);
         }
     }
@@ -1124,10 +1136,8 @@ impl Memo {
                     let watcher = state.watchers[wi];
                     self.goals[gi as usize].cursors[wi] = (cursor + 1) as u32;
                     fires_by_kind[watcher.kind_index()] += 1;
-                    if let Some(flight) = &self.flight {
-                        if flight.maybe_record_fire(gi, watcher.kind_index() as u32) {
-                            self.counters.flight_events.inc();
-                        }
+                    if let Some(stage) = &mut self.flight {
+                        stage.offer_fire(gi, watcher.kind_index() as u32);
                     }
                     let src = self.keys[gi as usize];
                     Sequential { cp, memo: self }.fire(src, watcher, elem);
@@ -1294,8 +1304,22 @@ impl Memo {
         self.enqueue(rep);
     }
 
+    /// Answers one query. The sequential engine is the ring's only writer
+    /// while it runs, so its flight events wait in the stage and reach the
+    /// ring in one batch when the query ends.
     fn run(&mut self, cp: &ConstraintProgram, goal: Goal) -> QueryResult {
         let _span = self.obs.span("demand.query");
+        if let Some(stage) = &mut self.flight {
+            stage.sync();
+        }
+        let result = self.answer(cp, goal);
+        if let Some(stage) = &mut self.flight {
+            stage.publish();
+        }
+        result
+    }
+
+    fn answer(&mut self, cp: &ConstraintProgram, goal: Goal) -> QueryResult {
         self.last_parallel = false;
         if !self.config.caching {
             self.clear();
@@ -1358,8 +1382,10 @@ impl Memo {
         let _span = self.obs.span("demand.query.parallel");
         self.last_parallel = true;
         let mut sched = Scheduler::new(cp, self.config.clone()).with_obs(self.obs.clone());
-        if let Some(flight) = &self.flight {
-            sched = sched.with_flight(Arc::clone(flight));
+        if let Some(stage) = &self.flight {
+            // The scheduler's workers write into the ring directly.
+            debug_assert!(stage.is_empty(), "flight events left staged");
+            sched = sched.with_flight(Arc::clone(stage.recorder()));
         }
         let mut outcome = sched.solve_seeded(goal, Some(self));
         let stats = outcome.stats;

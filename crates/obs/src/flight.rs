@@ -21,19 +21,39 @@
 //! engine is running simply has *gaps* instead of torn events — exactly
 //! the tolerance the reconstruction layer is tested for.
 //!
-//! Slot storage is allocated lazily on the first recorded event, so the
+//! Slot storage is allocated lazily, one chunk at a time, so the
 //! hundreds of short-lived engines the test-suite creates pay only for a
-//! [`OnceLock`] until they actually record something.
+//! few [`OnceLock`]s until they actually record something.
 //!
-//! Rule firings are orders of magnitude more frequent than structural
-//! events, so they route through [`FlightRecorder::maybe_record_fire`],
-//! which keeps every `sample`-th firing (stride sampling). Structural
-//! events are always recorded. With the default stride the recorder is
-//! cheap enough to leave on in production (the bench T9 table reports the
-//! measured overhead).
+//! # Staging
+//!
+//! A direct write costs the `fetch_add` on the head, a chunk lookup and
+//! four slot stores, and its caller also counts the event. A writer that
+//! knows it is the ring's only one for a while (the sequential demand
+//! engine during a query) appends to a [`FlightStage`] instead and
+//! publishes it with [`FlightRecorder::record_batch`]: one `fetch_add`
+//! claims every slot, the slots are written under the same seqlock
+//! protocol, `fires_seen` advances once and the event counter is added
+//! to once. After a publish the ring holds exactly what direct writes
+//! would have left in it, `seq` for `seq`; before it, a concurrent
+//! reader sees none of the staged events. The parallel scheduler's
+//! workers share the ring, so they keep writing directly.
+//!
+//! # Sampling and cost
+//!
+//! Rule firings route through [`FlightRecorder::maybe_record_fire`] (or
+//! [`FlightStage::offer_fire`]), which keeps every `sample`-th firing
+//! (stride sampling). Structural events are always recorded, so how many
+//! events a firing costs depends on the program's shape. The bench T9
+//! table's `events/fire` column reads 0.28 on its largest copy-cycle
+//! program and 1.12 on its MiniC program, where almost every firing
+//! installs a watcher and so records a `blocked` event. T9 also measures
+//! the wall-time overhead per shape (see `docs/OBSERVABILITY.md`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+use crate::Counter;
 
 /// The kind of a recorded engine event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -224,6 +244,12 @@ impl FlightRecorder {
 
     /// The slot event `i` lands in, allocating its chunk on first use.
     fn slot(&self, i: u64) -> &Slot {
+        &self.slots_from(i)[0]
+    }
+
+    /// The slots from event `i`'s to the end of its chunk, allocating the
+    /// chunk on first use.
+    fn slots_from(&self, i: u64) -> &[Slot] {
         let at = (i & self.mask) as usize;
         let chunk = self.chunks[at >> self.shift].get_or_init(|| {
             (0..1usize << self.shift)
@@ -234,20 +260,42 @@ impl FlightRecorder {
                 })
                 .collect()
         });
-        &chunk[at & ((1 << self.shift) - 1)]
+        &chunk[at & ((1 << self.shift) - 1)..]
     }
 
     /// Records one event; returns its logical timestamp.
     pub fn record(&self, kind: FlightEventKind, a: u32, b: u32, work: u32) -> u64 {
         let i = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = self.slot(i);
-        slot.seq.store(2 * i + 1, Ordering::Release);
-        slot.kind_a
-            .store(((kind as u64) << 32) | a as u64, Ordering::Release);
-        slot.b_work
-            .store(((b as u64) << 32) | work as u64, Ordering::Release);
-        slot.seq.store(2 * i + 2, Ordering::Release);
+        write(self.slot(i), i, (kind, a, b, work));
         i
+    }
+
+    /// Records `events` in order, as consecutive calls to
+    /// [`record`](Self::record) would, and counts `fires` rule firings as
+    /// offered to the sampler. One `fetch_add` claims every slot, so the
+    /// events get consecutive timestamps even with other writers about.
+    /// Returns the first event's timestamp.
+    pub fn record_batch(&self, events: &[StagedEvent], fires: u64) -> u64 {
+        if fires > 0 {
+            self.fires_seen.fetch_add(fires, Ordering::Relaxed);
+        }
+        let first = self.head.fetch_add(events.len() as u64, Ordering::Relaxed);
+        // Only the newest `capacity` events of a batch survive it, so the
+        // older ones are never written.
+        let skip = events.len().saturating_sub(self.capacity());
+        let (mut i, mut rest) = (first + skip as u64, &events[skip..]);
+        while !rest.is_empty() {
+            let slots = self.slots_from(i);
+            let n = slots.len().min(rest.len());
+            // Indexed rather than zipped: the same when optimized, and
+            // cheaper in unoptimized (test) builds.
+            for k in 0..n {
+                write(&slots[k], i, rest[k]);
+                i += 1;
+            }
+            rest = &rest[n..];
+        }
+        first
     }
 
     /// Offers one rule firing to the sampler; records a [`Fire`] event
@@ -326,6 +374,124 @@ impl FlightRecorder {
             recorded,
             dropped: recorded - recorded.min(self.capacity() as u64),
         }
+    }
+}
+
+/// Publishes event `i` into `slot` under the seqlock protocol.
+#[inline]
+fn write(slot: &Slot, i: u64, (kind, a, b, work): StagedEvent) {
+    slot.seq.store(2 * i + 1, Ordering::Release);
+    slot.kind_a
+        .store(((kind as u64) << 32) | a as u64, Ordering::Release);
+    slot.b_work
+        .store(((b as u64) << 32) | work as u64, Ordering::Release);
+    slot.seq.store(2 * i + 2, Ordering::Release);
+}
+
+/// An event waiting in a [`FlightStage`]: `(kind, a, b, work)`.
+pub type StagedEvent = (FlightEventKind, u32, u32, u32);
+
+/// Events a [`FlightStage`] holds before it publishes them on its own.
+/// Capped by the ring's capacity, since a larger batch would overwrite
+/// its own oldest events.
+const STAGE_BOUND: usize = 1024;
+
+/// A single writer's buffer in front of a shared [`FlightRecorder`].
+///
+/// While one writer is the ring's only one (the sequential engine during
+/// a query), it appends events and offers firings here, which costs a
+/// push and a countdown instead of atomics on the shared ring and on the
+/// event counter. [`publish`](Self::publish) hands the buffer over in one
+/// [`FlightRecorder::record_batch`] and adds the events to the counter
+/// once; so does an append that fills the buffer. Firings are sampled by
+/// a local countdown that [`sync`](Self::sync) derives from the
+/// recorder's `fires_seen`, so exactly the firings that
+/// [`FlightRecorder::maybe_record_fire`] would keep are kept, even after
+/// other writers have offered firings in between. Once published, the
+/// ring holds what direct recording would have left in it.
+#[derive(Debug)]
+pub struct FlightStage {
+    recorder: Arc<FlightRecorder>,
+    /// Counts every published event.
+    counter: Counter,
+    events: Vec<StagedEvent>,
+    /// Firings offered since the last publish.
+    fires: u64,
+    /// Firings still to pass before the next one is sampled.
+    countdown: u64,
+    stride: u32,
+    bound: usize,
+}
+
+impl FlightStage {
+    /// An empty stage publishing into `recorder` and counting each
+    /// published event into `counter`.
+    pub fn new(recorder: Arc<FlightRecorder>, counter: Counter) -> Self {
+        let mut stage = FlightStage {
+            stride: recorder.sample_stride(),
+            bound: recorder.capacity().min(STAGE_BOUND),
+            recorder,
+            counter,
+            events: Vec::new(),
+            fires: 0,
+            countdown: 0,
+        };
+        stage.sync();
+        stage
+    }
+
+    /// The recorder this stage publishes into.
+    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+        &self.recorder
+    }
+
+    /// Whether nothing waits to be published.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.fires == 0
+    }
+
+    /// Publishes what is staged, then re-derives the fire countdown from
+    /// the recorder, which other writers may have advanced meanwhile.
+    pub fn sync(&mut self) {
+        self.publish();
+        let stride = u64::from(self.stride);
+        self.countdown = (stride - self.recorder.fires_seen() % stride) % stride;
+    }
+
+    /// Stages one event, publishing the stage once it is full.
+    #[inline]
+    pub fn record(&mut self, kind: FlightEventKind, a: u32, b: u32, work: u32) {
+        self.events.push((kind, a, b, work));
+        if self.events.len() >= self.bound {
+            self.publish();
+        }
+    }
+
+    /// Offers one rule firing to the sampler, staging a [`Fire`] event
+    /// for every `sample`-th one, as
+    /// [`FlightRecorder::maybe_record_fire`] does.
+    ///
+    /// [`Fire`]: FlightEventKind::Fire
+    #[inline]
+    pub fn offer_fire(&mut self, goal: u32, watcher_kind: u32) {
+        self.fires += 1;
+        if self.countdown > 0 {
+            self.countdown -= 1;
+            return;
+        }
+        self.countdown = u64::from(self.stride) - 1;
+        self.record(FlightEventKind::Fire, goal, watcher_kind, self.stride);
+    }
+
+    /// Hands every staged event and firing to the recorder.
+    pub fn publish(&mut self) {
+        if self.is_empty() {
+            return;
+        }
+        self.recorder.record_batch(&self.events, self.fires);
+        self.counter.add(self.events.len() as u64);
+        self.events.clear();
+        self.fires = 0;
     }
 }
 
@@ -474,5 +640,84 @@ mod tests {
         let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 4, 5, 6, 7], "gap where the write hangs");
         assert_eq!(snap.recorded, 8, "recorded counter unaffected by the gap");
+    }
+
+    #[test]
+    fn batch_records_like_consecutive_records() {
+        let (direct, batched) = (tiny(16, 1), tiny(16, 1));
+        let events: Vec<StagedEvent> = (0..40u32)
+            .map(|k| (FlightEventKind::Blocked, k, k + 1, k % 3))
+            .collect();
+        direct.record(FlightEventKind::Activated, 9, 0, 0);
+        batched.record(FlightEventKind::Activated, 9, 0, 0);
+        for &(kind, a, b, work) in &events[..5] {
+            direct.record(kind, a, b, work);
+        }
+        assert_eq!(batched.record_batch(&events[..5], 7), 1);
+        // A batch longer than the ring keeps only its newest events.
+        for &(kind, a, b, work) in &events[5..] {
+            direct.record(kind, a, b, work);
+        }
+        assert_eq!(batched.record_batch(&events[5..], 0), 6);
+        assert_eq!(batched.recorded(), direct.recorded());
+        assert_eq!(batched.fires_seen(), 7);
+        let (d, b) = (direct.snapshot(), batched.snapshot());
+        assert_eq!(b.events, d.events);
+        assert_eq!(b.dropped, d.dropped);
+    }
+
+    /// A staged writer leaves exactly what direct recording would, with
+    /// another writer's firings and events interleaved between its
+    /// publishes, including publishes a full stage triggers.
+    #[test]
+    fn staged_writer_matches_direct_recording() {
+        let config = FlightConfig {
+            capacity: 32,
+            sample: 5,
+        };
+        let direct = FlightRecorder::new(config);
+        let counter = Counter::default();
+        let mut stage = FlightStage::new(Arc::new(FlightRecorder::new(config)), counter.clone());
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut other = 0u64;
+        for round in 0..40u32 {
+            stage.sync();
+            for _ in 0..next() % 90 {
+                let r = next();
+                let (a, b) = (r as u32 % 1000, (r >> 32) as u32 % 7);
+                if r % 3 == 0 {
+                    direct.record(FlightEventKind::Completed, a, b, round);
+                    stage.record(FlightEventKind::Completed, a, b, round);
+                } else {
+                    direct.maybe_record_fire(a, b);
+                    stage.offer_fire(a, b);
+                }
+            }
+            stage.publish();
+            assert!(stage.is_empty());
+            // Another writer between two staged runs.
+            for k in 0..(next() % 4) as u32 {
+                direct.maybe_record_fire(k, 9);
+                direct.record(FlightEventKind::Stolen, k, 1, 0);
+                other += 1 + u64::from(stage.recorder().maybe_record_fire(k, 9));
+                stage.recorder().record(FlightEventKind::Stolen, k, 1, 0);
+            }
+            let (d, s) = (direct.snapshot(), stage.recorder().snapshot());
+            assert_eq!(s.events, d.events, "round {round}");
+            assert_eq!(s.recorded, d.recorded);
+            assert_eq!(s.dropped, d.dropped);
+            assert_eq!(stage.recorder().fires_seen(), direct.fires_seen());
+        }
+        assert_eq!(
+            counter.get(),
+            direct.recorded() - other,
+            "staged events counted"
+        );
     }
 }

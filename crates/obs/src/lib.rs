@@ -49,7 +49,10 @@ pub mod profile;
 pub mod registry;
 pub mod sink;
 
-pub use flight::{FlightConfig, FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot};
+pub use flight::{
+    FlightConfig, FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot, FlightStage,
+    StagedEvent,
+};
 pub use hist::Histogram;
 pub use json::{
     escape_into, escaped, parse_json, quote_into, validate_jsonl_line, validate_metrics_line,

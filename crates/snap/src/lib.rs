@@ -182,9 +182,13 @@ impl From<io::Error> for SnapError {
 /// so its output can never be compared across a write and a later read.
 pub fn program_hash(text: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in text.as_bytes() {
-        hash ^= byte as u64;
+    let bytes = text.as_bytes();
+    // Indexed for the reason `crc32` gives.
+    let mut at = 0;
+    while at < bytes.len() {
+        hash ^= bytes[at] as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        at += 1;
     }
     hash
 }
@@ -194,8 +198,13 @@ pub fn program_hash(text: &str) -> u64 {
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLES: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = !0;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
+    // An index loop rather than an iterator over 8-byte chunks: the same
+    // speed when optimized, and twice the speed in unoptimized (test)
+    // builds, where restore is timed against cold deduction.
+    let words = bytes.len() / 8 * 8;
+    let mut at = 0;
+    while at < words {
+        let w = &bytes[at..at + 8];
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
         crc = TABLES[7][(lo & 0xff) as usize]
             ^ TABLES[6][((lo >> 8) & 0xff) as usize]
@@ -205,8 +214,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ TABLES[2][w[5] as usize]
             ^ TABLES[1][w[6] as usize]
             ^ TABLES[0][w[7] as usize];
+        at += 8;
     }
-    for &byte in words.remainder() {
+    for &byte in &bytes[words..] {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xff) as usize];
     }
     !crc
@@ -528,13 +538,14 @@ impl<'a> SnapshotReader<'a> {
     ) -> Result<Vec<u32>, SnapError> {
         let bytes = self.take(count * 4, "u32 list")?;
         let mut values: Vec<u32> = Vec::with_capacity(count);
-        let mut at = 0;
+        let (mut at, mut prev) = (0, 0);
         while at < bytes.len() {
             let v = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-            if at > 0 && v <= values[values.len() - 1] {
-                return Err(SnapError::Corrupt(unordered(values[values.len() - 1], v)));
+            if at > 0 && v <= prev {
+                return Err(SnapError::Corrupt(unordered(prev, v)));
             }
             values.push(v);
+            prev = v;
             at += 4;
         }
         Ok(values)

@@ -49,6 +49,16 @@ echo "==> work-pin smoke test"
 # pinned count.
 cargo test -q -p ddpa-demand --test work_pins
 
+echo "==> flight-pin smoke test"
+# The flight pins hold what each query of two fixed scripts leaves in the
+# engine's flight ring: how far it moved recorded, dropped and
+# fires_seen, its events per kind, and a digest of its
+# (seq, kind, a, b, work) stream. The sequential engine stages its events
+# and publishes them when a query ends; the ring must then hold exactly
+# what writing each event directly left in it, also after a budgeted
+# query resumes, after a parallel query, and on a restored engine.
+cargo test -q -p ddpa-demand --test flight_pins
+
 echo "==> cycle-collapse smoke test"
 # The differential suite (fixed seeds) proves collapsing never changes an
 # answer; the profile run proves the collapse actually fires end-to-end —
