@@ -19,9 +19,6 @@
 //! ddpa client    --addr HOST:PORT <op> [args…]     talk to a running server
 //! ddpa top       <session> --addr HOST:PORT        live engine view (hottest goals,
 //!                                                  critical path, hit rates)
-//! ddpa graph     <session> --addr HOST:PORT [--dot]  goal dependency graph
-//! ddpa flight    <session> --addr HOST:PORT        flight-recorder events as JSONL
-//! ddpa scrape    --addr HOST:PORT                  server + session metrics as JSONL
 //! ```
 //!
 //! `solve`, `query`, `callgraph`, `audit` and `stackret` additionally take
@@ -105,19 +102,16 @@ commands:
             targets <session> <site> [--trace]
             snapshot <session> [--out <server-side path>]
             restore <session> <server-side path>
-            slow [limit]                the server's slowest requests
-            inspect <session> [--top K] | flight <session> [--limit N]
-            graph <session> [--dot] | scrape
+            stats [--out <path>]        server-wide view; --out writes its
+                                        metrics records as JSONL
+            inspect <session> [--top K] [--limit N] [--dot] [--out <path>]
+                                        session view; --limit adds the newest
+                                        N flight events, --dot the goal graph,
+                                        --out writes the events as JSONL
             (multi-name query sends one batch; see docs/SERVER.md)
   top       <session> --addr HOST:PORT  live engine view: hottest goals,
             critical path, hit rates [--iters N (0 = until interrupted)]
             [--interval-ms T] [--top K]
-  graph     <session> --addr HOST:PORT [--dot]  goal dependency graph
-            (JSON by default, Graphviz with --dot)
-  flight    <session> --addr HOST:PORT [--limit N] [--out <path>]
-            flight-recorder events as JSONL (validates with jsonl-check)
-  scrape    --addr HOST:PORT [--out <path>]  server + per-session metrics
-            as JSONL (validates with jsonl-check)
 
 solve/query/callgraph/audit/stackret also take:
   --profile             print the span profile tree after the command
@@ -747,18 +741,24 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .map_err(|e| err(format!("cannot connect to `{addr}`: {e}")))?;
             let response = client.request(&request)?;
             writeln!(out, "{response}")?;
-            if response.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-                let code = response
-                    .get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown");
-                let message = response
-                    .get("error")
-                    .and_then(|e| e.get("message"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("");
-                return Err(err(format!("server error {code}: {message}")));
+            let response = ok_or_err(response)?;
+            // `stats` and `inspect` write their records locally; a
+            // `snapshot` path is the server's.
+            let records = match request.get("op").and_then(JsonValue::as_str) {
+                Some("stats") => response.get("metrics"),
+                Some("inspect") => response.get("events"),
+                _ => None,
+            };
+            if let (Some(path), Some(records)) =
+                (opts.out.as_deref(), records.and_then(JsonValue::as_array))
+            {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| err(format!("cannot write `{path}`: {e}")))?;
+                let mut w = std::io::BufWriter::new(file);
+                for record in records {
+                    writeln!(w, "{record}")?;
+                }
+                w.flush()?;
             }
         }
         "top" => {
@@ -779,7 +779,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 let stats = request_ok(&mut client, &ddpa::serve::proto::build::stats())?;
                 let inspect = request_ok(
                     &mut client,
-                    &ddpa::serve::proto::build::inspect(session, opts.top),
+                    &ddpa::serve::proto::build::inspect(session, opts.top, None, None),
                 )?;
                 if round > 1 {
                     // ANSI home+clear keeps the refresh flicker-free.
@@ -791,105 +791,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     break;
                 }
                 std::thread::sleep(interval);
-            }
-        }
-        "graph" => {
-            let addr = opts
-                .addr
-                .as_deref()
-                .ok_or_else(|| err("graph needs --addr HOST:PORT"))?;
-            let session = opts
-                .positional
-                .first()
-                .ok_or_else(|| err("graph needs a session name"))?;
-            let mut client = ddpa::serve::Client::connect(addr)
-                .map_err(|e| err(format!("cannot connect to `{addr}`: {e}")))?;
-            let response = request_ok(
-                &mut client,
-                &ddpa::serve::proto::build::graph(session, opts.dot),
-            )?;
-            if opts.dot {
-                let text = response
-                    .get("text")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| err("graph response missing DOT text"))?;
-                write!(out, "{text}")?;
-            } else {
-                let graph = response
-                    .get("graph")
-                    .ok_or_else(|| err("graph response missing graph object"))?;
-                writeln!(out, "{graph}")?;
-            }
-        }
-        "flight" => {
-            let addr = opts
-                .addr
-                .as_deref()
-                .ok_or_else(|| err("flight needs --addr HOST:PORT"))?;
-            let session = opts
-                .positional
-                .first()
-                .ok_or_else(|| err("flight needs a session name"))?;
-            let mut client = ddpa::serve::Client::connect(addr)
-                .map_err(|e| err(format!("cannot connect to `{addr}`: {e}")))?;
-            let response = request_ok(
-                &mut client,
-                &ddpa::serve::proto::build::flight(session, opts.limit),
-            )?;
-            let empty: &[JsonValue] = &[];
-            let events = response
-                .get("events")
-                .and_then(JsonValue::as_array)
-                .unwrap_or(empty);
-            if let Some(path) = opts.out.as_deref() {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| err(format!("cannot write `{path}`: {e}")))?;
-                let mut w = std::io::BufWriter::new(file);
-                for event in events {
-                    writeln!(w, "{event}")?;
-                }
-                w.flush()?;
-                let recorded = response
-                    .get("recorded")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0);
-                let dropped = response
-                    .get("dropped")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0);
-                writeln!(
-                    out,
-                    "wrote {} flight event(s) to {path} ({recorded} recorded, {dropped} dropped by the ring)",
-                    events.len(),
-                )?;
-            } else {
-                for event in events {
-                    writeln!(out, "{event}")?;
-                }
-            }
-        }
-        "scrape" => {
-            let addr = opts
-                .addr
-                .as_deref()
-                .ok_or_else(|| err("scrape needs --addr HOST:PORT"))?;
-            let mut client = ddpa::serve::Client::connect(addr)
-                .map_err(|e| err(format!("cannot connect to `{addr}`: {e}")))?;
-            let response = request_ok(&mut client, &ddpa::serve::proto::build::scrape())?;
-            let text = response
-                .get("text")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| err("scrape response missing text"))?;
-            if let Some(path) = opts.out.as_deref() {
-                std::fs::write(path, text)
-                    .map_err(|e| err(format!("cannot write `{path}`: {e}")))?;
-                let lines = response
-                    .get("lines")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or_else(|| text.lines().count() as u64);
-                writeln!(out, "wrote {lines} metric line(s) to {path}")?;
-            } else {
-                write!(out, "{text}")?;
             }
         }
         "help" | "--help" | "-h" => {
@@ -918,7 +819,12 @@ fn request_ok(
     client: &mut ddpa::serve::Client,
     request: &JsonValue,
 ) -> Result<JsonValue, CliError> {
-    let response = client.request(request)?;
+    ok_or_err(client.request(request)?)
+}
+
+/// Unwraps a response's ok envelope; a server-side failure becomes a CLI
+/// error naming its code.
+fn ok_or_err(response: JsonValue) -> Result<JsonValue, CliError> {
     if response.get("ok").and_then(JsonValue::as_bool) == Some(true) {
         return Ok(response);
     }
@@ -945,15 +851,22 @@ fn render_top(
     inspect: &JsonValue,
 ) -> Result<(), CliError> {
     let num = |v: Option<&JsonValue>| v.and_then(JsonValue::as_u64).unwrap_or(0);
-    let counters = stats.get("counters");
+    let metric = |name: &str| {
+        stats
+            .get("metrics")
+            .and_then(JsonValue::as_array)?
+            .iter()
+            .find(|r| r.get("name").and_then(JsonValue::as_str) == Some(name))
+    };
+    let counter = |name: &str| num(metric(name).and_then(|r| r.get("value")));
     writeln!(
         out,
         "ddpa top — {addr}  session `{session}`  [{} request(s), {} error(s), {} timeout(s)]",
-        num(counters.and_then(|c| c.get("requests"))),
-        num(counters.and_then(|c| c.get("errors"))),
-        num(counters.and_then(|c| c.get("timeouts"))),
+        counter("server.requests"),
+        counter("server.errors"),
+        counter("server.timeouts"),
     )?;
-    if let Some(q) = stats.get("latency").and_then(|l| l.get("query_us")) {
+    if let Some(q) = metric("server.latency.query_us") {
         writeln!(
             out,
             "query latency: p50 {}us  p90 {}us  p99 {}us  max {}us  over {} query(s)",
@@ -1028,7 +941,7 @@ fn render_top(
 
 /// Builds the wire request for a `ddpa client` invocation.
 fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
-    use ddpa::serve::proto::{build, QuerySpec};
+    use ddpa::serve::proto::{build, GraphFormat, QuerySpec};
     let pos = &opts.positional;
     let op = pos
         .first()
@@ -1065,16 +978,6 @@ fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
         "ping" => Ok(build::ping()),
         "stats" => Ok(build::stats()),
         "shutdown" => Ok(build::shutdown()),
-        "slow" => {
-            let limit = match pos.get(1) {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| err(format!("bad slow limit `{v}`")))?,
-                ),
-                None => None,
-            };
-            Ok(build::slow(limit))
-        }
         "close" => Ok(build::close(session(1)?)),
         "open" => {
             let (text, minic) = file_text(2)?;
@@ -1136,10 +1039,12 @@ fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
                 opts.timeout_ms,
             )))
         }
-        "inspect" => Ok(build::inspect(session(1)?, opts.top)),
-        "flight" => Ok(build::flight(session(1)?, opts.limit)),
-        "graph" => Ok(build::graph(session(1)?, opts.dot)),
-        "scrape" => Ok(build::scrape()),
+        "inspect" => {
+            // Writing the events out asks for every event unless limited.
+            let limit = opts.limit.or(opts.out.is_some().then_some(u64::MAX));
+            let graph = opts.dot.then_some(GraphFormat::Dot);
+            Ok(build::inspect(session(1)?, opts.top, limit, graph))
+        }
         "snapshot" => Ok(build::snapshot(session(1)?, opts.out.as_deref())),
         "restore" => {
             let path = pos
@@ -1603,14 +1508,13 @@ mod tests {
 
         let out = run_to_string(&["client", "--addr", &addr, "stats"]).expect("stats");
         assert!(out.contains("\"sessions\""), "got: {out}");
-        assert!(out.contains("\"latency\""), "got: {out}");
-
-        // The slow-query ring has retained the traced queries.
-        let out = run_to_string(&["client", "--addr", &addr, "slow"]).expect("slow");
-        assert!(out.contains("\"entries\":["), "got: {out}");
-        assert!(out.contains("\"latency_us\":"), "got: {out}");
-        let out = run_to_string(&["client", "--addr", &addr, "slow", "1"]).expect("slow 1");
+        assert!(out.contains("\"server.latency.query_us\""), "got: {out}");
         assert!(out.contains("\"kept\":"), "got: {out}");
+
+        // The slow-query ring has retained the session's queries.
+        let out = run_to_string(&["client", "--addr", &addr, "inspect", "s"]).expect("inspect");
+        assert!(out.contains("\"slow\":[{"), "got: {out}");
+        assert!(out.contains("\"latency_us\":"), "got: {out}");
 
         let out = run_to_string(&["client", "--addr", &addr, "shutdown"]).expect("shutdown");
         assert!(out.contains("\"ok\":true"), "got: {out}");
@@ -1731,7 +1635,7 @@ mod tests {
     }
 
     #[test]
-    fn top_graph_flight_scrape_against_live_server() {
+    fn top_and_views_against_live_server() {
         let (addr, server) = start_serve("t19");
         let cons = write_temp("t19.cons", "p = &a\np = &b\nq = p\nr = *q\n*q = p\n");
         let c = cons.to_str().expect("utf8 path");
@@ -1743,6 +1647,8 @@ mod tests {
         let out = run_to_string(&["top", "s", "--addr", &addr, "--iters", "1", "--top", "5"])
             .expect("top");
         assert!(out.contains("ddpa top"), "got: {out}");
+        assert!(out.contains("[3 request(s), 0 error(s)"), "got: {out}");
+        assert!(out.contains("over 1 query(s)"), "got: {out}");
         assert!(out.contains("critical path: work"), "got: {out}");
         assert!(out.contains("parallelism headroom"), "got: {out}");
         assert!(out.contains("hit rate"), "got: {out}");
@@ -1751,46 +1657,47 @@ mod tests {
             "hottest goals listed, got: {out}"
         );
 
-        // The goal graph exports as JSON and as Graphviz DOT.
-        let out = run_to_string(&["graph", "s", "--addr", &addr]).expect("graph json");
-        assert!(out.contains("\"nodes\":["), "got: {out}");
-        assert!(out.contains("\"edges\":["), "got: {out}");
-        let out = run_to_string(&["graph", "s", "--addr", &addr, "--dot"]).expect("graph dot");
-        assert!(out.starts_with("digraph goals {"), "got: {out}");
+        // The session view: hottest goals, the critical path, and on
+        // request the goal graph as Graphviz DOT.
+        let out = run_to_string(&["client", "--addr", &addr, "inspect", "s", "--top", "2"])
+            .expect("client inspect");
+        assert!(out.contains("\"hottest\":["), "got: {out}");
+        assert!(out.contains("\"critical_path\":"), "got: {out}");
+        assert!(!out.contains("\"dot\":"), "got: {out}");
+        let out = run_to_string(&["client", "--addr", &addr, "inspect", "s", "--dot"])
+            .expect("inspect dot");
+        assert!(out.contains("\"dot\":\"digraph goals {"), "got: {out}");
         assert!(out.contains("->"), "got: {out}");
 
         // Flight events written with --out validate as a metrics export.
         let flight = write_temp("t19-flight.jsonl", "");
         let f = flight.to_str().expect("utf8 path");
-        let out =
-            run_to_string(&["flight", "s", "--addr", &addr, "--out", f]).expect("flight export");
-        assert!(out.contains("flight event(s)"), "got: {out}");
+        run_to_string(&["client", "--addr", &addr, "inspect", "s", "--out", f])
+            .expect("flight export");
         let text = std::fs::read_to_string(&flight).expect("flight written");
         assert!(!text.is_empty(), "recorder captured the query");
         assert!(text.contains("\"kind\":\"flight\""), "got: {text}");
         run_to_string(&["jsonl-check", f]).expect("flight export validates");
 
-        // Without --out the events stream to stdout.
-        let out = run_to_string(&["flight", "s", "--addr", &addr, "--limit", "3"])
-            .expect("flight stdout");
-        assert!(out.lines().count() <= 3, "got: {out}");
-        assert!(out.contains("\"kind\":\"flight\""), "got: {out}");
+        // --limit caps the events.
+        let out = run_to_string(&["client", "--addr", &addr, "inspect", "s", "--limit", "3"])
+            .expect("limited events");
+        let v = ddpa::obs::parse_json(out.trim()).expect("one response line");
+        let events = v
+            .get("events")
+            .and_then(JsonValue::as_array)
+            .expect("events");
+        assert!(!events.is_empty() && events.len() <= 3, "got: {out}");
 
-        // A scrape is a valid JSONL export covering server and session.
-        let scrape = write_temp("t19-scrape.jsonl", "");
-        let m = scrape.to_str().expect("utf8 path");
-        let out = run_to_string(&["scrape", "--addr", &addr, "--out", m]).expect("scrape");
-        assert!(out.contains("metric line(s)"), "got: {out}");
-        let text = std::fs::read_to_string(&scrape).expect("scrape written");
-        assert!(text.contains("server.requests"), "got: {text}");
-        assert!(text.contains("session.s.flight_events"), "got: {text}");
-        run_to_string(&["jsonl-check", m]).expect("scrape validates");
-
-        // The client passthrough ops answer too.
-        let out = run_to_string(&["client", "--addr", &addr, "inspect", "s", "--top", "2"])
-            .expect("client inspect");
-        assert!(out.contains("\"hottest\":["), "got: {out}");
-        assert!(out.contains("\"critical_path\":"), "got: {out}");
+        // The server view's metrics are a valid JSONL export covering the
+        // server; its sessions carry their flight counts.
+        let metrics = write_temp("t19-metrics.jsonl", "");
+        let m = metrics.to_str().expect("utf8 path");
+        let out = run_to_string(&["client", "--addr", &addr, "stats", "--out", m]).expect("stats");
+        assert!(out.contains("\"flight_events\":"), "got: {out}");
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        assert!(text.contains("\"server.requests\""), "got: {text}");
+        run_to_string(&["jsonl-check", m]).expect("metrics validate");
 
         run_to_string(&["client", "--addr", &addr, "shutdown"]).expect("shutdown");
         server

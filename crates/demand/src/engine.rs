@@ -69,6 +69,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
 use ddpa_constraints::{CalleeRef, ConstraintProgram, FuncId, NodeId, TextError};
 use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, FlightStage, Obs};
@@ -152,6 +153,11 @@ pub(crate) struct Memo {
     /// Hosts that request parallel execution read this to report a
     /// sequential fallback honestly instead of implying parallelism.
     last_parallel: bool,
+    /// Wall-clock deadline of the sequential queries that follow
+    /// ([`DemandEngine::set_deadline`]).
+    deadline: Option<Instant>,
+    /// Whether a query stopped at `deadline` since it was set.
+    timed_out: bool,
 }
 
 /// What an incremental edit ([`DemandEngine::reload_incremental`]) did
@@ -286,6 +292,24 @@ impl<'p> DemandEngine<'p> {
     /// Adjusts only the per-query budget.
     pub fn set_budget(&mut self, budget: Option<u64>) {
         self.memo.config.budget = budget;
+    }
+
+    /// Sets the wall-clock deadline of the queries that follow (`None` =
+    /// none) and clears [`timed_out`](Self::timed_out). A sequential query
+    /// reads the clock through its [`Budget`] once before deducing and
+    /// once every [`CLOCK_STRIDE`](crate::budget::CLOCK_STRIDE) units of
+    /// work, and stops like an exhausted budget once the deadline has
+    /// passed; it resumes where it stopped on a later call. The frame
+    /// scheduler runs each query to its fixpoint and never reads it.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.memo.deadline = deadline;
+        self.memo.timed_out = false;
+    }
+
+    /// Whether a query stopped at the deadline since the last
+    /// [`set_deadline`](Self::set_deadline).
+    pub fn timed_out(&self) -> bool {
+        self.memo.timed_out
     }
 
     /// Adjusts only the per-query worker count (clamped to ≥ 1). Used by
@@ -668,6 +692,8 @@ impl Memo {
             flight,
             costs: Vec::new(),
             last_parallel: false,
+            deadline: None,
+            timed_out: false,
         }
     }
 
@@ -1355,11 +1381,12 @@ impl Memo {
                 work: 0,
             };
         }
-        let mut budget = Budget::new(self.config.budget);
+        let mut budget = Budget::new(self.config.budget).with_deadline(self.deadline);
         let drained = {
             let _span = self.obs.span("demand.query.drain");
             self.drain(cp, &mut budget)
         };
+        self.timed_out |= budget.timed_out();
         if drained {
             self.counters.complete_queries.inc();
         }

@@ -35,7 +35,8 @@ pub enum QuerySpec {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Server-wide counters and per-session statistics.
+    /// The server-wide view: per-session statistics plus the whole
+    /// metrics registry.
     Stats,
     /// Graceful server shutdown.
     Shutdown,
@@ -84,11 +85,6 @@ pub enum Request {
         /// batch to the response.
         trace: bool,
     },
-    /// The server's ring of slowest requests, most recent first.
-    Slow {
-        /// Cap on returned entries (defaults to the whole ring).
-        limit: Option<u64>,
-    },
     /// Persist a session's completed fixpoints as a snapshot file on the
     /// *server's* filesystem.
     Snapshot {
@@ -102,30 +98,64 @@ pub enum Request {
     /// snapshot payload would trip the bounded line reader
     /// (`max_line_bytes`) and be truncated mid-frame.
     Restore { session: String, path: String },
-    /// Goal-graph introspection for a session: the hottest goals by
-    /// attributed work plus the critical-path profile (`W`, `S`, `W/S`).
+    /// The per-session view: the hottest goals by attributed work, the
+    /// critical-path profile (`W`, `S`, `W/S`) and the session's entries
+    /// in the slow ring; on request also flight events and the goal
+    /// graph.
     Inspect {
         session: String,
         /// Cap on returned hottest goals (defaults to 10).
         top: Option<u64>,
-    },
-    /// The session engine's flight-recorder contents, newest last.
-    Flight {
-        session: String,
-        /// Cap on returned events (defaults to the whole ring).
+        /// Return the newest `limit` flight-recorder events (`None` = no
+        /// events).
         limit: Option<u64>,
+        /// Return the goal dependency graph in this format (`None` = no
+        /// graph).
+        graph: Option<GraphFormat>,
     },
-    /// The session's goal dependency graph, as JSON or Graphviz DOT.
-    Graph {
-        session: String,
-        /// `true` → respond with a DOT `"text"` field instead of JSON
-        /// nodes/edges.
-        dot: bool,
-    },
-    /// Server-wide metrics scrape: the whole observability registry as
-    /// metrics-JSONL text (one line per counter/gauge/histogram),
-    /// embedded in the response's `"text"` field.
-    Scrape,
+}
+
+/// How `inspect` renders the goal dependency graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GraphFormat {
+    /// `"graph":"json"` — a `"graph"` object of nodes and edges.
+    Json,
+    /// `"graph":"dot"` — a `"dot"` string in Graphviz syntax.
+    Dot,
+}
+
+impl Request {
+    /// The request's `"op"` on the wire.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Stats => "stats",
+            Request::Shutdown => "shutdown",
+            Request::Open { .. } => "open",
+            Request::Close { .. } => "close",
+            Request::AddConstraints { .. } => "add-constraints",
+            Request::Query { .. } => "query",
+            Request::Batch { .. } => "batch",
+            Request::Snapshot { .. } => "snapshot",
+            Request::Restore { .. } => "restore",
+            Request::Inspect { .. } => "inspect",
+        }
+    }
+
+    /// The session the request names, if any.
+    pub fn session(&self) -> Option<&str> {
+        match self {
+            Request::Ping | Request::Stats | Request::Shutdown => None,
+            Request::Open { session, .. }
+            | Request::Close { session }
+            | Request::AddConstraints { session, .. }
+            | Request::Query { session, .. }
+            | Request::Batch { session, .. }
+            | Request::Snapshot { session, .. }
+            | Request::Restore { session, .. }
+            | Request::Inspect { session, .. } => Some(session),
+        }
+    }
 }
 
 /// Stable machine-readable error codes.
@@ -351,9 +381,6 @@ pub fn parse_request(v: &JsonValue) -> Result<Request, ProtoError> {
                 trace: opt_bool(v, "trace")?.unwrap_or(false),
             })
         }
-        "slow" => Ok(Request::Slow {
-            limit: opt_u64(v, "limit")?,
-        }),
         "snapshot" => Ok(Request::Snapshot {
             session: need_str(v, "session")?,
             path: opt_str(v, "path")?,
@@ -373,16 +400,18 @@ pub fn parse_request(v: &JsonValue) -> Result<Request, ProtoError> {
         "inspect" => Ok(Request::Inspect {
             session: need_str(v, "session")?,
             top: opt_u64(v, "top")?,
-        }),
-        "flight" => Ok(Request::Flight {
-            session: need_str(v, "session")?,
             limit: opt_u64(v, "limit")?,
+            graph: match opt_str(v, "graph")?.as_deref() {
+                None => None,
+                Some("json") => Some(GraphFormat::Json),
+                Some("dot") => Some(GraphFormat::Dot),
+                Some(other) => {
+                    return Err(bad(format!(
+                        "unknown graph format {other:?} (expected json or dot)"
+                    )))
+                }
+            },
         }),
-        "graph" => Ok(Request::Graph {
-            session: need_str(v, "session")?,
-            dot: opt_bool(v, "dot")?.unwrap_or(false),
-        }),
-        "scrape" => Ok(Request::Scrape),
         other => Err(ProtoError::new(
             ErrorCode::UnknownOp,
             format!("unknown op {other:?}"),
@@ -395,7 +424,7 @@ pub fn parse_request(v: &JsonValue) -> Result<Request, ProtoError> {
 /// Each returns the [`JsonValue`] that, serialized onto one line, forms
 /// the corresponding request.
 pub mod build {
-    use super::{obj, JsonValue, QuerySpec};
+    use super::{obj, GraphFormat, JsonValue, QuerySpec};
 
     pub fn ping() -> JsonValue {
         obj(vec![("op", JsonValue::str("ping"))])
@@ -407,15 +436,6 @@ pub mod build {
 
     pub fn shutdown() -> JsonValue {
         obj(vec![("op", JsonValue::str("shutdown"))])
-    }
-
-    /// `{"op":"slow"}` — the server's slowest-request ring.
-    pub fn slow(limit: Option<u64>) -> JsonValue {
-        let mut fields = vec![("op", JsonValue::str("slow"))];
-        if let Some(n) = limit {
-            fields.push(("limit", JsonValue::U64(n)));
-        }
-        obj(fields)
     }
 
     /// Appends `"trace": true` to a built `query`/`batch` request so the
@@ -520,9 +540,15 @@ pub mod build {
         ])
     }
 
-    /// `{"op":"inspect","session":...}` — hottest goals and the
-    /// critical-path profile.
-    pub fn inspect(session: &str, top: Option<u64>) -> JsonValue {
+    /// `{"op":"inspect","session":...}` — hottest goals, the
+    /// critical-path profile and the session's slow requests, plus the
+    /// newest `limit` flight events and the goal graph when asked.
+    pub fn inspect(
+        session: &str,
+        top: Option<u64>,
+        limit: Option<u64>,
+        graph: Option<GraphFormat>,
+    ) -> JsonValue {
         let mut fields = vec![
             ("op", JsonValue::str("inspect")),
             ("session", JsonValue::str(session)),
@@ -530,38 +556,15 @@ pub mod build {
         if let Some(n) = top {
             fields.push(("top", JsonValue::U64(n)));
         }
-        obj(fields)
-    }
-
-    /// `{"op":"flight","session":...}` — the session's flight-recorder
-    /// contents.
-    pub fn flight(session: &str, limit: Option<u64>) -> JsonValue {
-        let mut fields = vec![
-            ("op", JsonValue::str("flight")),
-            ("session", JsonValue::str(session)),
-        ];
         if let Some(n) = limit {
             fields.push(("limit", JsonValue::U64(n)));
         }
-        obj(fields)
-    }
-
-    /// `{"op":"graph","session":...}` — the session's goal dependency
-    /// graph (JSON, or DOT text with `dot=true`).
-    pub fn graph(session: &str, dot: bool) -> JsonValue {
-        let mut fields = vec![
-            ("op", JsonValue::str("graph")),
-            ("session", JsonValue::str(session)),
-        ];
-        if dot {
-            fields.push(("dot", JsonValue::Bool(true)));
+        match graph {
+            Some(GraphFormat::Json) => fields.push(("graph", JsonValue::str("json"))),
+            Some(GraphFormat::Dot) => fields.push(("graph", JsonValue::str("dot"))),
+            None => {}
         }
         obj(fields)
-    }
-
-    /// `{"op":"scrape"}` — the server's metrics registry as JSONL text.
-    pub fn scrape() -> JsonValue {
-        obj(vec![("op", JsonValue::str("scrape"))])
     }
 
     pub fn query(
@@ -711,14 +714,6 @@ mod tests {
             }
         );
         assert_eq!(
-            round_trip(&build::slow(Some(3))),
-            Request::Slow { limit: Some(3) }
-        );
-        assert_eq!(
-            round_trip(&build::slow(None)),
-            Request::Slow { limit: None }
-        );
-        assert_eq!(
             round_trip(&build::snapshot("s", None)),
             Request::Snapshot {
                 session: "s".into(),
@@ -739,42 +734,22 @@ mod tests {
                 path: "/var/snaps/s.snap".into(),
             }
         );
-        assert_eq!(
-            round_trip(&build::inspect("s", Some(5))),
-            Request::Inspect {
-                session: "s".into(),
-                top: Some(5),
-            }
-        );
-        assert_eq!(
-            round_trip(&build::inspect("s", None)),
-            Request::Inspect {
-                session: "s".into(),
-                top: None,
-            }
-        );
-        assert_eq!(
-            round_trip(&build::flight("s", Some(100))),
-            Request::Flight {
-                session: "s".into(),
-                limit: Some(100),
-            }
-        );
-        assert_eq!(
-            round_trip(&build::graph("s", true)),
-            Request::Graph {
-                session: "s".into(),
-                dot: true,
-            }
-        );
-        assert_eq!(
-            round_trip(&build::graph("s", false)),
-            Request::Graph {
-                session: "s".into(),
-                dot: false,
-            }
-        );
-        assert_eq!(round_trip(&build::scrape()), Request::Scrape);
+        for (top, limit, graph) in [
+            (Some(5), None, None),
+            (None, None, None),
+            (None, Some(100), Some(GraphFormat::Json)),
+            (Some(2), Some(0), Some(GraphFormat::Dot)),
+        ] {
+            assert_eq!(
+                round_trip(&build::inspect("s", top, limit, graph)),
+                Request::Inspect {
+                    session: "s".into(),
+                    top,
+                    limit,
+                    graph,
+                }
+            );
+        }
     }
 
     #[test]
@@ -824,6 +799,10 @@ mod tests {
             (
                 "{\"op\":\"query\",\"session\":\"s\",\"kind\":\"points-to\",\"name\":\"p\",\"budget\":-1}",
                 "non-negative integer",
+            ),
+            (
+                "{\"op\":\"inspect\",\"session\":\"s\",\"graph\":\"svg\"}",
+                "unknown graph format",
             ),
         ];
         for (line, needle) in cases {

@@ -9,8 +9,8 @@
 //!
 //! Robustness:
 //!
-//! * per-request deduction budgets and wall-clock timeouts (budget
-//!   slicing, see [`crate::session`]);
+//! * per-request deduction budgets and wall-clock timeouts (see
+//!   [`crate::session`]);
 //! * bounded line reads — an oversized request is rejected with an
 //!   `oversized` error and the connection resynchronizes at the next
 //!   newline without ever buffering more than `max_line_bytes`;
@@ -36,7 +36,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ddpa_demand::{EngineStats, SchedPolicy, TraceReport};
 use ddpa_obs::{quote_into, Counter, Histogram, JsonValue, JsonlSink, Obs};
 
-use crate::proto::{error_response, ok_response, parse_request, ErrorCode, ProtoError, Request};
+use crate::proto::{
+    error_response, ok_response, parse_request, ErrorCode, GraphFormat, ProtoError, Request,
+};
 use crate::session::{IdAnswer, NameTable, ResolvedSpec, Session};
 
 /// How often blocked reads wake up to check the shutdown flag.
@@ -73,7 +75,7 @@ pub struct ServeConfig {
     /// their full trace.
     pub slow_ms: u64,
     /// How many of the slowest query/batch requests the in-memory ring
-    /// retains for the `slow` op.
+    /// retains; `inspect` returns a session's share of them.
     pub slow_keep: usize,
     /// Directory for session snapshots: the default target of the
     /// `snapshot` op, the source scanned by restore-on-open, and the
@@ -142,7 +144,7 @@ struct ServerCounters {
     /// Dependency edges traversed by edit-time dirty propagation.
     dirty_edges: Counter,
     /// Parallelism-requesting queries the sequential engine served
-    /// (budgeted, traced, deadline-expired, single-worker, or cache hit).
+    /// (budgeted, deadline-expired, single-worker, or cache hit).
     sched_fallbacks: Counter,
 }
 
@@ -196,6 +198,30 @@ impl ServerHists {
 struct SlowEntry {
     latency_us: u64,
     entry: JsonValue,
+}
+
+/// Offers one request to a slow ring that keeps the `keep` slowest,
+/// slowest first and, among equal latencies, earliest first. A request
+/// no slower than the ring's last entry is not kept once the ring is
+/// full, and its `entry` is never built.
+fn offer_slow(
+    ring: &mut Vec<SlowEntry>,
+    keep: usize,
+    latency_us: u64,
+    entry: impl FnOnce() -> JsonValue,
+) {
+    if ring.len() >= keep && ring.last().is_none_or(|e| e.latency_us >= latency_us) {
+        return;
+    }
+    let at = ring.partition_point(|e| e.latency_us >= latency_us);
+    ring.insert(
+        at,
+        SlowEntry {
+            latency_us,
+            entry: entry(),
+        },
+    );
+    ring.truncate(keep);
 }
 
 /// One open session and its `server.cache_hits.<name>` counter, resolved
@@ -759,7 +785,8 @@ fn handle_line(state: &ServerState, line: &str) -> (String, After) {
     // ID, a latency sample, and (when enabled) an access-log line; traced
     // query/batch requests additionally feed the slow ring.
     let trace_id = state.mint_trace_id();
-    let (op_name, session_name) = request_summary(&request);
+    let op_name = request.op();
+    let session_name = request.session().map(str::to_owned);
     let started = Instant::now();
     let mut report: Option<TraceReport> = None;
     let outcome = dispatch(state, request, &trace_id, &mut report);
@@ -780,27 +807,6 @@ fn handle_line(state: &ServerState, line: &str) -> (String, After) {
             state.counters.errors.inc();
             (e.to_line(), After::Continue)
         }
-    }
-}
-
-/// The op name and target session of a request, for logging.
-fn request_summary(request: &Request) -> (&'static str, Option<String>) {
-    match request {
-        Request::Ping => ("ping", None),
-        Request::Stats => ("stats", None),
-        Request::Shutdown => ("shutdown", None),
-        Request::Slow { .. } => ("slow", None),
-        Request::Open { session, .. } => ("open", Some(session.clone())),
-        Request::Close { session } => ("close", Some(session.clone())),
-        Request::AddConstraints { session, .. } => ("add-constraints", Some(session.clone())),
-        Request::Query { session, .. } => ("query", Some(session.clone())),
-        Request::Batch { session, .. } => ("batch", Some(session.clone())),
-        Request::Snapshot { session, .. } => ("snapshot", Some(session.clone())),
-        Request::Restore { session, .. } => ("restore", Some(session.clone())),
-        Request::Inspect { session, .. } => ("inspect", Some(session.clone())),
-        Request::Flight { session, .. } => ("flight", Some(session.clone())),
-        Request::Graph { session, .. } => ("graph", Some(session.clone())),
-        Request::Scrape => ("scrape", None),
     }
 }
 
@@ -866,22 +872,19 @@ fn observe_request(
 
     // The slow ring retains the N slowest traced (query/batch) requests.
     if let Some(r) = report {
-        let mut entry_fields = vec![
-            ("op".to_owned(), JsonValue::str(op)),
-            ("latency_us".to_owned(), JsonValue::U64(latency_us)),
-            ("unix_ms".to_owned(), JsonValue::U64(unix_ms())),
-            ("trace".to_owned(), r.json()),
-        ];
-        if let Some(s) = session {
-            entry_fields.insert(1, ("session".to_owned(), JsonValue::str(s)));
-        }
         let mut ring = state.slow.lock().unwrap_or_else(|p| p.into_inner());
-        ring.push(SlowEntry {
-            latency_us,
-            entry: JsonValue::Object(entry_fields),
+        offer_slow(&mut ring, state.config.slow_keep, latency_us, || {
+            let mut fields = vec![("op".to_owned(), JsonValue::str(op))];
+            if let Some(s) = session {
+                fields.push(("session".to_owned(), JsonValue::str(s)));
+            }
+            fields.extend([
+                ("latency_us".to_owned(), JsonValue::U64(latency_us)),
+                ("unix_ms".to_owned(), JsonValue::U64(unix_ms())),
+                ("trace".to_owned(), r.json()),
+            ]);
+            JsonValue::Object(fields)
         });
-        ring.sort_by_key(|e| std::cmp::Reverse(e.latency_us));
-        ring.truncate(state.config.slow_keep);
     }
 }
 
@@ -1056,26 +1059,7 @@ fn dispatch(
             state.trigger_shutdown();
             Ok((ok_response("shutdown", vec![]).to_string(), After::Close))
         }
-        Request::Stats => Ok((stats_response(state).to_string(), After::Continue)),
-        Request::Slow { limit } => {
-            let ring = state.slow.lock().unwrap_or_else(|p| p.into_inner());
-            let n = limit.map_or(ring.len(), |l| l as usize).min(ring.len());
-            let entries: Vec<JsonValue> = ring.iter().take(n).map(|e| e.entry.clone()).collect();
-            let kept = ring.len();
-            drop(ring);
-            Ok((
-                ok_response(
-                    "slow",
-                    vec![
-                        ("entries", JsonValue::Array(entries)),
-                        ("kept", JsonValue::U64(kept as u64)),
-                        ("threshold_ms", JsonValue::U64(state.config.slow_ms)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
-        }
+        Request::Stats => Ok((stats_response(state), After::Continue)),
         Request::Open {
             session,
             program,
@@ -1327,124 +1311,47 @@ fn dispatch(
                 After::Continue,
             ))
         }
-        Request::Inspect { session, top } => {
+        Request::Inspect {
+            session,
+            top,
+            limit,
+            graph,
+        } => {
             let _span = state.obs.span("server.request.inspect");
             let handle = get_session(state, &session)?;
+            let slow: Vec<JsonValue> = state
+                .slow
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .iter()
+                .filter(|e| e.entry.get("session").and_then(JsonValue::as_str) == Some(&session))
+                .map(|e| e.entry.clone())
+                .collect();
             let s = lock_session(&handle);
             let (hottest, critical_path) = s.inspect_json(top.unwrap_or(10) as usize);
-            let (generation, tabled) = (s.generation(), s.tabled_goals());
-            drop(s);
-            Ok((
-                ok_response(
-                    "inspect",
-                    vec![
-                        ("session", JsonValue::str(session.as_str())),
-                        ("hottest", hottest),
-                        ("critical_path", critical_path),
-                        ("tabled_goals", JsonValue::U64(tabled as u64)),
-                        ("generation", JsonValue::U64(generation)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
-        }
-        Request::Flight { session, limit } => {
-            let _span = state.obs.span("server.request.flight");
-            let handle = get_session(state, &session)?;
-            let s = lock_session(&handle);
-            let (events, recorded, dropped) =
-                s.flight_json(limit.map_or(usize::MAX, |l| l as usize));
-            let generation = s.generation();
-            drop(s);
-            Ok((
-                ok_response(
-                    "flight",
-                    vec![
-                        ("session", JsonValue::str(session.as_str())),
-                        ("events", JsonValue::Array(events)),
-                        ("recorded", JsonValue::U64(recorded)),
-                        ("dropped", JsonValue::U64(dropped)),
-                        ("generation", JsonValue::U64(generation)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
-        }
-        Request::Graph { session, dot } => {
-            let _span = state.obs.span("server.request.graph");
-            let handle = get_session(state, &session)?;
-            let s = lock_session(&handle);
-            let generation = s.generation();
-            let mut fields = vec![("session", JsonValue::str(session.as_str()))];
-            if dot {
-                let text = s.graph_dot();
-                drop(s);
-                fields.push(("text", JsonValue::str(text)));
-            } else {
-                let graph = s.graph_json();
-                drop(s);
-                fields.push(("graph", graph));
+            let mut fields = vec![
+                ("session", JsonValue::str(session.as_str())),
+                ("hottest", hottest),
+                ("critical_path", critical_path),
+                ("tabled_goals", JsonValue::U64(s.tabled_goals() as u64)),
+                ("generation", JsonValue::U64(s.generation())),
+                ("slow", JsonValue::Array(slow)),
+            ];
+            if let Some(limit) = limit {
+                let (events, recorded, dropped) = s.flight_json(limit as usize);
+                fields.extend([
+                    ("events", JsonValue::Array(events)),
+                    ("recorded", JsonValue::U64(recorded)),
+                    ("dropped", JsonValue::U64(dropped)),
+                ]);
             }
-            fields.push(("generation", JsonValue::U64(generation)));
-            Ok((ok_response("graph", fields).to_string(), After::Continue))
-        }
-        Request::Scrape => {
-            let _span = state.obs.span("server.request.scrape");
-            let mut sink = JsonlSink::new(Vec::new());
-            let _ = sink.emit_registry(&state.obs.registry);
-            // Session engines keep their own registries; surface each
-            // engine's headline counters under a session-scoped name so
-            // one scrape covers the whole process.
-            let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
-                .iter()
-                .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
-                .collect();
-            for (name, handle) in sessions {
-                let s = lock_session(&handle);
-                let stats = s.engine_stats();
-                let tabled = s.tabled_goals() as u64;
-                drop(s);
-                let counters = [
-                    ("queries", stats.queries),
-                    ("work", stats.work),
-                    ("fires", stats.fires),
-                    ("flight_events", stats.flight_events),
-                ];
-                for (key, value) in counters {
-                    let _ = sink.emit(
-                        "counter",
-                        &[
-                            ("name", JsonValue::str(format!("session.{name}.{key}"))),
-                            ("value", JsonValue::U64(value)),
-                        ],
-                    );
-                }
-                let _ = sink.emit(
-                    "gauge",
-                    &[
-                        (
-                            "name",
-                            JsonValue::str(format!("session.{name}.tabled_goals")),
-                        ),
-                        ("value", JsonValue::U64(tabled)),
-                    ],
-                );
+            match graph {
+                Some(GraphFormat::Json) => fields.push(("graph", s.graph_json())),
+                Some(GraphFormat::Dot) => fields.push(("dot", JsonValue::str(s.graph_dot()))),
+                None => {}
             }
-            let text = String::from_utf8(sink.into_inner()).unwrap_or_default();
-            let lines = text.lines().count() as u64;
-            Ok((
-                ok_response(
-                    "scrape",
-                    vec![
-                        ("text", JsonValue::str(text)),
-                        ("lines", JsonValue::U64(lines)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
+            drop(s);
+            Ok((ok_response("inspect", fields).to_string(), After::Continue))
         }
         Request::Restore { session, path } => {
             let _span = state.obs.span("server.request.restore");
@@ -1480,7 +1387,10 @@ fn dispatch(
     }
 }
 
-fn stats_response(state: &ServerState) -> JsonValue {
+/// The `stats` response line: every session's statistics, the whole
+/// metrics registry as the records `--metrics-out` writes, and the server
+/// facts the registry lacks.
+fn stats_response(state: &ServerState) -> String {
     // Release the session map before locking any session: every request
     // looks its session up under the map lock, so holding it while one
     // session is busy would stall requests on all the others.
@@ -1493,104 +1403,47 @@ fn stats_response(state: &ServerState) -> JsonValue {
         .map(|(name, handle)| {
             let s = lock_session(&handle);
             let stats = s.engine_stats();
-            (
-                name,
-                JsonValue::Object(vec![
-                    (
-                        "nodes".to_string(),
-                        JsonValue::U64(s.program().num_nodes() as u64),
-                    ),
-                    (
-                        "constraints".to_string(),
-                        JsonValue::U64(s.program().num_constraints() as u64),
-                    ),
-                    ("generation".to_string(), JsonValue::U64(s.generation())),
-                    (
-                        "tabled_goals".to_string(),
-                        JsonValue::U64(s.tabled_goals() as u64),
-                    ),
-                    ("queries".to_string(), JsonValue::U64(stats.queries)),
-                    ("fires".to_string(), JsonValue::U64(stats.fires)),
-                    ("goals".to_string(), JsonValue::U64(stats.goals_activated)),
-                    ("cache_hits".to_string(), JsonValue::U64(stats.cache_hits)),
-                    ("share_hits".to_string(), JsonValue::U64(stats.share_hits)),
-                    ("work".to_string(), JsonValue::U64(stats.work)),
-                ]),
-            )
+            let fields = [
+                ("nodes", s.program().num_nodes() as u64),
+                ("constraints", s.program().num_constraints() as u64),
+                ("generation", s.generation()),
+                ("tabled_goals", s.tabled_goals() as u64),
+                ("queries", stats.queries),
+                ("fires", stats.fires),
+                ("goals", stats.goals_activated),
+                ("cache_hits", stats.cache_hits),
+                ("share_hits", stats.share_hits),
+                ("work", stats.work),
+                ("flight_events", stats.flight_events),
+            ];
+            let fields = fields
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), JsonValue::U64(v)))
+                .collect();
+            (name, JsonValue::Object(fields))
         })
         .collect();
     per_session.sort_by(|a, b| a.0.cmp(&b.0));
-    let c = &state.counters;
-    let counters = JsonValue::Object(vec![
-        ("requests".to_string(), JsonValue::U64(c.requests.get())),
-        ("errors".to_string(), JsonValue::U64(c.errors.get())),
-        ("timeouts".to_string(), JsonValue::U64(c.timeouts.get())),
-        ("busy_rejections".to_string(), JsonValue::U64(c.busy.get())),
-        (
-            "connections".to_string(),
-            JsonValue::U64(c.connections.get()),
-        ),
-        (
-            "sessions_opened".to_string(),
-            JsonValue::U64(c.sessions_opened.get()),
-        ),
-        (
-            "sessions_closed".to_string(),
-            JsonValue::U64(c.sessions_closed.get()),
-        ),
-        (
-            "invalidations".to_string(),
-            JsonValue::U64(c.invalidations.get()),
-        ),
-        (
-            "batch_queries".to_string(),
-            JsonValue::U64(c.batch_queries.get()),
-        ),
-        (
-            "sched_fallbacks".to_string(),
-            JsonValue::U64(c.sched_fallbacks.get()),
-        ),
-        (
-            "open_connections".to_string(),
-            JsonValue::U64(state.open_connections.load(Ordering::SeqCst) as u64),
-        ),
-    ]);
-    let hist_json = |h: &Histogram| {
-        JsonValue::Object(vec![
-            ("count".to_string(), JsonValue::U64(h.count())),
-            ("p50".to_string(), JsonValue::U64(h.quantile(0.5))),
-            ("p90".to_string(), JsonValue::U64(h.quantile(0.9))),
-            ("p99".to_string(), JsonValue::U64(h.quantile(0.99))),
-            ("max".to_string(), JsonValue::U64(h.max())),
-        ])
-    };
-    let latency = JsonValue::Object(vec![
-        ("request_us".to_string(), hist_json(&state.hists.request_us)),
-        ("query_us".to_string(), hist_json(&state.hists.query_us)),
-        ("batch_us".to_string(), hist_json(&state.hists.batch_us)),
-    ]);
+    // The registry's JSONL lines are JSON objects without raw newlines,
+    // so joining them with commas makes the `metrics` array.
+    let mut registry = JsonlSink::new(Vec::new());
+    let _ = registry.emit_registry(&state.obs.registry);
+    let records = String::from_utf8(registry.into_inner()).unwrap_or_default();
     let slow_kept = state.slow.lock().unwrap_or_else(|p| p.into_inner()).len();
-    let slow = JsonValue::Object(vec![
-        ("kept".to_string(), JsonValue::U64(slow_kept as u64)),
-        (
-            "threshold_ms".to_string(),
-            JsonValue::U64(state.config.slow_ms),
-        ),
-    ]);
-    ok_response(
-        "stats",
-        vec![
-            ("sessions", JsonValue::Object(per_session)),
-            ("counters", counters),
-            ("latency", latency),
-            ("slow", slow),
-            ("workers", JsonValue::U64(state.config.workers as u64)),
-            (
-                "sched_policy",
-                JsonValue::str(state.config.sched_policy.as_str()),
-            ),
-        ],
-    )
+    let mut line =
+        ok_response("stats", vec![("sessions", JsonValue::Object(per_session))]).to_string();
+    line.pop(); // the closing brace: the other fields follow
+    let _ = write!(
+        line,
+        ",\"metrics\":[{}],\"open_connections\":{},\"slow\":{{\"kept\":{slow_kept},\"threshold_ms\":{}}},\"workers\":{},\"sched_policy\":",
+        records.trim_end().replace('\n', ","),
+        state.open_connections.load(Ordering::SeqCst),
+        state.config.slow_ms,
+        state.config.workers,
+    );
+    quote_into(&mut line, state.config.sched_policy.as_str());
+    line.push('}');
+    line
 }
 
 #[cfg(test)]
@@ -1599,6 +1452,18 @@ mod tests {
     use crate::proto::QuerySpec;
     use crate::session::QueryAnswer;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The record named `name` in a `stats` response's `metrics`.
+    fn metric<'a>(stats: &'a JsonValue, name: &str) -> &'a JsonValue {
+        stats
+            .get("metrics")
+            .and_then(JsonValue::as_array)
+            .and_then(|m| {
+                m.iter()
+                    .find(|r| r.get("name").and_then(JsonValue::as_str) == Some(name))
+            })
+            .unwrap_or_else(|| panic!("no metric {name:?} in {stats}"))
+    }
 
     fn pts_names(session: &Arc<Mutex<Session>>, name: &str) -> Vec<String> {
         let mut s = lock_session(session);
@@ -1652,7 +1517,7 @@ mod tests {
         let held = lock_session(&busy);
         let stats = {
             let state = Arc::clone(&state);
-            std::thread::spawn(move || stats_response(&state).to_string())
+            std::thread::spawn(move || stats_response(&state))
         };
         // A head start so that `stats` is waiting on a's lock when the
         // query arrives; the query must answer whether or not it is.
@@ -1782,20 +1647,23 @@ mod tests {
 
         // Latency histograms surfaced in stats: 5 query + 1 batch + the
         // untraced query land in query_us/batch_us.
-        let latency = stats.get("latency").expect("latency section");
-        let q = latency.get("query_us").expect("query hist");
+        let q = metric(&stats, "server.latency.query_us");
         assert_eq!(get(q, "count"), 5);
         assert!(get(q, "p50") <= get(q, "p99"));
         assert!(get(q, "p99") <= get(q, "max"));
-        assert_eq!(latency.get("batch_us").map(|h| get(h, "count")), Some(1));
+        assert_eq!(get(metric(&stats, "server.latency.batch_us"), "count"), 1);
 
         // The slow ring keeps the slowest traced requests, bounded.
-        let slow = c.expect_ok(&build::slow(None)).expect("slow op");
-        let entries = slow
-            .get("entries")
+        let kept = stats.get("slow").map(|s| get(s, "kept"));
+        assert_eq!(kept, Some(4), "ring bounded by slow_keep");
+        let inspect = c
+            .expect_ok(&build::inspect("s", None, None, None))
+            .expect("inspect");
+        let entries = inspect
+            .get("slow")
             .and_then(JsonValue::as_array)
-            .expect("entries array");
-        assert_eq!(entries.len(), 4, "ring bounded by slow_keep");
+            .expect("slow array");
+        assert_eq!(entries.len(), 4, "every kept request is on session s");
         let slowest = get(&entries[0], "latency_us");
         let last = get(&entries[entries.len() - 1], "latency_us");
         assert!(slowest >= last, "entries are slowest-first");
@@ -1807,14 +1675,6 @@ mod tests {
                 .is_some(),
             "ring entries carry full traces"
         );
-        let limited = c.expect_ok(&build::slow(Some(2))).expect("slow limit");
-        assert_eq!(
-            limited
-                .get("entries")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::len),
-            Some(2)
-        );
 
         handle.shutdown();
         runner.join().expect("server thread").expect("clean run");
@@ -1825,26 +1685,38 @@ mod tests {
         use crate::client::Client;
         use crate::proto::build;
 
-        let config = ServeConfig::default();
+        // One server state read through the two views. Every field the
+        // `slow`, `scrape`, `flight` and `graph` ops once returned is
+        // found below in `stats` or `inspect`.
+        let config = ServeConfig {
+            slow_ms: 7,
+            ..ServeConfig::default()
+        };
         let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run());
 
         let mut c = Client::connect(addr).expect("connect");
-        c.expect_ok(&build::open(
-            "s",
-            "p = &a\np = &b\nq = p\nr = *q\n*q = p\n",
-            false,
-            None,
-        ))
-        .expect("open");
-        let spec = QuerySpec::PointsTo { name: "r".into() };
-        c.expect_ok(&build::query("s", &spec, None, None))
-            .expect("query");
+        let program = "p = &a\np = &b\nq = p\nr = *q\n*q = p\n";
+        for session in ["s", "t"] {
+            c.expect_ok(&build::open(session, program, false, None))
+                .expect("open");
+            let spec = QuerySpec::PointsTo { name: "r".into() };
+            c.expect_ok(&build::query(session, &spec, None, None))
+                .expect("query");
+        }
+        let u64_of = |v: &JsonValue, key: &str| {
+            v.get(key)
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("missing numeric {key:?} in {v}"))
+        };
 
-        // inspect: hottest goals attributed, critical path carries W/S.
-        let v = c.expect_ok(&build::inspect("s", Some(3))).expect("inspect");
+        // inspect: hottest goals attributed, critical path carries W/S,
+        // and nothing heavy unless asked.
+        let v = c
+            .expect_ok(&build::inspect("s", Some(3), None, None))
+            .expect("inspect");
         let hottest = v
             .get("hottest")
             .and_then(JsonValue::as_array)
@@ -1855,13 +1727,30 @@ mod tests {
             .and_then(JsonValue::as_str)
             .is_some_and(|g| g.starts_with("pts(") || g.starts_with("ptb(")));
         let cp = v.get("critical_path").expect("critical path");
-        let work = cp.get("work").and_then(JsonValue::as_u64).expect("work");
-        let span = cp.get("span").and_then(JsonValue::as_u64).expect("span");
+        let work = u64_of(cp, "work");
+        let span = u64_of(cp, "span");
         assert!(work >= span && span > 0, "W={work} >= S={span} > 0");
         assert!(cp.get("headroom").is_some());
+        assert!(u64_of(&v, "tabled_goals") > 0);
+        for heavy in ["events", "recorded", "dropped", "graph", "dot"] {
+            assert!(v.get(heavy).is_none(), "{heavy} unasked: {v}");
+        }
 
-        // flight: structured events with resolved goal names.
-        let v = c.expect_ok(&build::flight("s", Some(50))).expect("flight");
+        // slow's `entries`: the session's own slow-ring entries.
+        let entries = v.get("slow").and_then(JsonValue::as_array).expect("slow");
+        assert_eq!(entries.len(), 1, "{v}");
+        let entry = &entries[0];
+        assert_eq!(entry.get("op").and_then(JsonValue::as_str), Some("query"));
+        assert_eq!(entry.get("session").and_then(JsonValue::as_str), Some("s"));
+        u64_of(entry, "latency_us");
+        u64_of(entry, "unix_ms");
+        assert!(entry.get("trace").and_then(|t| t.get("id")).is_some());
+
+        // flight's `events`, `recorded`, `dropped`, `session` and
+        // `generation`: structured events with resolved goal names.
+        let v = c
+            .expect_ok(&build::inspect("s", None, Some(50), None))
+            .expect("inspect with events");
         let events = v
             .get("events")
             .and_then(JsonValue::as_array)
@@ -1872,40 +1761,91 @@ mod tests {
             assert!(e.get("seq").and_then(JsonValue::as_u64).is_some());
             ddpa_obs::validate_metrics_line(&e.to_string()).expect("flight line validates");
         }
-        assert!(v.get("recorded").and_then(JsonValue::as_u64).unwrap_or(0) > 0);
+        assert!(u64_of(&v, "recorded") > 0);
+        u64_of(&v, "dropped");
+        assert_eq!(v.get("session").and_then(JsonValue::as_str), Some("s"));
+        assert_eq!(u64_of(&v, "generation"), 0);
 
-        // graph: JSON nodes/edges, and DOT text on request.
-        let v = c.expect_ok(&build::graph("s", false)).expect("graph json");
+        // graph's `graph` (JSON nodes/edges) and `text` (now `dot`).
+        let v = c
+            .expect_ok(&build::inspect("s", None, None, Some(GraphFormat::Json)))
+            .expect("inspect with graph");
         let graph = v.get("graph").expect("graph object");
         assert!(graph
             .get("nodes")
             .and_then(JsonValue::as_array)
             .is_some_and(|n| !n.is_empty()));
         assert!(graph.get("edges").and_then(JsonValue::as_array).is_some());
-        let v = c.expect_ok(&build::graph("s", true)).expect("graph dot");
-        let text = v.get("text").and_then(JsonValue::as_str).expect("dot text");
+        let v = c
+            .expect_ok(&build::inspect("s", None, None, Some(GraphFormat::Dot)))
+            .expect("inspect with dot");
+        let text = v.get("dot").and_then(JsonValue::as_str).expect("dot text");
         assert!(text.starts_with("digraph goals {"), "{text}");
         assert!(text.contains("->"), "dot has edges: {text}");
 
-        // scrape: strict metrics-JSONL covering server and session counters.
-        let v = c.expect_ok(&build::scrape()).expect("scrape");
-        let text = v.get("text").and_then(JsonValue::as_str).expect("text");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            v.get("lines").and_then(JsonValue::as_u64),
-            Some(lines.len() as u64)
-        );
-        for line in &lines {
-            ddpa_obs::validate_metrics_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        // stats: scrape's `text` and `lines` are the `metrics` records,
+        // its per-session counters and gauge are in `sessions`, and
+        // slow's `kept` and `threshold_ms` are in `slow`.
+        let v = c.expect_ok(&build::stats()).expect("stats");
+        let metrics = v
+            .get("metrics")
+            .and_then(JsonValue::as_array)
+            .expect("metrics array");
+        for record in metrics {
+            let line = record.to_string();
+            ddpa_obs::validate_metrics_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        assert!(text.contains("\"server.requests\""));
-        assert!(
-            text.contains("\"session.s.flight_events\""),
-            "scrape carries per-session flight counters:\n{text}"
-        );
+        // 2 opens, 2 queries, 4 inspects and this stats request.
+        assert_eq!(u64_of(metric(&v, "server.requests"), "value"), 9);
+        assert_eq!(u64_of(metric(&v, "server.latency.query_us"), "count"), 2);
+        let sessions = v.get("sessions").expect("sessions");
+        for session in ["s", "t"] {
+            let stats = sessions.get(session).expect("session stats");
+            for key in ["queries", "work", "fires", "tabled_goals"] {
+                assert!(u64_of(stats, key) > 0, "{key}: {stats}");
+            }
+            assert!(u64_of(stats, "flight_events") > 0, "{stats}");
+        }
+        let slow = v.get("slow").expect("slow summary");
+        assert_eq!(u64_of(slow, "kept"), 2);
+        assert_eq!(u64_of(slow, "threshold_ms"), 7);
 
         handle.shutdown();
         runner.join().expect("server thread").expect("clean run");
+    }
+
+    /// The ring as it was kept before entries were built lazily: push,
+    /// stable sort by descending latency, truncate.
+    fn slow_ring_model(ring: &mut Vec<(u64, usize)>, keep: usize, latency_us: u64, id: usize) {
+        ring.push((latency_us, id));
+        ring.sort_by_key(|e| std::cmp::Reverse(e.0));
+        ring.truncate(keep);
+    }
+
+    #[test]
+    fn slow_ring_keeps_what_push_sort_truncate_kept() {
+        let mut rng = ddpa_support::Rng::seed_from_u64(0x510e);
+        for keep in [0, 1, 2, 5, 32] {
+            let (mut ring, mut model) = (Vec::new(), Vec::new());
+            for id in 0..2000 {
+                // Few distinct latencies, so ties are common.
+                let latency_us = rng.gen_range(0..40u64);
+                slow_ring_model(&mut model, keep, latency_us, id);
+                let mut built = false;
+                offer_slow(&mut ring, keep, latency_us, || {
+                    built = true;
+                    JsonValue::U64(id as u64)
+                });
+                let got: Vec<(u64, usize)> = ring
+                    .iter()
+                    .map(|e| (e.latency_us, e.entry.as_u64().expect("id") as usize))
+                    .collect();
+                assert_eq!(got, model, "keep {keep}, after request {id}");
+                // The entry is built exactly when the ring keeps it.
+                let kept = model.iter().any(|&(_, i)| i == id);
+                assert_eq!(built, kept, "keep {keep}, request {id}");
+            }
+        }
     }
 
     #[test]
@@ -2171,10 +2111,7 @@ mod tests {
         let mut c = Client::connect(addr).expect("connect");
         let stats = c.expect_ok(&build::stats()).expect("stats");
         assert_eq!(
-            stats
-                .get("counters")
-                .and_then(|v| v.get("open_connections"))
-                .and_then(JsonValue::as_u64),
+            stats.get("open_connections").and_then(JsonValue::as_u64),
             Some(1)
         );
 
@@ -2279,13 +2216,9 @@ mod tests {
         );
 
         // The dirty-split counters surface in the metrics export.
-        let scrape = c.expect_ok(&build::scrape()).expect("scrape");
-        let text = scrape
-            .get("text")
-            .and_then(JsonValue::as_str)
-            .expect("text");
-        assert!(text.contains("\"demand.dirty.retained\""), "{text}");
-        assert!(text.contains("\"demand.dirty.goals\""), "{text}");
+        let stats = c.expect_ok(&build::stats()).expect("stats");
+        metric(&stats, "demand.dirty.retained");
+        metric(&stats, "demand.dirty.goals");
 
         let _ = std::fs::remove_file(&path);
         handle.shutdown();
@@ -2340,6 +2273,20 @@ mod tests {
             .expect("parallel query");
         assert_eq!(v.get("sched").and_then(JsonValue::as_str), Some("parallel"));
 
+        // A traced request runs on the scheduler too: only provenance
+        // tracing, which sessions never turn on, pins the sequential
+        // engine.
+        c.expect_ok(&build::open("traced", &program, false, None))
+            .expect("open traced");
+        let v = c
+            .expect_ok(&build::with_trace(build::with_parallel_query(
+                build::query("traced", &spec, None, None),
+            )))
+            .expect("traced parallel query");
+        assert_eq!(v.get("sched").and_then(JsonValue::as_str), Some("parallel"));
+        let trace = v.get("trace").expect("trace report");
+        assert!(trace.get("fires").and_then(JsonValue::as_u64).unwrap_or(0) > 0);
+
         // A plain sequential query carries no marker at all.
         let v = c
             .expect_ok(&build::query("s", &spec, None, None))
@@ -2347,17 +2294,10 @@ mod tests {
         assert!(v.get("sched").is_none());
 
         // Fallbacks are counted and exported.
-        let scrape = c.expect_ok(&build::scrape()).expect("scrape");
-        let text = scrape
-            .get("text")
-            .and_then(JsonValue::as_str)
-            .expect("text");
-        assert!(text.contains("\"server.sched.fallbacks\""), "{text}");
         let stats = c.expect_ok(&build::stats()).expect("stats");
         assert_eq!(
-            stats
-                .get("counters")
-                .and_then(|v| v.get("sched_fallbacks"))
+            metric(&stats, "server.sched.fallbacks")
+                .get("value")
                 .and_then(JsonValue::as_u64),
             Some(1)
         );

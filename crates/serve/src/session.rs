@@ -14,12 +14,11 @@
 //!
 //! # Timeouts
 //!
-//! The engine has no clock; it has *budgets*, and an out-of-budget query
-//! resumes exactly where it stopped on the next call. Wall-clock
-//! timeouts are therefore implemented by `drive`: run the query in
-//! fixed budget slices and check the deadline between slices. This
-//! requires memoization (the session engine always caches), otherwise a
-//! new slice would restart from scratch.
+//! A request's deadline is handed to the engine with its budget
+//! ([`DemandEngine::set_deadline`]): the query's budget reads the clock
+//! every few thousand units of work and stops the query, like an
+//! exhausted budget, once the deadline has passed. So a served query is
+//! one engine call whatever its deadline, and counts once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,15 +26,11 @@ use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, FuncId, NodeId};
 use ddpa_demand::{
-    DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, TraceReport,
+    DemandConfig, DemandEngine, EditStats, EngineStats, QueryResult, QueryTrace, SchedPolicy,
+    TraceReport,
 };
 
 use crate::proto::{ErrorCode, ProtoError, QuerySpec};
-
-/// Budget granularity for deadline-sliced queries: big enough that the
-/// per-slice bookkeeping is noise, small enough that a timeout is
-/// honoured within a few milliseconds of deduction.
-const SLICE: u64 = 8192;
 
 /// A query spec with its names resolved against a session's program.
 #[derive(Clone, Copy, Debug)]
@@ -231,134 +226,40 @@ pub struct RestoreStats {
     pub dropped: usize,
 }
 
-/// Outcome of [`drive`]: the stepped answer plus totals.
-struct Driven<R> {
-    answer: R,
-    complete: bool,
-    work: u64,
-    timed_out: bool,
-}
-
-/// Runs `step` (one engine query call) to completion, budget exhaustion,
-/// or deadline expiry, whichever comes first.
-///
-/// With neither budget nor deadline this is a single unlimited call.
-/// Otherwise the query runs in [`SLICE`]-sized budget instalments; the
-/// engine's resumption guarantee means each instalment continues where
-/// the previous one stopped, so slicing changes nothing but the points
-/// at which the clock is checked.
-fn drive<R>(
-    engine: &mut DemandEngine<'_>,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    mut step: impl FnMut(&mut DemandEngine<'_>) -> (R, bool, u64),
-) -> Driven<R> {
-    if budget.is_none() && deadline.is_none() {
-        engine.set_budget(None);
-        let (answer, complete, work) = step(engine);
-        return Driven {
-            answer,
-            complete,
-            work,
-            timed_out: false,
-        };
-    }
-    debug_assert!(
-        engine.config().caching,
-        "deadline slicing needs memoization to make progress across slices"
-    );
-    let mut total = 0u64;
-    let mut remaining = budget;
-    loop {
-        let expired = deadline.is_some_and(|d| Instant::now() >= d);
-        // An already-expired deadline still runs one zero-budget step:
-        // that serves memoized answers (and partial sets) without doing
-        // new deduction.
-        let slice = if expired {
-            0
-        } else {
-            remaining.map_or(SLICE, |r| r.min(SLICE))
-        };
-        engine.set_budget(Some(slice));
-        let (answer, complete, work) = step(engine);
-        total += work;
-        if let Some(rem) = &mut remaining {
-            *rem = rem.saturating_sub(work);
-        }
-        let exhausted = remaining == Some(0);
-        // `work == 0` without completion means the slice could not make
-        // progress; bail rather than spin (cannot happen with a positive
-        // slice, but guards against a hang if that invariant breaks).
-        if complete || exhausted || expired || work == 0 {
-            engine.set_budget(None);
-            return Driven {
-                answer,
-                complete,
-                work: total,
-                timed_out: expired && !complete,
-            };
-        }
-    }
-}
-
-/// Runs one resolved query on `engine`, honouring budget and deadline.
-fn run_resolved(
-    engine: &mut DemandEngine<'_>,
-    spec: ResolvedSpec,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-) -> IdAnswer {
+/// Runs one resolved query on `engine` under the budget and deadline set
+/// on it. An incomplete answer the deadline stopped is `timed_out`.
+fn run_resolved(engine: &mut DemandEngine<'_>, spec: ResolvedSpec) -> IdAnswer {
+    let set = |engine: &DemandEngine<'_>, r: QueryResult| IdAnswer::Set {
+        timed_out: engine.timed_out() && !r.complete,
+        nodes: r.pts,
+        complete: r.complete,
+        work: r.work,
+    };
     match spec {
         ResolvedSpec::PointsTo(n) => {
-            let d = drive(engine, budget, deadline, |e| {
-                let r = e.points_to(n);
-                let (c, w) = (r.complete, r.work);
-                (r, c, w)
-            });
-            IdAnswer::Set {
-                nodes: d.answer.pts,
-                complete: d.complete,
-                work: d.work,
-                timed_out: d.timed_out,
-            }
+            let r = engine.points_to(n);
+            set(engine, r)
         }
         ResolvedSpec::PointedToBy(n) => {
-            let d = drive(engine, budget, deadline, |e| {
-                let r = e.pointed_to_by(n);
-                let (c, w) = (r.complete, r.work);
-                (r, c, w)
-            });
-            IdAnswer::Set {
-                nodes: d.answer.pts,
-                complete: d.complete,
-                work: d.work,
-                timed_out: d.timed_out,
-            }
+            let r = engine.pointed_to_by(n);
+            set(engine, r)
         }
         ResolvedSpec::MayAlias(a, b) => {
-            let d = drive(engine, budget, deadline, |e| {
-                let r = e.may_alias(a, b);
-                let (c, w) = (r.resolved, r.work);
-                (r, c, w)
-            });
+            let r = engine.may_alias(a, b);
             IdAnswer::Alias {
-                may_alias: d.answer.may_alias,
-                resolved: d.complete,
-                work: d.work,
-                timed_out: d.timed_out,
+                may_alias: r.may_alias,
+                resolved: r.resolved,
+                work: r.work,
+                timed_out: engine.timed_out() && !r.resolved,
             }
         }
         ResolvedSpec::CallTargets(cs) => {
-            let d = drive(engine, budget, deadline, |e| {
-                let r = e.call_targets(cs);
-                let (c, w) = (r.resolved, r.work);
-                (r, c, w)
-            });
+            let r = engine.call_targets(cs);
             IdAnswer::Targets {
-                funcs: d.answer.targets,
-                resolved: d.complete,
-                work: d.work,
-                timed_out: d.timed_out,
+                timed_out: engine.timed_out() && !r.resolved,
+                funcs: r.targets,
+                resolved: r.resolved,
+                work: r.work,
             }
         }
     }
@@ -708,7 +609,7 @@ impl Session {
     /// Answers one query on the session's warm engine.
     ///
     /// `budget` overrides the session default; `deadline` bounds
-    /// wall-clock time via budget slicing.
+    /// wall-clock time.
     pub fn query(
         &mut self,
         spec: ResolvedSpec,
@@ -735,10 +636,10 @@ impl Session {
     /// function ids, to be rendered through [`Session::name_table`].
     ///
     /// A parallel query runs on the frame scheduler only when no budget
-    /// applies (neither per-request nor session default): budget slicing
-    /// needs the sequential engine's resumption guarantee. The scheduler
-    /// runs each query to its fixpoint, so a deadline is checked between
-    /// queries but cannot preempt one mid-flight (documented in
+    /// applies (neither per-request nor session default): a partial
+    /// answer needs the sequential engine's resumption guarantee. The
+    /// scheduler runs each query to its fixpoint, so a deadline is checked
+    /// between queries but cannot preempt one mid-flight (documented in
     /// `docs/SERVER.md`).
     pub fn query_ids(
         &mut self,
@@ -750,21 +651,16 @@ impl Session {
         let budget = budget.or(self.default_budget);
         let requested = parallel.unwrap_or(self.parallel_default);
         let parallel = requested && self.workers > 1;
-        let answer = 'answer: {
-            if parallel && budget.is_none() {
-                // Serve memoized/expired-deadline answers through the
-                // normal path; everything else runs unbudgeted on the
-                // scheduler.
-                let expired = deadline.is_some_and(|d| Instant::now() >= d);
-                if !expired {
-                    self.engine.set_workers(self.workers);
-                    let answer = run_resolved(&mut self.engine, spec, None, None);
-                    self.engine.set_workers(1);
-                    break 'answer answer;
-                }
-            }
-            run_resolved(&mut self.engine, spec, budget, deadline)
-        };
+        // An expired deadline is served on the sequential path, which
+        // answers from the memo table without deducing; any other
+        // unbudgeted parallel query runs on the scheduler, to its fixpoint.
+        let scheduled = parallel && budget.is_none() && deadline.is_none_or(|d| Instant::now() < d);
+        self.engine.set_budget(budget);
+        self.engine
+            .set_deadline(if scheduled { None } else { deadline });
+        self.engine
+            .set_workers(if scheduled { self.workers } else { 1 });
+        let answer = run_resolved(&mut self.engine, spec);
         // Report how a parallelism-requesting query was actually
         // scheduled, so budget/deadline/cache fallbacks are never silent.
         self.last_sched = if !requested {
@@ -787,7 +683,7 @@ impl Session {
     /// How the most recent [`Session::query_ids`] was scheduled:
     /// `Some("parallel")` when the frame scheduler ran,
     /// `Some("sequential-fallback")` when parallelism was requested but
-    /// the sequential engine served the answer (budgeted, traced,
+    /// the sequential engine served the answer (budgeted,
     /// deadline-expired, single-worker, or a cache hit), `None` when the
     /// request didn't ask for parallelism.
     pub fn last_sched(&self) -> Option<&'static str> {
@@ -968,8 +864,8 @@ mod tests {
 
     #[test]
     fn budget_slicing_resumes_to_completion() {
-        // A long copy chain: tiny budgets must still converge because
-        // drive() keeps resuming while the deadline allows.
+        // A long copy chain: a query under a deadline converges, and an
+        // explicit budget still applies.
         let mut text = String::from("v0 = &obj\n");
         for i in 1..200 {
             text.push_str(&format!("v{} = v{}\n", i, i - 1));
@@ -996,6 +892,42 @@ mod tests {
             QueryAnswer::Set { complete, .. } => assert!(!complete, "tiny budget stays partial"),
             other => panic!("expected set answer, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_deadline_does_not_split_a_query() {
+        // Serve every dereferenced pointer of a MiniC program under a
+        // far deadline and with none: some queries cost more than a
+        // stride of work between clock reads.
+        let ast = ddpa_gen::generate_minic(&ddpa_gen::MiniCConfig::sized(1, 240));
+        let text = ddpa_ir::pretty(&ast);
+        let mut timed = Session::open(&text, true, None).expect("valid MiniC");
+        let mut plain = Session::open(&text, true, None).expect("valid MiniC");
+        let cp = timed.program();
+        let mut ptrs: Vec<NodeId> = cp.loads().iter().map(|l| l.ptr).collect();
+        ptrs.extend(cp.stores().iter().map(|s| s.ptr));
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        let deadline = Instant::now() + std::time::Duration::from_secs(3600);
+        let mut longest = 0;
+        for ptr in ptrs {
+            let spec = ResolvedSpec::PointsTo(ptr);
+            let before = timed.engine_stats().queries;
+            let served = timed.query(spec, None, Some(deadline));
+            assert_eq!(timed.engine_stats().queries - before, 1, "one query");
+            assert_eq!(
+                served,
+                plain.query(spec, None, None),
+                "same answer and work"
+            );
+            if let QueryAnswer::Set { work, .. } = served {
+                longest = longest.max(work);
+            }
+        }
+        assert!(longest > ddpa_demand::budget::CLOCK_STRIDE, "{longest}");
+        let stats = timed.engine_stats();
+        assert_eq!(stats.complete_queries, stats.queries);
+        assert_eq!(stats.work, plain.engine_stats().work);
     }
 
     #[test]

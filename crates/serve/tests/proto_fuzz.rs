@@ -41,14 +41,7 @@ fn specs(name: &str) -> Vec<QuerySpec> {
 
 /// Every request kind the builders render, over every name.
 fn corpus() -> Vec<String> {
-    let mut out: Vec<JsonValue> = vec![
-        build::ping(),
-        build::stats(),
-        build::shutdown(),
-        build::scrape(),
-        build::slow(None),
-        build::slow(Some(3)),
-    ];
+    let mut out: Vec<JsonValue> = vec![build::ping(), build::stats(), build::shutdown()];
     for name in NAMES {
         let program = format!("{name} = &o\nx = {name}\n");
         out.extend([
@@ -59,9 +52,7 @@ fn corpus() -> Vec<String> {
             build::snapshot(name, Some("snaps/s\u{1}.snap")),
             build::snapshot(name, None),
             build::restore(name, name),
-            build::inspect(name, Some(5)),
-            build::flight(name, None),
-            build::graph(name, true),
+            build::inspect(name, Some(5), None, None),
         ]);
         let specs = specs(name);
         for spec in &specs {

@@ -162,8 +162,20 @@ for bad in huge-arity.cons deep-blocks.mc; do
     grep -q '"pts":\["data"\]' "$tmp/after-bad.out" \
         || { echo "smoke session lost after $bad: $(cat "$tmp/after-bad.out")" >&2; exit 1; }
 done
-client slow                              # slow-query ring over the wire
+# The session view carries the session's entries in the slow ring.
+cargo run -q -p ddpa-cli -- client --addr "$addr" inspect smoke > "$tmp/inspect-slow.out"
+grep -q '"slow":\[{"op":' "$tmp/inspect-slow.out" \
+    || { echo "inspect missing smoke's slow entries: $(cut -c1-300 "$tmp/inspect-slow.out")" >&2; exit 1; }
 client stats
+# The views folded into stats and inspect are gone from the wire.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '{"op":"scrape"}\n' >&3
+IFS= read -r -t 10 reply <&3 || reply=""
+exec 3<&- 3>&-
+case "$reply" in
+    *'"code":"unknown-op"'*) ;;
+    *) echo "scrape did not answer unknown-op: $reply" >&2; exit 1 ;;
+esac
 client shutdown
 wait "$srv_pid"
 cargo run -q -p ddpa-cli -- jsonl-check "$srv_metrics"
@@ -185,12 +197,13 @@ grep -q '"trace":"r' "$access_log" \
 
 echo "==> flight recorder / introspection smoke test"
 # Against a live server with the recorder on (the default): a traced
-# query populates the ring, the flight export and the scrape both pass
-# jsonl-check, the scrape shows nonzero flight events, and the live
-# views (top, graph --dot) render.
+# query populates the ring, the flight events from inspect and the
+# metrics from stats both pass jsonl-check, stats shows nonzero flight
+# events for the session, and the live views (top, inspect --dot)
+# render.
 portfile3="$tmp/serve-flight-port"
 flight_out="$tmp/flight.jsonl"
-scrape_out="$tmp/scrape.jsonl"
+metrics_out="$tmp/stats-metrics.jsonl"
 cargo run -q -p ddpa-cli -- serve --addr 127.0.0.1:0 \
     --port-file "$portfile3" \
     > "$tmp/serve-flight.log" &
@@ -203,22 +216,22 @@ done
 addr="$(cat "$portfile3")"
 client open smoke samples/list.mc
 client query smoke main::got --trace
-cargo run -q -p ddpa-cli -- flight smoke --addr "$addr" --out "$flight_out"
+client inspect smoke --out "$flight_out"
 cargo run -q -p ddpa-cli -- jsonl-check "$flight_out"
 grep -q '"kind":"flight"' "$flight_out" \
     || { echo "flight export has no flight events" >&2; exit 1; }
-cargo run -q -p ddpa-cli -- scrape --addr "$addr" --out "$scrape_out"
-cargo run -q -p ddpa-cli -- jsonl-check "$scrape_out"
-grep -Eq '"name":"session\.smoke\.flight_events","value":[1-9]' "$scrape_out" \
-    || { echo "scrape missing a nonzero session.smoke.flight_events" >&2; exit 1; }
+cargo run -q -p ddpa-cli -- client --addr "$addr" stats --out "$metrics_out" > "$tmp/stats.out"
+cargo run -q -p ddpa-cli -- jsonl-check "$metrics_out"
+grep -Eq '"smoke":\{[^}]*"flight_events":[1-9]' "$tmp/stats.out" \
+    || { echo "stats missing a nonzero sessions.smoke.flight_events" >&2; exit 1; }
 # Capture before grepping: `grep -q` exits on first match, and under
 # pipefail the writer's resulting EPIPE would fail the pipeline.
 cargo run -q -p ddpa-cli -- top smoke --addr "$addr" --iters 1 > "$tmp/top.out"
 grep -q 'critical path: work' "$tmp/top.out" \
     || { echo "ddpa top did not render the critical path" >&2; exit 1; }
-cargo run -q -p ddpa-cli -- graph smoke --addr "$addr" --dot > "$tmp/graph.dot"
-head -1 "$tmp/graph.dot" | grep -q 'digraph goals' \
-    || { echo "ddpa graph --dot did not render DOT" >&2; exit 1; }
+cargo run -q -p ddpa-cli -- client --addr "$addr" inspect smoke --dot > "$tmp/graph.out"
+grep -q '"dot":"digraph goals {' "$tmp/graph.out" \
+    || { echo "inspect --dot did not render DOT" >&2; exit 1; }
 client shutdown
 wait "$srv_pid"
 # A local traced query with the recorder on (the default) exports a
@@ -375,14 +388,14 @@ grep -q '4 worker(s), dfs policy' "$tmp/top-sched.out" \
 # Whether a given solve steals is a scheduling race (on a one-core host
 # a single worker can drain the whole goal graph before the others run),
 # so retry across fresh sessions — each `open` gets its own memo table,
-# hence a fresh scheduler run — until the live scrape shows a steal.
-sched_scrape="$tmp/sched-scrape.jsonl"
+# hence a fresh scheduler run — until the live stats metrics show a steal.
+sched_live="$tmp/sched-stats-metrics.jsonl"
 stole=""
 for i in $(seq 1 12); do
     client open "smoke$i" "$wide"
     client query "smoke$i" hub --parallel-query
-    cargo run -q -p ddpa-cli -- scrape --addr "$addr" --out "$sched_scrape"
-    if grep -q '"name":"demand.sched.steals","value":[1-9]' "$sched_scrape"; then
+    client stats --out "$sched_live"
+    if grep -q '"name":"demand.sched.steals","value":[1-9]' "$sched_live"; then
         stole=1
         break
     fi
