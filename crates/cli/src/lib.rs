@@ -433,23 +433,9 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             };
             let node = find_node(&cp, node_name)?;
             let target = find_node(&cp, target_name)?;
-            let mut engine = DemandEngine::new(&cp, DemandConfig::new().with_trace());
-            let r = engine.points_to(node);
-            match engine.explain_points_to(node, target) {
-                Some(explanation) => {
-                    write!(out, "{}", explanation.render(&cp))?;
-                }
-                None => {
-                    writeln!(
-                        out,
-                        "{target_name} ∉ pts({node_name}){}",
-                        if r.complete {
-                            ""
-                        } else {
-                            " (query unresolved)"
-                        }
-                    )?;
-                }
+            match ddpa::demand::explain_points_to(&cp, node, target) {
+                Some(explanation) => write!(out, "{}", explanation.render(&cp))?,
+                None => writeln!(out, "{target_name} ∉ pts({node_name})")?,
             }
         }
         "callgraph" => {

@@ -6,6 +6,12 @@
 //! `append_constraints`. Neither may panic; an error names a line of the
 //! input (or the line after it); a parsed program prints to a fixpoint;
 //! and a failed append leaves the program as it was.
+//!
+//! Structured generators add the shapes a byte mutator reaches only by
+//! luck: deep `.fN` and `->N` suffix chains, huge numerals in field
+//! indices, arities and `argN`, and thousands of declarations. On those
+//! the same properties hold, and a program never has more nodes than its
+//! text has bytes.
 
 use ddpa_constraints::{
     append_constraints, lower, parse_constraints, print_constraints, ConstraintProgram,
@@ -15,6 +21,7 @@ use ddpa_gen::{
     RandomConfig, WideConfig,
 };
 use ddpa_support::Rng;
+use std::fmt::Write as _;
 
 const PUNCTUATION: &[u8] = b":.->&*=#(),_/";
 const MULTI_BYTE: [&str; 3] = ["\u{e9}", "\u{2192}", "\u{1d535}"];
@@ -84,6 +91,194 @@ fn check_parse(text: &str, ctx: &str) -> bool {
             );
             false
         }
+    }
+}
+
+/// Field references nested `depth` deep below `p`, following the chain
+/// `p.f0.f1…` that [`suffix_chains`] declares. Half the names take about
+/// two detours on the way.
+fn deep_name(rng: &mut Rng, depth: usize) -> String {
+    let detours = if rng.gen_bool(0.5) { 0 } else { 2 };
+    let mut name = String::from("p");
+    for i in 0..depth {
+        if rng.gen_range(0..depth) >= detours {
+            let _ = write!(name, ".f{i}");
+            continue;
+        }
+        match rng.gen_range(0..4u32) {
+            0 => name.push('.'),
+            1 => name.push_str(".f"),
+            2 => name.push_str("->"),
+            _ => {
+                let _ = write!(name, ".{i}");
+            }
+        }
+    }
+    name
+}
+
+/// Nested field declarations under `p`, then constraints that reach far
+/// past them through `.fN` and `->N` suffixes.
+fn suffix_chains(rng: &mut Rng) -> String {
+    let mut text = String::new();
+    let mut parent = String::from("p");
+    for i in 0..rng.gen_range(0..48usize) {
+        let _ = writeln!(text, "field {parent}.{i}");
+        let _ = write!(parent, ".f{i}");
+    }
+    for _ in 0..rng.gen_range(1..6usize) {
+        let depth = rng.gen_range(0..3000usize);
+        let name = deep_name(rng, depth);
+        let _ = match rng.gen_range(0..6u32) {
+            0 => writeln!(text, "x = &{name}"),
+            1 => writeln!(text, "x = &{name}->{}", rng.gen_range(0..4u32)),
+            2 => writeln!(text, "{name} = x"),
+            3 => writeln!(text, "*x = {name}"),
+            4 => writeln!(text, "field {name}.{}", rng.gen_range(0..4u32)),
+            _ => writeln!(text, "icall {name}(x, {name}) -> {name}"),
+        };
+    }
+    text
+}
+
+/// A seeded generator of structured constraint text.
+type Generator = fn(&mut Rng) -> String;
+
+/// Numerals at and past every integer width, and malformed ones.
+fn numeral(rng: &mut Rng) -> String {
+    const FIXED: [&str; 12] = [
+        "0",
+        "1",
+        "007",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "340282366920938463463374607431768211456",
+        "-1",
+        "+2",
+        "1e9",
+        " 3 ",
+    ];
+    if rng.gen_bool(0.1) {
+        // Thousands of digits.
+        let digits = rng.gen_range(1..5000usize);
+        return (0..digits)
+            .map(|i| (b'1' + (i % 9) as u8) as char)
+            .collect();
+    }
+    FIXED[rng.gen_range(0..FIXED.len())].to_owned()
+}
+
+/// Huge numerals as field indices, arities, `argN` and `->N`, beside
+/// well-formed uses of the same declarations.
+fn huge_numerals(rng: &mut Rng) -> String {
+    let mut text = String::from("fun f/2\nfield p.0\nq = &p\n");
+    for i in 0..rng.gen_range(1..4usize) {
+        let n = numeral(rng);
+        let _ = match rng.gen_range(0..8u32) {
+            0 => writeln!(text, "fun g{i}/{n}"),
+            1 => writeln!(text, "field p.{n}"),
+            2 => writeln!(text, "x = &q->{n}"),
+            3 => writeln!(text, "x = p.f{n}"),
+            4 => writeln!(text, "x = f::arg{n}"),
+            5 => writeln!(text, "call f(q, q) -> f::arg{n}"),
+            6 => writeln!(text, "f::arg{n} = &p"),
+            _ => writeln!(text, "icall x(q, f::arg{n}, _)"),
+        };
+    }
+    text
+}
+
+/// Thousands of `fun` and `field` declarations and the constraints that
+/// use them. A quarter of the texts repeat one function, and another
+/// quarter name one formal past its function's arity.
+fn many_declarations(rng: &mut Rng) -> String {
+    let mut text = String::new();
+    let arities: Vec<u32> = (0..rng.gen_range(1..1500usize))
+        .map(|_| rng.gen_range(0..4u32))
+        .collect();
+    for (g, arity) in arities.iter().enumerate() {
+        let _ = writeln!(text, "fun g{g}/{arity}");
+    }
+    for _ in 0..rng.gen_range(0..1500usize) {
+        let parent = rng.gen_range(0..64u32);
+        let _ = writeln!(text, "field v{parent}.{}", rng.gen_range(0..8u32));
+    }
+    for _ in 0..rng.gen_range(0..200usize) {
+        let g = rng.gen_range(0..arities.len());
+        let v = rng.gen_range(0..64u32);
+        let _ = match rng.gen_range(0..5u32) {
+            0 => writeln!(text, "x{v} = &g{g}"),
+            1 if arities[g] > 0 => {
+                writeln!(text, "g{g}::arg{} = &v{v}", rng.gen_range(0..arities[g]))
+            }
+            2 => writeln!(text, "call g{g}(x{v}) -> g{g}::ret"),
+            3 => writeln!(text, "x{v} = &v{v}.f{}", rng.gen_range(0..8u32)),
+            _ => writeln!(text, "y = &x{v}->{}", rng.gen_range(0..8u32)),
+        };
+    }
+    let g = rng.gen_range(0..arities.len());
+    let _ = match rng.gen_range(0..4u32) {
+        0 => writeln!(text, "fun g{g}/1"),
+        1 => writeln!(text, "y = g{g}::arg{}", arities[g]),
+        _ => Ok(()),
+    };
+    text
+}
+
+/// [`check_parse`], and a parsed program has no more nodes than the
+/// text has bytes: no numeral in the text sizes it.
+fn check_structured(text: &str, ctx: &str) -> bool {
+    if let Ok(cp) = parse_constraints(text) {
+        assert!(
+            cp.num_nodes() <= text.len(),
+            "{ctx}: {} nodes from {} bytes",
+            cp.num_nodes(),
+            text.len()
+        );
+    }
+    check_parse(text, ctx)
+}
+
+#[test]
+fn structured_text_parses_or_names_a_line() {
+    let mut rng = Rng::seed_from_u64(6);
+    let generators: [(&str, Generator); 3] = [
+        ("suffix chains", suffix_chains),
+        ("huge numerals", huge_numerals),
+        ("many declarations", many_declarations),
+    ];
+    for (name, generate) in generators {
+        let (mut parsed, mut rejected) = (0, 0);
+        for case in 0..24 {
+            let text = generate(&mut rng);
+            let ctx = format!("{name} case {case}");
+            if check_structured(&text, &ctx) {
+                parsed += 1;
+            } else {
+                rejected += 1;
+            }
+            // The constraint lines again, as an edit of a small program:
+            // applied, or refused with the program unchanged.
+            let base = "p = &o\nfield p.0\n";
+            let mut cp = parse_constraints(base).expect("base parses");
+            let before = print_constraints(&cp);
+            match append_constraints(&mut cp, &text, base.lines().count()) {
+                Ok(_) => {
+                    check_parse(&print_constraints(&cp), &ctx);
+                }
+                Err(err) => {
+                    let range = 1..=base.lines().count() + text.lines().count() + 1;
+                    assert!(range.contains(&err.line), "{ctx}: {err}");
+                    assert_eq!(print_constraints(&cp), before, "{ctx}: unchanged");
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{name}: {parsed} parsed, {rejected} rejected"
+        );
     }
 }
 

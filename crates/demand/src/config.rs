@@ -51,10 +51,6 @@ pub struct DemandConfig {
     /// no-caching engine stages nothing
     /// ([`crate::DemandEngine::warm_start`]).
     pub caching: bool,
-    /// Record derivation provenance so
-    /// [`crate::DemandEngine::explain_points_to`] can reconstruct why a
-    /// fact holds (off by default; costs one map entry per derived fact).
-    pub trace: bool,
     /// Merge the goals of discovered copy cycles into one representative
     /// (the paper's cycle-collapsing rule; on by default). Answers are
     /// identical either way — this is purely a work/memory optimization.
@@ -77,7 +73,7 @@ pub struct DemandConfig {
     /// Worker threads for a single query. `1` (the default) runs the
     /// classic sequential drain; `> 1` dispatches eligible queries to the
     /// frame scheduler ([`crate::sched`]) with this many workers. Queries
-    /// with a budget or with tracing on always run sequentially.
+    /// with a budget always run sequentially.
     pub workers: usize,
     /// Own-deque drain order for scheduler workers (ignored when
     /// `workers == 1`).
@@ -89,7 +85,6 @@ impl Default for DemandConfig {
         DemandConfig {
             budget: None,
             caching: true,
-            trace: false,
             collapse_cycles: true,
             collapse_threshold: 32,
             flight: true,
@@ -116,12 +111,6 @@ impl DemandConfig {
     /// Disables cross-query memoization.
     pub fn without_caching(mut self) -> Self {
         self.caching = false;
-        self
-    }
-
-    /// Enables derivation tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 

@@ -67,7 +67,7 @@
 //!   tabled since the last sweep.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ use crate::rules::Deduce;
 use crate::sched::Scheduler;
 use crate::share::{close_dirty, CompletedGoal, DirtyView, SupportRef};
 use crate::stats::EngineStats;
-use crate::trace::{Explanation, Origin, TraceStep};
+use crate::trace::Origin;
 
 /// The demand-driven pointer analysis engine.
 ///
@@ -129,7 +129,10 @@ pub(crate) struct Memo {
     complete_below: usize,
     obs: Obs,
     counters: EngineCounters,
-    provenance: HashMap<(Goal, u32), Origin>,
+    /// Each fact's first derivation, keyed by the goal it was added to.
+    /// Only [`crate::explain_points_to`] sets this, on a private engine
+    /// that never collapses cycles, so no key is ever merged away.
+    pub(crate) provenance: Option<HashMap<(Goal, u32), Origin>>,
     generation: u64,
     /// Copy-graph edges and the goal-merging union-find; every goal-index
     /// lookup routes through [`CopyGraph::find`].
@@ -259,7 +262,7 @@ impl<'p> DemandEngine<'p> {
     /// Whether the most recent query ran on the frame scheduler
     /// ([`crate::sched`]) rather than the sequential drain. False for
     /// cache hits and for queries the engine pinned to the sequential
-    /// path (budgeted, traced, or resuming suspended work).
+    /// path (budgeted, or resuming suspended work).
     pub fn last_query_parallel(&self) -> bool {
         self.memo.last_parallel
     }
@@ -500,45 +503,11 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Explains why `target ∈ pts(node)`, as a derivation chain ending in
-    /// a base `x = &o` fact.
-    ///
-    /// Returns `None` if tracing is disabled ([`DemandConfig::trace`]), the
-    /// fact has not been derived (query it first), or the fact is false.
-    pub fn explain_points_to(&self, node: NodeId, target: NodeId) -> Option<Explanation> {
-        if !self.memo.config.trace {
-            return None;
-        }
-        let mut steps = Vec::new();
-        let mut current = (Goal::Pts(node), target.as_u32());
-        // Cycle collapsing can leave a fact recorded under any member of
-        // a merged goal family, so lookup may fall back from the exact
-        // key to the representative's key and its aliases. The visited
-        // set keeps those fallbacks from revisiting an entry; each loop
-        // iteration consumes a fresh entry, so the walk terminates.
-        let mut visited: HashSet<(Goal, u32)> = HashSet::new();
-        loop {
-            let (entry_key, origin) = self
-                .memo
-                .lookup_provenance(current.0, current.1, &visited)?;
-            visited.insert((entry_key, current.1));
-            steps.push(TraceStep {
-                goal: current.0,
-                elem: current.1,
-                origin,
-            });
-            match origin {
-                Origin::Base => return Some(Explanation { steps }),
-                Origin::Rule { src, elem, .. } => current = (src, elem),
-            }
-        }
-    }
-
     /// Every complete goal of the memo table, plus every entry still
     /// staged, as `(goal, fixpoint)` pairs in canonical order (all `Pts`
     /// goals by node id, then all `Ptb`) — what a snapshot persists. A
     /// goal merged into a cycle is exported under its own key with its
-    /// family's fixpoint. Provenance is included when tracing.
+    /// family's fixpoint.
     pub fn export_completed(&self) -> Vec<(Goal, CompletedGoal)> {
         self.memo.export_completed()
     }
@@ -685,7 +654,7 @@ impl Memo {
             complete_below: 0,
             obs,
             counters,
-            provenance: HashMap::new(),
+            provenance: None,
             generation: 0,
             cycles,
             staged: Staged::default(),
@@ -710,7 +679,6 @@ impl Memo {
         self.keys.clear();
         self.queue.clear();
         self.complete_below = 0;
-        self.provenance.clear();
         self.costs.clear();
         self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
     }
@@ -788,7 +756,6 @@ impl Memo {
         for &key in &keys {
             self.index.remove(key);
         }
-        let provenance = std::mem::take(&mut self.provenance);
         self.clear();
         self.index.grow(nodes);
         self.goals.reserve_exact(retained);
@@ -814,14 +781,7 @@ impl Memo {
                     Some(s) => s,
                     None => self.goals.last().expect("tabled above").completed_copy(),
                 };
-                let at = self.push(goal, fresh) as usize;
-                if self.config.trace {
-                    for &v in self.goals[at].elems.iter() {
-                        if let Some(&origin) = provenance.get(&(key, v)) {
-                            self.provenance.insert((goal, v), origin);
-                        }
-                    }
-                }
+                self.push(goal, fresh);
             }
         }
         self.complete_below = self.goals.len();
@@ -891,19 +851,11 @@ impl Memo {
             if state.merged || !state.complete {
                 continue;
             }
-            let key = self.keys[gi];
-            let mut entry = CompletedGoal::of_state(state);
-            if self.config.trace {
-                entry.provenance = entry
-                    .elems
-                    .iter()
-                    .filter_map(|&v| self.provenance.get(&(key, v)).map(|&o| (v, o)))
-                    .collect();
-            }
+            let entry = CompletedGoal::of_state(state);
             for &alias in &state.aliases {
                 out.push((alias, entry.clone()));
             }
-            out.push((key, entry));
+            out.push((self.keys[gi], entry));
         }
         out.sort_unstable_by_key(|&(goal, _)| goal.canonical_key());
         out
@@ -917,44 +869,6 @@ impl Memo {
         }
     }
 
-    /// Finds the provenance entry proving `value ∈ goal`: the exact key
-    /// first, then — when `goal` belongs to a collapsed cycle — the
-    /// representative's key and every merged-in alias. Entries already in
-    /// `visited` are skipped.
-    fn lookup_provenance(
-        &self,
-        goal: Goal,
-        value: u32,
-        visited: &HashSet<(Goal, u32)>,
-    ) -> Option<(Goal, Origin)> {
-        let try_key = |key: Goal| -> Option<(Goal, Origin)> {
-            if visited.contains(&(key, value)) {
-                return None;
-            }
-            self.provenance.get(&(key, value)).map(|&o| (key, o))
-        };
-        if let Some(hit) = try_key(goal) {
-            return Some(hit);
-        }
-        let gi = self.index.get(goal)?;
-        let rep = self.cycles.find_readonly(gi);
-        let rep_key = self.keys[rep as usize];
-        if rep_key != goal {
-            if let Some(hit) = try_key(rep_key) {
-                return Some(hit);
-            }
-        }
-        for &alias in &self.goals[rep as usize].aliases {
-            if alias == goal {
-                continue;
-            }
-            if let Some(hit) = try_key(alias) {
-                return Some(hit);
-            }
-        }
-        None
-    }
-
     // ------------------------------------------------------------------
     // Tabling machinery
     // ------------------------------------------------------------------
@@ -965,18 +879,12 @@ impl Memo {
         if let Some(gi) = self.index.get(goal) {
             return self.cycles.find(gi);
         }
-        if let Some(mut entry) = self.take_staged(goal) {
+        if let Some(entry) = self.take_staged(goal) {
             // Table the restored fixpoint as a completed goal, by move: no
             // static rules, no enqueue — the whole subtree below `goal`
             // costs zero firings. Later subscribers replay `elems` from
             // cursor 0, exactly as with a locally completed goal.
-            let provenance = std::mem::take(&mut entry.provenance);
             let gi = self.push(goal, entry.into_state());
-            if self.config.trace {
-                for (v, origin) in provenance {
-                    self.provenance.insert((goal, v), origin);
-                }
-            }
             self.flight_record(FlightEventKind::MemoHit, gi, 1, 0);
             return gi;
         }
@@ -1016,9 +924,9 @@ impl Memo {
         }
     }
 
-    /// Adds `value` to `goal`'s set, recording its derivation when
-    /// tracing is enabled. (The [`Deduce`] impl routes rule-produced
-    /// facts here.)
+    /// Adds `value` to `goal`'s set, recording its first derivation when
+    /// the explainer asked for provenance. (The [`Deduce`] impl routes
+    /// rule-produced facts here.)
     fn add_fact(&mut self, goal: Goal, value: u32, origin: Origin) {
         let gi = self.activate(goal);
         let state = &mut self.goals[gi as usize];
@@ -1028,11 +936,8 @@ impl Memo {
             "fact added to a completed goal {goal:?}"
         );
         if inserted {
-            if self.config.trace {
-                // Record under the canonical key so lookups after further
-                // merges still resolve (see `lookup_provenance`).
-                let key = self.keys[gi as usize];
-                self.provenance.insert((key, value), origin);
+            if let Some(provenance) = &mut self.provenance {
+                provenance.insert((goal, value), origin);
             }
             self.enqueue(gi);
         }
@@ -1353,15 +1258,11 @@ impl Memo {
         self.counters.queries.inc();
         // Parallel dispatch, decided *before* activation touches the
         // queue: eligible queries are unbudgeted (frames cannot abort
-        // mid-step deterministically), untraced (no cross-thread
-        // provenance map), and start from a drained queue (no suspended
-        // sequential work to interleave with). Already-answered goals,
-        // tabled or staged, fall through to the sequential cache-hit path.
-        if self.config.workers > 1
-            && self.config.budget.is_none()
-            && !self.config.trace
-            && self.queue.is_empty()
-        {
+        // mid-step deterministically) and start from a drained queue (no
+        // suspended sequential work to interleave with). Already-answered
+        // goals, tabled or staged, fall through to the sequential
+        // cache-hit path.
+        if self.config.workers > 1 && self.config.budget.is_none() && self.queue.is_empty() {
             let cached = match self.index.get(goal) {
                 Some(gi) => self.goals[self.cycles.find_readonly(gi) as usize].complete,
                 None => self.staged.get(goal).is_some(),
@@ -1915,6 +1816,7 @@ mod tests {
 mod cycle_tests {
     use super::*;
     use ddpa_constraints::ConstraintBuilder;
+    use std::collections::HashSet;
 
     fn node(cp: &ConstraintProgram, name: &str) -> NodeId {
         cp.node_ids()
@@ -2113,25 +2015,29 @@ mod cycle_tests {
 
     #[test]
     fn explanation_survives_merging() {
+        // The default engine fuses the ring, but each member's facts are
+        // still explained through its own goal: the explainer derives on
+        // an engine of its own that never collapses.
         let cp = ring_program(8, 2);
-        let mut engine = DemandEngine::new(
-            &cp,
-            DemandConfig::default()
-                .with_collapse_threshold(1)
-                .with_trace(),
-        );
-        let obj_a = node(&cp, "obj_0");
-        let obj_b = node(&cp, "obj_1");
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
         assert!(engine.points_to(node(&cp, "tail")).complete);
         assert!(engine.stats().cycles_collapsed >= 1, "merge happened");
-        // Every merged member (and the tail) can still explain both facts.
+        let obj_a = node(&cp, "obj_0");
+        let obj_b = node(&cp, "obj_1");
         let mut queries: Vec<NodeId> = (0..8).map(|i| node(&cp, &format!("r{i}"))).collect();
         queries.push(node(&cp, "tail"));
         for v in queries {
             for o in [obj_a, obj_b] {
-                let e = engine
-                    .explain_points_to(v, o)
+                let e = crate::explain_points_to(&cp, v, o)
                     .unwrap_or_else(|| panic!("no explanation for {}", cp.display_node(v)));
+                assert_eq!(e.steps[0].goal, Goal::Pts(v), "the chain starts at v");
+                for pair in e.steps.windows(2) {
+                    let Origin::Rule { watcher, src, elem } = pair[0].origin else {
+                        panic!("a base fact ends the chain");
+                    };
+                    assert_eq!(watcher.consumer(), pair[0].goal);
+                    assert_eq!((src, elem), (pair[1].goal, pair[1].elem));
+                }
                 assert_eq!(e.steps.last().expect("nonempty").origin, Origin::Base);
             }
         }
@@ -2256,6 +2162,7 @@ mod field_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::explain_points_to;
     use crate::trace::Origin;
 
     fn node(cp: &ConstraintProgram, name: &str) -> NodeId {
@@ -2267,11 +2174,8 @@ mod trace_tests {
     #[test]
     fn explains_copy_chain_back_to_base() {
         let cp = ddpa_constraints::parse_constraints("p = &o\nq = p\nr = q\n").expect("parses");
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_trace());
-        let r = node(&cp, "r");
-        let o = node(&cp, "o");
-        assert!(engine.points_to(r).contains(o));
-        let explanation = engine.explain_points_to(r, o).expect("traced");
+        let (r, o) = (node(&cp, "r"), node(&cp, "o"));
+        let explanation = explain_points_to(&cp, r, o).expect("o ∈ pts(r)");
         assert_eq!(explanation.steps.len(), 3);
         assert_eq!(
             explanation.steps.last().expect("base step").origin,
@@ -2287,40 +2191,41 @@ mod trace_tests {
     fn explains_through_loads_and_stores() {
         let cp = ddpa_constraints::parse_constraints("p = &o\nx = &t\n*p = x\ny = *p\n")
             .expect("parses");
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_trace());
-        let y = node(&cp, "y");
-        let t = node(&cp, "t");
-        assert!(engine.points_to(y).contains(t));
-        let explanation = engine.explain_points_to(y, t).expect("traced");
+        let (y, t) = (node(&cp, "y"), node(&cp, "t"));
+        let explanation = explain_points_to(&cp, y, t).expect("t ∈ pts(y)");
         // The chain ends at x = &t.
         assert_eq!(explanation.steps.last().expect("base").origin, Origin::Base);
         assert!(explanation.steps.len() >= 2);
     }
 
     #[test]
-    fn no_trace_without_flag_or_fact() {
+    fn no_explanation_for_a_false_fact() {
         let cp = ddpa_constraints::parse_constraints("p = &o\nq = &o2\n").expect("parses");
-        let (p, o, o2) = (node(&cp, "p"), node(&cp, "o"), node(&cp, "o2"));
-        // Tracing disabled.
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default());
-        let _ = engine.points_to(p);
-        assert!(engine.explain_points_to(p, o).is_none());
-        // Tracing enabled, but the fact is false.
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_trace());
-        let _ = engine.points_to(p);
-        assert!(engine.explain_points_to(p, o2).is_none());
+        let (p, o2, q) = (node(&cp, "p"), node(&cp, "o2"), node(&cp, "q"));
+        assert!(explain_points_to(&cp, p, o2).is_none());
+        assert!(explain_points_to(&cp, p, q).is_none());
     }
 
     #[test]
     fn tracing_does_not_change_answers() {
+        // Recording provenance with collapsing off derives exactly the
+        // facts the default engine answers.
         let cp = ddpa_constraints::parse_constraints(
             "p = &a\nq = p\n*q = p\nr = *q\nx = y\ny = x\nx = &b\n",
         )
         .expect("parses");
         let mut plain = DemandEngine::new(&cp, DemandConfig::default());
-        let mut traced = DemandEngine::new(&cp, DemandConfig::default().with_trace());
         for n in cp.node_ids() {
-            assert_eq!(plain.points_to(n).pts, traced.points_to(n).pts);
+            let pts = plain.points_to(n).pts;
+            for o in cp.node_ids() {
+                assert_eq!(
+                    explain_points_to(&cp, n, o).is_some(),
+                    pts.contains(&o),
+                    "{} ∈ pts({})",
+                    cp.display_node(o),
+                    cp.display_node(n)
+                );
+            }
         }
     }
 }

@@ -381,9 +381,9 @@ pub struct GoalState {
     /// empty shell; all lookups route to the representative via the
     /// engine's union-find (see [`crate::cycles::CopyGraph`]).
     pub merged: bool,
-    /// Keys of goals merged *into* this state. Provenance entries recorded
-    /// before the merge live under these keys, so explanation lookup tries
-    /// them after the canonical key.
+    /// Keys of goals merged *into* this state. An export writes the
+    /// family's fixpoint under each of them, and an edit re-tables each
+    /// surviving one under its own key.
     pub aliases: Vec<Goal>,
     /// Support set: nodes whose program rows this goal's fixpoint read.
     /// An edit that changes any of these rows dirties the goal; an edit

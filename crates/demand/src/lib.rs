@@ -68,4 +68,4 @@ pub use query::{AliasResult, CallTargets, QueryResult};
 pub use sched::{SchedStats, Scheduler, SolveOutcome};
 pub use share::{dirty_closure, CompletedGoal};
 pub use stats::EngineStats;
-pub use trace::{Explanation, Origin, TraceStep};
+pub use trace::{explain_points_to, Explanation, Origin, TraceStep};

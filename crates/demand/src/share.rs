@@ -25,16 +25,12 @@ use ddpa_constraints::ProgramDiff;
 use ddpa_support::HybridSet;
 
 use crate::goal::{Goal, GoalIndex, GoalState, ListSet};
-use crate::trace::Origin;
 
 /// A completed goal's fixpoint, as exported and restored.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CompletedGoal {
     /// Member node ids, sorted ascending — the canonical snapshot order.
     pub elems: Vec<u32>,
-    /// `(member, first derivation)` pairs; populated only when the
-    /// exporting engine ran with tracing on, empty otherwise.
-    pub provenance: Vec<(u32, Origin)>,
     /// Support set: node ids whose program rows this fixpoint read,
     /// sorted ascending. An empty support on an entry means
     /// "unknown provenance" and is treated as always-dirty by
@@ -49,7 +45,7 @@ pub struct CompletedGoal {
 }
 
 impl CompletedGoal {
-    /// The untraced entry for the complete goal `state`. Member, support
+    /// The entry for the complete goal `state`. Member, support
     /// and dep orders are canonical, so entries are byte-stable whatever
     /// the derivation order; every list is allocated exact-size.
     pub(crate) fn of_state(state: &GoalState) -> Self {
@@ -59,7 +55,6 @@ impl CompletedGoal {
         deps.sort_unstable_by_key(|g| g.canonical_key());
         CompletedGoal {
             elems: state.sorted_elems(),
-            provenance: Vec::new(),
             support,
             deps,
             reads_indirect: state.reads_indirect,
@@ -67,7 +62,7 @@ impl CompletedGoal {
     }
 
     /// The complete goal state this entry restores; `elems` and `deps`
-    /// move rather than copy. Provenance is left to the caller.
+    /// move rather than copy.
     pub(crate) fn into_state(self) -> GoalState {
         GoalState::completed(
             ListSet::from_vec(self.elems),

@@ -1,20 +1,69 @@
 //! Derivation provenance: answering *why* a points-to fact holds.
 //!
-//! With [`crate::DemandConfig::trace`] enabled, the engine records, for
-//! every derived fact, the rule instance and premise fact that first
-//! produced it. [`crate::DemandEngine::explain_points_to`] then walks this
-//! provenance back to a base fact (`x = &o`), yielding a derivation chain
-//! like the ones the paper writes out by hand:
+//! [`explain_points_to`] answers `pts(node)` on a private engine that
+//! records, for every fact, the rule instance and premise fact that first
+//! produced it, then walks that record back to a base fact (`x = &o`),
+//! yielding a derivation chain like the ones the paper writes out by hand:
 //!
 //! ```text
-//! o ∈ pts(r)   by [COPY]  r = q
-//! o ∈ pts(q)   by [COPY]  q = p
-//! o ∈ pts(p)   by [ADDR]  p = &o
+//! o ∈ pts(r)   by [COPY→r]
+//! o ∈ pts(q)   by [COPY→q]
+//! o ∈ pts(p)   by [ADDR] (base fact)
 //! ```
+//!
+//! The private engine never collapses cycles, so every fact is recorded
+//! under the goal it was added to. A fact's first derivation reads a
+//! premise that was added before it, so the chain is acyclic and ends in
+//! a base fact. No session, snapshot or edit carries provenance.
+
+use std::collections::HashMap;
 
 use ddpa_constraints::{ConstraintProgram, NodeId};
 
+use crate::config::DemandConfig;
+use crate::engine::DemandEngine;
 use crate::goal::{Goal, Watcher};
+
+/// Explains why `target ∈ pts(node)`, as a derivation chain from that
+/// fact down to a base `x = &o` fact, or `None` when the fact is false.
+///
+/// Each call derives `pts(node)` afresh on its own engine, with cycle
+/// collapsing and the flight recorder off, and records each fact's first
+/// derivation on the way.
+///
+/// # Examples
+///
+/// ```
+/// let cp = ddpa_constraints::parse_constraints("p = &o\nq = p\n")?;
+/// let find = |name: &str| cp.node_ids().find(|&n| cp.display_node(n) == name).expect("node");
+/// let why = ddpa_demand::explain_points_to(&cp, find("q"), find("o")).expect("o ∈ pts(q)");
+/// assert_eq!(why.steps.len(), 2);
+/// assert!(ddpa_demand::explain_points_to(&cp, find("q"), find("p")).is_none());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn explain_points_to(
+    cp: &ConstraintProgram,
+    node: NodeId,
+    target: NodeId,
+) -> Option<Explanation> {
+    let config = DemandConfig::new()
+        .without_cycle_collapsing()
+        .without_flight_recorder();
+    let mut engine = DemandEngine::new(cp, config);
+    engine.memo.provenance = Some(HashMap::new());
+    engine.points_to(node);
+    let provenance = engine.memo.provenance.as_ref()?;
+    let (mut goal, mut elem) = (Goal::Pts(node), target.as_u32());
+    let mut steps = Vec::new();
+    loop {
+        let origin = *provenance.get(&(goal, elem))?;
+        steps.push(TraceStep { goal, elem, origin });
+        match origin {
+            Origin::Base => return Some(Explanation { steps }),
+            Origin::Rule { src, elem: e, .. } => (goal, elem) = (src, e),
+        }
+    }
+}
 
 /// Why a fact entered a goal's set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

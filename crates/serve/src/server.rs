@@ -224,20 +224,12 @@ fn offer_slow(
     ring.truncate(keep);
 }
 
-/// One open session and its `server.cache_hits.<name>` counter, resolved
-/// once at `open` so a warm hit adds to it without a registry lookup.
-#[derive(Clone)]
-struct SessionSlot {
-    session: Arc<Mutex<Session>>,
-    cache_hits: Counter,
-}
-
 struct ServerState {
     config: ServeConfig,
     obs: Obs,
     counters: ServerCounters,
     hists: ServerHists,
-    sessions: Mutex<HashMap<String, SessionSlot>>,
+    sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
     open_connections: AtomicUsize,
@@ -523,7 +515,7 @@ fn commit_session_snapshot(
 fn snapshot_all_sessions(state: &ServerState) {
     let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
         .iter()
-        .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
+        .map(|(name, session)| (name.clone(), Arc::clone(session)))
         .collect();
     for (name, handle) in sessions {
         if let Some(path) = default_snapshot_path(state, &name) {
@@ -895,7 +887,9 @@ fn observe_request(
 // session interrupted mid-query holds partial memo state the engine is
 // designed to resume from (or rebuild after the next reload).
 
-fn lock_sessions(state: &ServerState) -> std::sync::MutexGuard<'_, HashMap<String, SessionSlot>> {
+fn lock_sessions(
+    state: &ServerState,
+) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Mutex<Session>>>> {
     state
         .sessions
         .lock()
@@ -903,10 +897,6 @@ fn lock_sessions(state: &ServerState) -> std::sync::MutexGuard<'_, HashMap<Strin
 }
 
 fn get_session(state: &ServerState, name: &str) -> Result<Arc<Mutex<Session>>, ProtoError> {
-    get_session_slot(state, name).map(|slot| slot.session)
-}
-
-fn get_session_slot(state: &ServerState, name: &str) -> Result<SessionSlot, ProtoError> {
     lock_sessions(state)
         .get(name)
         .cloned()
@@ -930,17 +920,16 @@ fn deadline_for(state: &ServerState, timeout_ms: Option<u64>) -> Option<Instant>
 }
 
 /// Mirrors a request's per-session engine deltas into the server
-/// registry, so the `--metrics-out` export carries them: the cache-hit
-/// delta goes to the slot's `server.cache_hits.<name>`, restored-entry traffic
-/// aggregates across sessions under `demand.share.*`, and timeouts bump
-/// `server.timeouts`. `delta` is the request's [`TraceReport`] delta
+/// registry, so the `--metrics-out` export carries them: restored-entry
+/// and scheduler traffic aggregates across sessions under
+/// `demand.share.*` and `demand.sched.*`, and timeouts bump
+/// `server.timeouts`. Cache hits stay per session, in `stats`'
+/// `sessions.<name>.cache_hits`, so a closed session leaves no metric.
+/// `delta` is the request's [`TraceReport`] delta
 /// ([`EngineStats::delta_since`] around the query call(s)); batch
 /// workers publish into the session engine's registry, so their traffic
 /// is included.
-fn record_query_obs(state: &ServerState, slot: &SessionSlot, delta: &EngineStats, timeouts: u64) {
-    if delta.cache_hits > 0 {
-        slot.cache_hits.add(delta.cache_hits);
-    }
+fn record_query_obs(state: &ServerState, delta: &EngineStats, timeouts: u64) {
     let share = [
         ("demand.share.hits", delta.share_hits),
         ("demand.share.misses", delta.share_misses),
@@ -1103,11 +1092,7 @@ fn dispatch(
                     format!("session {session:?} already exists"),
                 ));
             }
-            let slot = SessionSlot {
-                session: Arc::new(Mutex::new(new)),
-                cache_hits: state.obs.counter(&format!("server.cache_hits.{session}")),
-            };
-            sessions.insert(session.clone(), slot);
+            sessions.insert(session.clone(), Arc::new(Mutex::new(new)));
             drop(sessions);
             state.counters.sessions_opened.inc();
             Ok((
@@ -1175,9 +1160,9 @@ fn dispatch(
             parallel_query,
         } => {
             let _span = state.obs.span("server.request.query");
-            let slot = get_session_slot(state, &session)?;
+            let handle = get_session(state, &session)?;
             let deadline = deadline_for(state, timeout_ms);
-            let mut s = lock_session(&slot.session);
+            let mut s = lock_session(&handle);
             let resolved = s.resolve(&spec)?;
             let bracket = s.begin_trace(trace_id);
             let answer = s.query_ids(resolved, budget, deadline, parallel_query);
@@ -1186,9 +1171,9 @@ fn dispatch(
             let sched = s.last_sched();
             let names = s.name_table();
             drop(s);
-            record_query_obs(state, &slot, &report.delta, answer.timed_out() as u64);
+            record_query_obs(state, &report.delta, answer.timed_out() as u64);
             // A query that asked for parallelism reports how it actually
-            // ran, so budget/trace-forced fallbacks are never silent.
+            // ran, so budget-forced fallbacks are never silent.
             if sched == Some("sequential-fallback") {
                 state.counters.sched_fallbacks.inc();
             }
@@ -1218,13 +1203,13 @@ fn dispatch(
                     ),
                 ));
             }
-            let slot = get_session_slot(state, &session)?;
+            let handle = get_session(state, &session)?;
             let deadline = deadline_for(state, timeout_ms);
             state.counters.batch_queries.add(specs.len() as u64);
 
             // Resolve all names up front so per-spec failures become
             // inline error entries instead of poisoning the batch.
-            let mut s = lock_session(&slot.session);
+            let mut s = lock_session(&handle);
             let resolved: Vec<Result<ResolvedSpec, ProtoError>> =
                 specs.iter().map(|spec| s.resolve(spec)).collect();
             let generation = s.generation();
@@ -1242,7 +1227,7 @@ fn dispatch(
             let report = s.finish_trace(bracket);
             drop(s);
             let timeouts = answers.iter().filter(|a| a.timed_out()).count() as u64;
-            record_query_obs(state, &slot, &report.delta, timeouts);
+            record_query_obs(state, &report.delta, timeouts);
 
             let mut line = response_head("batch", &session);
             line.push_str(",\"results\":[");
@@ -1396,7 +1381,7 @@ fn stats_response(state: &ServerState) -> String {
     // session is busy would stall requests on all the others.
     let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
         .iter()
-        .map(|(name, slot)| (name.clone(), Arc::clone(&slot.session)))
+        .map(|(name, session)| (name.clone(), Arc::clone(session)))
         .collect();
     let mut per_session: Vec<(String, JsonValue)> = sessions
         .into_iter()
@@ -1506,11 +1491,8 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", ServeConfig::default(), Obs::new()).expect("bind");
         let state = Arc::clone(&server.state);
         for (name, text) in [("a", "p = &o\n"), ("b", "r = &u\n")] {
-            let slot = SessionSlot {
-                session: Arc::new(Mutex::new(Session::open(text, false, None).expect("valid"))),
-                cache_hits: state.obs.counter(&format!("server.cache_hits.{name}")),
-            };
-            lock_sessions(&state).insert(name.to_owned(), slot);
+            let session = Session::open(text, false, None).expect("valid");
+            lock_sessions(&state).insert(name.to_owned(), Arc::new(Mutex::new(session)));
         }
         // A long query holds session a's lock; `stats` blocks on it.
         let busy = get_session(&state, "a").expect("a is open");
@@ -2120,6 +2102,60 @@ mod tests {
     }
 
     #[test]
+    fn session_churn_leaves_the_metrics_the_same_size() {
+        use crate::client::Client;
+        use crate::proto::build;
+
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default(), Obs::new()).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let runner = std::thread::spawn(move || server.run());
+
+        let mut c = Client::connect(addr).expect("connect");
+        let spec = QuerySpec::PointsTo { name: "q".into() };
+        // Opens, queries twice (the repeat is a memo hit) and closes
+        // `name`, checking the hit is reported on the session itself.
+        let churn = |c: &mut Client, name: &str| {
+            c.expect_ok(&build::open(name, "p = &o\nq = p\n", false, None))
+                .expect("open");
+            for _ in 0..2 {
+                c.expect_ok(&build::query(name, &spec, None, None))
+                    .expect("query");
+            }
+            let stats = c.expect_ok(&build::stats()).expect("stats");
+            let hits = stats
+                .get("sessions")
+                .and_then(|s| s.get(name))
+                .and_then(|s| s.get("cache_hits"))
+                .and_then(JsonValue::as_u64);
+            assert_eq!(hits, Some(1), "{stats}");
+            c.expect_ok(&build::close(name)).expect("close");
+        };
+        let metrics_len = |c: &mut Client| {
+            let stats = c.expect_ok(&build::stats()).expect("stats");
+            stats
+                .get("metrics")
+                .and_then(JsonValue::as_array)
+                .map(<[JsonValue]>::len)
+                .expect("metrics array")
+        };
+        // One round registers every metric a session's life touches.
+        churn(&mut c, "s0");
+        let before = metrics_len(&mut c);
+        for i in 1..=5 {
+            churn(&mut c, &format!("s{i}"));
+        }
+        assert_eq!(
+            metrics_len(&mut c),
+            before,
+            "closed sessions leave no metrics"
+        );
+
+        handle.shutdown();
+        runner.join().expect("server thread").expect("clean run");
+    }
+
+    #[test]
     fn edits_invalidate_selectively_over_the_wire() {
         use crate::client::Client;
         use crate::proto::build;
@@ -2273,9 +2309,8 @@ mod tests {
             .expect("parallel query");
         assert_eq!(v.get("sched").and_then(JsonValue::as_str), Some("parallel"));
 
-        // A traced request runs on the scheduler too: only provenance
-        // tracing, which sessions never turn on, pins the sequential
-        // engine.
+        // A traced request runs on the scheduler too: its trace report
+        // only reads the session's counters.
         c.expect_ok(&build::open("traced", &program, false, None))
             .expect("open traced");
         let v = c

@@ -379,7 +379,13 @@ fn syn4k_batch_matches_direct_engine_and_caches() {
         digest_direct,
         "warm answers identical"
     );
-    let hits = server.obs.counter("server.cache_hits.syn").get();
+    let stats = c.expect_ok(&build::stats()).expect("stats");
+    let hits = stats
+        .get("sessions")
+        .and_then(|s| s.get("syn"))
+        .and_then(|s| s.get("cache_hits"))
+        .and_then(JsonValue::as_u64)
+        .expect("per-session cache_hits");
     assert!(hits > 0, "second identical batch must hit the warm cache");
 
     // A parallel batch returns the same answers.

@@ -74,10 +74,10 @@
 //!   `DefaultHasher`, whose keys are randomized per process and
 //!   therefore useless for persistence. Everything here is `std`-only.
 //!
-//! Provenance (`CompletedGoal::provenance`) is deliberately **not**
-//! persisted: traces reference watcher identities that are only
-//! meaningful to the deriving engine, and a restored goal answers
-//! `explain` queries by re-deriving on demand.
+//! Entries carry fixpoints, not derivations. An explanation
+//! ([`ddpa_demand::explain_points_to`]) is derived by a private engine
+//! over the program alone, so it reads nothing a snapshot stores and is
+//! the same whether or not the session it explains was restored.
 //!
 //! # Examples
 //!
@@ -504,7 +504,6 @@ impl<'a> SnapshotReader<'a> {
                 goal,
                 CompletedGoal {
                     elems,
-                    provenance: Vec::new(),
                     support,
                     deps,
                     reads_indirect,
@@ -669,7 +668,6 @@ mod tests {
                         support: vec![5],
                         deps: vec![goal(1), Goal::Ptb(NodeId::from_u32(2))],
                         reads_indirect: true,
-                        ..CompletedGoal::default()
                     },
                 ),
             ],
