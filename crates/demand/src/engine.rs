@@ -37,7 +37,9 @@
 //!
 //! "`cs` may call `f`" is itself resolved on demand: a direct call site
 //! names `f`; an indirect one requires `@fn_f ∈ pts(fp)`, computed
-//! recursively — the on-the-fly call graph.
+//! recursively — the on-the-fly call graph. `[PARAM]` and rule (e) read
+//! it through the memo table's call-edge table ([`crate::rules`]), which
+//! discovers each indirect call edge once however many goals wait on it.
 //!
 //! # Evaluation strategy
 //!
@@ -79,7 +81,7 @@ use crate::config::DemandConfig;
 use crate::cycles::CopyGraph;
 use crate::goal::{Goal, GoalIndex, GoalState, ListSet, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
-use crate::rules::Deduce;
+use crate::rules::{CallEdges, Deduce};
 use crate::sched::Scheduler;
 use crate::share::{close_dirty, CompletedGoal, DirtyView, SupportRef};
 use crate::stats::EngineStats;
@@ -137,6 +139,10 @@ pub(crate) struct Memo {
     /// Copy-graph edges and the goal-merging union-find; every goal-index
     /// lookup routes through [`CopyGraph::find`].
     pub(crate) cycles: CopyGraph,
+    /// The indirect call edges the rules discovered over this table, and
+    /// the goals waiting on them ([`crate::rules`]). Memo state: it
+    /// describes the tabled goals, so it is reset with them.
+    calls: CallEdges,
     /// Restored fixpoints not yet touched ([`DemandEngine::warm_start`]).
     /// The first activation of a staged goal moves its entry into the
     /// table; a goal is never both staged and tabled.
@@ -211,7 +217,7 @@ struct EngineCounters {
     sched_wakeups: Counter,
     /// Per-[`Watcher`] variant fire counts, indexed by
     /// [`Watcher::kind_index`].
-    fires_by_kind: [Counter; 12],
+    fires_by_kind: [Counter; Watcher::KINDS],
 }
 
 impl EngineCounters {
@@ -657,6 +663,7 @@ impl Memo {
             provenance: None,
             generation: 0,
             cycles,
+            calls: CallEdges::default(),
             staged: Staged::default(),
             flight,
             costs: Vec::new(),
@@ -670,7 +677,10 @@ impl Memo {
     ///
     /// Also rebuilds the cycle union-find: merged representatives are
     /// meaningless once the goal table is gone, and a stale union-find
-    /// would silently fuse unrelated goals of the next table.
+    /// would silently fuse unrelated goals of the next table. The
+    /// call-edge table goes too: its waiters are goals of this table, and
+    /// the next table arms its dispatch watchers afresh, on the next
+    /// program.
     fn clear(&mut self) {
         self.goals.clear();
         for &key in &self.keys {
@@ -681,6 +691,7 @@ impl Memo {
         self.complete_below = 0;
         self.costs.clear();
         self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
+        self.calls = CallEdges::default();
     }
 
     fn invalidate(&mut self) {
@@ -1013,7 +1024,7 @@ impl Memo {
         }
         // Per-fire tallies stay in a local and reach the shared counters
         // once per visit: nothing reads them while a goal is processed.
-        let mut fires_by_kind = [0u64; 12];
+        let mut fires_by_kind = [0u64; Watcher::KINDS];
         let done = self.fire_watchers(cp, gi, budget, &mut fires_by_kind);
         let fires: u64 = fires_by_kind.iter().sum();
         if fires > 0 {
@@ -1046,7 +1057,7 @@ impl Memo {
         cp: &ConstraintProgram,
         gi: u32,
         budget: &mut Budget,
-        fires_by_kind: &mut [u64; 12],
+        fires_by_kind: &mut [u64; Watcher::KINDS],
     ) -> bool {
         let mut wi = self.goals[gi as usize].first_unsettled();
         loop {
@@ -1394,6 +1405,24 @@ impl<'a> Deduce<'a> for Sequential<'a> {
             let gi = self.memo.cycles.find(gi);
             self.memo.goals[gi as usize].reads_indirect = true;
         }
+    }
+
+    fn note_dep(&mut self, consumer: Goal, producer: Goal) {
+        let memo = &mut *self.memo;
+        let Some(ci) = memo.index.get(consumer) else {
+            return;
+        };
+        let ci = memo.cycles.find(ci);
+        if let Some(pi) = memo.index.get(producer) {
+            if memo.cycles.find(pi) == ci {
+                return;
+            }
+        }
+        memo.goals[ci as usize].deps.insert(producer);
+    }
+
+    fn calls<R>(&mut self, op: impl FnOnce(&mut CallEdges) -> R) -> R {
+        op(&mut self.memo.calls)
     }
 }
 

@@ -11,7 +11,7 @@ use std::hash::Hash;
 
 use ddpa_support::{FxHashSet, HybridSet, SparseBitSet};
 
-use ddpa_constraints::NodeId;
+use ddpa_constraints::{CallSiteId, NodeId};
 
 /// A tabled subgoal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -148,15 +148,18 @@ pub enum Watcher {
         /// The queried object.
         obj: NodeId,
     },
-    /// On `pts(fp)` of an indirect call site, for a formal-parameter goal:
-    /// `Δ = @fn ⇒ pts(formal) ⊇ pts(arg)`.
-    CallFormal {
-        /// The function object that must appear for the edge to be real.
-        func_obj: NodeId,
-        /// The callee's formal being queried.
-        formal: NodeId,
-        /// The call site's actual argument at the matching position.
-        arg: NodeId,
+    /// On `pts(fp)` of the indirect call site `site`, once per call-edge
+    /// table: `Δ = @fn f ⇒ site ∈ callers(f)`. Records the call edge in the
+    /// evaluator's call-edge table and wires it for every goal already
+    /// waiting on `f`'s callers (see [`crate::rules::CallEdges`]). It
+    /// delivers into the table, not into a goal, so it names the goal it
+    /// watches as its consumer and no dependency edge is recorded for it.
+    Dispatch {
+        /// The site's function pointer; the watcher is installed on its
+        /// `pts` goal.
+        fp: NodeId,
+        /// The indirect call site.
+        site: CallSiteId,
     },
     /// On `pts(fp)` of an indirect call site, for a return-value goal:
     /// `Δ = @fn f ⇒ pts(dst) ⊇ pts(f::ret)`.
@@ -191,16 +194,6 @@ pub enum Watcher {
         /// Argument position.
         pos: u32,
     },
-    /// On `pts(fp)` of an indirect call site, when `f::ret ∈ ptb(obj)`:
-    /// `Δ = func_obj ⇒ ret_dst ∈ ptb(obj)`.
-    RetSpread {
-        /// The object being tracked.
-        obj: NodeId,
-        /// The function object whose return is in `ptb(obj)`.
-        func_obj: NodeId,
-        /// The call site's result destination.
-        ret_dst: NodeId,
-    },
     /// On `pts(base)` for `dst = &base->field` (field-sensitive
     /// extension): `Δ ∈ pts(base), Δ has field ⇒ Δ.field ∈ pts(dst)`.
     FieldOf {
@@ -221,20 +214,22 @@ pub enum Watcher {
 
 impl Watcher {
     /// Metric-friendly names of the variants, indexed by [`Watcher::kind_index`].
-    pub const KIND_NAMES: [&'static str; 12] = [
+    pub const KIND_NAMES: [&'static str; Self::KINDS] = [
         "copy_to",
         "load_dst",
         "store_into",
-        "call_formal",
+        "dispatch",
         "call_ret",
         "fwd_prop",
         "store_spread",
         "load_spread",
         "arg_spread",
-        "ret_spread",
         "field_of",
         "field_ptb",
     ];
+
+    /// The number of variants: the length of per-kind tallies.
+    pub const KINDS: usize = 11;
 
     /// The variant's index into [`Watcher::KIND_NAMES`] (declaration order).
     pub fn kind_index(&self) -> usize {
@@ -242,15 +237,14 @@ impl Watcher {
             Watcher::CopyTo { .. } => 0,
             Watcher::LoadDst { .. } => 1,
             Watcher::StoreInto { .. } => 2,
-            Watcher::CallFormal { .. } => 3,
+            Watcher::Dispatch { .. } => 3,
             Watcher::CallRet { .. } => 4,
             Watcher::FwdProp { .. } => 5,
             Watcher::StoreSpread { .. } => 6,
             Watcher::LoadSpread { .. } => 7,
             Watcher::ArgSpread { .. } => 8,
-            Watcher::RetSpread { .. } => 9,
-            Watcher::FieldOf { .. } => 10,
-            Watcher::FieldPtb { .. } => 11,
+            Watcher::FieldOf { .. } => 9,
+            Watcher::FieldPtb { .. } => 10,
         }
     }
 
@@ -270,13 +264,12 @@ impl Watcher {
             Watcher::CopyTo { dst } => Goal::Pts(dst),
             Watcher::LoadDst { dst } => Goal::Pts(dst),
             Watcher::StoreInto { obj } => Goal::Pts(obj),
-            Watcher::CallFormal { formal, .. } => Goal::Pts(formal),
+            Watcher::Dispatch { fp, .. } => Goal::Pts(fp),
             Watcher::CallRet { dst } => Goal::Pts(dst),
             Watcher::FwdProp { obj } => Goal::Ptb(obj),
             Watcher::StoreSpread { obj } => Goal::Ptb(obj),
             Watcher::LoadSpread { obj } => Goal::Ptb(obj),
             Watcher::ArgSpread { obj, .. } => Goal::Ptb(obj),
-            Watcher::RetSpread { obj, .. } => Goal::Ptb(obj),
             Watcher::FieldOf { dst, .. } => Goal::Pts(dst),
             Watcher::FieldPtb { obj, .. } => Goal::Ptb(obj),
         }

@@ -6,11 +6,35 @@
 //! rule installation for a goal (`[ADDR]`/`[COPY]`/`[LOAD]`/`[STORE]`/
 //! `[FIELD]`/`[PARAM]`/`[RET]` and their `ptb` inverses) and the per-element firing of
 //! each [`Watcher`] variant. This trait is that rule system. An evaluator
-//! provides three primitives — the program, "add this fact to that goal",
-//! and "install this watcher on that goal" — and inherits every rule body
-//! as a default method, so the two evaluators cannot drift apart: a rule
+//! provides its primitives — the program, "add this fact to that goal",
+//! "install this watcher on that goal", "record this dependency" and
+//! access to its [`CallEdges`] table — and inherits every rule body as a
+//! default method, so the two evaluators cannot drift apart: a rule
 //! changed here changes for both, which is what keeps parallel answers
 //! bit-identical to sequential ones.
+//!
+//! # The call-edge table
+//!
+//! Two rules read the indirect call graph: `[PARAM]` (a formal of `f`
+//! receives the arguments of every site that may call `f`) and `ptb`
+//! rule (e) (the result destination of every such site joins any `ptb`
+//! goal holding `f`'s return slot). Rather than have each such goal watch
+//! `pts(fp)` of every indirect site, an evaluator keeps one [`CallEdges`]
+//! table and discovers each call edge once:
+//!
+//! * The first goal that needs a site arms it: one [`Watcher::Dispatch`]
+//!   on the site's `pts(fp)`, for the whole table's lifetime.
+//! * When `@fn f` enters `pts(fp)`, the dispatch watcher records
+//!   `site ∈ callers(f)` and wires the edge for every goal waiting on
+//!   `f`: `CopyTo{formal}` on `pts(arg)`, or the site's result
+//!   destination into `ptb(obj)`.
+//! * A goal that starts waiting later wires the callers already known.
+//!
+//! Waiters are indexed under the function they wait on, so a new edge
+//! reaches only its own waiters. Each waiting goal still records a
+//! dependency on `pts(fp)` of every site it could be called from, so
+//! edits dirty exactly what they dirtied when each goal watched those
+//! sets itself.
 //!
 //! `'p` is the lifetime of the program borrow, which is independent of
 //! the evaluator's own borrow, so a rule body may hold the program across
@@ -20,10 +44,110 @@
 //! side); a scheduler worker reads the program its scheduler was built
 //! over.
 
-use ddpa_constraints::{CalleeRef, ConstraintProgram, NodeId, NodeKind};
+use ddpa_constraints::{
+    CallSite, CallSiteId, CalleeRef, ConstraintProgram, FuncId, NodeId, NodeKind,
+};
+use ddpa_support::SparseBitSet;
 
 use crate::goal::{Goal, Watcher};
 use crate::trace::Origin;
+
+/// The indirect call edges an evaluator has discovered, and the goals
+/// waiting on each function's indirect callers (see the module docs).
+/// The sequential engine keeps one in its memo table and resets it with
+/// the table; the frame scheduler keeps one per solve.
+#[derive(Debug, Default)]
+pub struct CallEdges {
+    /// Indirect call sites whose dispatch watcher is subscribed.
+    armed: SparseBitSet,
+    /// Per function id: its known indirect callers and its waiters.
+    funcs: Vec<Callers>,
+}
+
+#[derive(Debug, Default)]
+struct Callers {
+    sites: Vec<CallSiteId>,
+    waiters: Vec<CallWaiter>,
+}
+
+/// A goal waiting on a function's indirect callers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CallWaiter {
+    /// `pts(formal)` of the function's formal at `pos` (`[PARAM]`): each
+    /// caller's argument at `pos` flows in.
+    Param {
+        /// The formal.
+        formal: NodeId,
+        /// Its argument position.
+        pos: u32,
+    },
+    /// `ptb(obj)`, which holds the function's return slot (`ptb` rule
+    /// (e)): each caller's result destination joins it.
+    Ret {
+        /// The object whose `ptb` goal waits.
+        obj: NodeId,
+    },
+}
+
+impl CallWaiter {
+    /// Whether a call from `site` reaches this waiter at all.
+    fn uses(self, site: &CallSite) -> bool {
+        match self {
+            CallWaiter::Param { pos, .. } => matches!(site.args.get(pos as usize), Some(Some(_))),
+            CallWaiter::Ret { .. } => site.ret_dst.is_some(),
+        }
+    }
+
+    /// The goal waiting.
+    fn goal(self) -> Goal {
+        match self {
+            CallWaiter::Param { formal, .. } => Goal::Pts(formal),
+            CallWaiter::Ret { obj } => Goal::Ptb(obj),
+        }
+    }
+}
+
+impl CallEdges {
+    /// Marks `site` armed; `true` if it was not yet.
+    fn arm(&mut self, site: CallSiteId) -> bool {
+        self.armed.insert(site.as_u32())
+    }
+
+    fn callers(&mut self, func: FuncId) -> &mut Callers {
+        let i = func.as_u32() as usize;
+        if i >= self.funcs.len() {
+            self.funcs.resize_with(i + 1, Callers::default);
+        }
+        &mut self.funcs[i]
+    }
+
+    /// Adds `waiter` to `func`'s waiters and returns the callers known
+    /// so far.
+    fn register(&mut self, func: FuncId, waiter: CallWaiter) -> Vec<CallSiteId> {
+        let callers = self.callers(func);
+        callers.waiters.push(waiter);
+        callers.sites.clone()
+    }
+
+    /// Records `site ∈ callers(func)` and returns the waiters to wire it
+    /// for: all of them when the edge is new, none when it was known.
+    fn record(&mut self, func: FuncId, site: CallSiteId) -> Vec<CallWaiter> {
+        let callers = self.callers(func);
+        if callers.sites.contains(&site) {
+            return Vec::new();
+        }
+        callers.sites.push(site);
+        callers.waiters.clone()
+    }
+}
+
+/// The function pointer of an indirect call site.
+fn fp_of(site: &CallSite) -> NodeId {
+    match site.callee {
+        CalleeRef::Indirect(fp) => fp,
+        CalleeRef::Direct(_) => unreachable!("indirect call sites call through a pointer"),
+    }
+}
 
 /// One evaluator of the demand deduction system.
 ///
@@ -51,6 +175,18 @@ pub trait Deduce<'p> {
     /// Records that deriving `goal` scanned the global indirect-callsite
     /// list, so *any* edit touching indirect calls must dirty `goal`.
     fn note_indirect(&mut self, _goal: Goal) {}
+
+    /// Records that `consumer`'s fixpoint read `producer`'s set, so an
+    /// edit dirtying `producer` must dirty `consumer`. [`subscribe`]
+    /// records this edge itself; this is for a read the consumer makes
+    /// through the call-edge table. A same-goal edge is skipped.
+    ///
+    /// [`subscribe`]: Deduce::subscribe
+    fn note_dep(&mut self, _consumer: Goal, _producer: Goal) {}
+
+    /// Runs `op` on this evaluator's call-edge table. `op` only touches
+    /// the table; subscriptions and facts happen outside it.
+    fn calls<R>(&mut self, op: impl FnOnce(&mut CallEdges) -> R) -> R;
 
     /// Installs the static `pts` rules for `x`.
     fn install_pts(&mut self, x: NodeId) {
@@ -85,9 +221,9 @@ pub trait Deduce<'p> {
         if let NodeKind::Formal { func, index } = cp.node(x).kind {
             let func_obj = cp.func(func).object;
             // Reads the callee's callsite rows (folded into the function
-            // object's signature) and scans every indirect callsite.
+            // object's signature); its indirect callers come from the
+            // call-edge table.
             self.note_support(Goal::Pts(x), func_obj);
-            self.note_indirect(Goal::Pts(x));
             for i in 0..cp.direct_callsites_of(func).len() {
                 let cs = cp.direct_callsites_of(func)[i];
                 if let Some(Some(a)) = cp.callsite(cs).args.get(index as usize) {
@@ -95,23 +231,13 @@ pub trait Deduce<'p> {
                     self.subscribe(Goal::Pts(a), Watcher::CopyTo { dst: x });
                 }
             }
-            for i in 0..cp.indirect_callsites().len() {
-                let cs = cp.indirect_callsites()[i];
-                let site = cp.callsite(cs);
-                if let CalleeRef::Indirect(fp) = site.callee {
-                    if let Some(Some(a)) = site.args.get(index as usize) {
-                        let a = *a;
-                        self.subscribe(
-                            Goal::Pts(fp),
-                            Watcher::CallFormal {
-                                func_obj,
-                                formal: x,
-                                arg: a,
-                            },
-                        );
-                    }
-                }
-            }
+            self.wait_on_callers(
+                func,
+                CallWaiter::Param {
+                    formal: x,
+                    pos: index,
+                },
+            );
         }
         // [RET]
         for i in 0..cp.ret_dst_uses_of(x).len() {
@@ -168,13 +294,11 @@ pub trait Deduce<'p> {
                     self.subscribe(Goal::Pts(s), Watcher::CopyTo { dst: obj });
                 }
             }
-            Watcher::CallFormal {
-                func_obj,
-                formal,
-                arg,
-            } => {
-                if elem == func_obj.as_u32() {
-                    self.subscribe(Goal::Pts(arg), Watcher::CopyTo { dst: formal });
+            Watcher::Dispatch { site, .. } => {
+                if let Some(f) = cp.node(NodeId::from_u32(elem)).as_func() {
+                    for waiter in self.calls(|t| t.record(f, site)) {
+                        self.wire(f, site, waiter);
+                    }
                 }
             }
             Watcher::CallRet { dst } => {
@@ -203,15 +327,6 @@ pub trait Deduce<'p> {
                     if let Some(&formal) = cp.func(f).formals.get(pos as usize) {
                         self.add(Goal::Ptb(obj), formal.as_u32(), origin);
                     }
-                }
-            }
-            Watcher::RetSpread {
-                obj,
-                func_obj,
-                ret_dst,
-            } => {
-                if elem == func_obj.as_u32() {
-                    self.add(Goal::Ptb(obj), ret_dst.as_u32(), origin);
                 }
             }
             Watcher::FieldOf { dst, field } => {
@@ -272,28 +387,74 @@ pub trait Deduce<'p> {
         // (e) w is a return slot: flows to every caller's result
         if let NodeKind::Ret { func } = cp.node(w).kind {
             // Reads the function's callsite rows (folded into the function
-            // object's signature) and scans every indirect callsite.
+            // object's signature); its indirect callers come from the
+            // call-edge table.
             self.note_support(Goal::Ptb(obj), cp.func(func).object);
-            self.note_indirect(Goal::Ptb(obj));
             for i in 0..cp.direct_callsites_of(func).len() {
                 let cs = cp.direct_callsites_of(func)[i];
                 if let Some(d) = cp.callsite(cs).ret_dst {
                     self.add(Goal::Ptb(obj), d.as_u32(), origin);
                 }
             }
-            let func_obj = cp.func(func).object;
-            for i in 0..cp.indirect_callsites().len() {
-                let cs = cp.indirect_callsites()[i];
-                let site = cp.callsite(cs);
-                if let (CalleeRef::Indirect(fp), Some(d)) = (site.callee, site.ret_dst) {
-                    self.subscribe(
-                        Goal::Pts(fp),
-                        Watcher::RetSpread {
-                            obj,
-                            func_obj,
-                            ret_dst: d,
-                        },
-                    );
+            self.wait_on_callers(func, CallWaiter::Ret { obj });
+        }
+    }
+
+    /// Makes `waiter` wait on `func`'s indirect callers and wires the
+    /// ones already known; the dispatch watchers wire the rest as they
+    /// find them. Arms every indirect site the waiter could be called
+    /// from that no goal armed yet, and records the waiting goal's
+    /// dependency on each such site's `pts(fp)`: the goal scans the
+    /// global indirect-callsite list to do so.
+    fn wait_on_callers(&mut self, func: FuncId, waiter: CallWaiter) {
+        let cp = self.cp();
+        let goal = waiter.goal();
+        self.note_indirect(goal);
+        let sites = cp.indirect_callsites();
+        let (fresh, known) = self.calls(|t| {
+            let fresh: Vec<CallSiteId> = sites
+                .iter()
+                .copied()
+                .filter(|&cs| waiter.uses(cp.callsite(cs)) && t.arm(cs))
+                .collect();
+            (fresh, t.register(func, waiter))
+        });
+        for site in fresh {
+            let fp = fp_of(cp.callsite(site));
+            self.subscribe(Goal::Pts(fp), Watcher::Dispatch { fp, site });
+        }
+        for &cs in sites {
+            let site = cp.callsite(cs);
+            if waiter.uses(site) {
+                self.note_dep(goal, Goal::Pts(fp_of(site)));
+            }
+        }
+        for site in known {
+            self.wire(func, site, waiter);
+        }
+    }
+
+    /// Wires the call edge `site → func` for one waiter: the argument
+    /// flows into the formal, or the result destination joins the `ptb`
+    /// goal, whose fact records the premise `@fn func ∈ pts(fp)`.
+    fn wire(&mut self, func: FuncId, site: CallSiteId, waiter: CallWaiter) {
+        let cp = self.cp();
+        let call = cp.callsite(site);
+        match waiter {
+            CallWaiter::Param { formal, pos } => {
+                if let Some(Some(a)) = call.args.get(pos as usize) {
+                    self.subscribe(Goal::Pts(*a), Watcher::CopyTo { dst: formal });
+                }
+            }
+            CallWaiter::Ret { obj } => {
+                if let Some(d) = call.ret_dst {
+                    let fp = fp_of(call);
+                    let origin = Origin::Rule {
+                        watcher: Watcher::Dispatch { fp, site },
+                        src: Goal::Pts(fp),
+                        elem: cp.func(func).object.as_u32(),
+                    };
+                    self.add(Goal::Ptb(obj), d.as_u32(), origin);
                 }
             }
         }

@@ -69,7 +69,7 @@ use crate::config::{DemandConfig, SchedPolicy};
 use crate::engine::Memo;
 use crate::goal::{Goal, GoalState, ListSet, Watcher};
 use crate::pool::StealQueue;
-use crate::rules::Deduce;
+use crate::rules::{CallEdges, Deduce};
 use crate::trace::Origin;
 
 /// The slot addressing a goal's frame: `pts(n) → 2n`, `ptb(n) → 2n+1`.
@@ -127,7 +127,7 @@ pub struct SchedStats {
     /// Flight-recorder events emitted by this worker.
     pub flight_events: u64,
     /// Firings per [`Watcher`] variant, by [`Watcher::kind_index`].
-    pub fires_by_kind: [u64; 12],
+    pub fires_by_kind: [u64; Watcher::KINDS],
 }
 
 impl SchedStats {
@@ -204,6 +204,10 @@ struct Core<'p> {
     wake: Condvar,
     flight: Option<Arc<FlightRecorder>>,
     obs: Obs,
+    /// The solve's call-edge table ([`crate::rules`]). Workers register
+    /// and record under its lock and subscribe outside it, so it is
+    /// never held together with a frame lock.
+    calls: Mutex<CallEdges>,
 }
 
 impl<'p> Core<'p> {
@@ -485,10 +489,7 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
         let slot = slot_of(goal);
         // Record the consumer → producer dependency edge before touching
         // the producer frame (one frame lock at a time, never two).
-        let consumer = slot_of(watcher.consumer());
-        if consumer != slot {
-            self.core.lock(consumer).state.deps.insert(goal);
-        }
+        self.note_dep(watcher.consumer(), goal);
         let mut f = self.lock_active(slot);
         // A CopyTo into the subscribed goal itself (`p = p`) is the
         // identity — suppress it, mirroring the sequential engine.
@@ -511,6 +512,17 @@ impl<'p> Deduce<'p> for WorkerCtx<'_, 'p> {
     fn note_indirect(&mut self, goal: Goal) {
         let mut f = self.core.lock(slot_of(goal));
         f.state.reads_indirect = true;
+    }
+
+    fn note_dep(&mut self, consumer: Goal, producer: Goal) {
+        let slot = slot_of(consumer);
+        if slot != slot_of(producer) {
+            self.core.lock(slot).state.deps.insert(producer);
+        }
+    }
+
+    fn calls<R>(&mut self, op: impl FnOnce(&mut CallEdges) -> R) -> R {
+        op(&mut self.core.calls.lock().expect("call-edge table poisoned"))
     }
 }
 
@@ -569,6 +581,7 @@ impl<'p> Scheduler<'p> {
             wake: Condvar::new(),
             flight: self.flight.clone(),
             obs: self.obs.clone(),
+            calls: Mutex::default(),
         };
         let root = slot_of(goal);
         // Bootstrap from the driver: activate the root (which may answer

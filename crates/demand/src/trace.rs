@@ -132,15 +132,12 @@ pub fn describe_watcher(watcher: &Watcher, cp: &ConstraintProgram) -> String {
         Watcher::CopyTo { dst } => format!("[COPY→{}]", cp.display_node(*dst)),
         Watcher::LoadDst { dst } => format!("[LOAD→{}]", cp.display_node(*dst)),
         Watcher::StoreInto { obj } => format!("[STORE→{}]", cp.display_node(*obj)),
-        Watcher::CallFormal { formal, .. } => {
-            format!("[PARAM→{}]", cp.display_node(*formal))
-        }
+        Watcher::Dispatch { fp, .. } => format!("[CALL {}]", cp.display_node(*fp)),
         Watcher::CallRet { dst } => format!("[RET→{}]", cp.display_node(*dst)),
         Watcher::FwdProp { obj } => format!("[PTB-FWD {}]", cp.display_node(*obj)),
         Watcher::StoreSpread { obj } => format!("[PTB-STORE {}]", cp.display_node(*obj)),
         Watcher::LoadSpread { obj } => format!("[PTB-LOAD {}]", cp.display_node(*obj)),
         Watcher::ArgSpread { obj, .. } => format!("[PTB-ARG {}]", cp.display_node(*obj)),
-        Watcher::RetSpread { obj, .. } => format!("[PTB-RET {}]", cp.display_node(*obj)),
         Watcher::FieldOf { dst, field } => {
             format!("[FIELD .f{field}→{}]", cp.display_node(*dst))
         }

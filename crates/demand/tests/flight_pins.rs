@@ -7,6 +7,11 @@
 //! drift here means an event was lost, reordered or stamped with another
 //! `seq`, or that another firing was sampled.
 //!
+//! The MiniC rows were re-recorded when a per-engine call-edge table
+//! replaced the per-goal watchers on every indirect site's `pts(fp)`:
+//! fewer firings and subscriptions mean fewer `fire` and `blocked`
+//! events. The cyclic rows, whose program has no calls, did not move.
+//!
 //! Each script mixes a budgeted query that resumes, cycle merges, memo
 //! hits, one parallel query between sequential ones, an incremental edit
 //! and, on an engine restored from the first one's export, hits on
@@ -201,27 +206,27 @@ const MINIC: [Row; 17] = [
     (
         [44, 0, 12],
         [18, 24, 1, 0, 0, 0, 1, 0, 0, 0],
-        4430344958032940249,
+        13669914597890675893,
     ),
     (
-        [908, 0, 1209],
-        [179, 520, 0, 182, 0, 8, 19, 0, 0, 0],
-        6097826937631880277,
+        [676, 0, 964],
+        [179, 292, 0, 182, 0, 8, 15, 0, 0, 0],
+        2768375052378981645,
     ),
     (
-        [334, 0, 538],
-        [56, 214, 0, 56, 0, 0, 8, 0, 0, 0],
-        5773836208972759993,
+        [212, 0, 418],
+        [56, 94, 0, 56, 0, 0, 6, 0, 0, 0],
+        8974895329638403578,
     ),
     (
-        [166, 0, 320],
-        [1, 159, 0, 1, 0, 0, 5, 0, 0, 0],
-        7350244147699706847,
+        [44, 0, 200],
+        [1, 39, 0, 1, 0, 0, 3, 0, 0, 0],
+        11821706364527778089,
     ),
     (
-        [173, 0, 321],
-        [42, 86, 0, 38, 0, 2, 5, 0, 0, 0],
-        15867109041110518577,
+        [161, 0, 309],
+        [42, 74, 0, 38, 0, 2, 5, 0, 0, 0],
+        13577921573316830886,
     ),
     (
         [1, 0, 0],
@@ -234,9 +239,9 @@ const MINIC: [Row; 17] = [
         13303203095494000116,
     ),
     (
-        [198, 0, 347],
-        [3, 187, 0, 3, 0, 0, 5, 0, 0, 0],
-        3473036161790789346,
+        [52, 0, 203],
+        [3, 43, 0, 3, 0, 0, 3, 0, 0, 0],
+        16523225006165840779,
     ),
     (
         [5, 0, 128],
@@ -269,9 +274,9 @@ const MINIC: [Row; 17] = [
         10357951950492518235,
     ),
     (
-        [294, 0, 475],
-        [49, 188, 0, 4, 45, 0, 8, 0, 0, 0],
-        2400178471088381819,
+        [160, 0, 343],
+        [49, 56, 0, 4, 45, 0, 6, 0, 0, 0],
+        9746340082386661136,
     ),
     (
         [3, 0, 0],

@@ -15,7 +15,10 @@ use ddpa_demand::{DemandConfig, DemandEngine};
 /// One appended constraint: `(kind, a, b)` over var indices, where kind
 /// 0 → a=&b, 1 → a=b, 2 → a=*b, 3 → *a=b, 4 → introduce a fresh var `w`
 /// with `w = a` and `a = &w` (touches the id frontier), 5 → seed an
-/// extra function pointer `a = &fK` (dirties indirect-call consumers).
+/// extra function pointer `a = &fK` (dirties indirect-call consumers),
+/// 6 → append an indirect call `a(b)` with no result, 7 → append an
+/// indirect call `a(b)` whose result flows into the var after `b` (both
+/// change the indirect-callsite list).
 type Edit = (u8, usize, usize);
 
 /// A generatable base program plus an edit script. Every generation `g`
@@ -204,9 +207,16 @@ fn build_gen(spec: &Scripted, upto: usize) -> ConstraintProgram {
                 b.copy(w, x);
                 b.addr_of(x, w);
             }
-            _ => {
+            5 => {
                 let obj = b.func_info(funcs[bi % funcs.len()]).object;
                 b.addr_of(x, obj);
+            }
+            6 => {
+                b.call_indirect(x, vec![Some(y)], None);
+            }
+            _ => {
+                let dst = vars[(bi + 1) % spec.num_vars];
+                b.call_indirect(x, vec![Some(y)], Some(dst));
             }
         }
     }
@@ -373,4 +383,45 @@ fn staged_survivors_answer_for_the_new_program() {
         "some pre-edit fixpoints were served from the staged entries"
     );
     assert!(rederived_work > 0, "dirtied entries were re-derived");
+}
+
+/// Edits that append an indirect call site, with and without a result
+/// destination, to a warmed engine: each changes the indirect-callsite
+/// list, so every goal that waited on indirect callers is dirtied and the
+/// engine's call-edge table is rebuilt with its memo table. Answers stay
+/// equal to the oracle at every generation, and survivors stay warm.
+#[test]
+fn edits_appending_indirect_calls_stay_exact() {
+    let mut rng = Rng::seed_from_u64(0x1ec_0003);
+    let (mut appended, mut retained_total) = (0usize, 0usize);
+    for case in 0..48 {
+        let mut spec = random_scripted(&mut rng);
+        // At least one unary function and one pointer to it, so call
+        // sites have a callee to discover.
+        spec.funcs.push(1);
+        spec.fp_seeds.push(rng.gen_range(0..spec.num_vars));
+        spec.edits = (0..rng.gen_range(2..5usize))
+            .map(|i| {
+                // Every other edit appends a call site; the rest move
+                // points-to sets the existing sites read.
+                let kind = if i % 2 == 0 {
+                    rng.gen_range(6..8u8)
+                } else {
+                    rng.gen_range(0..6u8)
+                };
+                (
+                    kind,
+                    rng.gen_range(0..spec.num_vars),
+                    rng.gen_range(0..spec.num_vars.max(spec.funcs.len())),
+                )
+            })
+            .collect();
+        appended += spec.edits.iter().filter(|e| e.0 >= 6).count();
+        for (incremental, retained) in check_script(&spec, case) {
+            assert!(incremental, "case {case}: appends stay incremental");
+            retained_total += retained;
+        }
+    }
+    assert!(appended >= 48, "every script appends a call site");
+    assert!(retained_total > 0, "goals that read no call survive");
 }

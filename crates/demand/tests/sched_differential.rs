@@ -10,7 +10,9 @@
 
 use ddpa_constraints::{ConstraintBuilder, ConstraintProgram, NodeId};
 use ddpa_demand::{DemandConfig, DemandEngine, SchedPolicy};
-use ddpa_gen::{generate_cyclic, generate_wide, CyclicConfig, WideConfig};
+use ddpa_gen::{
+    generate_cyclic, generate_minic, generate_wide, CyclicConfig, MiniCConfig, WideConfig,
+};
 use ddpa_support::rng::Rng;
 
 const CASES: usize = 128;
@@ -262,5 +264,53 @@ fn parallel_work_equals_sequential_on_fresh_tables() {
                 "seed {seed}: duplicated or skipped deduction at {workers} workers"
             );
         }
+    }
+    // Servebench-sized MiniC: both evaluators discover indirect call
+    // edges through their own call-edge table, in whatever order their
+    // firings reach it, and every edge is wired once either way. `pts`
+    // of dereferenced pointers exercises `[PARAM]`'s formal waiters,
+    // `ptb` of address-taken objects rule (e)'s return waiters. The
+    // sequential engine runs without cycle collapsing, which the frame
+    // scheduler does not do.
+    for seed in 1..=3u64 {
+        let cp = ddpa_constraints::lower(&generate_minic(&MiniCConfig::sized(seed, 240)))
+            .expect("generated MiniC lowers");
+        let mut goals: Vec<(bool, NodeId)> = cp
+            .loads()
+            .iter()
+            .map(|l| l.ptr)
+            .chain(cp.stores().iter().map(|s| s.ptr))
+            .step_by(40)
+            .map(|n| (true, n))
+            .collect();
+        goals.extend(
+            cp.node_ids()
+                .filter(|&n| cp.is_address_taken(n))
+                .step_by(40)
+                .map(|n| (false, n)),
+        );
+        let (mut work, mut calls) = (0, 0);
+        for (pts, n) in goals {
+            let ask = |config: DemandConfig| {
+                let mut engine = DemandEngine::new(&cp, config);
+                let result = if pts {
+                    engine.points_to(n)
+                } else {
+                    engine.pointed_to_by(n)
+                };
+                (result, engine.obs().counter("demand.fires.dispatch").get())
+            };
+            let (want, _) = ask(DemandConfig::default().without_cycle_collapsing());
+            let (got, dispatched) = ask(DemandConfig::default().with_workers(2));
+            let what = format!("seed {seed}: {} of {}", ["ptb", "pts"][pts as usize], n);
+            assert_eq!(got.pts, want.pts, "{what}: answers at 2 workers");
+            assert_eq!(got.work, want.work, "{what}: work at 2 workers");
+            work += got.work;
+            calls += dispatched;
+        }
+        assert!(
+            work > 0 && calls > 0,
+            "seed {seed}: the queries reach calls"
+        );
     }
 }

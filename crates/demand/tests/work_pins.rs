@@ -7,6 +7,13 @@
 //! the per-fire counters) was rewritten for speed. Bookkeeping must never
 //! change a deduction step, so any drift here means a watcher fired in a
 //! different order or a different number of times.
+//!
+//! Every MiniC literal (the only programs here with indirect calls) was
+//! re-recorded when a per-engine call-edge table replaced the per-goal
+//! watchers on every indirect site's `pts(fp)`. That change fires fewer
+//! watchers by design, and moves SCC passes and collapses with the fire
+//! ticks; activations, merged goals, cache hits and the scheduler's
+//! answer digests stayed as they were.
 
 use ddpa_constraints::{ConstraintProgram, NodeId};
 use ddpa_demand::goal::Goal;
@@ -64,7 +71,7 @@ fn random() -> ConstraintProgram {
 #[test]
 fn minic_pins() {
     let got = run_list(&minic(), DemandConfig::default(), 3);
-    assert_eq!(got, [7037, 6255, 782, 107, 19, 37, 615]);
+    assert_eq!(got, [5834, 5052, 782, 94, 19, 37, 615]);
 }
 
 #[test]
@@ -149,21 +156,21 @@ fn run_list_resumed(cp: &ConstraintProgram, config: DemandConfig, stride: usize)
 #[test]
 fn minic_large_pins() {
     let got = run_list(&minic_large(), DemandConfig::default(), 7);
-    assert_eq!(got, [468162, 463021, 5141, 905, 142, 362, 2263]);
+    assert_eq!(got, [178192, 173051, 5141, 735, 129, 362, 2263]);
 }
 
 #[test]
 fn minic_large_budgeted_resume_pins() {
     let config = DemandConfig::default().with_budget(64);
     let got = run_list_resumed(&minic_large(), config, 7);
-    assert_eq!(got, ([464839, 459698, 5141, 991, 142, 362, 2263], 7136));
+    assert_eq!(got, ([174935, 169794, 5141, 833, 128, 362, 2263], 2605));
 }
 
 #[test]
 fn minic_large_collapse_off_pins() {
     let config = DemandConfig::default().without_cycle_collapsing();
     let got = run_list(&minic_large(), config, 7);
-    assert_eq!(got, [509615, 504474, 5141, 0, 0, 0, 2263]);
+    assert_eq!(got, [219801, 214660, 5141, 0, 0, 0, 2263]);
 }
 
 // ---------------------------------------------------------------------
@@ -260,14 +267,14 @@ fn sched_minic_one_worker_pins() {
     assert_eq!(
         dfs,
         (
-            [24059, 20676, 3383, 11239, 9779, 7958],
+            [18863, 15480, 3383, 9533, 8069, 6248],
             (902, 7191550452860465799)
         )
     );
     assert_eq!(
         bfs,
         (
-            [24059, 20676, 3383, 6555, 5095, 3274],
+            [18863, 15480, 3383, 6205, 4741, 2920],
             (902, 7191550452860465799)
         )
     );
@@ -287,7 +294,7 @@ fn sched_two_worker_pins() {
             (306, 15752293990120923685),
             "wide {policy:?}"
         );
-        assert_eq!([m[0], m[1], m[2]], [24059, 20676, 3383], "minic {policy:?}");
+        assert_eq!([m[0], m[1], m[2]], [18863, 15480, 3383], "minic {policy:?}");
         assert_eq!(
             (mlen, mdigest),
             (902, 7191550452860465799),
@@ -313,4 +320,55 @@ fn cyclic_large_pins() {
     let cp = generate_cyclic(&CyclicConfig::sized(1, 28));
     let got = run_list(&cp, DemandConfig::default(), 7);
     assert_eq!(got, [688907, 685059, 3848, 1331, 28, 3108, 1684]);
+}
+
+// ---------------------------------------------------------------------
+// Export pins
+//
+// Recorded with per-goal watchers on every indirect site's `pts(fp)`,
+// and unchanged by the call-edge table that replaced them: a goal that
+// reads call edges through the table records a dependency on the same
+// `pts(fp)` goals it subscribed to before, so every exported fixpoint
+// carries the same elements, support, deps and indirect bit. Collapse
+// is off, so families cannot form differently.
+// ---------------------------------------------------------------------
+
+/// `(entries, Σ elems, Σ support, Σ deps, reads_indirect)` of the export
+/// after [`run_list`]'s queries, and an FNV-1a digest of every entry.
+fn export_pins(cp: &ConstraintProgram, stride: usize) -> ([usize; 5], u64) {
+    let mut engine = DemandEngine::new(cp, DemandConfig::default().without_cycle_collapsing());
+    for n in cp.node_ids().step_by(stride) {
+        assert!(engine.points_to(n).complete);
+        assert!(engine.pointed_to_by(n).complete);
+    }
+    let mut counts = [0usize; 5];
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| digest = (digest ^ word).wrapping_mul(0x100_0000_01b3);
+    let export = engine.export_completed();
+    for (goal, entry) in &export {
+        let (tag, node) = goal.canonical_key();
+        mix(u64::from(tag) << 32 | u64::from(node));
+        entry.elems.iter().for_each(|&e| mix(u64::from(e)));
+        entry.support.iter().for_each(|&n| mix(u64::from(n)));
+        for dep in &entry.deps {
+            let (tag, node) = dep.canonical_key();
+            mix(u64::from(tag) << 32 | u64::from(node));
+        }
+        mix(u64::from(entry.reads_indirect));
+        counts[1] += entry.elems.len();
+        counts[2] += entry.support.len();
+        counts[3] += entry.deps.len();
+        counts[4] += usize::from(entry.reads_indirect);
+    }
+    counts[0] = export.len();
+    (counts, digest)
+}
+
+#[test]
+fn minic_large_export_pins() {
+    let got = export_pins(&minic_large(), 5);
+    assert_eq!(
+        got,
+        ([5771, 167976, 93331, 32942, 379], 17348866258494843724)
+    );
 }

@@ -896,18 +896,14 @@ mod tests {
 
     #[test]
     fn a_deadline_does_not_split_a_query() {
-        // Serve every dereferenced pointer of a MiniC program under a
-        // far deadline and with none: some queries cost more than a
-        // stride of work between clock reads.
-        let ast = ddpa_gen::generate_minic(&ddpa_gen::MiniCConfig::sized(1, 240));
-        let text = ddpa_ir::pretty(&ast);
-        let mut timed = Session::open(&text, true, None).expect("valid MiniC");
-        let mut plain = Session::open(&text, true, None).expect("valid MiniC");
-        let cp = timed.program();
-        let mut ptrs: Vec<NodeId> = cp.loads().iter().map(|l| l.ptr).collect();
-        ptrs.extend(cp.stores().iter().map(|s| s.ptr));
-        ptrs.sort_unstable();
-        ptrs.dedup();
+        // Serve every node of a cycle-dominated program under a far
+        // deadline and with none: the first queries into its chained
+        // copy rings cost more than a stride of work between clock reads.
+        let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(1, 24));
+        let text = ddpa_constraints::print_constraints(&cp);
+        let mut timed = Session::open(&text, false, None).expect("valid constraints");
+        let mut plain = Session::open(&text, false, None).expect("valid constraints");
+        let ptrs: Vec<NodeId> = timed.program().node_ids().collect();
         let deadline = Instant::now() + std::time::Duration::from_secs(3600);
         let mut longest = 0;
         for ptr in ptrs {
