@@ -293,6 +293,19 @@ fn load_program(path: &str, minic: Option<bool>) -> Result<ConstraintProgram, Cl
     }
 }
 
+/// Loads `path` in canonical form ([`ddpa::constraints::canonicalize`]):
+/// the program a snapshot's node ids index, and the text it is stamped
+/// with. Canonical form is what a server session runs on, so snapshots
+/// written here and by the server restore interchangeably, and a MiniC
+/// input restores interchangeably with its `ddpa dump`.
+fn load_canonical(
+    path: &str,
+    minic: Option<bool>,
+) -> Result<(ConstraintProgram, String), CliError> {
+    let cp = load_program(path, minic)?;
+    ddpa::constraints::canonicalize(cp, None).map_err(|e| err(format!("{path}: {e}")))
+}
+
 fn find_node(cp: &ConstraintProgram, name: &str) -> Result<NodeId, CliError> {
     cp.node_ids()
         .find(|&n| cp.display_node(n) == name)
@@ -607,10 +620,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .out
                 .as_deref()
                 .ok_or_else(|| err("snapshot needs --out <path>"))?;
-            let cp = load_program(path, opts.minic)?;
-            // The snapshot binds to the canonical constraint text, so a
-            // MiniC input and its `ddpa dump` restore interchangeably.
-            let source = ddpa::constraints::print_constraints(&cp);
+            let (cp, source) = load_canonical(path, opts.minic)?;
             let config = DemandConfig {
                 budget: opts.budget,
                 ..DemandConfig::default()
@@ -645,8 +655,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .positional
                 .get(1)
                 .ok_or_else(|| err("restore needs <file> <snap> [names...]"))?;
-            let cp = load_program(path, opts.minic)?;
-            let source = ddpa::constraints::print_constraints(&cp);
+            let (cp, source) = load_canonical(path, opts.minic)?;
             let snapshot = ddpa::snap::read_file(snap_path)
                 .map_err(|e| err(format!("cannot restore `{snap_path}`: {e}")))?;
             snapshot
@@ -1618,6 +1627,103 @@ mod tests {
             .expect("server thread")
             .expect("clean shutdown");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshots_cross_between_cli_and_server_and_answer_like_a_cold_engine() {
+        // Lowering numbers list.mc's nodes differently from the parse of
+        // its printout, so each side must stamp and read the same ids.
+        let mc = write_temp("t28-list.mc", include_str!("../../../samples/list.mc"));
+        let m = mc.to_str().expect("utf8 path");
+        let cp = load_program(m, None).expect("compiles");
+        let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+        let (mut names, mut expected) = (Vec::new(), Vec::new());
+        for n in cp.node_ids() {
+            let mut set: Vec<String> = cold
+                .points_to(n)
+                .pts
+                .iter()
+                .map(|&t| cp.display_node(t))
+                .collect();
+            set.sort();
+            names.push(cp.display_node(n));
+            expected.push(set);
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        // `pts(name) = {a, b}  [work N]` lines, as sorted sets.
+        let restored = |out: &str| -> Vec<Vec<String>> {
+            let sets = out.lines().filter_map(|l| l.split_once(" = {"));
+            sets.map(|(_, rest)| {
+                let (set, _) = rest.rsplit_once('}').expect("closing brace");
+                let mut set: Vec<String> = set.split(", ").map(str::to_owned).collect();
+                set.retain(|n| !n.is_empty());
+                set.sort();
+                set
+            })
+            .collect()
+        };
+        // A batch response's `pts` arrays, as sorted sets.
+        let served = |out: &str| -> Vec<Vec<String>> {
+            let v = ddpa::obs::parse_json(out.trim()).expect("one response line");
+            let results = v.get("results").and_then(JsonValue::as_array);
+            let results = results.expect("results");
+            results
+                .iter()
+                .map(|r| {
+                    let pts = r.get("pts").and_then(JsonValue::as_array).expect("pts");
+                    let mut set: Vec<String> = pts
+                        .iter()
+                        .map(|n| n.as_str().expect("name").to_owned())
+                        .collect();
+                    set.sort();
+                    set
+                })
+                .collect()
+        };
+        let (addr, server) = start_serve("t28");
+        let client = |args: &[&str]| {
+            let mut all = vec!["client", "--addr", &addr];
+            all.extend_from_slice(args);
+            run_to_string(&all).expect("client request")
+        };
+        let query = |session: &str| {
+            let mut args = vec!["query", session];
+            args.extend_from_slice(&names);
+            client(&args)
+        };
+
+        // CLI snapshot, restored into a served session.
+        let a = std::env::temp_dir().join("ddpa-cli-tests/t28-cli.snap");
+        let a = a.to_str().expect("utf8 path");
+        run_to_string(&["snapshot", m, "--out", a]).expect("cli snapshot");
+        client(&["open", "s", m]);
+        let out = client(&["restore", "s", a]);
+        assert!(!out.contains("\"installed\":0,"), "got: {out}");
+        assert_eq!(served(&query("s")), expected, "cli snapshot, served");
+
+        // CLI snapshot, restored by the CLI against the file's dump.
+        let dump = write_temp("t28-dump.cons", &run_to_string(&["dump", m]).expect("dump"));
+        let mut args = vec!["restore", dump.to_str().expect("utf8 path"), a];
+        args.extend_from_slice(&names);
+        let out = run_to_string(&args).expect("restore against the dump");
+        assert_eq!(restored(&out), expected, "cli snapshot, dump: {out}");
+
+        // Server snapshot of a cold session, restored by the CLI.
+        let c = std::env::temp_dir().join("ddpa-cli-tests/t28-served.snap");
+        let c = c.to_str().expect("utf8 path");
+        client(&["open", "t", m]);
+        assert_eq!(served(&query("t")), expected, "cold served session");
+        client(&["snapshot", "t", "--out", c]);
+        let mut args = vec!["restore", m, c];
+        args.extend_from_slice(&names);
+        let out = run_to_string(&args).expect("restore a served snapshot");
+        assert_eq!(restored(&out), expected, "served snapshot, cli: {out}");
+
+        client(&["shutdown"]);
+        server
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
     }
 
     #[test]

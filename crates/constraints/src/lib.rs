@@ -56,5 +56,6 @@ pub use model::{CallSite, CallSiteId, CalleeRef, FuncId, FuncInfo, NodeId, NodeI
 pub use program::{AddrOf, Assign, ConstraintBuilder, ConstraintProgram, FieldAddr, Load, Store};
 pub use stats::ProgramStats;
 pub use text::{
-    append_constraints, has_declarations, parse_constraints, print_constraints, TextError,
+    append_constraints, canonicalize, has_declarations, parse_constraints, print_constraints,
+    TextError,
 };

@@ -632,6 +632,46 @@ pub fn print_constraints(cp: &ConstraintProgram) -> String {
     out
 }
 
+/// The canonical form of `cp`: its printout, and the program parsed back
+/// from that printout.
+///
+/// Node ids follow first appearance in the text, and the printer groups
+/// constraints by kind, so a program lowered from MiniC, or parsed from
+/// text in another order, numbers its nodes differently from the parse of
+/// its own printout. Whatever binds node ids to the printed text — a
+/// snapshot, a session that appends edits to it — must run on the
+/// canonical program. `parsed_from` is the constraint text `cp` was
+/// parsed from, if any: when that text already is its own printout, `cp`
+/// is returned as it is, without a second parse.
+///
+/// # Errors
+///
+/// Returns [`TextError`] if the printout does not parse back.
+///
+/// # Examples
+///
+/// ```
+/// use ddpa_constraints::{canonicalize, parse_constraints, NodeId};
+///
+/// // `q` appears first here, but the printer puts `p = &o` first.
+/// let text = "q = p\np = &o\n";
+/// let (cp, source) = canonicalize(parse_constraints(text)?, Some(text))?;
+/// assert_eq!(cp.display_node(NodeId::from_u32(0)), "p");
+/// assert_eq!(canonicalize(cp, Some(&source))?.1, source);
+/// # Ok::<(), ddpa_constraints::TextError>(())
+/// ```
+pub fn canonicalize(
+    cp: ConstraintProgram,
+    parsed_from: Option<&str>,
+) -> Result<(ConstraintProgram, String), TextError> {
+    let source = print_constraints(&cp);
+    if parsed_from == Some(source.as_str()) {
+        return Ok((cp, source));
+    }
+    drop(cp);
+    Ok((parse_constraints(&source)?, source))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,6 +63,24 @@ pub struct GoalProfile {
     pub watchers: usize,
 }
 
+impl GoalProfile {
+    /// The profile as a JSON object, with the goal's name resolved against
+    /// `cp` (the `inspect` op's `hottest` entries).
+    pub fn to_json(&self, cp: &ConstraintProgram) -> JsonValue {
+        JsonValue::Object(vec![
+            (
+                "goal".to_owned(),
+                JsonValue::str(display_goal(cp, self.goal)),
+            ),
+            ("work".to_owned(), JsonValue::U64(self.work)),
+            ("fires".to_owned(), JsonValue::U64(self.fires)),
+            ("complete".to_owned(), JsonValue::Bool(self.complete)),
+            ("elems".to_owned(), JsonValue::U64(self.elems as u64)),
+            ("watchers".to_owned(), JsonValue::U64(self.watchers as u64)),
+        ])
+    }
+}
+
 /// One node of the exported goal graph.
 #[derive(Clone, Copy, Debug)]
 pub struct GoalGraphNode {

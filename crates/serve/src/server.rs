@@ -23,6 +23,7 @@
 //!   — the accept loop is woken by a self-connection, connection threads
 //!   notice within one read-timeout tick, and all threads are joined.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -33,13 +34,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ddpa_demand::{EngineStats, SchedPolicy, TraceReport};
-use ddpa_obs::{quote_into, Counter, Histogram, JsonValue, JsonlSink, Obs};
+use ddpa_demand::{SchedPolicy, TraceReport};
+use ddpa_obs::{quote_into, Counter, Histogram, JsonValue, JsonlSink, Obs, SpanGuard};
 
 use crate::proto::{
-    error_response, ok_response, parse_request, ErrorCode, GraphFormat, ProtoError, Request,
+    error_response, ok_response, parse_request, ErrorCode, GraphFormat, ProtoError, QuerySpec,
+    Request,
 };
-use crate::session::{IdAnswer, NameTable, ResolvedSpec, Session};
+use crate::session::{IdAnswer, NameTable, RestoreStats, Session};
 
 /// How often blocked reads wake up to check the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
@@ -114,7 +116,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Pre-resolved counter handles for the hot request path.
+/// Pre-resolved counter and latency-histogram handles for the hot
+/// request path. Histograms are in microseconds and registered by name,
+/// so `--metrics-out` exports them as `hist` lines.
 struct ServerCounters {
     requests: Counter,
     errors: Counter,
@@ -146,6 +150,12 @@ struct ServerCounters {
     /// Parallelism-requesting queries the sequential engine served
     /// (budgeted, deadline-expired, single-worker, or cache hit).
     sched_fallbacks: Counter,
+    /// Every dispatched request, wall time through `dispatch`.
+    request_us: Histogram,
+    /// `query` requests only.
+    query_us: Histogram,
+    /// `batch` requests only (whole batch, not per element).
+    batch_us: Histogram,
 }
 
 impl ServerCounters {
@@ -169,24 +179,6 @@ impl ServerCounters {
             dirty_retained: obs.counter("demand.dirty.retained"),
             dirty_edges: obs.counter("demand.dirty.edges"),
             sched_fallbacks: obs.counter("server.sched.fallbacks"),
-        }
-    }
-}
-
-/// Pre-resolved latency histograms (microseconds) for the request path.
-/// Registered by name, so `--metrics-out` exports them as `hist` lines.
-struct ServerHists {
-    /// Every dispatched request, wall time through `dispatch`.
-    request_us: Histogram,
-    /// `query` requests only.
-    query_us: Histogram,
-    /// `batch` requests only (whole batch, not per element).
-    batch_us: Histogram,
-}
-
-impl ServerHists {
-    fn new(obs: &Obs) -> Self {
-        ServerHists {
             request_us: obs.histogram("server.latency.request_us"),
             query_us: obs.histogram("server.latency.query_us"),
             batch_us: obs.histogram("server.latency.batch_us"),
@@ -228,7 +220,6 @@ struct ServerState {
     config: ServeConfig,
     obs: Obs,
     counters: ServerCounters,
-    hists: ServerHists,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
@@ -319,7 +310,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let counters = ServerCounters::new(&obs);
-        let hists = ServerHists::new(&obs);
         let access = match &config.access_log {
             Some(path) => {
                 let file = std::fs::OpenOptions::new()
@@ -333,7 +323,6 @@ impl Server {
         let state = Arc::new(ServerState {
             config,
             counters,
-            hists,
             obs,
             sessions: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -513,11 +502,7 @@ fn commit_session_snapshot(
 /// are counted (`server.errors`) but never fatal: the next tick retries.
 /// Stale discards (an edit raced the export) are not failures.
 fn snapshot_all_sessions(state: &ServerState) {
-    let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
-        .iter()
-        .map(|(name, session)| (name.clone(), Arc::clone(session)))
-        .collect();
-    for (name, handle) in sessions {
+    for (name, handle) in live_sessions(state) {
         if let Some(path) = default_snapshot_path(state, &name) {
             if write_session_snapshot(state, &handle, &path).is_err() {
                 state.counters.errors.inc();
@@ -605,16 +590,17 @@ fn read_frame(
                 // reports Oversized) or the socket ran dry mid-line and
                 // the next read continues the frame.
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if waiting(&e) => continue,
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Whether a read error only means no bytes have arrived yet: the
+/// read-timeout tick, or a signal.
+fn waiting(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind as K;
+    matches!(e.kind(), K::WouldBlock | K::TimedOut | K::Interrupted)
 }
 
 /// Discards bytes until the next newline so an oversized frame does not
@@ -635,13 +621,7 @@ fn resync_to_newline(
                 Some(pos) => (pos + 1, true),
                 None => (bytes.len(), false),
             },
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if waiting(&e) => continue,
             Err(e) => return Err(e),
         };
         let (n, found_newline) = step;
@@ -652,12 +632,6 @@ fn resync_to_newline(
     }
 }
 
-/// Whether the connection should stay open after a response.
-enum After {
-    Continue,
-    Close,
-}
-
 fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -665,16 +639,15 @@ fn handle_connection(state: &ServerState, stream: TcpStream) -> std::io::Result<
     loop {
         match read_frame(&mut reader, state.config.max_line_bytes, state)? {
             Frame::Line(bytes) => {
-                let (response, after) = match String::from_utf8(bytes) {
+                let response = match String::from_utf8(bytes) {
                     Ok(line) if line.trim().is_empty() => continue,
                     Ok(line) => handle_line(state, &line),
-                    Err(_) => (
-                        fail(state, ErrorCode::BadJson, "request line is not UTF-8"),
-                        After::Continue,
-                    ),
+                    Err(_) => fail(state, ErrorCode::BadJson, "request line is not UTF-8"),
                 };
                 write_line(&mut writer, response)?;
-                if matches!(after, After::Close) {
+                // The `shutdown` reply and the shutting-down reply are a
+                // connection's last line.
+                if state.shutting_down() {
                     return Ok(());
                 }
             }
@@ -727,29 +700,22 @@ fn fail(state: &ServerState, code: ErrorCode, message: &str) -> String {
     error_response(code, message).to_string()
 }
 
-/// Handles one request line; returns the response line and whether the
-/// connection should close afterwards.
-fn handle_line(state: &ServerState, line: &str) -> (String, After) {
+/// Handles one request line and returns the response line.
+fn handle_line(state: &ServerState, line: &str) -> String {
     state.counters.requests.inc();
     let _span = state.obs.span("server.request");
 
     if state.shutting_down() {
-        return (
-            fail(state, ErrorCode::ShuttingDown, "server is shutting down"),
-            After::Close,
-        );
+        return fail(state, ErrorCode::ShuttingDown, "server is shutting down");
     }
 
     let value = match ddpa_obs::parse_json(line) {
         Ok(v) => v,
-        Err(e) => return (fail(state, ErrorCode::BadJson, &e), After::Continue),
+        Err(e) => return fail(state, ErrorCode::BadJson, &e),
     };
     let request = match parse_request(&value) {
         Ok(r) => r,
-        Err(e) => {
-            state.counters.errors.inc();
-            return (e.to_line(), After::Continue);
-        }
+        Err(e) => return fail(state, e.code, &e.message),
     };
 
     // Backpressure: bound the number of requests executing at once.
@@ -763,13 +729,10 @@ fn handle_line(state: &ServerState, line: &str) -> (String, After) {
     let _guard = InflightGuard(&state.inflight);
     if slot >= state.config.max_inflight {
         state.counters.busy.inc();
-        return (
-            fail(
-                state,
-                ErrorCode::Busy,
-                "server is saturated; retry after in-flight requests drain",
-            ),
-            After::Continue,
+        return fail(
+            state,
+            ErrorCode::Busy,
+            "server is saturated; retry after in-flight requests drain",
         );
     }
 
@@ -777,29 +740,21 @@ fn handle_line(state: &ServerState, line: &str) -> (String, After) {
     // ID, a latency sample, and (when enabled) an access-log line; traced
     // query/batch requests additionally feed the slow ring.
     let trace_id = state.mint_trace_id();
-    let op_name = request.op();
-    let session_name = request.session().map(str::to_owned);
     let started = Instant::now();
     let mut report: Option<TraceReport> = None;
-    let outcome = dispatch(state, request, &trace_id, &mut report);
+    let outcome = dispatch(state, &request, &trace_id, &mut report);
     let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     observe_request(
         state,
         &trace_id,
-        op_name,
-        session_name.as_deref(),
+        request.op(),
+        request.session(),
         outcome.is_ok(),
         latency_us,
         report.as_ref(),
     );
 
-    match outcome {
-        Ok(reply) => reply,
-        Err(e) => {
-            state.counters.errors.inc();
-            (e.to_line(), After::Continue)
-        }
-    }
+    outcome.unwrap_or_else(|e| fail(state, e.code, &e.message))
 }
 
 /// Milliseconds since the Unix epoch, for access-log timestamps.
@@ -822,10 +777,10 @@ fn observe_request(
     latency_us: u64,
     report: Option<&TraceReport>,
 ) {
-    state.hists.request_us.record(latency_us);
+    state.counters.request_us.record(latency_us);
     match op {
-        "query" => state.hists.query_us.record(latency_us),
-        "batch" => state.hists.batch_us.record(latency_us),
+        "query" => state.counters.query_us.record(latency_us),
+        "batch" => state.counters.batch_us.record(latency_us),
         _ => {}
     }
     let slow = latency_us >= state.config.slow_ms.saturating_mul(1000);
@@ -896,85 +851,43 @@ fn lock_sessions(
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+fn no_session(name: &str) -> ProtoError {
+    ProtoError::new(ErrorCode::NoSession, format!("no session {name:?}"))
+}
+
 fn get_session(state: &ServerState, name: &str) -> Result<Arc<Mutex<Session>>, ProtoError> {
     lock_sessions(state)
         .get(name)
         .cloned()
-        .ok_or_else(|| ProtoError::new(ErrorCode::NoSession, format!("no session {name:?}")))
+        .ok_or_else(|| no_session(name))
+}
+
+/// Opens the `server.request.<op>` span `span` and looks up session
+/// `name`: the first steps of every request on a live session.
+fn session_for(
+    state: &ServerState,
+    span: &str,
+    name: &str,
+) -> Result<(SpanGuard, Arc<Mutex<Session>>), ProtoError> {
+    let span = state.obs.span(span);
+    Ok((span, get_session(state, name)?))
+}
+
+/// Every live session with its name. The map lock is released before
+/// any session is locked: every request looks its session up under the
+/// map lock, so holding it while one session is busy would stall
+/// requests on all the others.
+fn live_sessions(state: &ServerState) -> Vec<(String, Arc<Mutex<Session>>)> {
+    lock_sessions(state)
+        .iter()
+        .map(|(name, session)| (name.clone(), Arc::clone(session)))
+        .collect()
 }
 
 fn lock_session(session: &Arc<Mutex<Session>>) -> std::sync::MutexGuard<'_, Session> {
     session
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Computes the request deadline from the explicit or default timeout.
-fn deadline_for(state: &ServerState, timeout_ms: Option<u64>) -> Option<Instant> {
-    let ms = timeout_ms.unwrap_or(state.config.default_timeout_ms);
-    if ms == 0 {
-        None
-    } else {
-        Some(Instant::now() + Duration::from_millis(ms))
-    }
-}
-
-/// Mirrors a request's per-session engine deltas into the server
-/// registry, so the `--metrics-out` export carries them: restored-entry
-/// and scheduler traffic aggregates across sessions under
-/// `demand.share.*` and `demand.sched.*`, and timeouts bump
-/// `server.timeouts`. Cache hits stay per session, in `stats`'
-/// `sessions.<name>.cache_hits`, so a closed session leaves no metric.
-/// `delta` is the request's [`TraceReport`] delta
-/// ([`EngineStats::delta_since`] around the query call(s)); batch
-/// workers publish into the session engine's registry, so their traffic
-/// is included.
-fn record_query_obs(state: &ServerState, delta: &EngineStats, timeouts: u64) {
-    let share = [
-        ("demand.share.hits", delta.share_hits),
-        ("demand.share.misses", delta.share_misses),
-        ("demand.sched.parked", delta.sched_parked),
-        ("demand.sched.resumed", delta.sched_resumed),
-        ("demand.sched.steals", delta.sched_steals),
-        ("demand.sched.wakeups", delta.sched_wakeups),
-    ];
-    for (name, d) in share {
-        if d > 0 {
-            state.obs.counter(name).add(d);
-        }
-    }
-    if timeouts > 0 {
-        state.counters.timeouts.add(timeouts);
-    }
-}
-
-// Query and batch responses are rendered as text straight from answer
-// ids and the session's pre-escaped name table, after the session lock
-// is released. The bytes match what `ok_response` builds for the same
-// fields; `tests/byte_identity.rs` holds them to it.
-
-/// Starts a query/batch response line: `{"ok":true,"op":..,"session":..`.
-fn response_head(op: &str, session: &str) -> String {
-    let mut line = String::with_capacity(256);
-    line.push_str("{\"ok\":true,\"op\":");
-    quote_into(&mut line, op);
-    line.push_str(",\"session\":");
-    quote_into(&mut line, session);
-    line
-}
-
-/// Closes a query/batch response line: the generation, then `sched` and
-/// `trace` when present.
-fn push_tail(line: &mut String, generation: u64, sched: Option<&str>, trace: Option<&TraceReport>) {
-    let _ = write!(line, ",\"generation\":{generation}");
-    if let Some(sched) = sched {
-        line.push_str(",\"sched\":");
-        quote_into(line, sched);
-    }
-    if let Some(report) = trace {
-        let _ = write!(line, ",\"trace\":{}", report.json());
-    }
-    line.push('}');
 }
 
 /// Appends one answer's result object.
@@ -1031,24 +944,174 @@ fn push_names<'a>(line: &mut String, names: impl Iterator<Item = &'a str> + Clon
     line.push(']');
 }
 
+/// What a `query` or `batch` request asks of its session. A query is a
+/// batch of one whose answer is `result`, not `results`.
+struct Ask<'a> {
+    batch: bool,
+    session: &'a str,
+    specs: &'a [QuerySpec],
+    budget: Option<u64>,
+    timeout_ms: Option<u64>,
+    trace: bool,
+    /// `parallel_query` for a query; a parallel batch answers each query
+    /// as `parallel_query` would, and a plain one inherits the session
+    /// default.
+    parallel: Option<bool>,
+}
+
+/// Answers a `query` or `batch` request and renders its response line.
+/// A batch's unknown names become inline error entries; a query's is the
+/// request's error. Only a query reports `sched`.
+fn answer(
+    state: &ServerState,
+    ask: Ask<'_>,
+    trace_id: &str,
+    report_out: &mut Option<TraceReport>,
+) -> Result<String, ProtoError> {
+    let (op, span) = if ask.batch {
+        ("batch", "server.request.batch")
+    } else {
+        ("query", "server.request.query")
+    };
+    let (_span, handle) = session_for(state, span, ask.session)?;
+    let deadline = match ask.timeout_ms.unwrap_or(state.config.default_timeout_ms) {
+        0 => None,
+        ms => Some(Instant::now() + Duration::from_millis(ms)),
+    };
+    let mut s = lock_session(&handle);
+    let bracket = s.begin_trace(trace_id);
+    let mut one = |spec| {
+        let resolved = s.resolve(spec)?;
+        Ok(s.query_ids(resolved, ask.budget, deadline, ask.parallel))
+    };
+    // A query's single outcome stays on the stack: it allocates no list.
+    let (single, many): ([Result<IdAnswer, ProtoError>; 1], Vec<_>);
+    let outcomes: &[Result<IdAnswer, ProtoError>] = if ask.batch {
+        many = ask.specs.iter().map(one).collect();
+        &many
+    } else {
+        single = [Ok(one(&ask.specs[0])?)];
+        &single
+    };
+    let report = s.finish_trace(bracket);
+    let generation = s.generation();
+    let sched = if ask.batch { None } else { s.last_sched() };
+    let names = s.name_table();
+    drop(s);
+
+    // Mirror the request's engine deltas into the server registry, so the
+    // `--metrics-out` export carries them: restored-entry and scheduler
+    // traffic aggregates across sessions under `demand.share.*` and
+    // `demand.sched.*`. Cache hits stay per session, in `stats`'
+    // `sessions.<name>.cache_hits`, so a closed session leaves no metric.
+    let d = &report.delta;
+    let share = [
+        ("demand.share.hits", d.share_hits),
+        ("demand.share.misses", d.share_misses),
+        ("demand.sched.parked", d.sched_parked),
+        ("demand.sched.resumed", d.sched_resumed),
+        ("demand.sched.steals", d.sched_steals),
+        ("demand.sched.wakeups", d.sched_wakeups),
+    ];
+    for (name, d) in share.into_iter().filter(|&(_, d)| d > 0) {
+        state.obs.counter(name).add(d);
+    }
+    let timeouts = outcomes
+        .iter()
+        .filter(|o| o.as_ref().is_ok_and(IdAnswer::timed_out))
+        .count() as u64;
+    if timeouts > 0 {
+        state.counters.timeouts.add(timeouts);
+    }
+    if ask.batch {
+        state.counters.batch_queries.add(outcomes.len() as u64);
+    }
+    // A query that asked for parallelism reports how it actually ran, so
+    // budget-forced fallbacks are never silent.
+    if sched == Some("sequential-fallback") {
+        state.counters.sched_fallbacks.inc();
+    }
+
+    // The line is rendered as text straight from answer ids and the
+    // session's pre-escaped name table, after the session lock is
+    // released. The bytes match what `ok_response` builds for the same
+    // fields; `tests/byte_identity.rs` holds them to it.
+    let mut line = String::with_capacity(256);
+    let _ = write!(line, "{{\"ok\":true,\"op\":\"{op}\",\"session\":");
+    quote_into(&mut line, ask.session);
+    line.push_str(if ask.batch {
+        ",\"results\":["
+    } else {
+        ",\"result\":"
+    });
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        match outcome {
+            Ok(a) => push_answer(&mut line, a, &names, generation),
+            Err(e) => {
+                let _ = write!(line, "{}", error_response(e.code, &e.message));
+            }
+        }
+    }
+    if ask.batch {
+        line.push(']');
+    }
+    let _ = write!(line, ",\"generation\":{generation}");
+    if let Some(sched) = sched {
+        let _ = write!(line, ",\"sched\":\"{sched}\"");
+    }
+    if ask.trace {
+        let _ = write!(line, ",\"trace\":{}", report.json());
+    }
+    line.push('}');
+    *report_out = Some(report);
+    Ok(line)
+}
+
+/// Reads the snapshot at `path` and stages it in `handle`'s session. The
+/// file is read before the session is locked. A refused snapshot counts
+/// as `snap.reject`; the caller counts the load. Returns what the restore
+/// did, the snapshot's entry count and the session's generation.
+fn restore_from(
+    state: &ServerState,
+    handle: &Arc<Mutex<Session>>,
+    path: &(impl AsRef<Path> + std::fmt::Debug),
+) -> Result<(RestoreStats, usize, u64), ProtoError> {
+    let reject = |e: ProtoError| {
+        state.counters.snap_rejects.inc();
+        e
+    };
+    let snapshot = ddpa_snap::read_file(path).map_err(|e| {
+        reject(ProtoError::new(
+            ErrorCode::Snapshot,
+            format!("cannot restore {path:?}: {e}"),
+        ))
+    })?;
+    let mut s = lock_session(handle);
+    let restore = s.restore_snapshot(&snapshot).map_err(reject)?;
+    Ok((restore, snapshot.entries.len(), s.generation()))
+}
+
 /// Dispatches one parsed request and renders its response line.
-/// `trace_id` is the minted request ID; query/batch arms bracket their
+/// `trace_id` is the minted request ID; query/batch requests bracket their
 /// engine work with it and hand the resulting [`TraceReport`] back
 /// through `report_out` for the caller's access-log/slow-ring
 /// bookkeeping.
 fn dispatch(
     state: &ServerState,
-    request: Request,
+    request: &Request,
     trace_id: &str,
     report_out: &mut Option<TraceReport>,
-) -> Result<(String, After), ProtoError> {
+) -> Result<String, ProtoError> {
     match request {
-        Request::Ping => Ok((ok_response("ping", vec![]).to_string(), After::Continue)),
+        Request::Ping => Ok(ok_response("ping", vec![]).to_string()),
         Request::Shutdown => {
             state.trigger_shutdown();
-            Ok((ok_response("shutdown", vec![]).to_string(), After::Close))
+            Ok(ok_response("shutdown", vec![]).to_string())
         }
-        Request::Stats => Ok((stats_response(state), After::Continue)),
+        Request::Stats => Ok(stats_response(state)),
         Request::Open {
             session,
             program,
@@ -1057,79 +1120,67 @@ fn dispatch(
             parallel_query,
         } => {
             let _span = state.obs.span("server.request.open");
-            let mut new = Session::open(&program, minic, budget)?.with_parallel(
+            let exists = || {
+                ProtoError::new(
+                    ErrorCode::SessionExists,
+                    format!("session {session:?} already exists"),
+                )
+            };
+            // Checked before any work; checked again at insert, where a
+            // racing open of the same name may have won.
+            if lock_sessions(state).contains_key(session) {
+                return Err(exists());
+            }
+            let new = Session::open(program, *minic, *budget)?.with_parallel(
                 state.config.workers,
                 state.config.sched_policy,
-                parallel_query,
+                *parallel_query,
             );
+            let (nodes, constraints) = (new.program().num_nodes(), new.program().num_constraints());
+            let new = Arc::new(Mutex::new(new));
             // Best-effort warm start: a matching snapshot in the
             // snapshot dir is staged in the fresh session's engine, so its
             // first queries are share hits instead of cold deduction. A
             // missing, corrupt, or mismatched snapshot leaves the open
             // cold — restore failures must never fail an open.
-            let mut restored = 0u64;
-            if state.config.restore_on_open {
-                if let Some(path) = default_snapshot_path(state, &session) {
-                    if path.exists() {
-                        match ddpa_snap::read_file(&path) {
-                            Ok(snapshot) => match new.restore_snapshot(&snapshot) {
-                                Ok(r) => {
-                                    restored = r.installed as u64;
-                                    state.counters.snap_loads.inc();
-                                }
-                                Err(_) => state.counters.snap_rejects.inc(),
-                            },
-                            Err(_) => state.counters.snap_rejects.inc(),
-                        }
-                    }
-                }
+            let restored = default_snapshot_path(state, session)
+                .filter(|path| state.config.restore_on_open && path.exists())
+                .and_then(|path| restore_from(state, &new, &path).ok());
+            match lock_sessions(state).entry(session.clone()) {
+                Entry::Occupied(_) => return Err(exists()),
+                Entry::Vacant(slot) => slot.insert(new),
+            };
+            if restored.is_some() {
+                state.counters.snap_loads.inc();
             }
-            let (nodes, constraints) = (new.program().num_nodes(), new.program().num_constraints());
-            let mut sessions = lock_sessions(state);
-            if sessions.contains_key(&session) {
-                return Err(ProtoError::new(
-                    ErrorCode::SessionExists,
-                    format!("session {session:?} already exists"),
-                ));
-            }
-            sessions.insert(session.clone(), Arc::new(Mutex::new(new)));
-            drop(sessions);
             state.counters.sessions_opened.inc();
-            Ok((
-                ok_response(
-                    "open",
-                    vec![
-                        ("session", JsonValue::str(session.as_str())),
-                        ("nodes", JsonValue::U64(nodes as u64)),
-                        ("constraints", JsonValue::U64(constraints as u64)),
-                        ("generation", JsonValue::U64(0)),
-                        ("restored", JsonValue::U64(restored)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
+            let restored = restored.map_or(0, |(r, _, _)| r.installed as u64);
+            Ok(ok_response(
+                "open",
+                vec![
+                    ("session", JsonValue::str(session.as_str())),
+                    ("nodes", JsonValue::U64(nodes as u64)),
+                    ("constraints", JsonValue::U64(constraints as u64)),
+                    ("generation", JsonValue::U64(0)),
+                    ("restored", JsonValue::U64(restored)),
+                ],
+            )
+            .to_string())
         }
         Request::Close { session } => {
-            let removed = lock_sessions(state).remove(&session);
-            if removed.is_none() {
-                return Err(ProtoError::new(
-                    ErrorCode::NoSession,
-                    format!("no session {session:?}"),
-                ));
-            }
+            lock_sessions(state)
+                .remove(session)
+                .ok_or_else(|| no_session(session))?;
             state.counters.sessions_closed.inc();
-            Ok((
+            Ok(
                 ok_response("close", vec![("session", JsonValue::str(session.as_str()))])
                     .to_string(),
-                After::Continue,
-            ))
+            )
         }
         Request::AddConstraints { session, program } => {
-            let _span = state.obs.span("server.request.add-constraints");
-            let handle = get_session(state, &session)?;
+            let (_span, handle) = session_for(state, "server.request.add-constraints", session)?;
             let mut s = lock_session(&handle);
-            let edit = s.add_constraints(&program)?;
+            let edit = s.add_constraints(program)?;
             state.counters.invalidations.inc();
             state.counters.dirty_goals.add(edit.invalidated as u64);
             state.counters.dirty_retained.add(edit.retained as u64);
@@ -1149,40 +1200,26 @@ fn dispatch(
                     ("full_invalidation", JsonValue::Bool(edit.full)),
                 ],
             );
-            Ok((response.to_string(), After::Continue))
+            Ok(response.to_string())
         }
         Request::Query {
             session,
             spec,
             budget,
             timeout_ms,
-            trace: want_trace,
+            trace,
             parallel_query,
         } => {
-            let _span = state.obs.span("server.request.query");
-            let handle = get_session(state, &session)?;
-            let deadline = deadline_for(state, timeout_ms);
-            let mut s = lock_session(&handle);
-            let resolved = s.resolve(&spec)?;
-            let bracket = s.begin_trace(trace_id);
-            let answer = s.query_ids(resolved, budget, deadline, parallel_query);
-            let report = s.finish_trace(bracket);
-            let generation = s.generation();
-            let sched = s.last_sched();
-            let names = s.name_table();
-            drop(s);
-            record_query_obs(state, &report.delta, answer.timed_out() as u64);
-            // A query that asked for parallelism reports how it actually
-            // ran, so budget-forced fallbacks are never silent.
-            if sched == Some("sequential-fallback") {
-                state.counters.sched_fallbacks.inc();
-            }
-            let mut line = response_head("query", &session);
-            line.push_str(",\"result\":");
-            push_answer(&mut line, &answer, &names, generation);
-            push_tail(&mut line, generation, sched, want_trace.then_some(&report));
-            *report_out = Some(report);
-            Ok((line, After::Continue))
+            let ask = Ask {
+                batch: false,
+                session,
+                specs: std::slice::from_ref(spec),
+                budget: *budget,
+                timeout_ms: *timeout_ms,
+                trace: *trace,
+                parallel: *parallel_query,
+            };
+            answer(state, ask, trace_id, report_out)
         }
         Request::Batch {
             session,
@@ -1190,9 +1227,8 @@ fn dispatch(
             parallel,
             budget,
             timeout_ms,
-            trace: want_trace,
+            trace,
         } => {
-            let _span = state.obs.span("server.request.batch");
             if specs.len() > state.config.max_batch {
                 return Err(ProtoError::new(
                     ErrorCode::BadRequest,
@@ -1203,66 +1239,28 @@ fn dispatch(
                     ),
                 ));
             }
-            let handle = get_session(state, &session)?;
-            let deadline = deadline_for(state, timeout_ms);
-            state.counters.batch_queries.add(specs.len() as u64);
-
-            // Resolve all names up front so per-spec failures become
-            // inline error entries instead of poisoning the batch.
-            let mut s = lock_session(&handle);
-            let resolved: Vec<Result<ResolvedSpec, ProtoError>> =
-                specs.iter().map(|spec| s.resolve(spec)).collect();
-            let generation = s.generation();
-            let names = s.name_table();
-
-            let bracket = s.begin_trace(trace_id);
-            // A parallel batch answers each query as `parallel_query`
-            // would; a plain one inherits the session default.
-            let parallel = parallel.then_some(true);
-            let answers: Vec<IdAnswer> = resolved
-                .iter()
-                .filter_map(|r| r.as_ref().ok().copied())
-                .map(|spec| s.query_ids(spec, budget, deadline, parallel))
-                .collect();
-            let report = s.finish_trace(bracket);
-            drop(s);
-            let timeouts = answers.iter().filter(|a| a.timed_out()).count() as u64;
-            record_query_obs(state, &report.delta, timeouts);
-
-            let mut line = response_head("batch", &session);
-            line.push_str(",\"results\":[");
-            let mut answers = answers.iter();
-            for (i, r) in resolved.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                match r {
-                    Ok(_) => {
-                        let a = answers.next().expect("one answer per resolved spec");
-                        push_answer(&mut line, a, &names, generation);
-                    }
-                    Err(e) => {
-                        let _ = write!(line, "{}", error_response(e.code, &e.message));
-                    }
-                }
-            }
-            line.push(']');
-            push_tail(&mut line, generation, None, want_trace.then_some(&report));
-            *report_out = Some(report);
-            Ok((line, After::Continue))
+            let ask = Ask {
+                batch: true,
+                session,
+                specs,
+                budget: *budget,
+                timeout_ms: *timeout_ms,
+                trace: *trace,
+                parallel: parallel.then_some(true),
+            };
+            answer(state, ask, trace_id, report_out)
         }
         Request::Snapshot { session, path } => {
-            let _span = state.obs.span("server.request.snapshot");
-            let handle = get_session(state, &session)?;
-            let path = match path {
-                Some(p) => PathBuf::from(p),
-                None => default_snapshot_path(state, &session).ok_or_else(|| {
+            let (_span, handle) = session_for(state, "server.request.snapshot", session)?;
+            let path = path.as_ref().map(PathBuf::from);
+            let path = path
+                .or_else(|| default_snapshot_path(state, session))
+                .ok_or_else(|| {
                     ProtoError::new(
                         ErrorCode::Snapshot,
                         "no \"path\" given and the server has no --snapshot-dir",
                     )
-                })?,
-            };
+                })?;
             // A concurrent edit discards the export; for an explicit
             // snapshot request, re-export from the post-edit state
             // rather than failing (bounded, in case edits keep coming).
@@ -1281,20 +1279,17 @@ fn dispatch(
                 )
             })?;
             let shown = path.display().to_string();
-            Ok((
-                ok_response(
-                    "snapshot",
-                    vec![
-                        ("session", JsonValue::str(session.as_str())),
-                        ("path", JsonValue::str(shown.as_str())),
-                        ("entries", JsonValue::U64(entries as u64)),
-                        ("bytes", JsonValue::U64(bytes as u64)),
-                        ("generation", JsonValue::U64(generation)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
+            Ok(ok_response(
+                "snapshot",
+                vec![
+                    ("session", JsonValue::str(session.as_str())),
+                    ("path", JsonValue::str(shown.as_str())),
+                    ("entries", JsonValue::U64(entries as u64)),
+                    ("bytes", JsonValue::U64(bytes as u64)),
+                    ("generation", JsonValue::U64(generation)),
+                ],
+            )
+            .to_string())
         }
         Request::Inspect {
             session,
@@ -1302,72 +1297,69 @@ fn dispatch(
             limit,
             graph,
         } => {
-            let _span = state.obs.span("server.request.inspect");
-            let handle = get_session(state, &session)?;
+            let (_span, handle) = session_for(state, "server.request.inspect", session)?;
             let slow: Vec<JsonValue> = state
                 .slow
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .iter()
-                .filter(|e| e.entry.get("session").and_then(JsonValue::as_str) == Some(&session))
+                .filter(|e| e.entry.get("session").and_then(JsonValue::as_str) == Some(session))
                 .map(|e| e.entry.clone())
                 .collect();
             let s = lock_session(&handle);
-            let (hottest, critical_path) = s.inspect_json(top.unwrap_or(10) as usize);
+            let engine = s.engine();
+            let cp = engine.program();
+            let hottest = engine.hottest_goals(top.unwrap_or(10) as usize);
+            let hottest = hottest.iter().map(|p| p.to_json(cp)).collect();
             let mut fields = vec![
                 ("session", JsonValue::str(session.as_str())),
-                ("hottest", hottest),
-                ("critical_path", critical_path),
-                ("tabled_goals", JsonValue::U64(s.tabled_goals() as u64)),
-                ("generation", JsonValue::U64(s.generation())),
+                ("hottest", JsonValue::Array(hottest)),
+                ("critical_path", engine.critical_path().to_json(cp)),
+                ("tabled_goals", JsonValue::U64(engine.tabled_goals() as u64)),
+                ("generation", JsonValue::U64(engine.generation())),
                 ("slow", JsonValue::Array(slow)),
             ];
             if let Some(limit) = limit {
-                let (events, recorded, dropped) = s.flight_json(limit as usize);
+                let flight = engine.flight_recorder();
                 fields.extend([
-                    ("events", JsonValue::Array(events)),
-                    ("recorded", JsonValue::U64(recorded)),
-                    ("dropped", JsonValue::U64(dropped)),
+                    (
+                        "events",
+                        JsonValue::Array(engine.flight_events_json(*limit as usize)),
+                    ),
+                    (
+                        "recorded",
+                        JsonValue::U64(flight.map_or(0, |f| f.recorded())),
+                    ),
+                    ("dropped", JsonValue::U64(flight.map_or(0, |f| f.dropped()))),
                 ]);
             }
             match graph {
-                Some(GraphFormat::Json) => fields.push(("graph", s.graph_json())),
-                Some(GraphFormat::Dot) => fields.push(("dot", JsonValue::str(s.graph_dot()))),
+                Some(GraphFormat::Json) => fields.push(("graph", engine.goal_graph().to_json(cp))),
+                Some(GraphFormat::Dot) => {
+                    fields.push(("dot", JsonValue::str(engine.goal_graph().to_dot(cp))));
+                }
                 None => {}
             }
             drop(s);
-            Ok((ok_response("inspect", fields).to_string(), After::Continue))
+            Ok(ok_response("inspect", fields).to_string())
         }
         Request::Restore { session, path } => {
-            let _span = state.obs.span("server.request.restore");
-            let handle = get_session(state, &session)?;
-            let snapshot = ddpa_snap::read_file(&path).map_err(|e| {
-                state.counters.snap_rejects.inc();
-                ProtoError::new(ErrorCode::Snapshot, format!("cannot restore {path:?}: {e}"))
-            })?;
-            let mut s = lock_session(&handle);
-            let restore = s
-                .restore_snapshot(&snapshot)
-                .inspect_err(|_| state.counters.snap_rejects.inc())?;
-            let generation = s.generation();
-            drop(s);
+            let (_span, handle) = session_for(state, "server.request.restore", session)?;
+            let (restore, entries, generation) = restore_from(state, &handle, path)?;
             state.counters.snap_loads.inc();
-            Ok((
-                ok_response(
-                    "restore",
-                    vec![
-                        ("session", JsonValue::str(session.as_str())),
-                        ("path", JsonValue::str(path.as_str())),
-                        ("installed", JsonValue::U64(restore.installed as u64)),
-                        ("entries", JsonValue::U64(snapshot.entries.len() as u64)),
-                        ("rebound", JsonValue::Bool(restore.rebound)),
-                        ("dropped", JsonValue::U64(restore.dropped as u64)),
-                        ("generation", JsonValue::U64(generation)),
-                    ],
-                )
-                .to_string(),
-                After::Continue,
-            ))
+            Ok(ok_response(
+                "restore",
+                vec![
+                    ("session", JsonValue::str(session.as_str())),
+                    ("path", JsonValue::str(path.as_str())),
+                    ("installed", JsonValue::U64(restore.installed as u64)),
+                    ("entries", JsonValue::U64(entries as u64)),
+                    ("rebound", JsonValue::Bool(restore.rebound)),
+                    ("dropped", JsonValue::U64(restore.dropped as u64)),
+                    ("generation", JsonValue::U64(generation)),
+                ],
+            )
+            .to_string())
         }
     }
 }
@@ -1376,14 +1368,7 @@ fn dispatch(
 /// metrics registry as the records `--metrics-out` writes, and the server
 /// facts the registry lacks.
 fn stats_response(state: &ServerState) -> String {
-    // Release the session map before locking any session: every request
-    // looks its session up under the map lock, so holding it while one
-    // session is busy would stall requests on all the others.
-    let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(state)
-        .iter()
-        .map(|(name, session)| (name.clone(), Arc::clone(session)))
-        .collect();
-    let mut per_session: Vec<(String, JsonValue)> = sessions
+    let mut per_session: Vec<(String, JsonValue)> = live_sessions(state)
         .into_iter()
         .map(|(name, handle)| {
             let s = lock_session(&handle);
@@ -1518,7 +1503,7 @@ mod tests {
                     trace: false,
                     parallel_query: None,
                 };
-                let answer = dispatch(&state, request, "r1", &mut None).map(|(line, _)| line);
+                let answer = dispatch(&state, &request, "r1", &mut None);
                 let _ = tx.send(answer);
             })
         };
@@ -2259,6 +2244,68 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         handle.shutdown();
         runner.join().expect("server thread").expect("clean run");
+    }
+
+    #[test]
+    fn duplicate_opens_do_no_work_and_count_no_load() {
+        use crate::client::Client;
+        use crate::proto::build;
+
+        let dir = std::env::temp_dir().join(format!(
+            "ddpa-dup-open-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("snapshot dir");
+        let config = ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            restore_on_open: true,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let runner = std::thread::spawn(move || server.run());
+
+        let mut c = Client::connect(addr).expect("connect");
+        let program = "p = &o\nq = p\n";
+        c.expect_ok(&build::open("s", program, false, None))
+            .expect("open");
+        let spec = QuerySpec::PointsTo { name: "q".into() };
+        c.expect_ok(&build::query("s", &spec, None, None))
+            .expect("query");
+        c.expect_ok(&build::snapshot("s", None)).expect("snapshot");
+        let loads = |c: &mut Client| {
+            let stats = c.expect_ok(&build::stats()).expect("stats");
+            metric(&stats, "snap.load")
+                .get("value")
+                .and_then(JsonValue::as_u64)
+        };
+
+        // The name is taken: neither open stages the snapshot on disk,
+        // and one whose program does not even parse fails on the name.
+        for text in [program, program, "not a program"] {
+            let v = c
+                .request(&build::open("s", text, false, None))
+                .expect("roundtrip");
+            let code = v.get("error").and_then(|e| e.get("code"));
+            assert_eq!(code.and_then(JsonValue::as_str), Some("session-exists"));
+        }
+        assert_eq!(loads(&mut c), Some(0));
+
+        // An open that inserts its session is the one that counts.
+        c.expect_ok(&build::close("s")).expect("close");
+        let v = c
+            .expect_ok(&build::open("s", program, false, None))
+            .expect("re-open");
+        let restored = v.get("restored").and_then(JsonValue::as_u64);
+        assert!(restored.is_some_and(|n| n > 0), "{v}");
+        assert_eq!(loads(&mut c), Some(1));
+
+        handle.shutdown();
+        runner.join().expect("server thread").expect("clean run");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

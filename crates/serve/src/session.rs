@@ -317,27 +317,15 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Parses `text` (constraint text, or MiniC when `minic`) and opens a
-    /// session over it. Parses once when `text` is already printed
+    /// session over its canonical form
+    /// ([`ddpa_constraints::canonicalize`]): edits append to `source` and
+    /// to the live program, which stay in step only if the program is
+    /// `parse(source)`. Parses once when `text` is already printed
     /// constraint text, twice otherwise.
     pub fn open(text: &str, minic: bool, default_budget: Option<u64>) -> Result<Self, ProtoError> {
         let cp = parse_program(text, minic)?;
-        // Canonicalize through the printer so `add_constraints` can
-        // append plain constraint lines even to MiniC-born sessions, and
-        // serve `parse(source)`, so `source` is the exact text whose
-        // first-appearance order minted the live node-id space. Edits
-        // append to both `source` and the live program, which stay in
-        // step only if the program is `parse(source)`: one born from a
-        // different text (the printer groups constraints by kind) would
-        // number ids differently. Constraint text that already is its
-        // own printout was parsed from `source` itself, so only other
-        // inputs are parsed again.
-        let source = ddpa_constraints::print_constraints(&cp);
-        let cp = if !minic && source == text {
-            cp
-        } else {
-            drop(cp);
-            parse_program(&source, false)?
-        };
+        let (cp, source) = ddpa_constraints::canonicalize(cp, (!minic).then_some(text))
+            .map_err(|e| ProtoError::new(ErrorCode::BadProgram, e.to_string()))?;
         let (names, name_table) = index_names(&cp);
         let engine = DemandEngine::new(cp, DemandConfig::default());
         Ok(Session {
@@ -363,16 +351,6 @@ impl Session {
         self
     }
 
-    /// The configured frame-scheduler width.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The session's `parallel_query` default.
-    pub fn parallel_default(&self) -> bool {
-        self.parallel_default
-    }
-
     /// The loaded program.
     pub fn program(&self) -> &ConstraintProgram {
         self.engine.program()
@@ -386,11 +364,6 @@ impl Session {
     /// Invalidation generation: bumped by every [`Session::add_constraints`].
     pub fn generation(&self) -> u64 {
         self.engine.generation()
-    }
-
-    /// The session's default deduction budget.
-    pub fn default_budget(&self) -> Option<u64> {
-        self.default_budget
     }
 
     /// Snapshot of the warm engine's counters.
@@ -415,54 +388,9 @@ impl Session {
         self.engine.tabled_goals()
     }
 
-    /// The warm engine's hottest goals plus critical-path profile,
-    /// rendered for the wire (`inspect` op): `(hottest array, critical
-    /// path object)`.
-    pub fn inspect_json(&self, top: usize) -> (ddpa_obs::JsonValue, ddpa_obs::JsonValue) {
-        use ddpa_obs::JsonValue;
-        let cp = self.engine.program();
-        let hottest = self
-            .engine
-            .hottest_goals(top)
-            .into_iter()
-            .map(|p| {
-                JsonValue::Object(vec![
-                    (
-                        "goal".to_owned(),
-                        JsonValue::str(ddpa_demand::display_goal(cp, p.goal)),
-                    ),
-                    ("work".to_owned(), JsonValue::U64(p.work)),
-                    ("fires".to_owned(), JsonValue::U64(p.fires)),
-                    ("complete".to_owned(), JsonValue::Bool(p.complete)),
-                    ("elems".to_owned(), JsonValue::U64(p.elems as u64)),
-                    ("watchers".to_owned(), JsonValue::U64(p.watchers as u64)),
-                ])
-            })
-            .collect();
-        let profile = self.engine.critical_path();
-        (JsonValue::Array(hottest), profile.to_json(cp))
-    }
-
-    /// The warm engine's flight-recorder contents, newest last, plus the
-    /// (recorded, dropped) totals (`flight` op). Empty when the recorder
-    /// is off.
-    pub fn flight_json(&self, limit: usize) -> (Vec<ddpa_obs::JsonValue>, u64, u64) {
-        let (recorded, dropped) = self
-            .engine
-            .flight_recorder()
-            .map(|f| (f.recorded(), f.dropped()))
-            .unwrap_or((0, 0));
-        (self.engine.flight_events_json(limit), recorded, dropped)
-    }
-
-    /// The warm engine's goal dependency graph as Graphviz DOT.
-    pub fn graph_dot(&self) -> String {
-        self.engine.goal_graph().to_dot(self.engine.program())
-    }
-
-    /// The warm engine's goal dependency graph as a JSON object.
-    pub fn graph_json(&self) -> ddpa_obs::JsonValue {
-        self.engine.goal_graph().to_json(self.engine.program())
+    /// The warm engine, for the read-only views (`inspect`).
+    pub fn engine(&self) -> &DemandEngine<'static> {
+        &self.engine
     }
 
     /// Captures the session's completed fixpoints — tabled, or staged by
@@ -998,8 +926,6 @@ mod tests {
         let mut par = Session::open(&text, false, None)
             .expect("valid chain")
             .with_parallel(4, SchedPolicy::Dfs, true);
-        assert_eq!(par.workers(), 4);
-        assert!(par.parallel_default());
         for name in ["v119", "v60", "v0"] {
             let spec = |s: &Session| {
                 s.resolve(&QuerySpec::PointsTo { name: name.into() })
@@ -1008,6 +934,11 @@ mod tests {
             let a = seq.query(spec(&seq), None, None);
             let b = par.query(spec(&par), None, None); // inherits the default
             assert_eq!(set_names(&a), set_names(&b), "{name}");
+            if name == "v119" {
+                // The cold query ran on the scheduler: the session default
+                // applied, and more than one worker was configured.
+                assert_eq!(par.last_sched(), Some("parallel"));
+            }
         }
         // The per-request override forces the sequential path even on a
         // parallel-default session (and vice versa).

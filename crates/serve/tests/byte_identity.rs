@@ -253,6 +253,9 @@ fn served_lines_match_the_reference_renderer() {
     for escaped in [r#""b\\s""#, r#""c\u0001t""#, r#""e\"x""#] {
         assert!(line.contains(escaped), "{line}");
     }
+    // The same query as a one-spec batch: `results`, not `result`.
+    let line = pair.batch(&[pts("q")], false, false);
+    assert!(line.contains(r#""results":[{"pts":"#), "{line}");
     pair.query(
         QuerySpec::PointedToBy { name: "o".into() },
         None,
@@ -275,6 +278,9 @@ fn served_lines_match_the_reference_renderer() {
     pair.query(pts("v39"), None, false, true);
     let line = pair.query(pts("w39"), None, true, false);
     assert!(line.contains(r#""sched":"parallel""#), "{line}");
+    // And as a parallel one-spec batch, which reports no `sched`.
+    let line = pair.batch(&[pts("w39")], true, false);
+    assert!(!line.contains("sched"), "{line}");
     let line = pair.query(pts("w39"), None, true, false);
     assert!(line.contains(r#""sched":"sequential-fallback""#), "{line}");
     let line = pair.query(pts("u39"), Some(3), false, false);

@@ -134,6 +134,34 @@ client snapshot smoke --out "$tmp/peer.snap"
 client open peer samples/list.mc
 client restore peer "$tmp/peer.snap"
 client query peer main::got data
+# Snapshots cross between the CLI and the server both ways: each side
+# binds node ids to the program's canonical form, so a session restored
+# from a `ddpa snapshot`, and `ddpa restore` of a served session's
+# snapshot, answer exactly like a cold `ddpa query`.
+norm() {  # `pts(n) = {b, a}  [work N]` lines -> `pts(n) = {a, b}`
+    while IFS= read -r line; do
+        members="${line#* = \{}"
+        members="$(printf '%s\n' "${members%%\}*}" | tr ',' '\n' | sed 's/^ *//' | sort | paste -sd, -)"
+        printf '%s = {%s}\n' "${line%% = \{*}" "${members//,/, }"
+    done
+}
+names="main::head main::second main::cur main::got data"
+cargo run -q -p ddpa-cli -- query samples/list.mc $names | norm > "$tmp/cold.out"
+cargo run -q -p ddpa-cli -- snapshot samples/list.mc --out "$tmp/cli.snap" > /dev/null
+client open fromcli samples/list.mc
+client restore fromcli "$tmp/cli.snap"
+for n in $names; do
+    pts="$(cargo run -q -p ddpa-cli -- client --addr "$addr" query fromcli "$n" \
+        | sed -n 's/.*"result":{"pts":\[\([^]]*\)\].*/\1/p' | tr -d '"')"
+    echo "pts($n) = {$pts}"
+done | norm > "$tmp/fromcli.out"
+cargo run -q -p ddpa-cli -- restore samples/list.mc "$tmp/peer.snap" $names \
+    | grep '^pts(' | norm > "$tmp/fromserver.out"
+for route in fromcli fromserver; do
+    cmp -s "$tmp/cold.out" "$tmp/$route.out" \
+        || { echo "$route snapshot answers differ from a cold engine:" >&2;
+             diff "$tmp/cold.out" "$tmp/$route.out" >&2; exit 1; }
+done
 # swap.cons has comments, so `open` re-parses its printout; its dump is
 # already printed text and is parsed once. Both keep the same canonical
 # source, so raw's snapshot restores into canon by hash, not by rebinding.
