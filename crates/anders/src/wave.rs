@@ -9,8 +9,7 @@
 //! discovery-driven, at the cost of whole-graph passes.
 //!
 //! The implementation favours clarity over micro-optimization — it exists
-//! as an independently-derived solver for differential testing and as a
-//! baseline variant in the benches.
+//! as an independently-derived solver for differential testing.
 
 use std::collections::HashSet;
 

@@ -11,19 +11,6 @@ use ddpa_gen::Benchmark;
 use ddpa_obs::Obs;
 use ddpa_support::Summary;
 
-/// All dereferenced pointers of `cp` (the dense query set).
-pub fn deref_queries(cp: &ConstraintProgram) -> Vec<NodeId> {
-    let mut q: Vec<NodeId> = cp
-        .loads()
-        .iter()
-        .map(|l| l.ptr)
-        .chain(cp.stores().iter().map(|s| s.ptr))
-        .collect();
-    q.sort_unstable();
-    q.dedup();
-    q
-}
-
 /// Function-pointer nodes of all indirect call sites (the paper's query set).
 pub fn fp_queries(cp: &ConstraintProgram) -> Vec<NodeId> {
     let mut q: Vec<NodeId> = cp
@@ -226,7 +213,7 @@ pub fn run_t4(benches: &[Benchmark], max_queries: usize) -> Vec<T4Row> {
         .iter()
         .map(|b| {
             let cp = b.build();
-            let queries: Vec<NodeId> = deref_queries(&cp).into_iter().take(max_queries).collect();
+            let queries: Vec<NodeId> = cp.deref_pointers().into_iter().take(max_queries).collect();
 
             let mut cached = DemandEngine::new(&cp, DemandConfig::default());
             let start = Instant::now();
@@ -277,7 +264,8 @@ pub fn run_f1(benches: &[Benchmark], max_queries: usize) -> Vec<F1Row> {
         .map(|b| {
             let cp = b.build();
             let mut engine = DemandEngine::new(&cp, DemandConfig::default().without_caching());
-            let mut samples: Vec<u64> = deref_queries(&cp)
+            let mut samples: Vec<u64> = cp
+                .deref_pointers()
                 .into_iter()
                 .take(max_queries)
                 .map(|q| engine.points_to(q).work)
@@ -327,7 +315,7 @@ pub fn run_f2(benches: &[Benchmark], ks: &[usize]) -> Vec<F2Row> {
             let _ = ddpa_anders::solve(&cp);
             let exhaustive_time = start.elapsed();
 
-            let queries = deref_queries(&cp);
+            let queries = cp.deref_pointers();
             let mut points = Vec::new();
             let mut clamped: Vec<usize> = ks.iter().map(|&k| k.min(queries.len())).collect();
             clamped.dedup();
@@ -390,7 +378,7 @@ pub fn run_f3(benches: &[Benchmark], budgets: &[u64], max_queries: usize) -> Vec
         .iter()
         .map(|b| {
             let cp = b.build();
-            let queries: Vec<NodeId> = deref_queries(&cp).into_iter().take(max_queries).collect();
+            let queries: Vec<NodeId> = cp.deref_pointers().into_iter().take(max_queries).collect();
             let mut points = Vec::new();
             for &budget in budgets {
                 let mut engine =
@@ -634,7 +622,7 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
         .map(|b| {
             let cp = b.build();
             let text = ddpa_constraints::print_constraints(&cp);
-            let queries: Vec<NodeId> = deref_queries(&cp);
+            let queries: Vec<NodeId> = cp.deref_pointers();
 
             let ((cold_answers, cold), time_cold) = best_of(T8_RUNS, || {
                 let mut cold = DemandEngine::new(&cp, DemandConfig::default());
@@ -764,7 +752,7 @@ pub fn run_t9(programs: &[T9Program], repeats: usize) -> Vec<T9Row> {
                 T9Program::MiniC(funcs) => {
                     let ast = ddpa_gen::generate_minic(&ddpa_gen::MiniCConfig::sized(42, funcs));
                     let cp = ddpa_constraints::lower(&ast).expect("generated MiniC lowers");
-                    let queries = deref_queries(&cp);
+                    let queries = cp.deref_pointers();
                     (format!("minic-{funcs}"), cp, queries)
                 }
             };
@@ -1251,7 +1239,7 @@ mod tests {
     #[test]
     fn query_sets_are_nonempty() {
         let cp = tiny()[0].build();
-        assert!(!deref_queries(&cp).is_empty());
+        assert!(!cp.deref_pointers().is_empty());
         assert!(!fp_queries(&cp).is_empty());
     }
 }

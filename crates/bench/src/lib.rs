@@ -3,8 +3,7 @@
 //! Each `run_*` function regenerates the data behind one table or figure
 //! (experiment ids T1–T11, F1–F3 and A3; `DESIGN.md` describes them and
 //! `EXPERIMENTS.md` records the measured outputs). The `report` binary
-//! renders them as Markdown; the plain std timing benches under `benches/`
-//! time the same workloads.
+//! times them and renders them as Markdown.
 
 #![forbid(unsafe_code)]
 

@@ -88,8 +88,7 @@ mod tests {
 
     fn audit(src: &str) -> (ddpa_constraints::ConstraintProgram, StackReturnAudit) {
         let program = ddpa_ir::parse(src).expect("parses");
-        ddpa_ir::check(&program).expect("checks");
-        let cp = ddpa_constraints::lower(&program).expect("lowers");
+        let cp = ddpa_constraints::lower(&program).expect("checks and lowers");
         let mut engine = DemandEngine::new(&cp, DemandConfig::default());
         let report = StackReturnAudit::run(&mut engine);
         (cp, report)

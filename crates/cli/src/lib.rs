@@ -541,7 +541,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     let _ = engine.call_targets(cs);
                     latency.record_duration(t.elapsed());
                 }
-                for ptr in deref_ptrs(&cp) {
+                for ptr in cp.deref_pointers() {
                     let t = std::time::Instant::now();
                     let _ = engine.points_to(ptr);
                     latency.record_duration(t.elapsed());
@@ -1063,20 +1063,6 @@ fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
         }
         other => Err(err(format!("unknown client operation `{other}`"))),
     }
-}
-
-/// Distinct pointers dereferenced by loads and stores — the demand query
-/// load the audit clients issue.
-fn deref_ptrs(cp: &ConstraintProgram) -> Vec<NodeId> {
-    let mut ptrs: Vec<NodeId> = cp
-        .loads()
-        .iter()
-        .map(|l| l.ptr)
-        .chain(cp.stores().iter().map(|s| s.ptr))
-        .collect();
-    ptrs.sort_unstable();
-    ptrs.dedup();
-    ptrs
 }
 
 /// The registry rendered as aligned `name  value` tables.
@@ -1720,6 +1706,34 @@ mod tests {
         assert_eq!(restored(&out), expected, "served snapshot, cli: {out}");
 
         client(&["shutdown"]);
+        server
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
+    }
+
+    #[test]
+    fn query_and_served_open_reject_an_unchecked_program_alike() {
+        let mc = write_temp(
+            "t30-unchecked.mc",
+            "int g;\nint *id(int *p) { return p; }\n\
+             void main() { int x; int *q = &g; int *r = id(q, q); int *s = *x; }\n",
+        );
+        let m = mc.to_str().expect("utf8 path");
+        let local = run_to_string(&["query", m, "main::r"]).expect_err("check rejects it");
+        let local = local.to_string();
+        let first = local.strip_prefix(&format!("{m}: ")).expect("path prefix");
+        let first = first.lines().next().expect("a first error");
+        assert!(first.contains("`id` takes 1 argument(s)"), "{local}");
+        assert_eq!(local.lines().count(), 2, "both check errors: {local}");
+
+        let (addr, server) = start_serve("t30");
+        let served = run_to_string(&["client", "--addr", &addr, "open", "s", m])
+            .expect_err("the server rejects it too")
+            .to_string();
+        assert!(served.starts_with("server error bad-program: "), "{served}");
+        assert!(served.contains(first), "{served}");
+        run_to_string(&["client", "--addr", &addr, "shutdown"]).expect("shutdown");
         server
             .join()
             .expect("server thread")

@@ -33,30 +33,44 @@ use ddpa_ir::token::Span;
 use crate::model::{FuncId, NodeId};
 use crate::program::{ConstraintBuilder, ConstraintProgram};
 
-/// An error produced during lowering (usually an unresolved name; running
-/// [`ddpa_ir::check()`] first rules these out).
+/// Why a MiniC program did not lower.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LowerError {
-    /// Human-readable description.
-    pub message: String,
-    /// Location of the offending construct.
-    pub span: Span,
+pub enum LowerError {
+    /// The program breaks the static rules of [`ddpa_ir::check()`], which
+    /// [`lower`] runs first; nothing was lowered.
+    Check(ddpa_ir::CheckErrors),
+    /// A construct the lowering cannot translate. The checker rules these
+    /// out, so a checked program never yields one.
+    Construct {
+        /// Human-readable description.
+        message: String,
+        /// Location of the offending construct.
+        span: Span,
+    },
 }
 
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lowering error at {}: {}", self.span, self.message)
+        match self {
+            LowerError::Check(errs) => errs.fmt(f),
+            LowerError::Construct { message, span } => {
+                write!(f, "lowering error at {span}: {message}")
+            }
+        }
     }
 }
 
 impl std::error::Error for LowerError {}
 
-/// Lowers a MiniC program to its constraint program.
+/// Checks a MiniC program ([`ddpa_ir::check()`]) and lowers it to its
+/// constraint program. Every MiniC entry point lowers through here, so
+/// the programs that lower are exactly the programs that check.
 ///
 /// # Errors
 ///
-/// Returns [`LowerError`] if a name cannot be resolved or a construct is
-/// ill-formed; programs accepted by [`ddpa_ir::check()`] always lower.
+/// Returns [`LowerError::Check`] with every check error if the program
+/// breaks a static rule, and [`LowerError::Construct`] if a checked
+/// construct cannot be lowered (never, for the rules the checker holds).
 ///
 /// # Examples
 ///
@@ -68,6 +82,7 @@ impl std::error::Error for LowerError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn lower(program: &ast::Program) -> Result<ConstraintProgram, LowerError> {
+    ddpa_ir::check(program).map_err(LowerError::Check)?;
     let mut lowerer = Lowerer::new(program);
     lowerer.run()?;
     Ok(lowerer.builder.build())
@@ -125,7 +140,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn err(&self, span: Span, message: impl Into<String>) -> LowerError {
-        LowerError {
+        LowerError::Construct {
             message: message.into(),
             span,
         }
@@ -697,9 +712,24 @@ mod tests {
     use crate::model::CalleeRef;
 
     fn lower_src(src: &str) -> ConstraintProgram {
-        let program = ddpa_ir::parse(src).expect("parses");
-        ddpa_ir::check(&program).expect("checks");
-        lower(&program).expect("lowers")
+        lower(&ddpa_ir::parse(src).expect("parses")).expect("checks and lowers")
+    }
+
+    #[test]
+    fn lower_rejects_what_check_rejects() {
+        // An arity mismatch and a dereferenced `int`: the unchecked
+        // lowering would have answered `pts(main::r) = {g}`.
+        let program = ddpa_ir::parse(
+            "int g; int *id(int *p) { return p; } \
+             void main() { int x; int *q = &g; int *r = id(q, q); int *s = *x; }",
+        )
+        .expect("parses");
+        let errs = ddpa_ir::check(&program).expect_err("check rejects");
+        assert_eq!(errs.0.len(), 2);
+        assert_eq!(
+            lower(&program).expect_err("lower rejects"),
+            LowerError::Check(errs)
+        );
     }
 
     #[test]
@@ -897,9 +927,7 @@ mod array_tests {
     use super::*;
 
     fn lower_src(src: &str) -> ConstraintProgram {
-        let program = ddpa_ir::parse(src).expect("parses");
-        ddpa_ir::check(&program).expect("checks");
-        lower(&program).expect("lowers")
+        lower(&ddpa_ir::parse(src).expect("parses")).expect("checks and lowers")
     }
 
     #[test]

@@ -566,6 +566,17 @@ impl ConstraintProgram {
         &self.stores
     }
 
+    /// Every distinct pointer a load or store dereferences, ascending:
+    /// the dense query set of the paper's evaluation and of the audit
+    /// clients.
+    pub fn deref_pointers(&self) -> Vec<NodeId> {
+        let loads = self.loads.iter().map(|l| l.ptr);
+        let mut ptrs: Vec<NodeId> = loads.chain(self.stores.iter().map(|s| s.ptr)).collect();
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        ptrs
+    }
+
     /// All `dst = &base->field` constraints.
     pub fn field_addrs(&self) -> &[FieldAddr] {
         &self.field_addrs

@@ -30,9 +30,8 @@
 //!     }
 //! "#;
 //! let program = ddpa::ir::parse(source)?;
-//! ddpa::ir::check(&program)?;
 //!
-//! // 2. Lower to primitive pointer constraints.
+//! // 2. Check it and lower it to primitive pointer constraints.
 //! let cp = ddpa::constraints::lower(&program)?;
 //!
 //! // 3. Ask a single points-to query on demand.
@@ -79,11 +78,13 @@ pub use ddpa_serve as serve;
 /// Durable memo snapshots and warm-start restore (re-export of `ddpa-snap`).
 pub use ddpa_snap as snap;
 
-/// Convenience: parse MiniC source, check it, and lower to constraints.
+/// Convenience: parse MiniC source, then check and lower it
+/// ([`constraints::lower()`]).
 ///
 /// # Errors
 ///
-/// Returns the first parse, check, or lowering error as a boxed error.
+/// Returns the parse error, every check error, or the lowering error as
+/// a boxed error.
 ///
 /// # Examples
 ///
@@ -93,9 +94,7 @@ pub use ddpa_snap as snap;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn compile(source: &str) -> Result<constraints::ConstraintProgram, Box<dyn std::error::Error>> {
-    let program = ir::parse(source)?;
-    ir::check(&program)?;
-    Ok(constraints::lower(&program)?)
+    Ok(constraints::lower(&ir::parse(source)?)?)
 }
 
 #[cfg(test)]

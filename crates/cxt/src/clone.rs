@@ -456,9 +456,7 @@ mod tests {
     }
 
     fn compile(src: &str) -> ConstraintProgram {
-        let program = ddpa_ir::parse(src).expect("parses");
-        ddpa_ir::check(&program).expect("checks");
-        ddpa_constraints::lower(&program).expect("lowers")
+        ddpa_constraints::lower(&ddpa_ir::parse(src).expect("parses")).expect("checks and lowers")
     }
 
     #[test]

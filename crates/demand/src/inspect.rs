@@ -16,8 +16,7 @@
 //!   work `W`, span `S` (the heaviest dependency chain, computed over
 //!   the SCC condensation of the goal graph since `pts`/`ptb` recursion
 //!   makes it cyclic), and the parallelism-headroom bound `W/S`: no
-//!   scheduler can beat `W/S`-fold speedup on this workload, which is
-//!   exactly the number ROADMAP item 1 needs before building one.
+//!   scheduler can beat `W/S`-fold speedup on this workload.
 //!
 //! Everything here reads engine state without mutating it, so
 //! introspection never perturbs deduction.

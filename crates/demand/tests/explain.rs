@@ -16,19 +16,6 @@ use ddpa_gen::{
 };
 use ddpa_support::rng::Rng;
 
-/// Every pointer a load or store dereferences, ascending.
-fn deref_pointers(cp: &ConstraintProgram) -> Vec<NodeId> {
-    let mut ptrs: Vec<NodeId> = cp
-        .loads()
-        .iter()
-        .map(|l| l.ptr)
-        .chain(cp.stores().iter().map(|s| s.ptr))
-        .collect();
-    ptrs.sort_unstable();
-    ptrs.dedup();
-    ptrs
-}
-
 /// Whether the exhaustive solution holds the fact `elem ∈ goal`.
 fn holds(wave: &Solution, goal: Goal, elem: u32) -> bool {
     let elem = NodeId::from_u32(elem);
@@ -105,7 +92,7 @@ fn assert_explains(cp: &ConstraintProgram, pointers: &[NodeId], tag: &str) -> us
 /// [`assert_explains`] over the dereferenced pointers of `cp`, or over
 /// every node when nothing is dereferenced (the cyclic and wide shapes).
 fn assert_explains_fully(cp: &ConstraintProgram, tag: &str) -> usize {
-    let mut pointers = deref_pointers(cp);
+    let mut pointers = cp.deref_pointers();
     if pointers.is_empty() {
         pointers = cp.node_ids().collect();
     }

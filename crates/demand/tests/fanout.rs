@@ -21,24 +21,11 @@ fn minic(seed: u64) -> ConstraintProgram {
         .expect("generated MiniC lowers")
 }
 
-/// Every pointer a load or store dereferences, ascending.
-fn deref_pointers(cp: &ConstraintProgram) -> Vec<NodeId> {
-    let mut ptrs: Vec<NodeId> = cp
-        .loads()
-        .iter()
-        .map(|l| l.ptr)
-        .chain(cp.stores().iter().map(|s| s.ptr))
-        .collect();
-    ptrs.sort_unstable();
-    ptrs.dedup();
-    ptrs
-}
-
 #[test]
 fn every_deref_query_resolves_within_a_small_budget() {
     for seed in 1..=3 {
         let cp = minic(seed);
-        let ptrs = deref_pointers(&cp);
+        let ptrs = cp.deref_pointers();
         let mut max = 0;
         for &ptr in &ptrs {
             let full = DemandEngine::new(&cp, DemandConfig::default()).points_to(ptr);

@@ -58,8 +58,7 @@ fn fname(layer: usize, i: usize) -> String {
 /// use ddpa_gen::{generate_minic, MiniCConfig};
 ///
 /// let program = generate_minic(&MiniCConfig::sized(1, 12));
-/// ddpa_ir::check(&program).expect("generated programs always check");
-/// let cp = ddpa_constraints::lower(&program).expect("and lower");
+/// let cp = ddpa_constraints::lower(&program).expect("generated programs check and lower");
 /// assert!(cp.indirect_callsites().len() > 0);
 /// ```
 pub fn generate_minic(config: &MiniCConfig) -> Program {

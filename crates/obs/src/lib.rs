@@ -126,15 +126,6 @@ impl Obs {
     }
 }
 
-/// Opens a timed RAII span on an [`Obs`] handle: `let _g = span!(obs,
-/// "solve.wave");`. Sugar for [`Obs::span`].
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $name:expr) => {
-        $obs.span($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +134,7 @@ mod tests {
     fn default_obs_spans_are_inert() {
         let obs = Obs::new();
         {
-            let _g = span!(obs, "nothing");
+            let _g = obs.span("nothing");
         }
         assert!(obs.profiler.snapshot().is_empty());
     }

@@ -7,13 +7,17 @@
 //! in child spans — so *self* time (total − children) is available per
 //! phase, which is what a hot-path hunt actually needs.
 //!
-//! The tree is one logical stream: spans must nest like scopes (RAII
-//! guards enforce this in straight-line code). Out-of-order drops are
-//! tolerated defensively by unwinding the open-span stack to the guard's
-//! node.
+//! Each thread keeps its own open-span stack, so a span nests under the
+//! innermost span *its own thread* has open: concurrent threads (server
+//! connections, scheduler workers) add to one tree without nesting inside
+//! each other. Spans must nest like scopes within a thread (RAII guards
+//! enforce this in straight-line code). Out-of-order drops are tolerated
+//! defensively by unwinding the thread's stack to the guard's node.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use ddpa_support::stats::{fmt_count, fmt_duration};
@@ -35,14 +39,24 @@ struct Tree {
     nodes: Vec<Node>,
     /// Root-level children (nodes with no parent).
     roots: Vec<usize>,
-    /// Indices of currently open spans, outermost first.
-    stack: Vec<usize>,
+    /// Each thread's currently open spans, outermost first. A thread's
+    /// entry goes when its last open span closes.
+    stacks: HashMap<ThreadId, Vec<usize>>,
 }
 
 impl Tree {
-    /// Finds or creates the child of the innermost open span named `name`.
-    fn child_named(&mut self, name: &str) -> usize {
-        let parent = self.stack.last().copied();
+    /// Finds or creates the child named `name` of `thread`'s innermost
+    /// open span, and opens it on that thread.
+    fn open(&mut self, thread: ThreadId, name: &str) -> usize {
+        let parent = self.stacks.get(&thread).and_then(|s| s.last().copied());
+        let node = self.child_named(parent, name);
+        self.stacks.entry(thread).or_default().push(node);
+        node
+    }
+
+    /// Finds or creates the child of `parent` (a root if `None`) named
+    /// `name`.
+    fn child_named(&mut self, parent: Option<usize>, name: &str) -> usize {
         let siblings = match parent {
             Some(p) => &self.nodes[p].children,
             None => &self.roots,
@@ -66,11 +80,16 @@ impl Tree {
         i
     }
 
-    fn close(&mut self, node: usize, elapsed: Duration) {
+    fn close(&mut self, thread: ThreadId, node: usize, elapsed: Duration) {
         // Unwind to the guard's node; ordinarily it is the top of stack.
-        while let Some(top) = self.stack.pop() {
-            if top == node {
-                break;
+        if let Some(stack) = self.stacks.get_mut(&thread) {
+            while let Some(top) = stack.pop() {
+                if top == node {
+                    break;
+                }
+            }
+            if stack.is_empty() {
+                self.stacks.remove(&thread);
             }
         }
         let n = &mut self.nodes[node];
@@ -131,18 +150,14 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Opens a span named `name` under the innermost open span and starts
-    /// the clock. Prefer [`crate::Obs::span`], which skips this entirely
-    /// when profiling is off.
+    /// Opens a span named `name` under the calling thread's innermost
+    /// open span and starts the clock. Prefer [`crate::Obs::span`], which
+    /// skips this entirely when profiling is off.
     pub fn enter(&self, name: &str) -> SpanGuard {
-        let node = {
-            let mut tree = lock_unpoisoned(&self.tree);
-            let node = tree.child_named(name);
-            tree.stack.push(node);
-            node
-        };
+        let thread = thread::current().id();
+        let node = lock_unpoisoned(&self.tree).open(thread, name);
         SpanGuard {
-            profiler: Some(self.clone()),
+            profiler: Some((self.clone(), thread)),
             node,
             start: Instant::now(),
         }
@@ -196,7 +211,8 @@ impl Profiler {
 /// off) carries no profiler and never reads the clock.
 #[derive(Debug)]
 pub struct SpanGuard {
-    profiler: Option<Profiler>,
+    /// The profiler and the thread whose stack the span was opened on.
+    profiler: Option<(Profiler, ThreadId)>,
     node: usize,
     start: Instant,
 }
@@ -220,10 +236,9 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(profiler) = self.profiler.take() {
+        if let Some((profiler, thread)) = self.profiler.take() {
             let elapsed = self.start.elapsed();
-            let mut tree = lock_unpoisoned(&profiler.tree);
-            tree.close(self.node, elapsed);
+            lock_unpoisoned(&profiler.tree).close(thread, self.node, elapsed);
         }
     }
 }
@@ -287,6 +302,29 @@ mod tests {
         assert_eq!(snap[1].children[0].name, "x");
         assert_eq!(snap[0].children[0].count, 1);
         assert_eq!(snap[1].children[0].count, 1);
+    }
+
+    #[test]
+    fn each_thread_nests_only_its_own_spans() {
+        let p = Profiler::new();
+        let both_open = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let _req = p.enter("req");
+                    // Both threads hold `req` open here.
+                    both_open.wait();
+                    let _step = p.enter("step");
+                });
+            }
+        });
+        let snap = p.snapshot();
+        assert_eq!(snap.len(), 1, "{snap:?}");
+        assert_eq!((snap[0].name.as_str(), snap[0].count), ("req", 2));
+        assert_eq!(snap[0].children.len(), 1, "{snap:?}");
+        assert_eq!(snap[0].children[0].name, "step");
+        assert_eq!(snap[0].children[0].count, 2);
+        assert!(lock_unpoisoned(&p.tree).stacks.is_empty());
     }
 
     #[test]

@@ -692,6 +692,21 @@ mod tests {
     }
 
     #[test]
+    fn unchecked_minic_is_a_bad_program() {
+        // Lowered unchecked, this program answered `pts(main::r) = {g}`.
+        let repro = "int g;\nint *id(int *p) { return p; }\n\
+                     void main() { int x; int *q = &g; int *r = id(q, q); int *s = *x; }\n";
+        let err = Session::open(repro, true, None).expect_err("check rejects it");
+        assert_eq!(err.code, ErrorCode::BadProgram);
+        assert!(
+            err.message
+                .contains("`id` takes 1 argument(s) but 2 were supplied"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
     fn bad_edit_leaves_session_unchanged() {
         let mut s = Session::open("p = &o\nq = p\n", false, None).expect("valid program");
         let spec = s

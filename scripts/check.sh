@@ -180,16 +180,26 @@ grep -Eq '"installed":[1-9]' "$tmp/restore-canon.out" \
 # out-of-memory kill) get an answer, and every other session lives on:
 # a 200,000-suffix field chain (now a valid one-constraint program),
 # `fun f/4000000000` (an arity beyond the input's length) and a MiniC
-# block nested 100,000 deep (past the parser's nesting cap).
+# block nested 100,000 deep (past the parser's nesting cap). MiniC the
+# checker rejects (a wrong arity, `*` on an `int`) is a bad program at
+# both front doors: `open` refuses it as `ddpa query` does.
 { printf 'p = &x'; printf '.f1%.0s' $(seq 200000); echo; } > "$tmp/deep-suffix.cons"
 printf 'fun f/4000000000\n' > "$tmp/huge-arity.cons"
 { printf 'void main() {'; printf '{%.0s' $(seq 100000); printf '}%.0s' $(seq 100000); echo '}'; } \
     > "$tmp/deep-blocks.mc"
+cat > "$tmp/unchecked.mc" <<'EOF'
+int g;
+int *id(int *p) { return p; }
+void main() { int x; int *q = &g; int *r = id(q, q); int *s = *x; }
+EOF
+if cargo run -q -p ddpa-cli -- query "$tmp/unchecked.mc" main::r > /dev/null 2>&1; then
+    echo "ddpa query accepted unchecked.mc" >&2; exit 1
+fi
 cargo run -q -p ddpa-cli -- client --addr "$addr" open suffix "$tmp/deep-suffix.cons" \
     > "$tmp/open-suffix.out"
 grep -q '"ok":true,"op":"open","session":"suffix","nodes":2,"constraints":1' "$tmp/open-suffix.out" \
     || { echo "deep field chain not opened: $(cut -c1-300 "$tmp/open-suffix.out")" >&2; exit 1; }
-for bad in huge-arity.cons deep-blocks.mc; do
+for bad in huge-arity.cons deep-blocks.mc unchecked.mc; do
     if cargo run -q -p ddpa-cli -- client --addr "$addr" open bad "$tmp/$bad" \
         > /dev/null 2> "$tmp/open-bad.err"; then
         echo "server accepted $bad" >&2; exit 1
