@@ -5,7 +5,7 @@
 //! computes the points-to set of **every** location, with indirect calls
 //! resolved on the fly.
 //!
-//! Two solvers are provided:
+//! Three solvers are provided:
 //!
 //! * [`naive::solve`] — a direct iterate-until-fixpoint evaluation of the
 //!   inclusion rules. Quadratic and only used as a differential-testing
@@ -16,11 +16,11 @@
 //!   ([`SolverConfig::cycle_elimination`]) using union-find.
 //! * [`wave::solve`] — a wave-propagation variant: per round, collapse
 //!   cycles, sweep sets in topological order, then grow the graph from
-//!   the complex constraints. An independently-derived scheme used for
-//!   differential testing and as a bench baseline.
+//!   the complex constraints. An independently-derived scheme used as a
+//!   differential-testing oracle.
 //!
-//! Both produce a [`Solution`], which answers `pts(v)` for every node and
-//! records the resolved targets of every call site.
+//! All three produce a [`Solution`], which answers `pts(v)` for every
+//! node and records the resolved targets of every call site.
 //!
 //! # Examples
 //!

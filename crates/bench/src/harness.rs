@@ -11,6 +11,39 @@ use ddpa_gen::Benchmark;
 use ddpa_obs::Obs;
 use ddpa_support::Summary;
 
+/// Runs `setup` then `timed` `runs` (≥ 1) times; returns the last run's
+/// state and result with the best wall time of `timed` alone (setups and
+/// drops are never timed).
+fn best_of<S, T>(
+    runs: usize,
+    mut setup: impl FnMut() -> S,
+    mut timed: impl FnMut(&mut S) -> T,
+) -> (S, T, Duration) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..runs.max(1) {
+        drop(last.take());
+        let mut state = setup();
+        let start = Instant::now();
+        let out = timed(&mut state);
+        best = best.min(start.elapsed());
+        last = Some((state, out));
+    }
+    let (state, out) = last.expect("at least one run");
+    (state, out, best)
+}
+
+/// The cyclic suite's program at `scale` and its pointer-variable
+/// queries: every node whose name lacks `obj` (ring members, tails).
+pub fn cyclic_workload(scale: usize) -> (ConstraintProgram, Vec<NodeId>) {
+    let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
+    let queries = cp
+        .node_ids()
+        .filter(|&n| !cp.display_node(n).contains("obj"))
+        .collect();
+    (cp, queries)
+}
+
 /// Function-pointer nodes of all indirect call sites (the paper's query set).
 pub fn fp_queries(cp: &ConstraintProgram) -> Vec<NodeId> {
     let mut q: Vec<NodeId> = cp
@@ -516,7 +549,7 @@ impl T6Row {
 /// Regenerates table T6: demand work with online cycle collapsing on vs
 /// off, over the cycle-dominated generated suite ([`ddpa_gen::cyclic`]).
 ///
-/// Queries cover the pointer variables (ring members, tails) — the copy
+/// Queries cover the pointer variables ([`cyclic_workload`]) — the copy
 /// flow the optimization targets; querying the address-taken objects
 /// would measure the `ptb` judgment, which has no per-goal duplication
 /// for collapsing to remove.
@@ -524,11 +557,7 @@ pub fn run_t6(scales: &[usize]) -> Vec<T6Row> {
     scales
         .iter()
         .map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let queries: Vec<NodeId> = cp
-                .node_ids()
-                .filter(|&n| !cp.display_node(n).contains("obj"))
-                .collect();
+            let (cp, queries) = cyclic_workload(scale);
             let answer = |config: DemandConfig| {
                 let mut engine = DemandEngine::new(&cp, config);
                 let start = Instant::now();
@@ -563,21 +592,6 @@ pub fn run_t6(scales: &[usize]) -> Vec<T6Row> {
 
 /// Timed runs per side of a T8 row.
 const T8_RUNS: usize = 3;
-
-/// Runs `f` `runs` (≥ 1) times; returns the last result and the best
-/// wall time. Results are dropped outside the timed region.
-fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..runs.max(1) {
-        drop(last.take());
-        let start = Instant::now();
-        let out = f();
-        best = best.min(start.elapsed());
-        last = Some(out);
-    }
-    (last.expect("at least one run"), best)
-}
 
 /// One row of the snapshot warm-start table.
 #[derive(Clone, Debug)]
@@ -624,12 +638,16 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
             let text = ddpa_constraints::print_constraints(&cp);
             let queries: Vec<NodeId> = cp.deref_pointers();
 
-            let ((cold_answers, cold), time_cold) = best_of(T8_RUNS, || {
-                let mut cold = DemandEngine::new(&cp, DemandConfig::default());
-                let answers: Vec<Vec<NodeId>> =
-                    queries.iter().map(|&q| cold.points_to(q).pts).collect();
-                (answers, cold)
-            });
+            let ((), (cold_answers, cold), time_cold) = best_of(
+                T8_RUNS,
+                || (),
+                |_| {
+                    let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+                    let answers: Vec<Vec<NodeId>> =
+                        queries.iter().map(|&q| cold.points_to(q).pts).collect();
+                    (answers, cold)
+                },
+            );
 
             let snapshot =
                 ddpa_snap::Snapshot::new(cold.generation(), text.clone(), cold.export_completed());
@@ -637,15 +655,19 @@ pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
             let path = dir.join(format!("{}.snap", b.name));
             let bytes = ddpa_snap::write_file(&snapshot, &path).expect("write snapshot");
 
-            let ((warm_answers, _), time_restored) = best_of(T8_RUNS, || {
-                let restored = ddpa_snap::read_file(&path).expect("read snapshot");
-                restored.verify_program(&text).expect("same program");
-                let mut warm = DemandEngine::new(&cp, DemandConfig::default());
-                warm.warm_start_owned(restored.entries);
-                let answers: Vec<Vec<NodeId>> =
-                    queries.iter().map(|&q| warm.points_to(q).pts).collect();
-                (answers, warm)
-            });
+            let ((), (warm_answers, _), time_restored) = best_of(
+                T8_RUNS,
+                || (),
+                |_| {
+                    let restored = ddpa_snap::read_file(&path).expect("read snapshot");
+                    restored.verify_program(&text).expect("same program");
+                    let mut warm = DemandEngine::new(&cp, DemandConfig::default());
+                    warm.warm_start_owned(restored.entries);
+                    let answers: Vec<Vec<NodeId>> =
+                        queries.iter().map(|&q| warm.points_to(q).pts).collect();
+                    (answers, warm)
+                },
+            );
             let _ = std::fs::remove_file(&path);
 
             T8Row {
@@ -742,11 +764,7 @@ pub fn run_t9(programs: &[T9Program], repeats: usize) -> Vec<T9Row> {
         .map(|&program| {
             let (name, cp, queries) = match program {
                 T9Program::Cyclic(scale) => {
-                    let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-                    let queries: Vec<NodeId> = cp
-                        .node_ids()
-                        .filter(|&n| !cp.display_node(n).contains("obj"))
-                        .collect();
+                    let (cp, queries) = cyclic_workload(scale);
                     (format!("cyc-{scale}"), cp, queries)
                 }
                 T9Program::MiniC(funcs) => {
@@ -868,56 +886,43 @@ pub fn run_t10(
 ) -> Vec<T10Row> {
     assert!(repeats > 0, "need at least one timed run");
     let workers = workers.max(2);
-    let named = |cp: &ConstraintProgram, name: &str| {
-        cp.node_ids()
-            .find(|&n| cp.display_node(n) == name)
-            .unwrap_or_else(|| panic!("workload lacks node {name}"))
-    };
-    let workloads: Vec<(String, ConstraintProgram, String)> = wide_sizes
+    let workloads: Vec<(String, ConstraintProgram, NodeId)> = wide_sizes
         .iter()
         .map(|&size| {
             let config = ddpa_gen::WideConfig::sized(97, size);
             let cp = ddpa_gen::generate_wide(&config);
-            (format!("wide-{}", config.chains), cp, "hub".to_owned())
+            let hub = cp
+                .node_ids()
+                .find(|&n| cp.display_node(n) == "hub")
+                .expect("wide workload has a hub");
+            (format!("wide-{}", config.chains), cp, hub)
         })
         .chain(cyc_scales.iter().map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let query = cp
-                .node_ids()
-                .map(|n| cp.display_node(n))
-                .find(|name| !name.contains("obj"))
-                .expect("cyclic workload has ring variables");
-            (format!("cyc-{scale}"), cp, query)
+            let (cp, queries) = cyclic_workload(scale);
+            let first = *queries.first().expect("cyclic workload has ring variables");
+            (format!("cyc-{scale}"), cp, first)
         }))
         .collect();
     workloads
         .into_iter()
-        .map(|(name, cp, query)| {
-            let q = named(&cp, &query);
-            let best_of = |config: &DemandConfig| {
-                let mut best = Duration::MAX;
-                let mut kept = None;
-                for _ in 0..repeats {
-                    let mut engine = DemandEngine::new(&cp, config.clone());
-                    let start = Instant::now();
-                    let result = engine.points_to(q);
-                    best = best.min(start.elapsed());
-                    kept = Some((result, engine));
-                }
-                let (result, engine) = kept.expect("at least one run");
-                (result, best, engine)
+        .map(|(name, cp, q)| {
+            let answer = |config: DemandConfig| {
+                best_of(
+                    repeats,
+                    || DemandEngine::new(&cp, config.clone()),
+                    |engine| engine.points_to(q),
+                )
             };
-            let (seq, time_seq, seq_engine) = best_of(&DemandConfig::default());
+            let (seq_engine, seq, time_seq) = answer(DemandConfig::default());
             let headroom = seq_engine.critical_path().headroom;
             // The scheduler runs collapse-off; measure the matching
             // sequential fire multiset for the work comparison.
-            let (seq_off, _, _) = best_of(&DemandConfig::default().without_cycle_collapsing());
-            let (par, time_par, par_engine) =
-                best_of(&DemandConfig::default().with_workers(workers));
+            let (_, seq_off, _) = answer(DemandConfig::default().without_cycle_collapsing());
+            let (par_engine, par, time_par) = answer(DemandConfig::default().with_workers(workers));
             let stats = par_engine.stats();
             T10Row {
                 name,
-                query,
+                query: cp.display_node(q),
                 workers,
                 headroom,
                 time_seq,

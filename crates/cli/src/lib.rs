@@ -11,7 +11,7 @@
 //! ddpa callgraph <file> [--budget N]         resolve all call sites on demand
 //! ddpa audit     <file> [--budget N]         dereference audit (wild pointers)
 //! ddpa stackret  <file> [--budget N]         stack-return (dangling pointer) lint
-//! ddpa profile   <file> [--json <path>]      run both analyses, report metrics + spans
+//! ddpa profile   <file>                      run both analyses, report metrics + spans
 //! ddpa gen       [--size N] [--seed S] [--minic]   emit a generated workload
 //! ddpa snapshot  <file> [names…] --out <path>      warm the memo table, write a snapshot
 //! ddpa restore   <file> <snap> [names…]            warm-start from a snapshot
@@ -22,9 +22,9 @@
 //! ```
 //!
 //! `solve`, `query`, `callgraph`, `audit` and `stackret` additionally take
-//! `--profile` (print the span tree after the command) and
-//! `--metrics-out <path>` (export counters/spans as JSONL; see
-//! `docs/OBSERVABILITY.md` for the schema).
+//! `--profile` (print the span tree after the command). These and
+//! `profile` take `--metrics-out <path>` (export counters/spans as JSONL;
+//! see `docs/OBSERVABILITY.md` for the schema).
 //!
 //! Inputs ending in `.c` or `.mc` are parsed as MiniC; anything else as the
 //! textual constraint format (`--minic` / `--constraints` override).
@@ -77,7 +77,7 @@ commands:
   callgraph <file> [--budget N]         resolve all call sites on demand
   audit     <file> [--budget N]         dereference audit (wild pointers)
   stackret  <file> [--budget N]         stack-return (dangling pointer) lint
-  profile   <file> [--json <path>]      run both analyses, report metrics + spans
+  profile   <file>                      run both analyses, report metrics + spans
   jsonl-check <file>                    validate a JSONL metrics export
   gen       [--size N] [--seed S] [--minic] [--wide]  emit a generated
             workload (--wide: many independent chains, high W/S headroom)
@@ -115,7 +115,7 @@ commands:
 
 solve/query/callgraph/audit/stackret also take:
   --profile             print the span profile tree after the command
-  --metrics-out <path>  export counters and spans as JSONL
+  --metrics-out <path>  export counters and spans as JSONL (profile too)
 
 inputs ending in .c/.mc parse as MiniC; otherwise as constraint text
 (--minic / --constraints override).";
@@ -132,7 +132,6 @@ struct Options {
     seed: u64,
     profile: bool,
     metrics_out: Option<String>,
-    json: Option<String>,
     addr: Option<String>,
     workers: Option<usize>,
     sched_policy: Option<SchedPolicy>,
@@ -190,10 +189,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     .next()
                     .ok_or_else(|| err("--metrics-out needs a path"))?;
                 opts.metrics_out = Some(v.clone());
-            }
-            "--json" => {
-                let v = iter.next().ok_or_else(|| err("--json needs a path"))?;
-                opts.json = Some(v.clone());
             }
             "--minic" => opts.minic = Some(true),
             "--constraints" => opts.minic = Some(false),
@@ -380,16 +375,13 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             if opts.positional.len() < 2 {
                 return Err(err("query needs at least one location name"));
             }
-            let mut config = DemandConfig {
+            let config = DemandConfig {
                 budget: opts.budget,
                 caching: !opts.no_cache,
                 workers: opts.workers.unwrap_or(1).max(1),
                 sched_policy: opts.sched_policy.unwrap_or_default(),
                 ..DemandConfig::default()
             };
-            if opts.no_cache {
-                config.caching = false;
-            }
             let mut engine = DemandEngine::with_obs(&cp, config, obs.clone());
             for name in &opts.positional[1..] {
                 let node = find_node(&cp, name)?;
@@ -573,10 +565,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 fmt_count(anders_work),
                 fmt_count(stats.queries),
             )?;
-            if let Some(json) = opts.json.as_deref() {
-                export_jsonl(&obs, "profile", Some(path), json)?;
-                writeln!(out, "wrote JSONL metrics to {json}")?;
-            }
         }
         "jsonl-check" => {
             let path = opts.positional.first().ok_or_else(|| err(USAGE))?;
@@ -1322,7 +1310,7 @@ mod tests {
         let p = path.to_str().expect("utf8 path");
         let json = write_temp("t12.jsonl", "");
         let j = json.to_str().expect("utf8 path");
-        let out = run_to_string(&["profile", p, "--json", j]).expect("profile");
+        let out = run_to_string(&["profile", p, "--metrics-out", j]).expect("profile");
 
         // The human report shows per-Watcher fire counts and the
         // demand-vs-exhaustive work comparison.
@@ -1376,7 +1364,7 @@ mod tests {
         let p = path.to_str().expect("utf8 path");
         let json = write_temp("t14.jsonl", "");
         let j = json.to_str().expect("utf8 path");
-        run_to_string(&["profile", p, "--json", j]).expect("profile");
+        run_to_string(&["profile", p, "--metrics-out", j]).expect("profile");
         let out = run_to_string(&["jsonl-check", j]).expect("valid export");
         assert!(out.contains("valid JSONL line"), "got: {out}");
 

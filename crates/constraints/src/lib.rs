@@ -51,7 +51,7 @@ pub mod text;
 
 pub use diff::{diff_programs, ProgramDiff};
 pub use dot::to_dot;
-pub use lower::{lower, LowerError};
+pub use lower::lower;
 pub use model::{CallSite, CallSiteId, CalleeRef, FuncId, FuncInfo, NodeId, NodeInfo, NodeKind};
 pub use program::{AddrOf, Assign, ConstraintBuilder, ConstraintProgram, FieldAddr, Load, Store};
 pub use stats::ProgramStats;

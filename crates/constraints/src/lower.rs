@@ -28,49 +28,22 @@
 use std::collections::HashMap;
 
 use ddpa_ir::ast::{self, BaseTy, Callee, Cond, Expr, FieldSel, Item, Place, Stmt, Ty};
-use ddpa_ir::token::Span;
 
 use crate::model::{FuncId, NodeId};
 use crate::program::{ConstraintBuilder, ConstraintProgram};
-
-/// Why a MiniC program did not lower.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LowerError {
-    /// The program breaks the static rules of [`ddpa_ir::check()`], which
-    /// [`lower`] runs first; nothing was lowered.
-    Check(ddpa_ir::CheckErrors),
-    /// A construct the lowering cannot translate. The checker rules these
-    /// out, so a checked program never yields one.
-    Construct {
-        /// Human-readable description.
-        message: String,
-        /// Location of the offending construct.
-        span: Span,
-    },
-}
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerError::Check(errs) => errs.fmt(f),
-            LowerError::Construct { message, span } => {
-                write!(f, "lowering error at {span}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
 
 /// Checks a MiniC program ([`ddpa_ir::check()`]) and lowers it to its
 /// constraint program. Every MiniC entry point lowers through here, so
 /// the programs that lower are exactly the programs that check.
 ///
+/// The lowering trusts the checker: where it relies on a checked rule it
+/// names that rule in a panic message, which a checked program never
+/// reaches.
+///
 /// # Errors
 ///
-/// Returns [`LowerError::Check`] with every check error if the program
-/// breaks a static rule, and [`LowerError::Construct`] if a checked
-/// construct cannot be lowered (never, for the rules the checker holds).
+/// Returns every check error if the program breaks a static rule;
+/// nothing is lowered then.
 ///
 /// # Examples
 ///
@@ -81,10 +54,10 @@ impl std::error::Error for LowerError {}
 /// assert!(cp.stores().is_empty());    // *p = 1 stores no pointer
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn lower(program: &ast::Program) -> Result<ConstraintProgram, LowerError> {
-    ddpa_ir::check(program).map_err(LowerError::Check)?;
+pub fn lower(program: &ast::Program) -> Result<ConstraintProgram, ddpa_ir::CheckErrors> {
+    ddpa_ir::check(program)?;
     let mut lowerer = Lowerer::new(program);
-    lowerer.run()?;
+    lowerer.run();
     Ok(lowerer.builder.build())
 }
 
@@ -102,8 +75,8 @@ enum Value {
 /// What a name resolves to.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
-    /// A variable node with its declared type (if known).
-    Node(NodeId, Option<Ty>),
+    /// A variable node with its declared type.
+    Node(NodeId, Ty),
     /// A function.
     Func(FuncId),
 }
@@ -139,14 +112,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn err(&self, span: Span, message: impl Into<String>) -> LowerError {
-        LowerError::Construct {
-            message: message.into(),
-            span,
-        }
-    }
-
-    fn run(&mut self) -> Result<(), LowerError> {
+    fn run(&mut self) {
         // Pass 0: struct declarations.
         for item in &self.ast.items {
             if let Item::Struct(decl) = item {
@@ -178,11 +144,12 @@ impl<'a> Lowerer<'a> {
                 }
                 Item::Function(f) => {
                     let name = self.ast.name(f.name).to_owned();
-                    if self.funcs.contains_key(&f.name) {
-                        return Err(self.err(f.span, format!("function `{name}` redefined")));
-                    }
                     let id = self.builder.func(&name, f.params.len());
-                    self.funcs.insert(f.name, id);
+                    let fresh = self.funcs.insert(f.name, id).is_none();
+                    assert!(
+                        fresh,
+                        "check: no name is defined more than once at top level"
+                    );
                     self.func_names.insert(id, name);
                 }
             }
@@ -195,14 +162,13 @@ impl<'a> Lowerer<'a> {
                 Item::Global(g) => {
                     if let Some(init) = &g.init {
                         let (dst, ty) = self.globals[&g.name];
-                        let value = self.expr_expecting(init, Some(ty))?;
+                        let value = self.expr_expecting(init, Some(ty));
                         self.assign_into(dst, value);
                     }
                 }
-                Item::Function(f) => self.function(f)?,
+                Item::Function(f) => self.function(f),
             }
         }
-        Ok(())
     }
 
     /// If `ty` declares a struct *value*, create its field nodes.
@@ -232,33 +198,6 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// The index of `field` within struct `s`.
-    fn field_index(
-        &self,
-        s: ddpa_support::Symbol,
-        field: ddpa_support::Symbol,
-        span: Span,
-    ) -> Result<u32, LowerError> {
-        let fields = self
-            .structs
-            .get(&s)
-            .ok_or_else(|| self.err(span, format!("unknown struct `{}`", self.ast.name(s))))?;
-        fields
-            .iter()
-            .position(|(fname, _)| *fname == field)
-            .map(|i| i as u32)
-            .ok_or_else(|| {
-                self.err(
-                    span,
-                    format!(
-                        "struct `{}` has no field `{}`",
-                        self.ast.name(s),
-                        self.ast.name(field)
-                    ),
-                )
-            })
-    }
-
     /// The declared type of `field` within struct `s`.
     fn field_ty(&self, s: ddpa_support::Symbol, field: ddpa_support::Symbol) -> Option<Ty> {
         self.structs
@@ -268,7 +207,7 @@ impl<'a> Lowerer<'a> {
             .map(|(_, ty)| *ty)
     }
 
-    fn function(&mut self, f: &ast::Function) -> Result<(), LowerError> {
+    fn function(&mut self, f: &ast::Function) {
         let id = self.funcs[&f.name];
         self.current_func = Some(id);
         self.local_counts.clear();
@@ -278,75 +217,60 @@ impl<'a> Lowerer<'a> {
             top_scope.insert(param.name, (node, param.ty));
         }
         self.scopes.push(top_scope);
-        self.block(&f.body)?;
+        self.block(&f.body);
         self.scopes.pop();
         self.current_func = None;
-        Ok(())
     }
 
-    fn block(&mut self, block: &ast::Block) -> Result<(), LowerError> {
+    fn block(&mut self, block: &ast::Block) {
         self.scopes.push(HashMap::new());
         for stmt in &block.stmts {
-            self.stmt(stmt)?;
+            self.stmt(stmt);
         }
         self.scopes.pop();
-        Ok(())
     }
 
-    fn resolve(&self, sym: ddpa_support::Symbol, span: Span) -> Result<Slot, LowerError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&(node, ty)) = scope.get(&sym) {
-                return Ok(Slot::Node(node, Some(ty)));
-            }
+    fn resolve(&self, sym: ddpa_support::Symbol) -> Slot {
+        let var = self.scopes.iter().rev().find_map(|scope| scope.get(&sym));
+        if let Some(&(node, ty)) = var.or_else(|| self.globals.get(&sym)) {
+            return Slot::Node(node, ty);
         }
-        if let Some(&(node, ty)) = self.globals.get(&sym) {
-            return Ok(Slot::Node(node, Some(ty)));
-        }
-        if let Some(&func) = self.funcs.get(&sym) {
-            return Ok(Slot::Func(func));
-        }
-        Err(self.err(span, format!("unresolved name `{}`", self.ast.name(sym))))
+        Slot::Func(
+            *self
+                .funcs
+                .get(&sym)
+                .expect("check: every used name is declared"),
+        )
     }
 
-    fn resolve_node(&self, sym: ddpa_support::Symbol, span: Span) -> Result<NodeId, LowerError> {
-        match self.resolve(sym, span)? {
-            Slot::Node(n, _) => Ok(n),
-            Slot::Func(_) => Err(self.err(
-                span,
-                format!("`{}` is a function, not a variable", self.ast.name(sym)),
-            )),
+    /// Resolves a name used as a variable: the checker rejects assigning
+    /// to a function (`place`), dereferencing one (`check_deref`) and
+    /// calling one as `(*f)(...)` (`call`).
+    fn resolve_node(&self, sym: ddpa_support::Symbol) -> NodeId {
+        match self.resolve(sym) {
+            Slot::Node(n, _) => n,
+            Slot::Func(_) => panic!("check: a function is never used as a variable"),
         }
     }
 
-    /// Resolves a struct field access: returns the base node, the struct
-    /// symbol, and the field index.
-    fn resolve_field(
-        &self,
-        base: ddpa_support::Symbol,
-        sel: FieldSel,
-        span: Span,
-    ) -> Result<(NodeId, ddpa_support::Symbol, u32), LowerError> {
-        let (node, ty) = match self.resolve(base, span)? {
-            Slot::Node(n, Some(ty)) => (n, ty),
-            Slot::Node(_, None) => {
-                return Err(self.err(span, "field access on value of unknown type"))
-            }
-            Slot::Func(_) => return Err(self.err(span, "functions have no fields")),
+    /// Resolves a struct field access: returns the base node and the
+    /// field index.
+    fn resolve_field(&self, base: ddpa_support::Symbol, sel: FieldSel) -> (NodeId, u32) {
+        let Slot::Node(node, ty) = self.resolve(base) else {
+            panic!("check_field: functions have no fields");
         };
-        let expected_depth = if sel.arrow { 1 } else { 0 };
-        match ty.base {
-            BaseTy::Struct(s) if ty.depth == expected_depth => {
-                let idx = self.field_index(s, sel.name, span)?;
-                Ok((node, s, idx))
-            }
-            _ => Err(self.err(
-                span,
-                format!(
-                    "`{}` is not a struct of the right shape",
-                    self.ast.name(base)
-                ),
-            )),
-        }
+        let s = match ty.base {
+            BaseTy::Struct(s) if ty.depth == u8::from(sel.arrow) => s,
+            _ => panic!("check_field: `.` needs a struct value and `->` a struct pointer"),
+        };
+        let index = self
+            .structs
+            .get(&s)
+            .expect("validate_ty: every struct type is declared")
+            .iter()
+            .position(|(fname, _)| *fname == sel.name)
+            .expect("check_field: the struct has the field");
+        (node, index as u32)
     }
 
     /// Declares a fresh local, renamed apart from shadowed ones.
@@ -434,7 +358,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, stmt: &Stmt) {
         match stmt {
             Stmt::Decl(d) => {
                 if d.array.is_some() {
@@ -448,39 +372,36 @@ impl<'a> Lowerer<'a> {
                         self.builder.set_owner(storage, f);
                     }
                     self.builder.addr_of(node, storage);
-                    return Ok(());
+                    return;
                 }
-                let value = match &d.init {
-                    Some(init) => Some(self.expr_expecting(init, Some(d.ty))?),
-                    None => None,
-                };
+                let value = d
+                    .init
+                    .as_ref()
+                    .map(|init| self.expr_expecting(init, Some(d.ty)));
                 let node = self.declare_local(d.name, d.ty);
                 if let Some(v) = value {
                     self.assign_into(node, v);
                 }
-                Ok(())
             }
             Stmt::Assign { lhs, rhs, .. } => {
                 let expected = self.place_ty(lhs);
-                let value = self.expr_expecting(rhs, expected)?;
-                self.assign_place(lhs, value)
+                let value = self.expr_expecting(rhs, expected);
+                self.assign_place(lhs, value);
             }
             Stmt::Expr(e) => {
                 if let Expr::Call(call) = e {
-                    self.lower_call(call, false)?;
+                    self.lower_call(call, false);
                 }
-                Ok(())
             }
-            Stmt::Return { value, span } => {
+            Stmt::Return { value, .. } => {
                 if let Some(v) = value {
                     let func = self
                         .current_func
-                        .ok_or_else(|| self.err(*span, "return outside a function"))?;
+                        .expect("the parser reads `return` only inside a function body");
                     let ret = self.builder.func_info(func).ret;
-                    let value = self.expr(v)?;
+                    let value = self.expr(v);
                     self.assign_into(ret, value);
                 }
-                Ok(())
             }
             Stmt::If {
                 cond,
@@ -488,16 +409,15 @@ impl<'a> Lowerer<'a> {
                 else_branch,
                 ..
             } => {
-                self.cond(cond)?;
-                self.stmt(then_branch)?;
+                self.cond(cond);
+                self.stmt(then_branch);
                 if let Some(e) = else_branch {
-                    self.stmt(e)?;
+                    self.stmt(e);
                 }
-                Ok(())
             }
             Stmt::While { cond, body, .. } => {
-                self.cond(cond)?;
-                self.stmt(body)
+                self.cond(cond);
+                self.stmt(body);
             }
             Stmt::Block(b) => self.block(b),
         }
@@ -506,7 +426,7 @@ impl<'a> Lowerer<'a> {
     /// The declared type of a place, when statically known (used to type
     /// `malloc()` on the right-hand side).
     fn place_ty(&self, place: &Place) -> Option<Ty> {
-        let Ok(Slot::Node(_, Some(ty))) = self.resolve(place.name, place.span) else {
+        let Slot::Node(_, ty) = self.resolve(place.name) else {
             return None;
         };
         match place.field {
@@ -531,168 +451,137 @@ impl<'a> Lowerer<'a> {
 
     /// Lowers the side effects of a condition (calls only — reads have no
     /// pointer effects).
-    fn cond(&mut self, cond: &Cond) -> Result<(), LowerError> {
+    fn cond(&mut self, cond: &Cond) {
         if let Expr::Call(call) = &cond.lhs {
-            self.lower_call(call, false)?;
+            self.lower_call(call, false);
         }
         if let Some((_, Expr::Call(call))) = &cond.rest {
-            self.lower_call(call, false)?;
+            self.lower_call(call, false);
         }
-        Ok(())
     }
 
     /// The address of a field access, as a node holding a pointer to the
     /// field: `.` yields the field node's address, `->` a `FieldAddr`
     /// temporary.
-    fn field_place_ptr(
-        &mut self,
-        base: ddpa_support::Symbol,
-        sel: FieldSel,
-        span: Span,
-    ) -> Result<NodeId, LowerError> {
-        let (node, _s, idx) = self.resolve_field(base, sel, span)?;
+    fn field_place_ptr(&mut self, base: ddpa_support::Symbol, sel: FieldSel) -> NodeId {
+        let (node, idx) = self.resolve_field(base, sel);
         if sel.arrow {
             let t = self.temp();
             self.builder.field_addr(t, node, idx);
-            Ok(t)
+            t
         } else {
             let fld = self.builder.field_node(node, idx);
             let t = self.temp();
             self.builder.addr_of(t, fld);
-            Ok(t)
+            t
         }
     }
 
-    fn assign_place(&mut self, place: &Place, value: Value) -> Result<(), LowerError> {
+    fn assign_place(&mut self, place: &Place, value: Value) {
         if let Some(sel) = place.field {
-            let ptr = self.field_place_ptr(place.name, sel, place.span)?;
+            let ptr = self.field_place_ptr(place.name, sel);
             if let Some(src) = self.materialize(value) {
                 self.builder.store(ptr, src);
             }
-            return Ok(());
+            return;
         }
+        let base = self.resolve_node(place.name);
         if place.derefs == 0 {
-            let dst = self.resolve_node(place.name, place.span)?;
-            self.assign_into(dst, value);
+            self.assign_into(base, value);
         } else {
-            let base = self.resolve_node(place.name, place.span)?;
             let ptr = self.deref_chain(base, place.derefs - 1);
             if let Some(src) = self.materialize(value) {
                 self.builder.store(ptr, src);
             }
         }
-        Ok(())
     }
 
-    fn expr(&mut self, expr: &Expr) -> Result<Value, LowerError> {
+    fn expr(&mut self, expr: &Expr) -> Value {
         self.expr_expecting(expr, None)
     }
 
     /// Lowers an expression; `expected` (the destination's declared type,
     /// when known) types heap allocations.
-    fn expr_expecting(&mut self, expr: &Expr, expected: Option<Ty>) -> Result<Value, LowerError> {
+    fn expr_expecting(&mut self, expr: &Expr, expected: Option<Ty>) -> Value {
         match expr {
             Expr::AddrOf {
                 name,
                 field: Some(sel),
-                span,
+                ..
             } => {
-                let (node, _s, idx) = self.resolve_field(*name, *sel, *span)?;
+                let (node, idx) = self.resolve_field(*name, *sel);
                 if sel.arrow {
                     let t = self.temp();
                     self.builder.field_addr(t, node, idx);
-                    Ok(Value::Node(t))
+                    Value::Node(t)
                 } else {
-                    let fld = self.builder.field_node(node, idx);
-                    Ok(Value::Addr(fld))
+                    Value::Addr(self.builder.field_node(node, idx))
                 }
             }
             Expr::AddrOf {
-                name,
-                field: None,
-                span,
-            } => match self.resolve(*name, *span)? {
-                Slot::Node(n, _) => Ok(Value::Addr(n)),
-                Slot::Func(f) => Ok(Value::Addr(self.builder.func_info(f).object)),
+                name, field: None, ..
+            } => match self.resolve(*name) {
+                Slot::Node(n, _) => Value::Addr(n),
+                Slot::Func(f) => Value::Addr(self.builder.func_info(f).object),
             },
             Expr::Path {
                 derefs: 0,
                 name,
                 field: Some(sel),
-                span,
+                ..
             } => {
                 // A field read: load through the field's address.
-                let ptr = self.field_place_ptr(*name, *sel, *span)?;
+                let ptr = self.field_place_ptr(*name, *sel);
                 let t = self.temp();
                 self.builder.load(t, ptr);
-                Ok(Value::Node(t))
+                Value::Node(t)
             }
-            Expr::Path {
-                field: Some(_),
-                span,
-                ..
-            } => Err(self.err(*span, "cannot mix dereference and field selection")),
+            Expr::Path { field: Some(_), .. } => {
+                panic!("the parser reads no dereference before a field selection")
+            }
             Expr::Path {
                 derefs,
                 name,
                 field: None,
-                span,
-            } => {
-                match self.resolve(*name, *span)? {
-                    Slot::Node(n, _) => {
-                        if *derefs == 0 {
-                            Ok(Value::Node(n))
-                        } else {
-                            Ok(Value::Node(self.deref_chain(n, *derefs)))
-                        }
-                    }
-                    Slot::Func(f) => {
-                        if *derefs > 0 {
-                            Err(self.err(*span, "cannot dereference a function"))
-                        } else {
-                            // Function designator decays to its address.
-                            Ok(Value::Addr(self.builder.func_info(f).object))
-                        }
-                    }
+                ..
+            } => match self.resolve(*name) {
+                Slot::Node(n, _) => Value::Node(self.deref_chain(n, *derefs)),
+                Slot::Func(f) => {
+                    assert_eq!(*derefs, 0, "check_deref: a function is never dereferenced");
+                    // Function designator decays to its address.
+                    Value::Addr(self.builder.func_info(f).object)
                 }
-            }
-            Expr::Call(call) => {
-                let ret = self.lower_call(call, true)?;
-                Ok(match ret {
-                    Some(node) => Value::Node(node),
-                    None => Value::None,
-                })
-            }
+            },
+            Expr::Call(call) => match self.lower_call(call, true) {
+                Some(node) => Value::Node(node),
+                None => Value::None,
+            },
             Expr::Malloc { .. } => {
                 let heap = self.heap();
                 if let Some(ty) = expected {
                     self.type_heap(heap, ty);
                 }
-                Ok(Value::Addr(heap))
+                Value::Addr(heap)
             }
-            Expr::Null { .. } | Expr::Int { .. } => Ok(Value::None),
+            Expr::Null { .. } | Expr::Int { .. } => Value::None,
         }
     }
 
     /// Lowers a call; returns the node holding the result if `want_ret`.
-    fn lower_call(
-        &mut self,
-        call: &ast::Call,
-        want_ret: bool,
-    ) -> Result<Option<NodeId>, LowerError> {
+    fn lower_call(&mut self, call: &ast::Call, want_ret: bool) -> Option<NodeId> {
         let mut args = Vec::with_capacity(call.args.len());
         for arg in &call.args {
-            let value = self.expr(arg)?;
+            let value = self.expr(arg);
             args.push(self.materialize(value));
         }
         let ret_dst = if want_ret { Some(self.temp()) } else { None };
         let cs = match &call.callee {
-            Callee::Named(sym) => match self.resolve(*sym, call.span)? {
+            Callee::Named(sym) => match self.resolve(*sym) {
                 Slot::Func(f) => self.builder.call_direct(f, args, ret_dst),
                 Slot::Node(fp, _) => self.builder.call_indirect(fp, args, ret_dst),
             },
             Callee::Deref { derefs, name } => {
-                let base = self.resolve_node(*name, call.span)?;
+                let base = self.resolve_node(*name);
                 // In C, `(*fp)()` and `fp()` are the same call; only derefs
                 // beyond the first load through memory.
                 let fp = self.deref_chain(base, derefs.saturating_sub(1));
@@ -702,7 +591,7 @@ impl<'a> Lowerer<'a> {
         if let Some(caller) = self.current_func {
             self.builder.set_caller(cs, caller);
         }
-        Ok(ret_dst)
+        ret_dst
     }
 }
 
@@ -726,10 +615,7 @@ mod tests {
         .expect("parses");
         let errs = ddpa_ir::check(&program).expect_err("check rejects");
         assert_eq!(errs.0.len(), 2);
-        assert_eq!(
-            lower(&program).expect_err("lower rejects"),
-            LowerError::Check(errs)
-        );
+        assert_eq!(lower(&program).expect_err("lower rejects"), errs);
     }
 
     #[test]

@@ -83,8 +83,7 @@ pub use ddpa_snap as snap;
 ///
 /// # Errors
 ///
-/// Returns the parse error, every check error, or the lowering error as
-/// a boxed error.
+/// Returns the parse error or every check error as a boxed error.
 ///
 /// # Examples
 ///

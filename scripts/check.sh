@@ -36,9 +36,18 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 for sample in samples/*; do
     out="$tmp/$(basename "$sample").jsonl"
-    cargo run -q -p ddpa-cli -- profile "$sample" --json "$out" > /dev/null
+    cargo run -q -p ddpa-cli -- profile "$sample" --metrics-out "$out" > /dev/null
     cargo run -q -p ddpa-cli -- jsonl-check "$out"
 done
+
+echo "==> report smoke test"
+# The evaluation report runs end to end, and the summaries it writes load
+# back into the --history trajectory next to the committed BENCH_15.json
+# (T1 and T6 are deterministic counts; a unit test pins them to it).
+cargo run -q -p ddpa-bench --bin report -- t1 t6 --json-out "$tmp/report.json" \
+    > "$tmp/report.md"
+cargo run -q -p ddpa-bench --bin report -- --history BENCH_15.json "$tmp/report.json" \
+    > "$tmp/history.md"
 
 echo "==> work-pin smoke test"
 # The work pins hold the engine's and the scheduler's work, fires,
@@ -66,7 +75,7 @@ echo "==> cycle-collapse smoke test"
 # threshold — and exports well-formed demand.cycles.* metrics.
 cargo test -q -p ddpa-demand --test cycles_differential
 cyc="$tmp/cycles-metrics.jsonl"
-cargo run -q -p ddpa-cli -- profile samples/cycles.cons --json "$cyc" > /dev/null
+cargo run -q -p ddpa-cli -- profile samples/cycles.cons --metrics-out "$cyc" > /dev/null
 cargo run -q -p ddpa-cli -- jsonl-check "$cyc"
 grep -q '"name":"demand.cycles.collapsed","value":[1-9]' "$cyc" \
     || { echo "metrics missing a nonzero demand.cycles.collapsed" >&2; exit 1; }
