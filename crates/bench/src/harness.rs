@@ -622,65 +622,71 @@ impl T8Row {
 /// Regenerates table T8: time-to-first-answer of a cold engine vs one
 /// warm-started from a durable snapshot ([`ddpa_snap`]).
 ///
+/// Programs run in canonical form ([`ddpa_constraints::canonicalize`]).
 /// The cold run answers every dereference query from scratch; the
 /// snapshot of its memo table round-trips through an actual file, and the
 /// restored run measures the full restore path `ddpa restore` takes:
-/// read, checksum + program-hash verification, a warm start that moves the
-/// decoded entries in, then answering the identical query set. Each side
-/// is timed the same way, as the best of three runs on fresh engines:
-/// one run of a small benchmark takes about a millisecond, and a single
-/// timing let scheduler noise decide the ratio.
+/// read, checksum verification, [`ddpa_snap::restore`] moving the decoded
+/// entries in, then answering the identical query set. Each side is timed
+/// the same way, as the best of three runs on fresh engines: one run of a
+/// small benchmark takes about a millisecond, and a single timing let
+/// scheduler noise decide the ratio.
 pub fn run_t8(benches: &[Benchmark]) -> Vec<T8Row> {
+    let dir = std::env::temp_dir().join("ddpa-bench-t8");
     benches
         .iter()
         .map(|b| {
-            let cp = b.build();
-            let text = ddpa_constraints::print_constraints(&cp);
-            let queries: Vec<NodeId> = cp.deref_pointers();
-
-            let ((), (cold_answers, cold), time_cold) = best_of(
-                T8_RUNS,
-                || (),
-                |_| {
-                    let mut cold = DemandEngine::new(&cp, DemandConfig::default());
-                    let answers: Vec<Vec<NodeId>> =
-                        queries.iter().map(|&q| cold.points_to(q).pts).collect();
-                    (answers, cold)
-                },
-            );
-
-            let snapshot =
-                ddpa_snap::Snapshot::new(cold.generation(), text.clone(), cold.export_completed());
-            let dir = std::env::temp_dir().join("ddpa-bench-t8");
             let path = dir.join(format!("{}.snap", b.name));
-            let bytes = ddpa_snap::write_file(&snapshot, &path).expect("write snapshot");
-
-            let ((), (warm_answers, _), time_restored) = best_of(
-                T8_RUNS,
-                || (),
-                |_| {
-                    let restored = ddpa_snap::read_file(&path).expect("read snapshot");
-                    restored.verify_program(&text).expect("same program");
-                    let mut warm = DemandEngine::new(&cp, DemandConfig::default());
-                    warm.warm_start_owned(restored.entries);
-                    let answers: Vec<Vec<NodeId>> =
-                        queries.iter().map(|&q| warm.points_to(q).pts).collect();
-                    (answers, warm)
-                },
-            );
+            let row = t8_row(b, &path);
             let _ = std::fs::remove_file(&path);
-
-            T8Row {
-                name: b.name,
-                queries: queries.len(),
-                entries: snapshot.entries.len(),
-                bytes,
-                time_cold,
-                time_restored,
-                identical: cold_answers == warm_answers,
-            }
+            row
         })
         .collect()
+}
+
+/// One T8 row, leaving its snapshot file at `path`.
+fn t8_row(b: &Benchmark, path: &std::path::Path) -> T8Row {
+    let (cp, text) =
+        ddpa_constraints::canonicalize(b.build(), None).expect("a printed program parses");
+    let queries: Vec<NodeId> = cp.deref_pointers();
+
+    let ((), (cold_answers, cold), time_cold) = best_of(
+        T8_RUNS,
+        || (),
+        |_| {
+            let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+            let answers: Vec<Vec<NodeId>> =
+                queries.iter().map(|&q| cold.points_to(q).pts).collect();
+            (answers, cold)
+        },
+    );
+
+    let snapshot = ddpa_snap::Snapshot::capture(&cold, text.as_str());
+    let bytes = ddpa_snap::write_file(&snapshot, path).expect("write snapshot");
+
+    let ((), (warm_answers, _), time_restored) = best_of(
+        T8_RUNS,
+        || (),
+        |_| {
+            let restored = ddpa_snap::read_file(path).expect("read snapshot");
+            let mut warm = DemandEngine::new(&cp, DemandConfig::default());
+            ddpa_snap::restore(&mut warm, &text, std::borrow::Cow::Owned(restored))
+                .expect("same program");
+            let answers: Vec<Vec<NodeId>> =
+                queries.iter().map(|&q| warm.points_to(q).pts).collect();
+            (answers, warm)
+        },
+    );
+
+    T8Row {
+        name: b.name,
+        queries: queries.len(),
+        entries: snapshot.entries.len(),
+        bytes,
+        time_cold,
+        time_restored,
+        identical: cold_answers == warm_answers,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1181,6 +1187,30 @@ mod tests {
             assert!(
                 r.speedup() >= 2.0,
                 "warm start must beat cold deduction clearly: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn t8_snapshot_file_restores_into_its_own_text() {
+        let dir = std::env::temp_dir().join(format!("ddpa-bench-t8-file-{}", std::process::id()));
+        let path = dir.join("syn-1k.snap");
+        t8_row(&tiny()[0], &path);
+        let snapshot = ddpa_snap::read_file(&path).expect("T8 leaves its snapshot file");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cp = ddpa_constraints::parse_constraints(&snapshot.program_text).expect("parses");
+        let text = snapshot.program_text.clone();
+        let mut restored = DemandEngine::new(&cp, DemandConfig::default());
+        let stats = ddpa_snap::restore(&mut restored, &text, std::borrow::Cow::Owned(snapshot))
+            .expect("same program");
+        assert!(stats.installed > 0 && !stats.rebound, "{stats:?}");
+        let mut cold = DemandEngine::new(&cp, DemandConfig::default());
+        for q in cp.deref_pointers() {
+            assert_eq!(
+                restored.points_to(q).pts,
+                cold.points_to(q).pts,
+                "pts({})",
+                cp.display_node(q)
             );
         }
     }

@@ -6,12 +6,13 @@ use std::time::Duration;
 use ddpa_obs::JsonValue;
 use ddpa_support::stats::{fmt_count, fmt_duration};
 
-/// Renders a Markdown table.
+/// Renders a Markdown table. A `|` inside a header or cell is escaped,
+/// so it cannot split the cell.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push('|');
     for h in headers {
-        out.push_str(&format!(" {h} |"));
+        out.push_str(&format!(" {} |", h.replace('|', "\\|")));
     }
     out.push_str("\n|");
     for _ in headers {
@@ -21,7 +22,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         out.push('|');
         for cell in row {
-            out.push_str(&format!(" {cell} |"));
+            out.push_str(&format!(" {} |", cell.replace('|', "\\|")));
         }
         out.push('\n');
     }
@@ -170,6 +171,12 @@ mod tests {
     fn renders_table() {
         let t = table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert_eq!(t, "| a | b |\n|---|---|\n| 1 | 2 |\n");
+    }
+
+    #[test]
+    fn pipes_in_headers_and_cells_are_escaped() {
+        let t = table(&["Σ|pts|", "b"], &[vec!["x|y".into(), "2".into()]]);
+        assert_eq!(t, "| Σ\\|pts\\| | b |\n|---|---|\n| x\\|y | 2 |\n");
     }
 
     #[test]

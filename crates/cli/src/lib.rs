@@ -626,8 +626,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             for node in nodes {
                 let _ = engine.points_to(node);
             }
-            let snapshot =
-                ddpa::snap::Snapshot::new(engine.generation(), source, engine.export_completed());
+            let snapshot = ddpa::snap::Snapshot::capture(&engine, source);
             let bytes = ddpa::snap::write_file(&snapshot, out_path)
                 .map_err(|e| err(format!("cannot write `{out_path}`: {e}")))?;
             writeln!(
@@ -644,18 +643,25 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .get(1)
                 .ok_or_else(|| err("restore needs <file> <snap> [names...]"))?;
             let (cp, source) = load_canonical(path, opts.minic)?;
-            let snapshot = ddpa::snap::read_file(snap_path)
-                .map_err(|e| err(format!("cannot restore `{snap_path}`: {e}")))?;
-            snapshot
-                .verify_program(&source)
-                .map_err(|e| err(format!("cannot restore `{snap_path}`: {e}")))?;
+            let cannot =
+                |e: ddpa::snap::SnapError| err(format!("cannot restore `{snap_path}`: {e}"));
+            let snapshot = ddpa::snap::read_file(snap_path).map_err(cannot)?;
             let config = DemandConfig {
                 budget: opts.budget,
                 ..DemandConfig::default()
             };
             let mut engine = DemandEngine::with_obs(&cp, config, obs.clone());
-            let installed = engine.warm_start_owned(snapshot.entries);
-            writeln!(out, "restored {installed} fixpoint(s) from {snap_path}",)?;
+            let snapshot = std::borrow::Cow::Owned(snapshot);
+            let stats = ddpa::snap::restore(&mut engine, &source, snapshot).map_err(cannot)?;
+            let rebound = stats
+                .rebound
+                .then(|| format!(" (rebound, {} dropped)", stats.dropped));
+            let installed = stats.installed;
+            writeln!(
+                out,
+                "restored {installed} fixpoint(s) from {snap_path}{}",
+                rebound.unwrap_or_default()
+            )?;
             for name in &opts.positional[2..] {
                 let node = find_node(&cp, name)?;
                 let r = engine.points_to(node);
@@ -1530,6 +1536,28 @@ mod tests {
         run_to_string(&["snapshot", m, "main::p", "--out", s2]).expect("minic snapshot");
         let out = run_to_string(&["restore", m, s2, "main::p"]).expect("minic restore");
         assert!(out.contains("pts(main::p) = {g}  [work 0]"), "got: {out}");
+    }
+
+    #[test]
+    fn restore_rebinds_a_snapshot_taken_before_an_append() {
+        let path = write_temp("t16c.cons", "p = &o\nq = p\nr = q\n");
+        let p = path.to_str().expect("utf8 path");
+        let snap = std::env::temp_dir().join("ddpa-cli-tests/t16c.snap");
+        let s = snap.to_str().expect("utf8 path");
+        run_to_string(&["snapshot", p, "--out", s]).expect("snapshot");
+        write_temp("t16c.cons", "p = &o\nq = p\nr = q\ns = r\n");
+
+        let out = run_to_string(&["restore", p, s, "p", "q", "r", "s"]).expect("rebinds");
+        assert!(out.contains("(rebound, "), "got: {out}");
+        let cold = run_to_string(&["query", p, "p", "q", "r", "s"]).expect("query");
+        let sets = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.starts_with("pts("))
+                .map(|l| l.split("  [").next().unwrap_or(l).to_owned())
+                .collect()
+        };
+        assert_eq!(sets(&out).len(), 4, "got: {out}");
+        assert_eq!(sets(&out), sets(&cold), "restored: {out}\ncold: {cold}");
     }
 
     #[test]

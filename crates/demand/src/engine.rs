@@ -83,7 +83,7 @@ use crate::goal::{Goal, GoalIndex, GoalState, ListSet, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::{CallEdges, Deduce};
 use crate::sched::Scheduler;
-use crate::share::{close_dirty, CompletedGoal, DirtyView, SupportRef};
+use crate::share::{close_dirty, CompletedGoal, DirtyView, StageEntry, SupportRef};
 use crate::stats::EngineStats;
 use crate::trace::Origin;
 
@@ -121,7 +121,9 @@ pub struct DemandEngine<'p> {
 pub(crate) struct Memo {
     config: DemandConfig,
     pub(crate) goals: Vec<GoalState>,
-    pub(crate) keys: Vec<Goal>,
+    /// Keys merged into each representative that has any, in merge
+    /// order: the family's other keys, which exports and edits keep.
+    aliases: HashMap<u32, Vec<Goal>>,
     /// Goal → table index, addressed by slot (`pts(n) ↔ 2n`,
     /// `ptb(n) ↔ 2n+1`) and sized from the program's node count.
     pub(crate) index: GoalIndex,
@@ -153,11 +155,6 @@ pub(crate) struct Memo {
     /// between queries. Recording is append-only and never feeds back
     /// into deduction, so answers are identical either way.
     flight: Option<FlightStage>,
-    /// Per-goal attribution, parallel to `goals`: how much work and how
-    /// many rule firings each goal's processing consumed. Folded into the
-    /// representative when a cycle merges. Drives the top-k "hottest
-    /// goals" view and the critical-path analyzer ([`crate::inspect`]).
-    pub(crate) costs: Vec<GoalCost>,
     /// Whether the most recent query dispatched to the frame scheduler.
     /// Hosts that request parallel execution read this to report a
     /// sequential fallback honestly instead of implying parallelism.
@@ -185,15 +182,6 @@ pub struct EditStats {
     /// `true` when the engine fell back to full invalidation
     /// (incompatible diff or caching off).
     pub full: bool,
-}
-
-/// Work/fires attributed to one goal (see [`crate::inspect`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GoalCost {
-    /// Work ticks charged while processing this goal (init + firings).
-    pub work: u64,
-    /// Rule firings delivered while processing this goal.
-    pub fires: u64,
 }
 
 /// Pre-resolved counter handles — the hot path never does a name lookup.
@@ -530,50 +518,25 @@ impl<'p> DemandEngine<'p> {
     ///
     /// Skips goals already tabled or staged — a warm start must never
     /// overwrite live deduction state — and stages nothing when caching
-    /// is disabled. Returns how many entries were staged. Each staged
-    /// entry is copied; [`warm_start_owned`](Self::warm_start_owned)
-    /// moves them instead.
+    /// is disabled. Returns how many entries were staged. Entries given
+    /// by value (a snapshot just read from disk) move in; entries given
+    /// by reference are copied, each only once it is staged
+    /// ([`StageEntry`]).
     ///
     /// The caller is responsible for only staging fixpoints computed
     /// over the *same program*; snapshot restore verifies the program
-    /// hash first.
-    pub fn warm_start<'e, I>(&mut self, entries: I) -> usize
-    where
-        I: IntoIterator<Item = &'e (Goal, CompletedGoal)>,
-    {
-        self.stage(
-            entries
-                .into_iter()
-                .map(|(goal, entry)| (*goal, Cow::Borrowed(entry))),
-        )
-    }
-
-    /// [`warm_start`](Self::warm_start) for entries the caller gives up,
-    /// such as a snapshot just read from disk: each staged entry is moved
-    /// in, not copied.
-    pub fn warm_start_owned<I>(&mut self, entries: I) -> usize
-    where
-        I: IntoIterator<Item = (Goal, CompletedGoal)>,
-    {
-        self.stage(
-            entries
-                .into_iter()
-                .map(|(goal, entry)| (goal, Cow::Owned(entry))),
-        )
-    }
-
-    fn stage<'e>(
-        &mut self,
-        entries: impl Iterator<Item = (Goal, Cow<'e, CompletedGoal>)>,
-    ) -> usize {
+    /// hash, or rebinds, first.
+    pub fn warm_start<E: StageEntry>(&mut self, entries: impl IntoIterator<Item = E>) -> usize {
         let memo = &mut self.memo;
         if !memo.config.caching {
             return 0;
         }
         memo.staged.at.grow(memo.index.nodes());
         let mut staged = 0;
-        for (goal, entry) in entries {
-            if memo.index.get(goal).is_none() && memo.staged.insert(goal, entry) {
+        for entry in entries {
+            let goal = entry.goal();
+            if memo.index.get(goal).is_none() && memo.staged.get(goal).is_none() {
+                memo.staged.insert(goal, entry.into_entry());
                 staged += 1;
             }
         }
@@ -593,10 +556,6 @@ struct Staged {
 }
 
 impl Staged {
-    fn len(&self) -> usize {
-        self.len
-    }
-
     fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -606,15 +565,11 @@ impl Staged {
         self.entries[i].as_ref().map(|(_, entry)| entry)
     }
 
-    /// Stages `entry` unless `goal` is staged already.
-    fn insert(&mut self, goal: Goal, entry: Cow<'_, CompletedGoal>) -> bool {
-        if self.at.get(goal).is_some() {
-            return false;
-        }
+    /// Stages `entry`; `goal` is not staged yet.
+    fn insert(&mut self, goal: Goal, entry: CompletedGoal) {
         self.at.insert(goal, self.entries.len() as u32);
-        self.entries.push(Some((goal, entry.into_owned())));
+        self.entries.push(Some((goal, entry)));
         self.len += 1;
-        true
     }
 
     fn remove(&mut self, goal: Goal) -> Option<CompletedGoal> {
@@ -628,16 +583,16 @@ impl Staged {
         entry
     }
 
-    fn iter(&self) -> impl Iterator<Item = (Goal, &CompletedGoal)> {
-        self.entries
-            .iter()
-            .flatten()
-            .map(|(goal, entry)| (*goal, entry))
-    }
-
     fn clear(&mut self) {
         *self = Staged::default();
     }
+}
+
+/// Where an [`exported`](Memo::exported) entry's fixpoint lives: in the
+/// complete family state at a table index, or in a staged entry.
+enum Home<'a> {
+    Table(u32, &'a GoalState),
+    Staged(&'a CompletedGoal),
 }
 
 impl Memo {
@@ -654,7 +609,7 @@ impl Memo {
         Memo {
             config,
             goals: Vec::new(),
-            keys: Vec::new(),
+            aliases: HashMap::new(),
             index: GoalIndex::with_nodes(nodes),
             queue: VecDeque::new(),
             complete_below: 0,
@@ -666,7 +621,6 @@ impl Memo {
             calls: CallEdges::default(),
             staged: Staged::default(),
             flight,
-            costs: Vec::new(),
             last_parallel: false,
             deadline: None,
             timed_out: false,
@@ -682,14 +636,13 @@ impl Memo {
     /// the next table arms its dispatch watchers afresh, on the next
     /// program.
     fn clear(&mut self) {
-        self.goals.clear();
-        for &key in &self.keys {
-            self.index.remove(key);
+        for state in &self.goals {
+            self.index.remove(state.key);
         }
-        self.keys.clear();
+        self.goals.clear();
+        self.aliases.clear();
         self.queue.clear();
         self.complete_below = 0;
-        self.costs.clear();
         self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
         self.calls = CallEdges::default();
     }
@@ -704,15 +657,7 @@ impl Memo {
     /// program of `nodes` nodes.
     fn edit(&mut self, nodes: usize, diff: &ddpa_constraints::ProgramDiff) -> EditStats {
         if !diff.compatible || !self.config.caching {
-            // Every entry an export would write: each completed family
-            // under its key and its aliases, then each staged entry.
-            let dropped = self
-                .goals
-                .iter()
-                .filter(|s| !s.merged && s.complete)
-                .map(|s| 1 + s.aliases.len())
-                .sum::<usize>()
-                + self.staged.len();
+            let dropped = self.exported().count();
             self.invalidate();
             self.index.grow(nodes);
             return EditStats {
@@ -722,78 +667,65 @@ impl Memo {
                 full: true,
             };
         }
-        // Candidates: one borrowed view per key of every completed local
-        // fixpoint (the canonical key, then its merged-in aliases — the
-        // keys an export writes), then one per staged entry.
-        let mut views: Vec<DirtyView<'_>> = Vec::new();
+        // One borrowed view per exported entry.
         let mut at = GoalIndex::with_nodes(nodes);
-        for (gi, state) in self.goals.iter().enumerate() {
-            if state.merged || !state.complete {
-                continue;
-            }
-            for goal in std::iter::once(self.keys[gi]).chain(state.aliases.iter().copied()) {
-                at.insert(goal, views.len() as u32);
-                views.push(DirtyView {
-                    goal,
-                    support: SupportRef::Set(&state.support),
-                    deps: &state.deps,
-                    reads_indirect: state.reads_indirect,
-                });
-            }
-        }
-        let tabled = views.len();
-        for (goal, entry) in self.staged.iter() {
-            at.insert(goal, views.len() as u32);
-            views.push(DirtyView::of_entry(goal, entry));
-        }
-        let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
-        let invalidated = dirty.iter().filter(|&&d| d).count();
-        let retained = views.len() - invalidated;
-        let dirty_staged: Vec<Goal> = views[tabled..]
-            .iter()
-            .zip(&dirty[tabled..])
-            .filter(|&(_, &d)| d)
-            .map(|(v, _)| v.goal)
+        let views: Vec<DirtyView<'_>> = self
+            .exported()
+            .zip(0u32..)
+            .map(|((goal, home), i)| {
+                at.insert(goal, i);
+                match home {
+                    Home::Table(_, state) => DirtyView {
+                        goal,
+                        support: SupportRef::Set(&state.support),
+                        deps: &state.deps,
+                        reads_indirect: state.reads_indirect,
+                    },
+                    Home::Staged(entry) => DirtyView::of_entry(goal, entry),
+                }
+            })
             .collect();
+        let (dirty, dirty_edges) = close_dirty(&views, &at, diff);
         drop(views);
-        for &goal in &dirty_staged {
+        let invalidated = dirty.iter().filter(|&&d| d).count();
+        let retained = dirty.len() - invalidated;
+        let mut survivors = Vec::with_capacity(retained);
+        let mut dirty_staged = Vec::new();
+        for ((goal, home), &d) in self.exported().zip(&dirty) {
+            match home {
+                Home::Table(gi, _) if !d => survivors.push((goal, gi)),
+                Home::Staged(_) if d => dirty_staged.push(goal),
+                _ => {}
+            }
+        }
+        for goal in dirty_staged {
             self.staged.remove(goal);
         }
 
         // Re-table the survivors by moving their state into new slots, in
-        // table order.
+        // export order.
         let mut goals = std::mem::take(&mut self.goals);
-        let keys = std::mem::take(&mut self.keys);
-        for &key in &keys {
-            self.index.remove(key);
+        for state in &goals {
+            self.index.remove(state.key);
         }
         self.clear();
         self.index.grow(nodes);
         self.goals.reserve_exact(retained);
-        self.keys.reserve_exact(retained);
-        self.costs.reserve_exact(retained);
         self.generation += 1;
-        let mut flags = dirty.iter();
-        for (gi, slot) in goals.iter_mut().enumerate() {
-            if slot.merged || !slot.complete {
-                continue;
-            }
-            let key = keys[gi];
-            let mut state = std::mem::take(slot);
-            let aliases = std::mem::take(&mut state.aliases);
-            let mut state = Some(state.into_completed());
-            for goal in std::iter::once(key).chain(aliases) {
-                if *flags.next().expect("one flag per view") {
-                    continue;
-                }
-                // The family's first survivor takes the state; later ones
-                // copy the survivor tabled just before them.
-                let fresh = match state.take() {
-                    Some(s) => s,
-                    None => self.goals.last().expect("tabled above").completed_copy(),
-                };
-                self.push(goal, fresh);
-            }
+        let mut family = None;
+        for (goal, gi) in survivors {
+            // A family's first survivor takes the state; later ones copy
+            // the survivor tabled just before them. Each is tabled under
+            // its own key, with no cost.
+            let mut state = if family == Some(gi) {
+                self.goals.last().expect("tabled above").completed_copy()
+            } else {
+                let old = std::mem::replace(&mut goals[gi as usize], GoalState::new(goal));
+                GoalState::completed(goal, old.elems, old.support, old.deps, old.reads_indirect)
+            };
+            family = Some(gi);
+            state.key = goal;
+            self.push(state);
         }
         self.complete_below = self.goals.len();
         // Each re-tabled goal staged an `activated` event.
@@ -817,22 +749,16 @@ impl Memo {
             let state = &self.goals[self.cycles.find_readonly(gi) as usize];
             return state.complete.then(|| state.sorted_elems());
         }
-        self.probe_staged(goal).map(|entry| entry.elems.clone())
-    }
-
-    /// Looks `goal` up among the staged entries, counting a share hit or
-    /// miss while any are staged.
-    fn probe_staged(&self, goal: Goal) -> Option<&CompletedGoal> {
         if self.staged.is_empty() {
             return None;
         }
         let hit = self.staged.get(goal);
         self.count_share(hit.is_some());
-        hit
+        hit.map(|entry| entry.elems.clone())
     }
 
-    /// Takes `goal`'s staged entry out, counting a share hit or miss as
-    /// [`probe_staged`](Self::probe_staged) does.
+    /// Takes `goal`'s staged entry out, counting a share hit or miss
+    /// while any are staged.
     fn take_staged(&mut self, goal: Goal) -> Option<CompletedGoal> {
         if self.staged.is_empty() {
             return None;
@@ -850,24 +776,34 @@ impl Memo {
         }
     }
 
-    /// Every complete goal, under its key and its merged-in aliases, plus
-    /// every staged entry, in canonical order.
+    /// Every entry an export writes: each complete family's fixpoint under
+    /// its key and then each of its aliases, in table order, then each
+    /// staged entry. Exports, edits and their counts all read this set.
+    fn exported(&self) -> impl Iterator<Item = (Goal, Home<'_>)> {
+        let tabled = self
+            .goals
+            .iter()
+            .zip(0u32..)
+            .filter(|(state, _)| !state.merged && state.complete)
+            .flat_map(move |(state, gi)| {
+                std::iter::once(state.key)
+                    .chain(self.aliases.get(&gi).into_iter().flatten().copied())
+                    .map(move |goal| (goal, Home::Table(gi, state)))
+            });
+        let staged = self.staged.entries.iter().flatten();
+        tabled.chain(staged.map(|(goal, entry)| (*goal, Home::Staged(entry))))
+    }
+
+    /// The [`exported`](Self::exported) entries as owned fixpoints, in
+    /// canonical order.
     fn export_completed(&self) -> Vec<(Goal, CompletedGoal)> {
         let mut out: Vec<(Goal, CompletedGoal)> = self
-            .staged
-            .iter()
-            .map(|(goal, entry)| (goal, entry.clone()))
+            .exported()
+            .map(|(goal, home)| match home {
+                Home::Table(_, state) => (goal, CompletedGoal::of_state(state)),
+                Home::Staged(entry) => (goal, entry.clone()),
+            })
             .collect();
-        for (gi, state) in self.goals.iter().enumerate() {
-            if state.merged || !state.complete {
-                continue;
-            }
-            let entry = CompletedGoal::of_state(state);
-            for &alias in &state.aliases {
-                out.push((alias, entry.clone()));
-            }
-            out.push((self.keys[gi], entry));
-        }
         out.sort_unstable_by_key(|&(goal, _)| goal.canonical_key());
         out
     }
@@ -895,23 +831,21 @@ impl Memo {
             // static rules, no enqueue — the whole subtree below `goal`
             // costs zero firings. Later subscribers replay `elems` from
             // cursor 0, exactly as with a locally completed goal.
-            let gi = self.push(goal, entry.into_state());
+            let gi = self.push(entry.into_state(goal));
             self.flight_record(FlightEventKind::MemoHit, gi, 1, 0);
             return gi;
         }
-        let gi = self.push(goal, GoalState::new());
+        let gi = self.push(GoalState::new(goal));
         self.enqueue(gi);
         gi
     }
 
-    /// Tables `state` as `goal` in a new slot and returns the slot. The
-    /// goal counts as activated.
-    fn push(&mut self, goal: Goal, state: GoalState) -> u32 {
+    /// Tables `state` under its key in a new slot and returns the slot.
+    /// The goal counts as activated.
+    fn push(&mut self, state: GoalState) -> u32 {
         let gi = self.goals.len() as u32;
+        self.index.insert(state.key, gi);
         self.goals.push(state);
-        self.keys.push(goal);
-        self.index.insert(goal, gi);
-        self.costs.push(GoalCost::default());
         let slot = self.cycles.push();
         debug_assert_eq!(slot, gi, "union-find aligned with goal table");
         self.counters.goals_activated.inc();
@@ -1014,10 +948,12 @@ impl Memo {
                 return false;
             }
             self.counters.work.inc();
-            self.costs[gi as usize].work += 1;
-            self.goals[gi as usize].needs_init = false;
+            let state = &mut self.goals[gi as usize];
+            state.cost.work += 1;
+            state.needs_init = false;
+            let key = state.key;
             let _span = self.obs.span("demand.query.goal_init");
-            match self.keys[gi as usize] {
+            match key {
                 Goal::Pts(x) => Sequential { cp, memo: self }.install_pts(x),
                 Goal::Ptb(o) => Sequential { cp, memo: self }.install_ptb(o),
             }
@@ -1035,7 +971,7 @@ impl Memo {
                     counter.add(n);
                 }
             }
-            let cost = &mut self.costs[gi as usize];
+            let cost = &mut self.goals[gi as usize].cost;
             cost.work += fires;
             cost.fires += fires;
             self.cycles.tick(fires);
@@ -1059,6 +995,7 @@ impl Memo {
         budget: &mut Budget,
         fires_by_kind: &mut [u64; Watcher::KINDS],
     ) -> bool {
+        let src = self.goals[gi as usize].key;
         let mut wi = self.goals[gi as usize].first_unsettled();
         loop {
             let pass_len = self.goals[gi as usize].elems.len();
@@ -1081,7 +1018,6 @@ impl Memo {
                     if let Some(stage) = &mut self.flight {
                         stage.offer_fire(gi, watcher.kind_index() as u32);
                     }
-                    let src = self.keys[gi as usize];
                     Sequential { cp, memo: self }.fire(src, watcher, elem);
                 }
                 wi += 1;
@@ -1128,7 +1064,7 @@ impl Memo {
             state.complete = true;
             if self.flight.is_some() {
                 let elems = self.goals[gi].elems.len().min(u32::MAX as usize) as u32;
-                let work = self.costs[gi].work.min(u32::MAX as u64) as u32;
+                let work = self.goals[gi].cost.work.min(u32::MAX as u64) as u32;
                 self.flight_record(FlightEventKind::Completed, gi as u32, elems, work);
             }
         }
@@ -1155,11 +1091,13 @@ impl Memo {
             // yet: their subscriptions (including intra-cycle copies that
             // the merge folds away) must exist before states move.
             for &g in &comp {
-                if self.goals[g as usize].needs_init {
-                    self.goals[g as usize].needs_init = false;
+                let state = &mut self.goals[g as usize];
+                if state.needs_init {
+                    state.needs_init = false;
+                    state.cost.work += 1;
+                    let key = state.key;
                     self.counters.work.inc();
-                    self.costs[g as usize].work += 1;
-                    match self.keys[g as usize] {
+                    match key {
                         Goal::Pts(x) => Sequential { cp, memo: self }.install_pts(x),
                         Goal::Ptb(o) => Sequential { cp, memo: self }.install_ptb(o),
                     }
@@ -1184,21 +1122,23 @@ impl Memo {
     /// edges dropped. Carried-over watchers rescan from element zero —
     /// firing is idempotent, so the rescan is a bounded one-time cost.
     fn merge_component(&mut self, comp: &[u32], rep: u32) {
-        let mut merged = std::mem::take(&mut self.goals[rep as usize]);
+        let rep_key = self.goals[rep as usize].key;
+        let mut merged = std::mem::replace(&mut self.goals[rep as usize], GoalState::new(rep_key));
+        let mut family = self.aliases.remove(&rep).unwrap_or_default();
         for &g in comp {
             if g == rep {
                 continue;
             }
-            let state = std::mem::take(&mut self.goals[g as usize]);
+            let key = self.goals[g as usize].key;
+            let state = std::mem::replace(&mut self.goals[g as usize], GoalState::new(key));
             let shell = &mut self.goals[g as usize];
             shell.merged = true;
             shell.needs_init = false;
             // Attribution follows the state into the representative.
-            let cost = std::mem::take(&mut self.costs[g as usize]);
-            self.costs[rep as usize].work += cost.work;
-            self.costs[rep as usize].fires += cost.fires;
-            merged.aliases.push(self.keys[g as usize]);
-            merged.aliases.extend(state.aliases.iter().copied());
+            merged.cost.work += state.cost.work;
+            merged.cost.fires += state.cost.fires;
+            family.push(key);
+            family.extend(self.aliases.remove(&g).into_iter().flatten());
             for &v in state.elems.iter() {
                 merged.elems.insert(v);
             }
@@ -1243,6 +1183,7 @@ impl Memo {
         merged.needs_init = false;
         merged.on_list = false;
         self.goals[rep as usize] = merged;
+        self.aliases.insert(rep, family);
         self.enqueue(rep);
     }
 
@@ -1342,13 +1283,14 @@ impl Memo {
         self.counters.flight_events.add(stats.flight_events);
         let work = stats.work;
         if self.config.caching {
-            for (g, state) in outcome.completed() {
-                // Table the fixpoint, by move, so later queries (parallel
-                // or sequential) answer from the memo. Goals the engine
-                // already tables (e.g. incomplete from an old budgeted
-                // query) are left untouched.
-                if self.index.get(g).is_none() {
-                    self.push(g, state);
+            for state in outcome.completed() {
+                // Table the fixpoint, with its cost, so later queries
+                // (parallel or sequential) answer from the memo and
+                // `inspect` sees the work. Goals the engine already tables
+                // (e.g. incomplete from an old budgeted query) are left
+                // untouched.
+                if self.index.get(state.key).is_none() {
+                    self.push(state);
                 }
             }
         } else {
@@ -1731,7 +1673,7 @@ mod tests {
         let mut donor = DemandEngine::new(&before, config.clone());
         assert!(donor.points_to(node(&before, "q")).complete);
         let mut engine = DemandEngine::new(&before, config);
-        assert!(engine.warm_start(&donor.export_completed()) > 0);
+        assert!(engine.warm_start(donor.export_completed()) > 0);
         assert!(engine.points_to(node(&before, "t")).complete);
         assert!(engine.stats().merged_goals > 0, "the ring collapsed");
         let exported = engine.export_completed().len();
@@ -1762,7 +1704,7 @@ mod tests {
         assert!(donor.points_to(node(&before, "q")).complete);
         assert!(donor.points_to(node(&before, "r")).complete);
         let mut engine = DemandEngine::new(&before, DemandConfig::default());
-        engine.warm_start(&donor.export_completed());
+        engine.warm_start(donor.export_completed());
 
         let diff = ddpa_constraints::diff_programs(&before, &after);
         let stats = engine.reload_incremental(&after, &diff);
@@ -1947,10 +1889,11 @@ mod cycle_tests {
         let rep = memo.index.get(Goal::Pts(node(&cp, "r0"))).expect("tabled");
         let rep = memo.cycles.find_readonly(rep) as usize;
         let state = &memo.goals[rep];
-        assert_eq!(state.aliases.len(), 39, "the whole ring merged");
+        let aliases = &memo.aliases[&(rep as u32)];
+        assert_eq!(aliases.len(), 39, "the whole ring merged");
         let distinct: HashSet<Goal> = state.deps.iter().copied().collect();
         assert_eq!(distinct.len(), state.deps.len(), "no dep recorded twice");
-        let family = std::iter::once(memo.keys[rep]).chain(state.aliases.iter().copied());
+        let family = std::iter::once(state.key).chain(aliases.iter().copied());
         let union: HashSet<Goal> = family
             .flat_map(|g| {
                 let gi = off.memo.index.get(g).expect("tabled uncollapsed");

@@ -350,10 +350,25 @@ impl<T, I> std::ops::Deref for ListSet<T, I> {
     }
 }
 
-/// The table entry for one goal: its fact set and the rule instances
-/// reading it, each stored once in a [`ListSet`].
+/// Work/fires attributed to one goal (see [`crate::inspect`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GoalCost {
+    /// Work ticks charged while processing this goal (init + firings).
+    pub work: u64,
+    /// Rule firings delivered while processing this goal.
+    pub fires: u64,
+}
+
+/// The table entry for one goal: its key, its fact set and the rule
+/// instances reading it, each stored once in a [`ListSet`], and the work
+/// spent on it.
 #[derive(Debug)]
 pub struct GoalState {
+    /// The goal this state tables; a merged shell keeps it.
+    pub key: Goal,
+    /// The work processing this goal consumed, whichever evaluator ran
+    /// it; a merge folds it into the representative ([`crate::inspect`]).
+    pub cost: GoalCost,
     /// Elements in insertion order — watchers index into this; queries
     /// read it ascending through [`GoalState::sorted_elems`].
     pub elems: ListSet<u32, SparseBitSet>,
@@ -374,10 +389,6 @@ pub struct GoalState {
     /// empty shell; all lookups route to the representative via the
     /// engine's union-find (see [`crate::cycles::CopyGraph`]).
     pub merged: bool,
-    /// Keys of goals merged *into* this state. An export writes the
-    /// family's fixpoint under each of them, and an edit re-tables each
-    /// surviving one under its own key.
-    pub aliases: Vec<Goal>,
     /// Support set: nodes whose program rows this goal's fixpoint read.
     /// An edit that changes any of these rows dirties the goal; an edit
     /// that changes none of them (and no dirty producer, see `deps`)
@@ -399,9 +410,11 @@ pub struct GoalState {
 }
 
 impl GoalState {
-    /// A freshly activated, uninitialized goal.
-    pub fn new() -> Self {
+    /// A freshly activated, uninitialized `key`.
+    pub fn new(key: Goal) -> Self {
         GoalState {
+            key,
+            cost: GoalCost::default(),
             elems: ListSet::default(),
             watchers: ListSet::default(),
             cursors: Vec::new(),
@@ -409,7 +422,6 @@ impl GoalState {
             complete: false,
             on_list: false,
             merged: false,
-            aliases: Vec::new(),
             support: HybridSet::new(),
             deps: ListSet::default(),
             settled_watchers: 0,
@@ -418,9 +430,11 @@ impl GoalState {
         }
     }
 
-    /// A completed fixpoint with no watchers, its `elems` sorted ascending
-    /// and its `deps` into [`Goal::canonical_key`] order.
+    /// `key`'s completed fixpoint with no watchers and no cost, its
+    /// `elems` sorted ascending and its `deps` into [`Goal::canonical_key`]
+    /// order.
     pub fn completed(
+        key: Goal,
         mut elems: ListSet<u32, SparseBitSet>,
         support: HybridSet,
         mut deps: ListSet<Goal>,
@@ -435,25 +449,22 @@ impl GoalState {
             reads_indirect,
             needs_init: false,
             complete: true,
-            ..GoalState::new()
+            ..GoalState::new(key)
         }
     }
 
-    /// This state's fixpoint as [`GoalState::completed`] builds it, by
-    /// move: watchers dropped, `elems` and `deps` sorted.
-    pub fn into_completed(self) -> Self {
-        GoalState::completed(self.elems, self.support, self.deps, self.reads_indirect)
-    }
-
-    /// A copy of this state's fixpoint as [`GoalState::completed`] builds
-    /// it.
+    /// A copy of this state's fixpoint, as [`GoalState::completed`] builds
+    /// it, with this state's cost.
     pub fn completed_copy(&self) -> Self {
-        GoalState::completed(
+        let mut copy = GoalState::completed(
+            self.key,
             self.elems.clone(),
             self.support.clone(),
             self.deps.clone(),
             self.reads_indirect,
-        )
+        );
+        copy.cost = self.cost;
+        copy
     }
 
     /// The elements in ascending order, exact-size: read off the index
@@ -508,12 +519,6 @@ impl GoalState {
     }
 }
 
-impl Default for GoalState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -524,7 +529,7 @@ mod tests {
 
     #[test]
     fn add_deduplicates_and_orders() {
-        let mut g = GoalState::new();
+        let mut g = GoalState::new(goal(0));
         assert!(g.elems.insert(5));
         assert!(g.elems.insert(3));
         assert!(!g.elems.insert(5));
@@ -534,7 +539,7 @@ mod tests {
 
     #[test]
     fn quiescence_tracks_cursors() {
-        let mut g = GoalState::new();
+        let mut g = GoalState::new(goal(0));
         g.needs_init = false;
         assert!(g.quiescent());
         g.elems.insert(1);
@@ -610,7 +615,7 @@ mod tests {
             |set, model| {
                 let g = GoalState {
                     elems: set.clone(),
-                    ..GoalState::new()
+                    ..GoalState::new(goal(0))
                 };
                 let want: BTreeSet<u32> = model.iter().map(|&id| id * 37 % 1000).collect();
                 assert_eq!(g.sorted_elems(), want.into_iter().collect::<Vec<_>>());
@@ -621,7 +626,13 @@ mod tests {
     #[test]
     fn list_set_of_goals_matches_its_model() {
         model_check(goal, |set, model| {
-            let g = GoalState::completed(ListSet::default(), HybridSet::new(), set.clone(), false);
+            let g = GoalState::completed(
+                goal(0),
+                ListSet::default(),
+                HybridSet::new(),
+                set.clone(),
+                false,
+            );
             let mut want = goals(model.iter().copied());
             want.sort_by_key(|g| g.canonical_key());
             assert_eq!(*g.deps, want[..]);
@@ -643,7 +654,7 @@ mod tests {
             support: vec![0],
             ..Default::default()
         };
-        let mut g = entry.into_state();
+        let mut g = entry.into_state(goal(0));
         assert!(g.elems.index.is_none(), "the index is built lazily");
         assert_eq!(g.sorted_elems(), sorted);
         assert!(
@@ -660,7 +671,7 @@ mod tests {
 
     #[test]
     fn add_dep_keeps_first_insertion_order_across_the_index_threshold() {
-        let mut g = GoalState::new();
+        let mut g = GoalState::new(goal(0));
         // Descending ids, each recorded twice and interleaved with a
         // repeat of an earlier one, well past the scan length.
         let order = goals((0..3 * SCAN as u32).rev());
@@ -679,7 +690,7 @@ mod tests {
 
     #[test]
     fn dep_index_is_built_once_the_scan_is_full() {
-        let mut g = GoalState::new();
+        let mut g = GoalState::new(goal(0));
         for dep in goals(0..SCAN as u32) {
             g.deps.insert(dep);
             assert!(g.deps.index.is_none(), "a short list is scanned");
@@ -700,7 +711,7 @@ mod tests {
             deps: restored.clone(),
             ..Default::default()
         };
-        let mut g = entry.into_state();
+        let mut g = entry.into_state(goal(0));
         assert!(g.deps.index.is_none(), "the index is built lazily");
         for &dep in restored.iter().rev() {
             g.deps.insert(dep);
@@ -719,11 +730,11 @@ mod tests {
         // `merge_component` folds each member's deps into the
         // representative by `insert`; overlapping long lists union to
         // the representative's order followed by the member's new deps.
-        let mut rep = GoalState::new();
+        let mut rep = GoalState::new(goal(0));
         for dep in goals(0..2 * SCAN as u32) {
             rep.deps.insert(dep);
         }
-        let mut member = GoalState::new();
+        let mut member = GoalState::new(goal(0));
         for dep in goals((SCAN as u32..3 * SCAN as u32).rev()) {
             member.deps.insert(dep);
         }
@@ -737,7 +748,7 @@ mod tests {
 
     #[test]
     fn settled_prefix_is_voided_by_a_new_element() {
-        let mut g = GoalState::new();
+        let mut g = GoalState::new(goal(0));
         g.needs_init = false;
         g.elems.insert(4);
         for dst in 0..3 {

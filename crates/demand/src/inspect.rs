@@ -1,7 +1,7 @@
 //! Goal-graph introspection and critical-path analysis.
 //!
 //! The engine attributes work and rule firings to the goal being
-//! processed ([`crate::engine::GoalCost`]); this module turns that
+//! processed ([`crate::goal::GoalCost`]); this module turns that
 //! attribution plus the live watcher lists into three post-hoc views:
 //!
 //! * **Goal profiles** ([`DemandEngine::goal_profiles`] /
@@ -80,19 +80,6 @@ impl GoalProfile {
     }
 }
 
-/// One node of the exported goal graph.
-#[derive(Clone, Copy, Debug)]
-pub struct GoalGraphNode {
-    /// The goal's canonical key.
-    pub goal: Goal,
-    /// Attributed work ticks.
-    pub work: u64,
-    /// Attributed rule firings.
-    pub fires: u64,
-    /// Whether the goal is at its final fixpoint.
-    pub complete: bool,
-}
-
 /// One dependency edge: `nodes[from]` produces elements that
 /// `nodes[to]`'s watcher consumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -113,7 +100,7 @@ pub struct GoalEdge {
 #[derive(Clone, Debug, Default)]
 pub struct GoalGraph {
     /// Live (non-merged) goals.
-    pub nodes: Vec<GoalGraphNode>,
+    pub nodes: Vec<GoalProfile>,
     /// Deduplicated dependency edges between distinct nodes.
     pub edges: Vec<GoalEdge>,
 }
@@ -249,11 +236,10 @@ impl<'p> DemandEngine<'p> {
             .into_iter()
             .map(|gi| {
                 let state = &self.memo.goals[gi as usize];
-                let cost = self.memo.costs[gi as usize];
                 GoalProfile {
-                    goal: self.memo.keys[gi as usize],
-                    work: cost.work,
-                    fires: cost.fires,
+                    goal: state.key,
+                    work: state.cost.work,
+                    fires: state.cost.fires,
                     complete: state.complete,
                     elems: state.elems.len(),
                     watchers: state.watchers.len(),
@@ -278,19 +264,7 @@ impl<'p> DemandEngine<'p> {
         let live = self.live_goals();
         let node_of: HashMap<u32, usize> =
             live.iter().enumerate().map(|(i, &gi)| (gi, i)).collect();
-        let nodes = live
-            .iter()
-            .map(|&gi| {
-                let state = &self.memo.goals[gi as usize];
-                let cost = self.memo.costs[gi as usize];
-                GoalGraphNode {
-                    goal: self.memo.keys[gi as usize],
-                    work: cost.work,
-                    fires: cost.fires,
-                    complete: state.complete,
-                }
-            })
-            .collect();
+        let nodes = self.goal_profiles();
         let mut seen = std::collections::HashSet::new();
         let mut edges = Vec::new();
         for (from, &gi) in live.iter().enumerate() {
@@ -423,9 +397,9 @@ impl<'p> DemandEngine<'p> {
         let cp = self.program();
         let name_of = |gi: u32| -> String {
             self.memo
-                .keys
+                .goals
                 .get(gi as usize)
-                .map(|&g| display_goal(cp, g))
+                .map(|state| display_goal(cp, state.key))
                 .unwrap_or_else(|| format!("goal#{gi}"))
         };
         let skip = snap.events.len().saturating_sub(limit);
@@ -609,6 +583,20 @@ mod tests {
         assert_eq!(pts_nodes, 1, "x/y merged into one representative node");
         let profile = engine.critical_path();
         assert_eq!(profile.work, engine.stats().work, "merged costs preserved");
+    }
+
+    #[test]
+    fn scheduler_tabled_goals_carry_their_cost() {
+        let cp = ddpa_gen::generate_wide(&ddpa_gen::WideConfig::sized(1, 400));
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_workers(2));
+        assert!(engine.points_to(node(&cp, "hub")).complete);
+        assert!(engine.last_query_parallel());
+        let profiles = engine.goal_profiles();
+        let work: u64 = profiles.iter().map(|p| p.work).sum();
+        let fires: u64 = profiles.iter().map(|p| p.fires).sum();
+        let stats = engine.stats();
+        assert!(stats.work > 0);
+        assert_eq!((work, fires), (stats.work, stats.fires));
     }
 
     #[test]

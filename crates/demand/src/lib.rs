@@ -66,6 +66,6 @@ pub use pool::StealQueue;
 pub use qtrace::{QueryTrace, TraceReport};
 pub use query::{AliasResult, CallTargets, QueryResult};
 pub use sched::{SchedStats, Scheduler, SolveOutcome};
-pub use share::{dirty_closure, CompletedGoal};
+pub use share::{dirty_closure, CompletedGoal, StageEntry};
 pub use stats::EngineStats;
 pub use trace::{explain_points_to, Explanation, Origin, TraceStep};

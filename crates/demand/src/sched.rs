@@ -92,8 +92,9 @@ fn goal_of(slot: u32) -> Goal {
 
 /// One suspendable goal: the tabled deduction state plus scheduling
 /// bookkeeping. `state.on_list` marks membership in some runnable deque;
-/// `state.cursors` are the resumption points.
-#[derive(Debug, Default)]
+/// `state.cursors` are the resumption points; `state.cost` tallies the
+/// goal's init and each batch of firings a step claims.
+#[derive(Debug)]
 struct Frame {
     state: GoalState,
     /// Completed steps; a schedule of a stepped frame is a *wakeup*.
@@ -104,6 +105,17 @@ struct Frame {
     /// staged one — the fixpoint exists already, so finalization skips
     /// it.
     seeded_from_engine: bool,
+}
+
+impl Frame {
+    fn new(slot: u32) -> Self {
+        Frame {
+            state: GoalState::new(goal_of(slot)),
+            steps: 0,
+            active: false,
+            seeded_from_engine: false,
+        }
+    }
 }
 
 /// Per-worker tallies, summed by the driver after the run.
@@ -164,14 +176,15 @@ pub struct SolveOutcome {
 
 impl SolveOutcome {
     /// Every goal newly driven to fixpoint, in slot order, as a complete,
-    /// watcher-free [`GoalState`] (`elems` ascending, `deps` canonical)
-    /// that a host engine tables as is. Engine-seeded goals are excluded.
+    /// watcher-free [`GoalState`] (`elems` ascending, `deps` canonical,
+    /// with its key and cost) that a host engine tables as is.
+    /// Engine-seeded goals are excluded.
     ///
     /// Each state is copied exact-size on the calling thread as the
     /// iterator reaches it, rather than moved out of a frame a worker
     /// grew: the frames, and the worker-grown buffers in them, are freed
     /// with the outcome, after the copies exist.
-    pub fn completed(&mut self) -> impl Iterator<Item = (Goal, GoalState)> + '_ {
+    pub fn completed(&mut self) -> impl Iterator<Item = GoalState> + '_ {
         let frames = &mut self.frames;
         self.activated.iter().filter_map(move |&slot| {
             let f = frames[slot as usize]
@@ -180,7 +193,7 @@ impl SolveOutcome {
             if f.seeded_from_engine {
                 return None;
             }
-            Some((goal_of(slot), f.state.completed_copy()))
+            Some(f.state.completed_copy())
         })
     }
 }
@@ -342,6 +355,7 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
             if f.steps > 0 {
                 self.stats.resumed += 1;
             }
+            f.state.cost.work += u64::from(f.state.needs_init);
             std::mem::replace(&mut f.state.needs_init, false)
         };
         if needs_init {
@@ -379,6 +393,8 @@ impl<'c, 'p> WorkerCtx<'c, 'p> {
                     }
                 }
                 state.settle();
+                state.cost.work += pending.len() as u64;
+                state.cost.fires += pending.len() as u64;
             }
             if batch.is_empty() {
                 break;
@@ -572,7 +588,9 @@ impl<'p> Scheduler<'p> {
         let core = Core {
             cp: self.cp,
             policy: self.config.sched_policy,
-            frames: (0..slots).map(|_| Mutex::new(Frame::default())).collect(),
+            frames: (0..slots as u32)
+                .map(|slot| Mutex::new(Frame::new(slot)))
+                .collect(),
             injector: StealQueue::new(),
             locals: (0..workers).map(|_| StealQueue::new()).collect(),
             active: AtomicUsize::new(0),
@@ -716,7 +734,7 @@ mod tests {
         let mut donor = DemandEngine::new(&cp, config.clone());
         let first = donor.points_to(node(&cp, "q"));
         let mut engine = DemandEngine::new(&cp, config);
-        engine.warm_start(&donor.export_completed());
+        engine.warm_start(donor.export_completed());
         // The root is not staged, so the query runs on the scheduler; the
         // staged pts(q) seeds its frame without stepping the subtree.
         let second = engine.points_to(node(&cp, "r"));

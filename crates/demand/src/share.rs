@@ -61,15 +61,46 @@ impl CompletedGoal {
         }
     }
 
-    /// The complete goal state this entry restores; `elems` and `deps`
-    /// move rather than copy.
-    pub(crate) fn into_state(self) -> GoalState {
+    /// The complete state of `goal` this entry restores; `elems` and
+    /// `deps` move rather than copy.
+    pub(crate) fn into_state(self, goal: Goal) -> GoalState {
         GoalState::completed(
+            goal,
             ListSet::from_vec(self.elems),
             HybridSet::from(self.support),
             ListSet::from_vec(self.deps),
             self.reads_indirect,
         )
+    }
+}
+
+/// A `(goal, fixpoint)` pair that
+/// [`DemandEngine::warm_start`](crate::DemandEngine::warm_start) stages:
+/// moved in when owned, copied once staged when borrowed.
+pub trait StageEntry {
+    /// The entry's goal.
+    fn goal(&self) -> Goal;
+    /// The entry's fixpoint.
+    fn into_entry(self) -> CompletedGoal;
+}
+
+impl StageEntry for (Goal, CompletedGoal) {
+    fn goal(&self) -> Goal {
+        self.0
+    }
+
+    fn into_entry(self) -> CompletedGoal {
+        self.1
+    }
+}
+
+impl StageEntry for &(Goal, CompletedGoal) {
+    fn goal(&self) -> Goal {
+        self.0
+    }
+
+    fn into_entry(self) -> CompletedGoal {
+        self.1.clone()
     }
 }
 

@@ -267,9 +267,8 @@ fn snapshot_restore_is_transparent_and_lazy() {
     let mut rng = Rng::seed_from_u64(0xd1f_0005);
     for case in 0..CASES {
         let spec = random_spec(&mut rng);
-        let cp = build(&spec);
+        let (cp, text) = ddpa_constraints::canonicalize(build(&spec), None).expect("reparses");
         let oracle = naive::solve(&cp);
-        let text = ddpa_constraints::print_constraints(&cp);
         // The donor answers a random half of the pts and ptb queries.
         let mut donor = DemandEngine::new(&cp, DemandConfig::default());
         for node in cp.node_ids() {
@@ -281,7 +280,7 @@ fn snapshot_restore_is_transparent_and_lazy() {
             }
         }
         let exported = donor.export_completed();
-        let snapshot = ddpa_snap::Snapshot::new(donor.generation(), text, exported.clone());
+        let snapshot = ddpa_snap::Snapshot::capture(&donor, text);
         let restored = ddpa_snap::Snapshot::from_bytes(&snapshot.to_bytes()).expect("decodes");
         assert_eq!(restored.entries, exported, "case {case}: bytes round-trip");
 

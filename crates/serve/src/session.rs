@@ -20,6 +20,7 @@
 //! exhausted budget, once the deadline has passed. So a served query is
 //! one engine call whatever its deadline, and counts once.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -213,18 +214,7 @@ impl QueryAnswer {
 }
 
 /// What [`Session::restore_snapshot`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RestoreStats {
-    /// Entries newly staged in the warm engine.
-    pub installed: usize,
-    /// `true` when the snapshot predated an edit and its surviving
-    /// entries were rebound to the live program (rather than installed
-    /// under a matching hash).
-    pub rebound: bool,
-    /// Entries the rebinding dropped because the edit transitively
-    /// dirtied them. Always 0 on the matching-hash path.
-    pub dropped: usize,
-}
+pub use ddpa_snap::RestoreStats;
 
 /// Runs one resolved query on `engine` under the budget and deadline set
 /// on it. An incomplete answer the deadline stopped is `timed_out`.
@@ -397,59 +387,19 @@ impl Session {
     /// a restore and not yet touched — as a snapshot, stamped with the
     /// engine's generation and the session's canonical program text.
     pub fn export_snapshot(&self) -> ddpa_snap::Snapshot {
-        ddpa_snap::Snapshot::new(
-            self.engine.generation(),
-            self.source.clone(),
-            self.engine.export_completed(),
-        )
+        ddpa_snap::Snapshot::capture(&self.engine, self.source.as_str())
     }
 
-    /// Warm-starts the session from a snapshot.
-    ///
-    /// When the snapshot's program hash matches the session's canonical
-    /// text, every entry is staged in the warm engine
-    /// ([`DemandEngine::warm_start`]), whose next activation of each goal
-    /// moves it into the memo table at zero cost. When the hashes differ — the usual cause is an
-    /// `add-constraints` edit since the snapshot was taken — the
-    /// snapshot's own program text is re-parsed and diffed against the
-    /// live program: if the old node ids survive, every entry the edit
-    /// did not transitively dirty is *rebound* to the live program and
-    /// staged, and only the dirtied remainder is dropped. The restore
-    /// is refused only when the two programs are incompatible (old ids
-    /// name different locations) or the snapshot text does not parse.
+    /// Warm-starts the session from a snapshot, copying each entry it
+    /// stages ([`ddpa_snap::restore`], which rebinds a snapshot taken
+    /// before an `add-constraints` edit). A refusal is
+    /// [`ErrorCode::Snapshot`].
     pub fn restore_snapshot(
         &mut self,
         snapshot: &ddpa_snap::Snapshot,
     ) -> Result<RestoreStats, ProtoError> {
-        if snapshot.verify_program(&self.source).is_ok() {
-            return Ok(RestoreStats {
-                installed: self.engine.warm_start(&snapshot.entries),
-                rebound: false,
-                dropped: 0,
-            });
-        }
-        let old = parse_program(&snapshot.program_text, false).map_err(|e| {
-            ProtoError::new(
-                ErrorCode::Snapshot,
-                format!("snapshot program text does not parse: {}", e.message),
-            )
-        })?;
-        let diff = ddpa_constraints::diff_programs(&old, self.program());
-        if !diff.compatible {
-            return Err(ProtoError::new(
-                ErrorCode::Snapshot,
-                "snapshot was taken over an incompatible program \
-                 (node ids do not survive into the live program)"
-                    .to_string(),
-            ));
-        }
-        let (dirty, _edges) = ddpa_demand::dirty_closure(&snapshot.entries, &diff);
-        let survivors = snapshot.entries.iter().filter(|(g, _)| !dirty.contains(g));
-        Ok(RestoreStats {
-            installed: self.engine.warm_start(survivors),
-            rebound: true,
-            dropped: dirty.len(),
-        })
+        ddpa_snap::restore(&mut self.engine, &self.source, Cow::Borrowed(snapshot))
+            .map_err(|e| ProtoError::new(ErrorCode::Snapshot, e.to_string()))
     }
 
     /// Appends constraint text to the session's program.

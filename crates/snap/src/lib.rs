@@ -4,16 +4,15 @@
 //! Every server restart starts cold: an engine's memo table of completed
 //! fixpoints is process-local and dies with it, so each deploy re-derives
 //! answers that were already at fixpoint. This crate turns the table into
-//! a durable artifact: [`Snapshot`] holds the completed `(goal,
+//! a durable artifact: [`Snapshot::capture`] takes the completed `(goal,
 //! fixpoint)` pairs an engine exports
 //! ([`DemandEngine::export_completed`](ddpa_demand::DemandEngine::export_completed))
 //! together with the canonical program text, and
 //! [`write_file`]/[`read_file`] persist it in a versioned, checksummed
 //! binary format with atomic write-temp-then-rename semantics. A fresh
-//! process restores the file into an engine
-//! ([`DemandEngine::warm_start`](ddpa_demand::DemandEngine::warm_start)),
-//! and the first query over each restored goal is a share hit — zero
-//! rule firings.
+//! process stages the file's entries in an engine with [`restore`], and
+//! the first query over each restored goal is a share hit — zero rule
+//! firings.
 //!
 //! # Format
 //!
@@ -60,10 +59,12 @@
 //!   a truncated, corrupted or foreign file is rejected with
 //!   [`SnapError::Corrupt`] / [`SnapError::Version`], never a panic.
 //! * The stored program hash must match the FNV-1a hash of the stored
-//!   text (a second corruption check), and — at install time — the hash
-//!   of the *live* program ([`Snapshot::verify_program`]). Fixpoints are
-//!   only valid over the exact constraint program they were derived
-//!   from, so a mismatch is [`SnapError::ProgramMismatch`].
+//!   text (a second corruption check). The text must parse to the node
+//!   ids the entries name, which [`Snapshot::capture`] checks in debug
+//!   builds. [`restore`] stages every entry when the hash matches the
+//!   *live* program, or else rebinds the entries an edit left valid; a
+//!   snapshot whose ids name other locations there is
+//!   [`SnapError::ProgramMismatch`].
 //! * Element lists must be strictly ascending (the canonical order an
 //!   engine exports); violations are treated as corruption.
 //! * The stored generation is informational: a restore leaves the
@@ -82,24 +83,27 @@
 //! # Examples
 //!
 //! ```
+//! use std::borrow::Cow;
+//!
 //! use ddpa_demand::{DemandConfig, DemandEngine};
 //! use ddpa_snap::Snapshot;
 //!
-//! let text = "p = &g\nq = p\n";
-//! let cp = ddpa_constraints::parse_constraints(text)?;
-//! let canonical = ddpa_constraints::print_constraints(&cp);
+//! let (cp, canonical) = ddpa_constraints::canonicalize(
+//!     ddpa_constraints::parse_constraints("p = &g\nq = p\n")?,
+//!     None,
+//! )?;
 //! let q = cp.node_ids().find(|&n| cp.display_node(n) == "q").expect("q exists");
 //!
 //! // Warm an engine, then capture its memo table.
 //! let mut warm = DemandEngine::new(&cp, DemandConfig::default());
 //! let full = warm.points_to(q);
-//! let snap = Snapshot::new(warm.generation(), canonical.clone(), warm.export_completed());
+//! let snap = Snapshot::capture(&warm, canonical.clone());
 //!
 //! // A fresh process round-trips through bytes and warm-starts.
 //! let restored = Snapshot::from_bytes(&snap.to_bytes())?;
-//! restored.verify_program(&canonical)?;
 //! let mut cold = DemandEngine::new(&cp, DemandConfig::default());
-//! cold.warm_start(&restored.entries);
+//! let stats = ddpa_snap::restore(&mut cold, &canonical, Cow::Owned(restored))?;
+//! assert!(!stats.rebound);
 //! let reused = cold.points_to(q);
 //! assert_eq!(full.pts, reused.pts);
 //! assert_eq!(reused.work, 0); // zero rule firings
@@ -108,14 +112,16 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use ddpa_constraints::NodeId;
+use ddpa_constraints::{ConstraintProgram, NodeId};
 use ddpa_demand::goal::Goal;
-use ddpa_demand::CompletedGoal;
+use ddpa_demand::{CompletedGoal, DemandEngine};
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DDPASNAP";
@@ -268,6 +274,23 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Captures `engine`'s fixpoints ([`DemandEngine::export_completed`])
+    /// and generation with `program_text`, which must parse to the
+    /// engine's node ids: the canonical text
+    /// ([`ddpa_constraints::canonicalize`]) plus any lines appended since.
+    pub fn capture(engine: &DemandEngine<'_>, program_text: impl Into<String>) -> Self {
+        let program_text = program_text.into();
+        debug_assert!(
+            numbers_nodes_as(&program_text, engine.program()),
+            "a snapshot's text must parse to its engine's node ids"
+        );
+        Snapshot {
+            generation: engine.generation(),
+            program_text,
+            entries: engine.export_completed(),
+        }
+    }
+
     /// Builds a snapshot from parts.
     pub fn new(
         generation: u64,
@@ -311,6 +334,67 @@ impl Snapshot {
     }
 }
 
+/// Whether parsing `text` numbers nodes as `cp` does.
+fn numbers_nodes_as(text: &str, cp: &ConstraintProgram) -> bool {
+    let names = |p: &ConstraintProgram| p.node_ids().map(|n| p.display_node(n)).collect::<Vec<_>>();
+    ddpa_constraints::parse_constraints(text).is_ok_and(|parsed| names(&parsed) == names(cp))
+}
+
+/// What [`restore`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RestoreStats {
+    /// Entries newly staged in the engine.
+    pub installed: usize,
+    /// The program hash differed, so the entries were rebound.
+    pub rebound: bool,
+    /// Entries the rebinding dropped as dirtied by the edit.
+    pub dropped: usize,
+}
+
+/// Stages `snapshot` in `engine`, whose program's text is `live_text`
+/// ([`DemandEngine::warm_start`]): every entry when the program hashes
+/// match, and otherwise — after an edit since the capture — every entry
+/// that diffing the snapshot's text against the live program
+/// ([`ddpa_constraints::diff_programs`]) leaves clean
+/// ([`ddpa_demand::dirty_closure`]), rebound to the live program. An
+/// owned snapshot's entries move in; a borrowed one's are copied.
+///
+/// # Errors
+///
+/// [`SnapError::ProgramMismatch`] when the snapshot's node ids name other
+/// locations in the live program, [`SnapError::Corrupt`] when its text
+/// does not parse. Nothing is staged then.
+pub fn restore(
+    engine: &mut DemandEngine<'_>,
+    live_text: &str,
+    snapshot: Cow<'_, Snapshot>,
+) -> Result<RestoreStats, SnapError> {
+    let mut dirty = HashSet::new();
+    let rebound = match snapshot.verify_program(live_text) {
+        Ok(()) => false,
+        Err(mismatch) => {
+            let old = ddpa_constraints::parse_constraints(&snapshot.program_text)
+                .map_err(|e| SnapError::Corrupt(format!("program text does not parse: {e}")))?;
+            let diff = ddpa_constraints::diff_programs(&old, engine.program());
+            if !diff.compatible {
+                return Err(mismatch);
+            }
+            dirty = ddpa_demand::dirty_closure(&snapshot.entries, &diff).0;
+            true
+        }
+    };
+    let keep = |(goal, _): &(Goal, CompletedGoal)| !dirty.contains(goal);
+    let installed = match snapshot {
+        Cow::Borrowed(s) => engine.warm_start(s.entries.iter().filter(|e| keep(e))),
+        Cow::Owned(s) => engine.warm_start(s.entries.into_iter().filter(keep)),
+    };
+    Ok(RestoreStats {
+        installed,
+        rebound,
+        dropped: dirty.len(),
+    })
+}
+
 /// Encoder for the snapshot byte format. [`Snapshot::to_bytes`] is the
 /// usual entry point; the writer is exposed for tests and tooling.
 #[derive(Debug, Default)]
@@ -329,10 +413,7 @@ impl SnapshotWriter {
             .extend_from_slice(snapshot.program_text.as_bytes());
         w.u64(snapshot.entries.len() as u64);
         for (goal, result) in &snapshot.entries {
-            let (tag, node) = match goal {
-                Goal::Pts(n) => (0u8, n.as_u32()),
-                Goal::Ptb(n) => (1u8, n.as_u32()),
-            };
+            let (tag, node) = goal.canonical_key();
             w.payload.push(tag);
             w.u32(node);
             w.u32(result.elems.len() as u32);
@@ -345,10 +426,7 @@ impl SnapshotWriter {
             }
             w.u32(result.deps.len() as u32);
             for dep in &result.deps {
-                let (tag, node) = match dep {
-                    Goal::Pts(n) => (0u8, n.as_u32()),
-                    Goal::Ptb(n) => (1u8, n.as_u32()),
-                };
+                let (tag, node) = dep.canonical_key();
                 w.payload.push(tag);
                 w.u32(node);
             }
@@ -428,68 +506,27 @@ impl<'a> SnapshotReader<'a> {
         let mut entries = Vec::with_capacity(usize::try_from(count).map_or(fits, |c| c.min(fits)));
         for i in 0..count {
             let tag = self.u8("goal tag")?;
-            let node = NodeId::from_u32(self.u32("node id")?);
-            let goal = match tag {
-                0 => Goal::Pts(node),
-                1 => Goal::Ptb(node),
-                other => {
-                    return Err(SnapError::Corrupt(format!(
-                        "entry {i}: unknown goal tag {other}"
-                    )))
-                }
-            };
-            let elem_count = self.u32("element count")? as usize;
-            if elem_count
-                .checked_mul(4)
-                .is_none_or(|b| b > self.remaining())
-            {
-                return Err(SnapError::Corrupt(format!(
-                    "entry {i}: claims {elem_count} elements but only {} payload bytes remain",
-                    self.remaining()
-                )));
-            }
+            let goal = goal_of(tag, self.u32("node id")?)
+                .ok_or_else(|| SnapError::Corrupt(format!("entry {i}: unknown goal tag {tag}")))?;
+            let elem_count = self.count("element count", "elements", 4, i)?;
             let elems = self.ascending(elem_count, |prev, elem| {
                 format!("entry {i}: elements not strictly ascending ({prev} then {elem})")
             })?;
-            let support_count = self.u32("support count")? as usize;
-            if support_count
-                .checked_mul(4)
-                .is_none_or(|b| b > self.remaining())
-            {
-                return Err(SnapError::Corrupt(format!(
-                    "entry {i}: claims {support_count} support nodes but only {} payload bytes remain",
-                    self.remaining()
-                )));
-            }
+            let support_count = self.count("support count", "support nodes", 4, i)?;
             let support = self.ascending(support_count, |prev, node| {
                 format!("entry {i}: support not strictly ascending ({prev} then {node})")
             })?;
-            let dep_count = self.u32("dep count")? as usize;
-            if dep_count
-                .checked_mul(5)
-                .is_none_or(|b| b > self.remaining())
-            {
-                return Err(SnapError::Corrupt(format!(
-                    "entry {i}: claims {dep_count} deps but only {} payload bytes remain",
-                    self.remaining()
-                )));
-            }
+            let dep_count = self.count("dep count", "deps", 5, i)?;
             let mut deps = Vec::with_capacity(dep_count);
             let bytes = self.take(dep_count * 5, "deps")?;
             let mut at = 0;
             while at < bytes.len() {
                 let (tag, b) = (bytes[at], &bytes[at + 1..at + 5]);
                 at += 5;
-                let node = NodeId::from_u32(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                deps.push(match tag {
-                    0 => Goal::Pts(node),
-                    1 => Goal::Ptb(node),
-                    other => {
-                        return Err(SnapError::Corrupt(format!(
-                            "entry {i}: unknown dep goal tag {other}"
-                        )))
-                    }
-                });
+                let node = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+                deps.push(goal_of(tag, node).ok_or_else(|| {
+                    SnapError::Corrupt(format!("entry {i}: unknown dep goal tag {tag}"))
+                })?);
             }
             let reads_indirect = match self.u8("reads_indirect flag")? {
                 0 => false,
@@ -525,6 +562,22 @@ impl<'a> SnapshotReader<'a> {
 
     fn remaining(&self) -> usize {
         self.payload.len() - self.pos
+    }
+
+    /// A u32 count of entry `i`'s `items`, each `width` bytes, that must
+    /// fit in the remaining payload.
+    fn count(&mut self, what: &str, items: &str, width: usize, i: u64) -> Result<usize, SnapError> {
+        let count = self.u32(what)? as usize;
+        if count
+            .checked_mul(width)
+            .is_none_or(|b| b > self.remaining())
+        {
+            return Err(SnapError::Corrupt(format!(
+                "entry {i}: claims {count} {items} but only {} payload bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok(count)
     }
 
     /// `count` little-endian u32s, which must be strictly ascending;
@@ -591,6 +644,16 @@ impl<'a> SnapshotReader<'a> {
             )));
         }
         Ok(v)
+    }
+}
+
+/// The goal a tag byte and node id encode ([`Goal::canonical_key`]).
+fn goal_of(tag: u8, node: u32) -> Option<Goal> {
+    let node = NodeId::from_u32(node);
+    match tag {
+        0 => Some(Goal::Pts(node)),
+        1 => Some(Goal::Ptb(node)),
+        _ => None,
     }
 }
 
@@ -872,12 +935,13 @@ mod tests {
             .expect("z");
         let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default());
         let full = engine.points_to(z);
-        let snap = Snapshot::new(engine.generation(), text, engine.export_completed());
+        let snap = Snapshot::capture(&engine, text);
         assert_eq!(snap.entries.len(), 2, "pts(z) and pts(x)");
         assert_eq!(snap.generation, 0);
 
         let mut fresh = ddpa_demand::DemandEngine::new(&cp, Default::default());
-        assert_eq!(fresh.warm_start(&snap.entries), 2);
+        let stats = restore(&mut fresh, text, Cow::Borrowed(&snap)).expect("same program");
+        assert_eq!(stats.installed, 2);
         let reused = fresh.points_to(z);
         assert_eq!((reused.pts, reused.work), (full.pts, 0));
     }

@@ -185,6 +185,36 @@ grep -q '"rebound":false' "$tmp/restore-canon.out" \
     || { echo "raw snapshot was rebound into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
 grep -Eq '"installed":[1-9]' "$tmp/restore-canon.out" \
     || { echo "raw snapshot installed nothing into canon: $(cat "$tmp/restore-canon.out")" >&2; exit 1; }
+# A snapshot taken before an append is rebound, not refused, and the CLI
+# and the server rebind it alike: `ddpa restore` and the restore op into
+# a session opened from the longer file keep and drop the same entries,
+# then answer like a cold `ddpa query`.
+printf 'p = &o\nq = p\nr = q\n' > "$tmp/append.cons"
+cargo run -q -p ddpa-cli -- snapshot "$tmp/append.cons" --out "$tmp/append.snap" > /dev/null
+echo 's = r' >> "$tmp/append.cons"
+cargo run -q -p ddpa-cli -- query "$tmp/append.cons" p q r s | norm > "$tmp/append-cold.out"
+cargo run -q -p ddpa-cli -- restore "$tmp/append.cons" "$tmp/append.snap" p q r s \
+    > "$tmp/append-cli.out"
+client open appended "$tmp/append.cons"
+cargo run -q -p ddpa-cli -- client --addr "$addr" restore appended "$tmp/append.snap" \
+    > "$tmp/append-srv.out"
+cli_counts="$(sed -n 's/^restored \([0-9]*\) fixpoint(s) from .* (rebound, \([0-9]*\) dropped)$/\1 \2/p' \
+    "$tmp/append-cli.out")"
+srv_counts="$(sed -n 's/.*"installed":\([0-9]*\),.*"rebound":true,"dropped":\([0-9]*\),.*/\1 \2/p' \
+    "$tmp/append-srv.out")"
+[ -n "$cli_counts" ] && [ "$cli_counts" = "$srv_counts" ] \
+    || { echo "CLI and server rebind differently: $(cat "$tmp/append-cli.out") vs $(cat "$tmp/append-srv.out")" >&2; exit 1; }
+grep '^pts(' "$tmp/append-cli.out" | norm > "$tmp/append-cli-pts.out"
+for n in p q r s; do
+    pts="$(cargo run -q -p ddpa-cli -- client --addr "$addr" query appended "$n" \
+        | sed -n 's/.*"result":{"pts":\[\([^]]*\)\].*/\1/p' | tr -d '"')"
+    echo "pts($n) = {$pts}"
+done | norm > "$tmp/append-srv-pts.out"
+for route in cli srv; do
+    cmp -s "$tmp/append-cold.out" "$tmp/append-$route-pts.out" \
+        || { echo "rebound $route answers differ from a cold engine:" >&2;
+             diff "$tmp/append-cold.out" "$tmp/append-$route-pts.out" >&2; exit 1; }
+done
 # Inputs that once took the whole server down (stack overflow or an
 # out-of-memory kill) get an answer, and every other session lives on:
 # a 200,000-suffix field chain (now a valid one-constraint program),
