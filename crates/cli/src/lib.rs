@@ -301,9 +301,10 @@ fn load_canonical(
     ddpa::constraints::canonicalize(cp, None).map_err(|e| err(format!("{path}: {e}")))
 }
 
+/// The node `name` denotes, by the server's rule
+/// ([`ConstraintProgram::node_named`]).
 fn find_node(cp: &ConstraintProgram, name: &str) -> Result<NodeId, CliError> {
-    cp.node_ids()
-        .find(|&n| cp.display_node(n) == name)
+    cp.node_named(name)
         .ok_or_else(|| err(format!("no location named `{name}` (try `ddpa dump`)")))
 }
 
@@ -1432,6 +1433,44 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
         (addr, thread)
+    }
+
+    #[test]
+    fn the_cli_and_the_server_resolve_a_shared_name_alike() {
+        // `@fn_f` names both `f`'s object (node 0) and the variable the
+        // last two lines mention (node 4): the later node wins on both
+        // paths.
+        let cons = write_temp(
+            "shared-name.cons",
+            "fun f/0\np = &f\nq = @fn_f\n@fn_f = &o\n",
+        );
+        let c = cons.to_str().expect("utf8 path");
+        let out = run_to_string(&["query", c, "@fn_f"]).expect("query");
+        assert!(out.starts_with("pts(@fn_f) = {o}  [work"), "got: {out}");
+        let e = run_to_string(&["query", c, "ghost"]).expect_err("unknown name");
+        assert_eq!(
+            e.to_string(),
+            "no location named `ghost` (try `ddpa dump`)",
+            "got: {e}"
+        );
+
+        let (addr, server) = start_serve("shared-name");
+        run_to_string(&["client", "--addr", &addr, "open", "s", c]).expect("open");
+        let out =
+            run_to_string(&["client", "--addr", &addr, "query", "s", "@fn_f"]).expect("query");
+        assert!(out.contains("\"pts\":[\"o\"]"), "got: {out}");
+        let e = run_to_string(&["client", "--addr", &addr, "query", "s", "ghost"])
+            .expect_err("unknown name");
+        assert!(
+            e.to_string()
+                .contains("server error no-node: no node named \"ghost\""),
+            "got: {e}"
+        );
+        run_to_string(&["client", "--addr", &addr, "shutdown"]).expect("shutdown");
+        server
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
     }
 
     #[test]

@@ -87,8 +87,9 @@ pub struct ConstraintBuilder {
     var_of: IndexVec<Symbol, Option<NodeId>>,
     funcs_by_name: HashMap<Symbol, FuncId>,
     owners: HashMap<NodeId, FuncId>,
-    temp_seq: u32,
-    heap_seq: u32,
+    /// The temporaries and heap sites, by sequence number.
+    temps: Vec<NodeId>,
+    heaps: Vec<NodeId>,
     /// Rows for everything up to `indexed`; [`Self::build`] indexes the
     /// rest. Both are empty for a fresh builder.
     index: ProgramIndex,
@@ -113,6 +114,15 @@ impl ConstraintBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty builder whose interner is sized for constraint
+    /// text of `len` bytes.
+    pub(crate) fn for_text(len: usize) -> Self {
+        ConstraintBuilder {
+            interner: Interner::with_capacity(len / BYTES_PER_NAME, len / 2),
+            ..Self::default()
+        }
     }
 
     /// Interns a name.
@@ -144,20 +154,22 @@ impl ConstraintBuilder {
 
     /// Creates a fresh temporary node.
     pub fn temp(&mut self) -> NodeId {
-        let seq = self.temp_seq;
-        self.temp_seq += 1;
-        self.nodes.push(NodeInfo {
+        let seq = self.temps.len() as u32;
+        let node = self.nodes.push(NodeInfo {
             kind: NodeKind::Temp { seq },
-        })
+        });
+        self.temps.push(node);
+        node
     }
 
     /// Creates a fresh heap allocation-site node.
     pub fn heap(&mut self) -> NodeId {
-        let seq = self.heap_seq;
-        self.heap_seq += 1;
-        self.nodes.push(NodeInfo {
+        let seq = self.heaps.len() as u32;
+        let node = self.nodes.push(NodeInfo {
             kind: NodeKind::Heap { seq },
-        })
+        });
+        self.heaps.push(node);
+        node
     }
 
     /// Returns the node for field `field` of `parent`, creating it on
@@ -361,8 +373,8 @@ impl ConstraintBuilder {
             var_of: self.var_of,
             funcs_by_name: self.funcs_by_name,
             owners: self.owners,
-            temp_seq: self.temp_seq,
-            heap_seq: self.heap_seq,
+            temps: self.temps,
+            heaps: self.heaps,
             index: self.index,
         }
     }
@@ -485,8 +497,8 @@ pub struct ConstraintProgram {
     var_of: IndexVec<Symbol, Option<NodeId>>,
     funcs_by_name: HashMap<Symbol, FuncId>,
     owners: HashMap<NodeId, FuncId>,
-    temp_seq: u32,
-    heap_seq: u32,
+    temps: Vec<NodeId>,
+    heaps: Vec<NodeId>,
     index: ProgramIndex,
 }
 
@@ -522,8 +534,8 @@ impl ConstraintProgram {
             var_of: self.var_of,
             funcs_by_name: self.funcs_by_name,
             owners: self.owners,
-            temp_seq: self.temp_seq,
-            heap_seq: self.heap_seq,
+            temps: self.temps,
+            heaps: self.heaps,
             index: self.index,
             indexed: ProgramMark::default(),
         };
@@ -601,7 +613,7 @@ impl ConstraintProgram {
             .iter()
             .map(|(&(parent, field), &node)| (parent, field, node))
             .collect();
-        decls.sort_by_key(|&(_, _, node)| node);
+        decls.sort_unstable_by_key(|&(_, _, node)| node);
         decls
     }
 
@@ -736,28 +748,105 @@ impl ConstraintProgram {
         }
     }
 
-    /// A human-readable name for `node` (for diagnostics and dumps).
+    /// A human-readable name for `node` (for diagnostics and dumps): what
+    /// [`Self::write_node`] writes.
     pub fn display_node(&self, node: NodeId) -> String {
-        match self.nodes[node].kind {
-            NodeKind::Var { name } => self.interner.resolve(name).to_owned(),
-            NodeKind::Temp { seq } => format!("%t{seq}"),
-            NodeKind::Heap { seq } => format!("@heap{seq}"),
-            NodeKind::Func { func } => {
-                format!("@fn_{}", self.interner.resolve(self.funcs[func].name))
+        let mut name = String::new();
+        self.write_node(&mut name, node);
+        name
+    }
+
+    /// Appends `node`'s display name to `out`: a variable's own name,
+    /// `%tN` and `@heapN` for temporaries and heap sites, `@fn_f` for
+    /// function `f`'s object, `f::argN` and `f::ret` for its formals and
+    /// return slot, and `parent.fN` for field `N` of `parent`. The one
+    /// writer of node names: the printer, the server's name table and
+    /// [`Self::display_node`] all call it.
+    pub fn write_node(&self, out: &mut String, node: NodeId) {
+        use std::fmt::Write as _;
+
+        let func_name = |func: FuncId| self.interner.resolve(self.funcs[func].name);
+        // Writing into a `String` cannot fail.
+        let _ = match self.nodes[node].kind {
+            NodeKind::Var { name } => {
+                out.push_str(self.interner.resolve(name));
+                Ok(())
             }
-            NodeKind::Formal { func, index } => {
-                format!(
-                    "{}::arg{index}",
-                    self.interner.resolve(self.funcs[func].name)
-                )
-            }
-            NodeKind::Ret { func } => {
-                format!("{}::ret", self.interner.resolve(self.funcs[func].name))
-            }
+            NodeKind::Temp { seq } => write!(out, "%t{seq}"),
+            NodeKind::Heap { seq } => write!(out, "@heap{seq}"),
+            NodeKind::Func { func } => write!(out, "@fn_{}", func_name(func)),
+            NodeKind::Formal { func, index } => write!(out, "{}::arg{index}", func_name(func)),
+            NodeKind::Ret { func } => write!(out, "{}::ret", func_name(func)),
             NodeKind::Field { parent, field } => {
-                format!("{}.f{}", self.display_node(parent), field)
+                self.write_node(out, parent);
+                write!(out, ".f{field}")
             }
+        };
+    }
+
+    /// The node whose display name ([`Self::write_node`]) is `name`; the
+    /// one with the highest id when several share it. In a program parsed
+    /// from constraint text that is the node the parser binds `name` to,
+    /// or, when no variable is named `@fn_f`, function `f`'s object.
+    ///
+    /// A display name says which kind of node may carry it, so each kind
+    /// is one lookup: the variable by its symbol, the function by its
+    /// name, and a field `parent.fN` through every node named `parent`.
+    /// The `.fN` suffixes are walked without recursion, and nothing is
+    /// allocated unless more than four nodes share a prefix's name.
+    pub fn node_named(&self, name: &str) -> Option<NodeId> {
+        let mut base = name;
+        while let Some((parent, _)) = split_field(base) {
+            base = parent;
         }
+        if base.len() == name.len() {
+            return self.kind_named(name).max();
+        }
+        let mut named: Named = self.kind_named(base).collect();
+        // Back out one `.fN` suffix at a time: a prefix names the fields
+        // of the nodes the shorter prefix names, and its own kinds.
+        let mut end = base.len();
+        for suffix in name[base.len()..].split('.').skip(1) {
+            end += 1 + suffix.len();
+            let field = parse_index(&suffix[1..]).expect("a peeled `.fN` suffix");
+            named = named
+                .iter()
+                .filter_map(|parent| self.field_of(parent, field))
+                .chain(self.kind_named(&name[..end]))
+                .collect();
+        }
+        named.iter().max()
+    }
+
+    /// The nodes other than fields whose display name is `name`.
+    fn kind_named(&self, name: &str) -> impl Iterator<Item = NodeId> + '_ {
+        let func = |name: &str| {
+            let sym = self.interner.lookup(name)?;
+            Some(&self.funcs[*self.funcs_by_name.get(&sym)?])
+        };
+        let seq = |list: &[NodeId], prefix: &str| {
+            let seq = parse_index(name.strip_prefix(prefix)?)?;
+            list.get(seq as usize).copied()
+        };
+        let var = self
+            .interner
+            .lookup(name)
+            .and_then(|sym| *self.var_of.get(sym)?);
+        let minted = match name.as_bytes().first() {
+            Some(b'%') => seq(&self.temps, "%t"),
+            Some(b'@') => {
+                seq(&self.heaps, "@heap").or_else(|| Some(func(name.strip_prefix("@fn_")?)?.object))
+            }
+            _ => None,
+        };
+        let slot = match name.strip_suffix("::ret") {
+            Some(f) => func(f).map(|info| info.ret),
+            None => split_index(name).and_then(|(head, index)| {
+                let info = func(head.strip_suffix("::arg")?)?;
+                info.formals.get(index as usize).copied()
+            }),
+        };
+        [var, minted, slot].into_iter().flatten()
     }
 
     /// Total number of primitive constraints (excluding call sites).
@@ -767,6 +856,64 @@ impl ConstraintProgram {
             + self.loads.len()
             + self.stores.len()
             + self.field_addrs.len()
+    }
+}
+
+/// The nodes that share one display name: a name rarely has more than
+/// two, so four are held inline and the rest spill to the heap.
+#[derive(Default)]
+struct Named {
+    inline: [Option<NodeId>; 4],
+    spilled: Vec<NodeId>,
+}
+
+impl Named {
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.inline.iter().flatten().chain(&self.spilled).copied()
+    }
+}
+
+impl FromIterator<NodeId> for Named {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
+        let mut named = Named::default();
+        for node in nodes {
+            match named.inline.iter_mut().find(|slot| slot.is_none()) {
+                Some(slot) => *slot = Some(node),
+                None => named.spilled.push(node),
+            }
+        }
+        named
+    }
+}
+
+/// The bytes of constraint text per distinct name that
+/// [`ConstraintBuilder::for_text`] sizes the interner for: printed MiniC
+/// programs run about 31.
+const BYTES_PER_NAME: usize = 24;
+
+/// `name` split as `parent.fN` with `N` written as the printer writes a
+/// field index.
+fn split_field(name: &str) -> Option<(&str, u32)> {
+    let (head, field) = split_index(name)?;
+    Some((head.strip_suffix(".f")?, field))
+}
+
+/// `name` split before its trailing decimal index, if it ends with one
+/// written as `{}` writes a `u32`: no sign and no leading zero.
+fn split_index(name: &str) -> Option<(&str, u32)> {
+    let digits = name.bytes().rev().take_while(u8::is_ascii_digit).count();
+    let (head, tail) = name.split_at(name.len() - digits);
+    Some((head, parse_index(tail)?))
+}
+
+/// `text` as a `u32` written as `{}` writes one.
+fn parse_index(text: &str) -> Option<u32> {
+    match text.as_bytes() {
+        [] | [b'0', _, ..] => None,
+        digits => digits.iter().try_fold(0u32, |n, &d| {
+            let d = d.is_ascii_digit().then(|| u32::from(d - b'0'))?;
+            n.checked_mul(10)?.checked_add(d)
+        }),
     }
 }
 

@@ -91,7 +91,7 @@ pub fn parse_constraints(text: &str) -> Result<ConstraintProgram, TextError> {
             body.push((lineno + 1, line));
         }
     }
-    let mut builder = ConstraintBuilder::new();
+    let mut builder = ConstraintBuilder::for_text(text.len());
 
     // Pass 1: function declarations (so formal references resolve anywhere).
     // Each formal is a node, so the declared arities together may not
@@ -548,12 +548,17 @@ fn parse_call(
 /// Renders `cp` in the textual constraint format.
 ///
 /// The output re-parses ([`parse_constraints`]) to an analysis-equivalent
-/// program.
+/// program. Every name is written straight into the output
+/// ([`ConstraintProgram::write_node`]), so printing allocates the output
+/// and the field list, not a string per name.
 pub fn print_constraints(cp: &ConstraintProgram) -> String {
     use crate::model::CalleeRef;
     use std::fmt::Write as _;
 
-    let mut out = String::new();
+    let func_name = |func: FuncId| cp.interner().resolve(cp.func(func).name);
+    let lines = cp.funcs().len() + cp.num_constraints() + cp.callsites().len();
+    let mut out = String::with_capacity(lines * BYTES_PER_LINE);
+    // Writing into a `String` cannot fail.
     for info in cp.funcs().iter() {
         let _ = writeln!(
             out,
@@ -563,74 +568,79 @@ pub fn print_constraints(cp: &ConstraintProgram) -> String {
         );
     }
     for (parent, field, _) in cp.field_nodes() {
-        let _ = writeln!(out, "field {}.{}", cp.display_node(parent), field);
+        out.push_str("field ");
+        cp.write_node(&mut out, parent);
+        let _ = writeln!(out, ".{field}");
     }
     for a in cp.addr_ofs() {
-        let obj = match cp.node(a.obj).as_func() {
-            Some(func) => cp.interner().resolve(cp.func(func).name).to_owned(),
-            None => cp.display_node(a.obj),
-        };
-        let _ = writeln!(out, "{} = &{}", cp.display_node(a.dst), obj);
+        cp.write_node(&mut out, a.dst);
+        out.push_str(" = &");
+        match cp.node(a.obj).as_func() {
+            Some(func) => out.push_str(func_name(func)),
+            None => cp.write_node(&mut out, a.obj),
+        }
+        out.push('\n');
     }
+    let pair = |out: &mut String, a: NodeId, sep: &str, b: NodeId| {
+        cp.write_node(out, a);
+        out.push_str(sep);
+        cp.write_node(out, b);
+        out.push('\n');
+    };
     for c in cp.copies() {
-        let _ = writeln!(
-            out,
-            "{} = {}",
-            cp.display_node(c.dst),
-            cp.display_node(c.src)
-        );
+        pair(&mut out, c.dst, " = ", c.src);
     }
     for l in cp.loads() {
-        let _ = writeln!(
-            out,
-            "{} = *{}",
-            cp.display_node(l.dst),
-            cp.display_node(l.ptr)
-        );
+        pair(&mut out, l.dst, " = *", l.ptr);
     }
     for s in cp.stores() {
-        let _ = writeln!(
-            out,
-            "*{} = {}",
-            cp.display_node(s.ptr),
-            cp.display_node(s.src)
-        );
+        out.push('*');
+        pair(&mut out, s.ptr, " = ", s.src);
     }
     for fa in cp.field_addrs() {
-        let _ = writeln!(
-            out,
-            "{} = &{}->{}",
-            cp.display_node(fa.dst),
-            cp.display_node(fa.base),
-            fa.field
-        );
+        cp.write_node(&mut out, fa.dst);
+        out.push_str(" = &");
+        cp.write_node(&mut out, fa.base);
+        let _ = writeln!(out, "->{}", fa.field);
     }
     for cs in cp.callsites().iter() {
-        let (kw, callee) = match cs.callee {
+        match cs.callee {
             CalleeRef::Direct(func) => {
-                ("call", cp.interner().resolve(cp.func(func).name).to_owned())
+                out.push_str("call ");
+                out.push_str(func_name(func));
             }
-            CalleeRef::Indirect(fp) => ("icall", cp.display_node(fp)),
-        };
-        let args: Vec<String> = cs
-            .args
-            .iter()
-            .map(|a| match a {
-                Some(node) => cp.display_node(*node),
-                None => "_".to_owned(),
-            })
-            .collect();
-        let _ = write!(out, "{kw} {callee}({})", args.join(", "));
+            CalleeRef::Indirect(fp) => {
+                out.push_str("icall ");
+                cp.write_node(&mut out, fp);
+            }
+        }
+        out.push('(');
+        for (i, arg) in cs.args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            match arg {
+                Some(node) => cp.write_node(&mut out, *node),
+                None => out.push('_'),
+            }
+        }
+        out.push(')');
         if let Some(ret) = cs.ret_dst {
-            let _ = write!(out, " -> {}", cp.display_node(ret));
+            out.push_str(" -> ");
+            cp.write_node(&mut out, ret);
         }
         if let Some(caller) = cs.caller {
-            let _ = write!(out, " in {}", cp.interner().resolve(cp.func(caller).name));
+            out.push_str(" in ");
+            out.push_str(func_name(caller));
         }
         out.push('\n');
     }
     out
 }
+
+/// The printout bytes [`print_constraints`] reserves per line; printed
+/// MiniC programs run about 24.
+const BYTES_PER_LINE: usize = 32;
 
 /// The canonical form of `cp`: its printout, and the program parsed back
 /// from that printout.

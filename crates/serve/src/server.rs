@@ -1089,9 +1089,10 @@ fn restore_from(
             format!("cannot restore {path:?}: {e}"),
         ))
     })?;
+    let entries = snapshot.entries.len();
     let mut s = lock_session(handle);
-    let restore = s.restore_snapshot(&snapshot).map_err(reject)?;
-    Ok((restore, snapshot.entries.len(), s.generation()))
+    let restore = s.restore_snapshot(snapshot).map_err(reject)?;
+    Ok((restore, entries, s.generation()))
 }
 
 /// Dispatches one parsed request and renders its response line.

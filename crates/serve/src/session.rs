@@ -21,7 +21,6 @@
 //! one engine call whatever its deadline, and counts once.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,10 +126,10 @@ impl IdAnswer {
 /// Every node's display name and every function's name, JSON-escaped and
 /// quoted, indexed by id.
 ///
-/// Built with the name index at `open`, and extended by each edit with
-/// the names of the nodes it added, so a served answer is rendered by
-/// copying slices: no allocation per name, and no need for the program
-/// (or the session lock) while rendering.
+/// Built at `open`, and extended by each edit with the names of the
+/// nodes it added, so a served answer is rendered by copying slices: no
+/// allocation per name, and no need for the program (or the session
+/// lock) while rendering.
 #[derive(Clone, Debug)]
 pub struct NameTable {
     nodes: QuotedNames,
@@ -165,6 +164,29 @@ impl QuotedNames {
 }
 
 impl NameTable {
+    /// The names of every node and function of `cp`.
+    fn new(cp: &ConstraintProgram) -> Self {
+        let mut table = NameTable {
+            nodes: QuotedNames::with_capacity(cp.num_nodes()),
+            funcs: QuotedNames::with_capacity(cp.funcs().len()),
+        };
+        table.extend(cp, 0);
+        for f in cp.funcs().iter() {
+            table.funcs.push(cp.interner().resolve(f.name));
+        }
+        table
+    }
+
+    /// Adds the nodes of `cp` from id `from` on, in id order.
+    fn extend(&mut self, cp: &ConstraintProgram, from: usize) {
+        let mut name = String::new();
+        for n in (from..cp.num_nodes()).map(|i| NodeId::from_u32(i as u32)) {
+            name.clear();
+            cp.write_node(&mut name, n);
+            self.nodes.push(&name);
+        }
+    }
+
     /// `node`'s display name as a quoted JSON string.
     pub fn node(&self, node: NodeId) -> &str {
         self.nodes.get(node.as_u32() as usize)
@@ -268,8 +290,6 @@ pub struct Session {
     /// Number of lines in `source`, so an appended edit's parse errors
     /// name lines of the whole text.
     lines: usize,
-    /// Display-name → node index for query resolution.
-    names: HashMap<String, NodeId>,
     /// The escaped names answers are rendered from. Edits extend it
     /// copy-on-write ([`Arc::make_mut`]), so a renderer holding a copy of
     /// the `Arc` keeps the names its answer's ids index.
@@ -316,13 +336,13 @@ impl Session {
         let cp = parse_program(text, minic)?;
         let (cp, source) = ddpa_constraints::canonicalize(cp, (!minic).then_some(text))
             .map_err(|e| ProtoError::new(ErrorCode::BadProgram, e.to_string()))?;
-        let (names, name_table) = index_names(&cp);
+        let name_table = Arc::new(NameTable::new(&cp));
         let engine = DemandEngine::new(cp, DemandConfig::default());
         Ok(Session {
             engine,
-            lines: source.lines().count(),
+            // The printout ends every line with `\n`.
+            lines: source.bytes().filter(|&b| b == b'\n').count(),
             source,
-            names,
             name_table,
             default_budget,
             workers: 1,
@@ -390,15 +410,15 @@ impl Session {
         ddpa_snap::Snapshot::capture(&self.engine, self.source.as_str())
     }
 
-    /// Warm-starts the session from a snapshot, copying each entry it
-    /// stages ([`ddpa_snap::restore`], which rebinds a snapshot taken
-    /// before an `add-constraints` edit). A refusal is
-    /// [`ErrorCode::Snapshot`].
-    pub fn restore_snapshot(
+    /// Warm-starts the session from a snapshot ([`ddpa_snap::restore`],
+    /// which rebinds a snapshot taken before an `add-constraints` edit).
+    /// An owned snapshot's entries move into the engine; a borrowed
+    /// one's are copied. A refusal is [`ErrorCode::Snapshot`].
+    pub fn restore_snapshot<'a>(
         &mut self,
-        snapshot: &ddpa_snap::Snapshot,
+        snapshot: impl Into<Cow<'a, ddpa_snap::Snapshot>>,
     ) -> Result<RestoreStats, ProtoError> {
-        ddpa_snap::restore(&mut self.engine, &self.source, Cow::Borrowed(snapshot))
+        ddpa_snap::restore(&mut self.engine, &self.source, snapshot.into())
             .map_err(|e| ProtoError::new(ErrorCode::Snapshot, e.to_string()))
     }
 
@@ -423,8 +443,7 @@ impl Session {
             .engine
             .append_constraints(extra, self.lines)
             .map_err(|e| ProtoError::new(ErrorCode::BadProgram, e.to_string()))?;
-        let table = Arc::make_mut(&mut self.name_table);
-        extend_names(&mut self.names, table, self.engine.program(), old_nodes);
+        Arc::make_mut(&mut self.name_table).extend(self.engine.program(), old_nodes);
         self.push_source(extra);
         Ok(stats)
     }
@@ -445,7 +464,7 @@ impl Session {
         };
         let diff = ddpa_constraints::diff_programs(self.program(), &cp);
         let stats = self.engine.reload_incremental(cp, &diff);
-        (self.names, self.name_table) = index_names(self.engine.program());
+        self.name_table = Arc::new(NameTable::new(self.engine.program()));
         Ok(stats)
     }
 
@@ -458,10 +477,11 @@ impl Session {
         self.lines += extra.lines().count();
     }
 
-    /// Resolves a spec's names/indices against the loaded program.
+    /// Resolves a spec's names/indices against the loaded program: a
+    /// name is the node [`ConstraintProgram::node_named`] finds.
     pub fn resolve(&self, spec: &QuerySpec) -> Result<ResolvedSpec, ProtoError> {
         let node = |name: &str| -> Result<NodeId, ProtoError> {
-            self.names.get(name).copied().ok_or_else(|| {
+            self.program().node_named(name).ok_or_else(|| {
                 ProtoError::new(ErrorCode::NoNode, format!("no node named {name:?}"))
             })
         };
@@ -576,37 +596,6 @@ fn parse_program(text: &str, minic: bool) -> Result<ConstraintProgram, ProtoErro
         ddpa_constraints::lower(&ast).map_err(|e| bad(e.to_string()))
     } else {
         ddpa_constraints::parse_constraints(text).map_err(|e| bad(e.to_string()))
-    }
-}
-
-/// The name → node index and the escaped [`NameTable`], built in one
-/// pass over the program's nodes. On duplicate display names the later
-/// node wins the index.
-fn index_names(cp: &ConstraintProgram) -> (HashMap<String, NodeId>, Arc<NameTable>) {
-    let mut names = HashMap::with_capacity(cp.num_nodes());
-    let mut table = NameTable {
-        nodes: QuotedNames::with_capacity(cp.num_nodes()),
-        funcs: QuotedNames::with_capacity(cp.funcs().len()),
-    };
-    extend_names(&mut names, &mut table, cp, 0);
-    for f in cp.funcs().iter() {
-        table.funcs.push(cp.interner().resolve(f.name));
-    }
-    (names, Arc::new(table))
-}
-
-/// Adds the nodes from id `from` on to the name index and the table, in
-/// id order, as [`index_names`] does.
-fn extend_names(
-    names: &mut HashMap<String, NodeId>,
-    table: &mut NameTable,
-    cp: &ConstraintProgram,
-    from: usize,
-) {
-    for n in (from..cp.num_nodes()).map(|i| NodeId::from_u32(i as u32)) {
-        let name = cp.display_node(n);
-        table.nodes.push(&name);
-        names.insert(name, n);
     }
 }
 
@@ -1039,13 +1028,13 @@ mod tests {
         let f = b.func("f\"n", 0);
         b.addr_of(p, q);
         let cp = b.build();
-        let (names, table) = index_names(&cp);
+        let table = NameTable::new(&cp);
         assert_eq!(table.node(q), ddpa_obs::escaped(weird));
         assert_eq!(table.node(p), "\"p\"");
         assert_eq!(table.func(f), ddpa_obs::escaped("f\"n"));
         for n in cp.node_ids() {
             assert_eq!(table.node(n), ddpa_obs::escaped(&cp.display_node(n)));
         }
-        assert_eq!(names.get(weird), Some(&q));
+        assert_eq!(cp.node_named(weird), Some(q));
     }
 }

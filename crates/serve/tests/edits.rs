@@ -142,7 +142,7 @@ fn edit_after_restore_matches_the_whole_program_oracle() {
     // many it never tabled.
     let mut donor = Session::open(&text, false, None).expect("opens");
     answers(&mut donor);
-    s.restore_snapshot(&donor.export_snapshot())
+    s.restore_snapshot(donor.export_snapshot())
         .expect("same program restores");
 
     let (target, _) = all[all.len() / 2].clone();

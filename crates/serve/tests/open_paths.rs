@@ -4,9 +4,9 @@
 //! session serves `parse(source)` with `source` the printed program, and
 //! the answers and snapshots agree.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use ddpa_constraints::{parse_constraints, print_constraints};
+use ddpa_constraints::{parse_constraints, print_constraints, NodeId};
 use ddpa_gen::{generate_minic, MiniCConfig};
 use ddpa_serve::session::{IdAnswer, ResolvedSpec};
 use ddpa_serve::{QuerySpec, Session};
@@ -29,16 +29,23 @@ fn rearranged(text: &str) -> String {
     out
 }
 
-/// `pts` of every named node of `s`, rendered by name.
+/// `pts` of every named node of `s`, rendered by name. Each name must
+/// resolve to the last node that has it, as the display-name index the
+/// session kept before it resolved names through the program did.
 fn answers(s: &mut Session) -> BTreeMap<String, Vec<String>> {
     let cp = s.program();
     let names: Vec<String> = cp.node_ids().map(|n| cp.display_node(n)).collect();
+    let last: HashMap<&str, NodeId> = names
+        .iter()
+        .enumerate()
+        .map(|(n, name)| (name.as_str(), NodeId::from_u32(n as u32)))
+        .collect();
     let table = s.name_table();
     let mut out = BTreeMap::new();
-    for name in names {
+    for name in &names {
         let spec = match s.resolve(&QuerySpec::PointsTo { name: name.clone() }) {
-            Ok(spec @ ResolvedSpec::PointsTo(_)) => spec,
-            other => panic!("{name} does not resolve: {other:?}"),
+            Ok(spec @ ResolvedSpec::PointsTo(node)) if node == last[name.as_str()] => spec,
+            other => panic!("{name} does not resolve to its last node: {other:?}"),
         };
         match s.query_ids(spec, None, None, None) {
             IdAnswer::Set {
@@ -48,7 +55,7 @@ fn answers(s: &mut Session) -> BTreeMap<String, Vec<String>> {
                 let mut rendered: Vec<String> =
                     nodes.iter().map(|&n| table.node(n).to_owned()).collect();
                 rendered.sort();
-                out.insert(name, rendered);
+                out.insert(name.clone(), rendered);
             }
             other => panic!("expected a set answer, got {other:?}"),
         }

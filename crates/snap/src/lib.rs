@@ -273,6 +273,20 @@ pub struct Snapshot {
     pub entries: Vec<(Goal, CompletedGoal)>,
 }
 
+/// Lets a restore take its snapshot borrowed (`&snapshot`, whose
+/// entries are copied) or owned (`snapshot`, whose entries move).
+impl<'a> From<&'a Snapshot> for Cow<'a, Snapshot> {
+    fn from(snapshot: &'a Snapshot) -> Self {
+        Cow::Borrowed(snapshot)
+    }
+}
+
+impl From<Snapshot> for Cow<'_, Snapshot> {
+    fn from(snapshot: Snapshot) -> Self {
+        Cow::Owned(snapshot)
+    }
+}
+
 impl Snapshot {
     /// Captures `engine`'s fixpoints ([`DemandEngine::export_completed`])
     /// and generation with `program_text`, which must parse to the
@@ -949,14 +963,14 @@ mod tests {
     #[test]
     fn lying_fields_under_a_valid_checksum_decode_to_typed_errors() {
         // A real snapshot: a warm engine's pts and ptb fixpoints.
-        let cp = ddpa_gen::generate_random(&ddpa_gen::RandomConfig::sized(7, 60));
+        let random = ddpa_gen::generate_random(&ddpa_gen::RandomConfig::sized(7, 60));
+        let (cp, text) = ddpa_constraints::canonicalize(random, None).expect("canonical");
         let mut engine = ddpa_demand::DemandEngine::new(&cp, Default::default());
         for n in cp.node_ids() {
             engine.points_to(n);
             engine.pointed_to_by(n);
         }
-        let text = ddpa_constraints::print_constraints(&cp);
-        let snap = Snapshot::new(engine.generation(), text, engine.export_completed());
+        let snap = Snapshot::capture(&engine, text);
         let bytes = snap.to_bytes();
         let payload = &bytes[HEADER_LEN..];
         // The layout `SnapshotWriter::encode` writes: each count field as

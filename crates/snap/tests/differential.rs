@@ -6,8 +6,12 @@
 //! snapshot and the exhaustive Andersen solver — the paper's ground
 //! truth. Also exercises the file-level negative paths: truncation,
 //! checksum damage, version skew, and cross-program restores.
+//!
+//! Every program is in canonical form, as a served or dumped one is, so
+//! [`Snapshot::capture`] can check that its text numbers the nodes as the
+//! engine does.
 
-use ddpa_constraints::{print_constraints, ConstraintProgram, NodeId};
+use ddpa_constraints::{canonicalize, print_constraints, ConstraintProgram, NodeId};
 use ddpa_demand::{DemandConfig, DemandEngine};
 use ddpa_gen::{generate_random, RandomConfig};
 use ddpa_snap::{read_file, write_file, SnapError, Snapshot, FORMAT_VERSION};
@@ -16,6 +20,13 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("ddpa-snap-differential");
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir.join(name)
+}
+
+/// The canonical form of the random program of `seed` and `size`: the
+/// program its printout parses to.
+fn random_program(seed: u64, size: usize) -> ConstraintProgram {
+    let cp = generate_random(&RandomConfig::sized(seed, size));
+    canonicalize(cp, None).expect("the printout parses").0
 }
 
 /// Every node of the program, the query load for the differential runs.
@@ -35,18 +46,13 @@ fn warm_live(cp: &ConstraintProgram, nodes: &[NodeId]) -> (Snapshot, Vec<(NodeId
             (n, r.pts)
         })
         .collect();
-    let snapshot = Snapshot::new(
-        engine.generation(),
-        print_constraints(cp),
-        engine.export_completed(),
-    );
-    (snapshot, answers)
+    (Snapshot::capture(&engine, print_constraints(cp)), answers)
 }
 
 #[test]
 fn warm_start_matches_live_engine_and_exhaustive_solver() {
     for (seed, size) in [(1u64, 120usize), (7, 300), (42, 600), (1234, 900)] {
-        let cp = generate_random(&RandomConfig::sized(seed, size));
+        let cp = random_program(seed, size);
         let text = print_constraints(&cp);
         let nodes = all_nodes(&cp);
         let (snapshot, live) = warm_live(&cp, &nodes);
@@ -93,7 +99,7 @@ fn warm_start_matches_live_engine_and_exhaustive_solver() {
 
 #[test]
 fn warm_start_preserves_ptb_and_alias_answers() {
-    let cp = generate_random(&RandomConfig::sized(9, 400));
+    let cp = random_program(9, 400);
     let text = print_constraints(&cp);
     let nodes = all_nodes(&cp);
 
@@ -113,7 +119,7 @@ fn warm_start_preserves_ptb_and_alias_answers() {
         .collect();
 
     // Round-trip and warm-start a fresh engine.
-    let snapshot = Snapshot::new(live.generation(), text, live.export_completed());
+    let snapshot = Snapshot::capture(&live, text);
     let bytes = snapshot.to_bytes();
     let restored = Snapshot::from_bytes(&bytes).expect("decode");
     let mut cold = DemandEngine::new(&cp, DemandConfig::default());
@@ -130,7 +136,7 @@ fn warm_start_preserves_ptb_and_alias_answers() {
 
 #[test]
 fn file_level_truncation_is_rejected() {
-    let cp = generate_random(&RandomConfig::sized(3, 150));
+    let cp = random_program(3, 150);
     let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("truncated.snap");
     write_file(&snapshot, &path).expect("write");
@@ -148,7 +154,7 @@ fn file_level_truncation_is_rejected() {
 
 #[test]
 fn file_level_bit_flips_break_the_checksum() {
-    let cp = generate_random(&RandomConfig::sized(4, 150));
+    let cp = random_program(4, 150);
     let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("bitflip.snap");
     write_file(&snapshot, &path).expect("write");
@@ -169,7 +175,7 @@ fn file_level_bit_flips_break_the_checksum() {
 
 #[test]
 fn file_level_version_skew_is_rejected() {
-    let cp = generate_random(&RandomConfig::sized(5, 100));
+    let cp = random_program(5, 100);
     let (snapshot, _) = warm_live(&cp, &all_nodes(&cp));
     let path = temp_path("version.snap");
     write_file(&snapshot, &path).expect("write");
@@ -187,8 +193,8 @@ fn file_level_version_skew_is_rejected() {
 
 #[test]
 fn file_level_cross_program_restore_is_rejected() {
-    let a = generate_random(&RandomConfig::sized(11, 200));
-    let b = generate_random(&RandomConfig::sized(12, 200));
+    let a = random_program(11, 200);
+    let b = random_program(12, 200);
     let (snapshot, _) = warm_live(&a, &all_nodes(&a));
     let path = temp_path("crossprog.snap");
     write_file(&snapshot, &path).expect("write");
